@@ -135,26 +135,13 @@ def _interior_dets(r: Roabp) -> list[ScalarPoly]:
     return dets
 
 
-def _shift_pair_set(r: Roabp, dets: Sequence[ScalarPoly], ell: int) -> tuple[PairSet | None, int]:
-    """Monomial pairs a concentrating map must separate: all pairs inside
-    each layer determinant, plus all pairs of low-support bounded-degree
-    monomials."""
-    monos: set[Monomial] = set()
-    pairs: list[tuple[Monomial, Monomial]] = []
-    delta = r.delta
-    for det in dets:
-        ms = sorted(det.terms)
-        delta = max(delta, det.individual_degree())
-        for i in range(len(ms)):
-            for j in range(i + 1, len(ms)):
-                pairs.append((ms[i], ms[j]))
-    low = sorted(monomials_up_to(r.n, r.delta, max_support=min(ell, r.n)))
-    for i in range(len(low)):
-        for j in range(i + 1, len(low)):
-            pairs.append((low[i], low[j]))
-    if not pairs:
-        return None, delta
-    return PairSet(r.n, delta, tuple(pairs)), delta
+def _shift_pair_set(r: Roabp, dets: Sequence[ScalarPoly], ell: int) -> tuple[PairSet, int]:
+    """Monomial groups a concentrating map must separate: each layer
+    determinant's monomials, and all low-support bounded-degree monomials."""
+    delta = max([r.delta] + [det.individual_degree() for det in dets])
+    groups = [list(det.terms) for det in dets]
+    groups.append(list(monomials_up_to(r.n, r.delta, max_support=min(ell, r.n))))
+    return PairSet(r.n, delta, groups), delta
 
 
 def find_concentrating_shift(
@@ -177,7 +164,7 @@ def find_concentrating_shift(
     pair_set, sep_delta = _shift_pair_set(r, dets, ell)
 
     def candidate_maps():
-        if pair_set is None:
+        if not pair_set:
             yield WeightFn.constant(r.n, 1), 0
             return
         search = separating_weights(r.n, sep_delta, pair_set, c0)
@@ -186,7 +173,7 @@ def find_concentrating_shift(
             if p == search.verified_prime:
                 continue
             wfn = weights_mod_prime(r.n, sep_delta, p)
-            if _separates(wfn, pair_set):
+            if pair_set.separated_by(wfn):
                 yield wfn, p
 
     det_degree = max((det.total_degree() for det in dets), default=0)
@@ -213,12 +200,6 @@ def find_concentrating_shift(
                 return shift, t0
     raise InternalInconsistencyError(
         "no concentrating shift verified within the candidate family"
-    )
-
-
-def _separates(wfn: WeightFn, pair_set: PairSet) -> bool:
-    return all(
-        wfn.monomial_weight(a) != wfn.monomial_weight(b) for a, b in pair_set.pairs
     )
 
 

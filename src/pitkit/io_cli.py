@@ -56,12 +56,19 @@ def _exponents_to_obj(e: Sequence[int], names: Sequence[str]) -> dict:
     return {names[i]: v for i, v in enumerate(e) if v}
 
 
+def _int(value, where: str) -> int:
+    """value itself if it is an integer; bools and numeric strings are not."""
+    if type(value) is not int:
+        raise StructuralError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
 def _obj_to_exponents(obj: dict, index: dict, n: int, where: str) -> tuple:
     e = [0] * n
     for name, v in obj.items():
         if name not in index:
             raise StructuralError(f"{where}: unknown variable {name!r}")
-        if not isinstance(v, int) or v < 0:
+        if type(v) is not int or v < 0:
             raise StructuralError(f"{where}: bad exponent for {name!r}")
         e[index[name]] = v
     return tuple(e)
@@ -154,7 +161,7 @@ def obj_to_instance(obj: dict, modulus_override: int | None = None):
     n = len(names)
     kind = _require(obj, "kind", where)
     if kind == "roabp":
-        width = _require(obj, "width", where)
+        width = _int(_require(obj, "width", where), f"{where}: width")
         block_names = _require(obj, "blocks", where)
         seen: dict[str, int] = {}
         all_blocks = [obj.get("left_block", [])] + list(block_names) + [obj.get("right_block", [])]
@@ -181,7 +188,9 @@ def obj_to_instance(obj: dict, modulus_override: int | None = None):
                 matrix = _require(t, "matrix", f"layer {li}")
                 if len(matrix) != width or any(len(row) != width for row in matrix):
                     raise StructuralError(f"layer {li}: matrix is not {width}x{width}")
-                term_map[e] = tuple(tuple(v for v in row) for row in matrix)
+                term_map[e] = tuple(
+                    tuple(_int(v, f"layer {li}: matrix entry") for v in row) for row in matrix
+                )
             layers.append(MatPoly(field, n, width, term_map))
 
         def vec_from(key: str) -> tuple:
@@ -195,7 +204,7 @@ def obj_to_instance(obj: dict, modulus_override: int | None = None):
                     e = _obj_to_exponents(
                         _require(t, "exponents", key), index, n, key
                     )
-                    term_map[e] = _require(t, "value", key)
+                    term_map[e] = _int(_require(t, "value", key), f"{key}: value")
                 out.append(ScalarPoly(field, n, term_map))
             return tuple(out)
 
@@ -220,9 +229,10 @@ def obj_to_instance(obj: dict, modulus_override: int | None = None):
                 for name, coef in coeffs_obj.items():
                     if name not in index:
                         raise StructuralError(f"gate {gi}: unknown variable {name!r}")
-                    coeffs[index[name]] = coef
-                forms.append(LinearForm(f.get("const", 0), coeffs))
-            gates.append(Gate(_require(g, "scale", f"gate {gi}"), tuple(forms)))
+                    coeffs[index[name]] = _int(coef, f"gate {gi}: coefficient")
+                forms.append(LinearForm(_int(f.get("const", 0), f"gate {gi}: const"), coeffs))
+            scale = _int(_require(g, "scale", f"gate {gi}"), f"gate {gi}: scale")
+            gates.append(Gate(scale, tuple(forms)))
         return Depth3Circuit(field, n, tuple(gates))
     raise StructuralError(f"{where}: unknown kind {kind!r}")
 
@@ -429,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pitkit",
         description="Deterministic polynomial identity testing over prime fields.",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="parallel sweep workers (output is identical for any value)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     hs = sub.add_parser("hs", help="generate a hitting set for an ROABP file")

@@ -134,21 +134,6 @@ def greedy_basis(
     return kept
 
 
-def _intra_block_pairs(
-    blocks: Sequence[Sequence[tuple]], n: int, delta: int
-) -> PairSet | None:
-    pairs = []
-    for block in blocks:
-        monos = [m for m, _ in block]
-        for i in range(len(monos)):
-            for j in range(i + 1, len(monos)):
-                if monos[i] != monos[j]:
-                    pairs.append((monos[i], monos[j]))
-    if not pairs:
-        return None
-    return PairSet(n, delta, tuple(pairs))
-
-
 def construct_isolating_weights(
     factors: Sequence[MatPoly],
     c0: int = DEFAULT_CUTOFF_CONSTANT,
@@ -180,8 +165,8 @@ def construct_isolating_weights(
     records: list[RoundRecord] = []
 
     def run_round(current: list[list[tuple[Monomial, Matrix]]]) -> list[list[tuple[Monomial, Matrix]]]:
-        pair_set = _intra_block_pairs(current, n, delta)
-        if pair_set is None:
+        pair_set = PairSet(n, delta, [[m for m, _ in block] for block in current])
+        if not pair_set:
             # nothing to separate: the first candidate prime keeps the
             # constructed assignment inside the blackbox family
             wfn = weights_mod_prime(n, delta, 2)
@@ -382,8 +367,7 @@ def _small_verified_separator(
     delta = max(r.delta, product.individual_degree())
     if len(monos) < 2:
         return WeightFn.constant(r.n, 1), 0
-    pair_set = PairSet.from_monomials(r.n, delta, monos)
-    search = separating_weights(r.n, delta, pair_set, c0)
+    search = separating_weights(r.n, delta, PairSet(r.n, delta, [monos]), c0)
     return search.verified, search.verified_prime
 
 

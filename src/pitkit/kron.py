@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .algebra import Monomial
 from .errors import InternalInconsistencyError, StructuralError
@@ -52,34 +52,38 @@ class WeightFn:
 
 @dataclass(frozen=True)
 class PairSet:
-    """Unordered pairs of distinct monomials with individual degree <= delta."""
+    """Groups of distinct monomials with individual degree <= delta.
+
+    The pairs to separate are the unordered pairs inside each group; they
+    are never listed, and len() counts them as the sum of C(|g|, 2).
+    """
 
     n: int
     delta: int
-    pairs: tuple
+    groups: tuple
 
     def __post_init__(self) -> None:
         clean = []
-        for a, b in self.pairs:
-            a, b = tuple(a), tuple(b)
-            if len(a) != self.n or len(b) != self.n:
-                raise StructuralError("pair monomial has wrong ambient length")
-            if max(a, default=0) > self.delta or max(b, default=0) > self.delta:
-                raise StructuralError("pair monomial exceeds the degree bound")
-            if a == b:
-                raise StructuralError(f"pair ({a}, {b}) is not a pair of distinct monomials")
-            clean.append((a, b))
-        object.__setattr__(self, "pairs", tuple(clean))
-
-    @classmethod
-    def from_monomials(cls, n: int, delta: int, monomials: Sequence[Monomial]) -> "PairSet":
-        """All unordered pairs of the distinct monomials given."""
-        ms = sorted(set(tuple(m) for m in monomials))
-        pairs = [(ms[i], ms[j]) for i in range(len(ms)) for j in range(i + 1, len(ms))]
-        return cls(n, delta, tuple(pairs))
+        for group in self.groups:
+            g = tuple(tuple(m) for m in group)
+            for m in g:
+                if len(m) != self.n:
+                    raise StructuralError("group monomial has wrong ambient length")
+                if max(m, default=0) > self.delta:
+                    raise StructuralError("group monomial exceeds the degree bound")
+            if len(set(g)) != len(g):
+                raise StructuralError(f"group {g} repeats a monomial")
+            clean.append(g)
+        object.__setattr__(self, "groups", tuple(clean))
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return sum(len(g) * (len(g) - 1) // 2 for g in self.groups)
+
+    def separated_by(self, wfn: WeightFn) -> bool:
+        """Whether wfn gives distinct weights inside every group."""
+        return all(
+            len({wfn.monomial_weight(m) for m in g}) == len(g) for g in self.groups
+        )
 
 
 def naive_kronecker(n: int, delta: int) -> WeightFn:
@@ -91,13 +95,17 @@ def naive_kronecker(n: int, delta: int) -> WeightFn:
 
 
 def iter_primes() -> Iterator[int]:
+    """2, 3, 5, ...: odd candidates are trial-divided by the odd primes up
+    to their square root."""
     yield 2
-    yield 3
-    found = [2, 3]
-    cand = 5
+    odd: list[int] = []
+    below_root = 0  # odd[:below_root] are the primes q with q*q <= cand
+    cand = 3
     while True:
-        if all(cand % q for q in found if q * q <= cand):
-            found.append(cand)
+        while below_root < len(odd) and odd[below_root] ** 2 <= cand:
+            below_root += 1
+        if all(cand % q for q in odd[:below_root]):
+            odd.append(cand)
             yield cand
         cand += 2
 
@@ -144,46 +152,39 @@ class SeparatorSearch:
                 return
             yield p
 
-    def iter_candidates(self) -> Iterator[WeightFn]:
-        """The full candidate family (for blackbox use)."""
-        for p in self.iter_candidate_primes():
-            yield weights_mod_prime(self.n, self.delta, p)
-
 
 def separating_weights(
     n: int, delta: int, pair_set: PairSet, c0: int = DEFAULT_CUTOFF_CONSTANT
 ) -> SeparatorSearch:
     """Find the first prime whose reduced Kronecker weights separate every
-    pair in the set.
+    pair inside every group of the set.
 
     A pair (m, m') is separated when the naive weights differ mod p, which
-    forces the lifted integer weights to differ too.  The counting argument
-    guarantees success within the cutoff, so running past it is reported as
-    an internal inconsistency.
+    forces the lifted integer weights to differ too; for a group that means
+    its naive weights have distinct residues mod p.  Each naive weight is
+    computed once, so a prime costs O(M) for M monomials.  The counting
+    argument guarantees success within the cutoff, so running past it is
+    reported as an internal inconsistency.
     """
-    if len(pair_set) < 1:
+    pair_count = len(pair_set)
+    if pair_count < 1:
         raise StructuralError("pair set must be nonempty")
     naive = naive_kronecker(n, delta)
-    diffs = []
-    for a, b in pair_set.pairs:
-        d = naive.monomial_weight(a) - naive.monomial_weight(b)
-        if d == 0:
-            raise InternalInconsistencyError("naive Kronecker weights collided")
-        diffs.append(abs(d))
-    cutoff = prime_cutoff(n, len(pair_set), delta, c0)
+    groups = [[naive.monomial_weight(m) for m in g] for g in pair_set.groups if len(g) > 1]
+    cutoff = prime_cutoff(n, pair_count, delta, c0)
     for p in iter_primes():
         if p > cutoff:
             break
-        if all(d % p for d in diffs):
+        if all(len({x % p for x in g}) == len(g) for g in groups):
             return SeparatorSearch(
                 n=n,
                 delta=delta,
                 c0=c0,
-                pair_count=len(pair_set),
+                pair_count=pair_count,
                 cutoff=cutoff,
                 verified_prime=p,
                 verified=weights_mod_prime(n, delta, p),
             )
     raise InternalInconsistencyError(
-        f"no separating prime up to {cutoff} for {len(pair_set)} pairs"
+        f"no separating prime up to {cutoff} for {pair_count} pairs"
     )

@@ -1,9 +1,14 @@
 """Circuit and point files, canonical round-trips, CLI exit codes."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import pitkit
 from pitkit.io_cli import (
     dumps_canonical,
     load_instance,
@@ -33,6 +38,22 @@ MINIMAL_ROABP = {
     ],
     "left_boundary": [[{"exponents": {}, "value": 1}]],
     "right_boundary": [[{"exponents": {}, "value": 1}]],
+}
+
+MINIMAL_DEPTH3 = {
+    "format": 1,
+    "kind": "depth3",
+    "modulus": 10007,
+    "variables": ["x1", "x2"],
+    "gates": [
+        {
+            "scale": 1,
+            "forms": [
+                {"const": 0, "coeffs": {"x1": 1}},
+                {"const": 1, "coeffs": {"x2": 1}},
+            ],
+        }
+    ],
 }
 
 
@@ -182,3 +203,49 @@ def test_cli_exit_codes(tmp_path, capsys):
     path = write_instance(tmp_path, "big.json", inst)
     assert main(["expand", "--input", path, "--ceiling", "1"]) == 3
     capsys.readouterr()
+
+
+def _set(doc, path, value):
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+
+
+NON_INTEGER_FIELDS = [
+    (MINIMAL_ROABP, ("layers", 0, 0, "matrix", 0, 0), "a"),
+    (MINIMAL_ROABP, ("layers", 1, 0, "matrix", 0, 0), True),
+    (MINIMAL_ROABP, ("layers", 1, 0, "matrix", 0, 0), 1.5),
+    (MINIMAL_ROABP, ("left_boundary", 0, 0, "value"), None),
+    (MINIMAL_ROABP, ("right_boundary", 0, 0, "value"), "1"),
+    (MINIMAL_ROABP, ("width",), True),
+    (MINIMAL_ROABP, ("layers", 0, 0, "exponents", "x1"), True),
+    (MINIMAL_DEPTH3, ("gates", 0, "scale"), "a"),
+    (MINIMAL_DEPTH3, ("gates", 0, "scale"), False),
+    (MINIMAL_DEPTH3, ("gates", 0, "forms", 0, "const"), None),
+    (MINIMAL_DEPTH3, ("gates", 0, "forms", 1, "coeffs", "x2"), "a"),
+    (MINIMAL_DEPTH3, ("gates", 0, "forms", 1, "coeffs", "x2"), True),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, path, value",
+    NON_INTEGER_FIELDS,
+    ids=[
+        f"{doc['kind']}-{'.'.join(map(str, path))}={value!r}"
+        for doc, path, value in NON_INTEGER_FIELDS
+    ],
+)
+def test_cli_rejects_non_integer_values(tmp_path, doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    _set(doc, path, value)
+    circuit = tmp_path / "bad.json"
+    circuit.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(pitkit.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pitkit.io_cli", "expand", "--input", str(circuit)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "expected an integer" in proc.stderr or "bad exponent" in proc.stderr

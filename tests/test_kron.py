@@ -1,14 +1,18 @@
 """Kronecker maps and separating prime searches."""
 
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pitkit.errors import StructuralError
 from pitkit.kron import (
     PairSet,
     WeightFn,
+    iter_primes,
     naive_kronecker,
     prime_cutoff,
     separating_weights,
@@ -41,7 +45,7 @@ def test_naive_map_injective_up_to_20_bits():
 
 def test_pairset_rejects_equal_monomials():
     with pytest.raises(StructuralError):
-        PairSet(2, 1, (((1, 0), (1, 0)),))
+        PairSet(2, 1, (((1, 0), (0, 1), (1, 0)),))
 
 
 def test_separating_weights_worked_example():
@@ -78,8 +82,56 @@ def test_separator_found_for_random_pairsets():
         ps = PairSet(n, delta, tuple(pairs))
         res = separating_weights(n, delta, ps)
         assert res.verified_prime <= res.cutoff
-        for a, b in ps.pairs:
+        for a, b in pairs:
             assert res.verified.monomial_weight(a) != res.verified.monomial_weight(b)
+
+
+def _brute_force_prime(n, delta, groups, cutoff):
+    """First prime up to cutoff dividing no naive weight difference of any
+    intra-group pair, found by listing every pair."""
+    naive = naive_kronecker(n, delta)
+    diffs = [
+        naive.monomial_weight(a) - naive.monomial_weight(b)
+        for g in groups
+        for a, b in itertools.combinations(g, 2)
+    ]
+    for p in range(2, cutoff + 1):
+        if all(p % q for q in range(2, math.isqrt(p) + 1)) and all(d % p for d in diffs):
+            return p
+    return None
+
+
+@st.composite
+def _groups(draw):
+    n = draw(st.integers(1, 5))
+    delta = draw(st.integers(1, 3))
+    mono = st.tuples(*[st.integers(0, delta)] * n)
+    groups = draw(st.lists(st.lists(mono, min_size=1, max_size=12, unique=True), min_size=1, max_size=4))
+    return n, delta, groups
+
+
+@settings(max_examples=150, deadline=None)
+@given(_groups())
+def test_grouped_search_matches_pairwise_reference(case):
+    n, delta, groups = case
+    ps = PairSet(n, delta, groups)
+    assert len(ps) == sum(math.comb(len(g), 2) for g in groups)
+    if not len(ps):
+        return
+    res = separating_weights(n, delta, ps)
+    assert res.cutoff == prime_cutoff(n, len(ps), delta)
+    assert res.verified_prime == _brute_force_prime(n, delta, groups, res.cutoff)
+
+
+def test_iter_primes_matches_sieve():
+    limit = 40_000
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[0] = sieve[1] = 0
+    for q in range(2, math.isqrt(limit) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = bytearray(len(range(q * q, limit + 1, q)))
+    expected = [q for q in range(limit + 1) if sieve[q]]
+    assert list(itertools.islice(iter_primes(), len(expected))) == expected
 
 
 def test_cutoff_matches_formula():
