@@ -39,6 +39,7 @@ from .depth3 import (
     Gate,
     LinearForm,
     Partition,
+    SumSmlResult,
     circuit_to_roabp,
     compute_distance,
     decompose_base_sets,

@@ -24,14 +24,37 @@ DET_WIDTH_LIMIT = 4
 DET_TERM_CEILING = 10**6
 
 
+# Strong-probable-prime tests to the first 13 prime bases are exact below
+# MR_EXACT_BELOW (Sorenson and Webster, 2015).
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(m: int) -> bool:
+    """Exact primality: deterministic Miller-Rabin below MR_EXACT_BELOW;
+    above it a probable prime is confirmed by trial division."""
     if m < 2:
         return False
-    if m < 4:
+    for q in MR_BASES:
+        if m % q == 0:
+            return m == q
+    odd, twos = m - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    for a in MR_BASES:
+        x = pow(a, odd, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    if m < MR_EXACT_BELOW:
         return True
-    if m % 2 == 0:
-        return False
-    f = 3
+    f = 43
     while f * f <= m:
         if m % f == 0:
             return False

@@ -36,7 +36,6 @@ from .errors import (
     StructuralError,
 )
 from .kron import (
-    DEFAULT_CUTOFF_CONSTANT,
     PairSet,
     WeightFn,
     iter_primes,
@@ -145,9 +144,7 @@ def _shift_pair_set(r: Roabp, dets: Sequence[ScalarPoly], ell: int) -> tuple[Pai
 
 
 def find_concentrating_shift(
-    r: Roabp,
-    c0: int = DEFAULT_CUTOFF_CONSTANT,
-    expand_ceiling: int = EXPAND_CEILING,
+    r: Roabp, expand_ceiling: int = EXPAND_CEILING
 ) -> tuple[ShiftMap, int]:
     """A verified concentrating shift for an invertible-factor instance.
 
@@ -167,7 +164,7 @@ def find_concentrating_shift(
         if not pair_set:
             yield WeightFn.constant(r.n, 1), 0
             return
-        search = separating_weights(r.n, sep_delta, pair_set, c0)
+        search = separating_weights(r.n, sep_delta, pair_set)
         yield search.verified, search.verified_prime
         for p in search.iter_candidate_primes():
             if p == search.verified_prime:
@@ -231,65 +228,65 @@ def low_support_hitting_set(n: int, delta: int, ell: int, field: Field) -> Point
     return PointSet(n, tuple(points), provenance)
 
 
+def _translated_grid(
+    mode: str, n: int, d: int, w: int, delta: int, s: int, mu: int, field: Field,
+    shifts, extra: dict,
+) -> PointSet:
+    """The low-support grid translated by every offset vector of `shifts`,
+    in order, for the support bound l(w^2+2) with l = support_parameter."""
+    ell = support_parameter(w, max(1, s), mu)
+    target = ell * (w * w + 2)
+    grid = low_support_hitting_set(n, delta, target, field)
+    p = field.p
+    points = tuple(
+        tuple((h + o) % p for h, o in zip(pt, offsets))
+        for offsets in shifts
+        for pt in grid
+    )
+    provenance = {
+        "generator": "invertible_hitting_set",
+        "mode": mode,
+        "n": n,
+        "d": d,
+        "w": w,
+        "delta": delta,
+        "s": s,
+        "mu": mu,
+        "ell": ell,
+        "support_bound": target,
+        "grid": len(grid),
+        **extra,
+    }
+    return PointSet(n, points, provenance)
+
+
 def invertible_hitting_set(
-    r: Roabp,
-    mode: str = "whitebox",
-    c0: int = DEFAULT_CUTOFF_CONSTANT,
-    expand_ceiling: int = EXPAND_CEILING,
+    r: Roabp, mode: str = "whitebox", expand_ceiling: int = EXPAND_CEILING
 ) -> PointSet:
     """Hitting set for an invertible-factor instance: the low-support grid
-    translated by a concentrating shift.
+    translated by concentrating shifts.
 
     Whitebox mode verifies one (map, t0) pair against the instance, so the
     size is exactly |grid| * 1 * 1.  Blackbox mode reads only the declared
     parameters and enumerates the whole candidate family.
     """
     if mode == "whitebox":
-        shift, t0 = find_concentrating_shift(r, c0, expand_ceiling)
-        w = r.width
-        ell = support_parameter(w, max(1, r.layer_sparsity), r.layer_support)
-        target = ell * (w * w + 2)
-        grid = low_support_hitting_set(r.n, r.delta, target, r.field)
-        offsets = shift.offsets_at(t0, r.field)
-        p = r.field.p
-        points = tuple(
-            tuple((h + o) % p for h, o in zip(pt, offsets)) for pt in grid
+        shift, t0 = find_concentrating_shift(r, expand_ceiling)
+        return _translated_grid(
+            "whitebox", r.n, r.d, r.width, r.delta, r.layer_sparsity,
+            r.layer_support, r.field, [shift.offsets_at(t0, r.field)],
+            {"t_sweep": 1, "maps": 1, "shift_prime": shift.prime, "t0": t0},
         )
-        provenance = {
-            "generator": "invertible_hitting_set",
-            "mode": "whitebox",
-            "n": r.n,
-            "d": r.d,
-            "w": w,
-            "delta": r.delta,
-            "s": r.layer_sparsity,
-            "mu": r.layer_support,
-            "ell": ell,
-            "support_bound": target,
-            "grid": len(grid),
-            "t_sweep": 1,
-            "maps": 1,
-            "shift_prime": shift.prime,
-            "t0": t0,
-        }
-        return PointSet(r.n, points, provenance)
     if mode == "blackbox":
         return invertible_hitting_set_params(
             r.n, r.d, r.width, r.delta,
-            max(1, r.layer_sparsity), r.layer_support, r.field, c0,
+            max(1, r.layer_sparsity), r.layer_support, r.field,
         )
     raise StructuralError(f"unknown mode {mode!r}")
 
 
 def invertible_hitting_set_params(
-    n: int,
-    d: int,
-    w: int,
-    delta: int,
-    s: int,
-    mu: int,
-    field: Field,
-    c0: int = DEFAULT_CUTOFF_CONSTANT,
+    n: int, d: int, w: int, delta: int, s: int, mu: int, field: Field
 ) -> PointSet:
     """Parameter-only hitting set for every invertible-factor instance with
     the declared parameters.
@@ -300,8 +297,7 @@ def invertible_hitting_set_params(
     translates the low-support grid by each specialization.  Size is
     exactly |grid| * |t-sweep| * |maps|; feasible only for tiny parameters.
     """
-    ell = support_parameter(w, s, mu)
-    target = ell * (w * w + 2)
+    ell = support_parameter(w, max(1, s), mu)
     det_monomials = s**w
     det_pairs = d * det_monomials * (det_monomials - 1) // 2
     low_count = sum(
@@ -310,13 +306,13 @@ def invertible_hitting_set_params(
     support_pairs = low_count * (low_count - 1) // 2
     pair_bound = max(1, det_pairs + support_pairs)
     delta_all = max(delta, w * delta)
-    cutoff = prime_cutoff(n, pair_bound, delta_all, c0)
+    cutoff = prime_cutoff(n, pair_bound, delta_all)
     maps = []
     for p in iter_primes():
         if p > cutoff:
             break
-        maps.append(weights_mod_prime(n, delta_all, p))
-    max_a = max(m.max_weight for m in maps)
+        maps.append(ShiftMap(weights_mod_prime(n, delta_all, p).weights, p))
+    max_a = max(max(m.exponents) for m in maps)
     det_degree = w * delta * n
     conc_degree = w * w * n * max(1, delta)
     t_sweep = 1 + (d * det_degree + conc_degree) * max_a
@@ -324,32 +320,11 @@ def invertible_hitting_set_params(
         raise ModulusTooSmallError(
             f"blackbox t sweep needs {t_sweep} values, modulus {field.p} too small"
         )
-    grid = low_support_hitting_set(n, delta, target, field)
-    points = []
-    for wfn in maps:
-        shift = ShiftMap(tuple(wfn.weights), 0)
-        for t0 in range(1, t_sweep + 1):
-            offsets = shift.offsets_at(t0, field)
-            for pt in grid:
-                points.append(
-                    tuple((h + o) % field.p for h, o in zip(pt, offsets))
-                )
-    provenance = {
-        "generator": "invertible_hitting_set",
-        "mode": "blackbox",
-        "n": n,
-        "d": d,
-        "w": w,
-        "delta": delta,
-        "s": s,
-        "mu": mu,
-        "ell": ell,
-        "support_bound": target,
-        "grid": len(grid),
-        "t_sweep": t_sweep,
-        "maps": len(maps),
-    }
-    return PointSet(n, tuple(points), provenance)
+    return _translated_grid(
+        "blackbox", n, d, w, delta, s, mu, field,
+        (m.offsets_at(t0, field) for m in maps for t0 in range(1, t_sweep + 1)),
+        {"t_sweep": t_sweep, "maps": len(maps)},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -549,18 +524,23 @@ def _curve_sweep(
 
 
 def width2_hitting_set(
-    r: Roabp,
-    c0: int = DEFAULT_CUTOFF_CONSTANT,
-    expand_ceiling: int = EXPAND_CEILING,
+    r: Roabp, mode: str = "whitebox", expand_ceiling: int = EXPAND_CEILING
 ) -> PointSet:
     """Hitting set for any width-2 sparse-factor instance, singular layers
     included.
 
-    Factorizes through singular layers, takes the union H of the chain
-    elements' invertible hitting sets, and sweeps the Lagrange curve
-    through H at exactly 1 + (d+2) * Delta * |H| parameter values, where
-    Delta = (d+2) * delta conservatively bounds each factor's total degree.
+    Whitebox mode factorizes through singular layers, takes the union H of
+    the chain elements' invertible hitting sets, and sweeps the Lagrange
+    curve through H at exactly 1 + (d+2) * Delta * |H| parameter values,
+    where Delta = (d+2) * delta conservatively bounds each factor's total
+    degree.  Blackbox mode reads only the declared parameters.
     """
+    if mode == "blackbox":
+        return width2_hitting_set_params(
+            r.n, r.d, r.delta, max(1, r.layer_sparsity), r.layer_support, r.field
+        )
+    if mode != "whitebox":
+        raise StructuralError(f"unknown mode {mode!r}")
     fact = factorize_width2(r)
     if fact.is_zero:
         return PointSet(
@@ -575,7 +555,7 @@ def width2_hitting_set(
     anchor_points: list[tuple[int, ...]] = []
     for piece in fact.chain:
         anchor_points.extend(
-            invertible_hitting_set(piece, "whitebox", c0, expand_ceiling).points
+            invertible_hitting_set(piece, "whitebox", expand_ceiling).points
         )
     return _curve_sweep(
         anchor_points,
@@ -588,18 +568,12 @@ def width2_hitting_set(
 
 
 def width2_hitting_set_params(
-    n: int,
-    d: int,
-    delta: int,
-    s: int,
-    mu: int,
-    field: Field,
-    c0: int = DEFAULT_CUTOFF_CONSTANT,
+    n: int, d: int, delta: int, s: int, mu: int, field: Field
 ) -> PointSet:
     """Parameter-only width-2 hitting set: the Lagrange curve through the
     blackbox invertible-class set covers every chain factor of every
     width-2 instance with the declared parameters."""
-    anchors = invertible_hitting_set_params(n, d, 2, delta, s, mu, field, c0)
+    anchors = invertible_hitting_set_params(n, d, 2, delta, s, mu, field)
     return _curve_sweep(
         list(anchors.points), n, d, delta, field, {"mode": "blackbox"}
     )

@@ -648,22 +648,30 @@ def base_set_hitting_points(base: Sequence[int], field: Field) -> list[dict]:
     return points
 
 
+@dataclass(frozen=True)
+class SumSmlResult:
+    """A sum-sml verdict ("zero" or "nonzero", with the witness point when
+    nonzero) and the plan that produced it: the base-set decomposition and
+    the size of the swept product."""
+
+    verdict: str
+    witness: tuple | None
+    decomposition: BaseSetDecomposition
+    sweep: int
+
+
 def sum_sml_whitebox_test(
     c: Depth3Circuit, sweep_ceiling: int = SWEEP_CEILING
-) -> tuple[str, tuple | None]:
+) -> SumSmlResult:
     """Whitebox zero test for a multilinear depth-3 circuit whose gates
     induce few distinct partitions.
 
     Decomposes the variables into base sets with distance-1 certificates,
     builds one hitting set per base set that covers every restriction of
     the circuit to that base set (outside variables fixed arbitrarily), and
-    sweeps the cartesian product in hybrid order with early exit.  Returns
-    ("nonzero", witness) or ("zero", None).
+    sweeps the cartesian product in hybrid order with early exit.
     """
-    if c.k == 0:
-        return "zero", None
-    distinct = c.distinct_partitions()
-    decomp = decompose_base_sets(distinct)
+    decomp = decompose_base_sets(c.distinct_partitions())
     per_set = [
         base_set_hitting_points(sorted(cert.base_set), c.field)
         for cert in decomp.certificates
@@ -679,5 +687,5 @@ def sum_sml_whitebox_test(
             for v, val in assignment.items():
                 point[v] = val
         if c.eval_at(point):
-            return "nonzero", tuple(point)
-    return "zero", None
+            return SumSmlResult("nonzero", tuple(point), decomp, total)
+    return SumSmlResult("zero", None, decomp, total)

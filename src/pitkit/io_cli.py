@@ -18,11 +18,7 @@ import sys
 from typing import Sequence
 
 from .algebra import DEFAULT_MODULUS, Field, MatPoly, ScalarPoly
-from .concentrate import (
-    invertible_hitting_set,
-    width2_hitting_set,
-    width2_hitting_set_params,
-)
+from .concentrate import invertible_hitting_set, width2_hitting_set
 from .depth3 import (
     Depth3Circuit,
     Gate,
@@ -42,6 +38,15 @@ EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_USAGE = 2
 EXIT_CAPABILITY = 3
+
+# family -> generator(instance, mode, expand_ceiling); each entry looks its
+# generator up per call, so rebinding the module-level name (as the
+# benchmark's tracer does) reaches the CLI
+HITTING_SETS = {
+    "roabp": lambda *args: roabp_hitting_set(*args),
+    "invertible": lambda *args: invertible_hitting_set(*args),
+    "width2": lambda *args: width2_hitting_set(*args),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -63,9 +68,21 @@ def _int(value, where: str) -> int:
     return value
 
 
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise StructuralError(f"{where}: expected a list, got {value!r}")
+    return value
+
+
+def _obj(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise StructuralError(f"{where}: expected an object, got {value!r}")
+    return value
+
+
 def _obj_to_exponents(obj: dict, index: dict, n: int, where: str) -> tuple:
     e = [0] * n
-    for name, v in obj.items():
+    for name, v in _obj(obj, f"{where}: exponents").items():
         if name not in index:
             raise StructuralError(f"{where}: unknown variable {name!r}")
         if type(v) is not int or v < 0:
@@ -140,7 +157,7 @@ def instance_to_obj(instance) -> dict:
 
 
 def _require(obj: dict, key: str, where: str):
-    if key not in obj:
+    if key not in _obj(obj, where):
         raise StructuralError(f"{where}: missing field {key!r}")
     return obj[key]
 
@@ -152,9 +169,11 @@ def obj_to_instance(obj: dict, modulus_override: int | None = None):
     version = _require(obj, "format", where)
     if version != FORMAT_VERSION:
         raise StructuralError(f"{where}: unsupported format version {version}")
-    modulus = modulus_override or _require(obj, "modulus", where)
+    modulus = modulus_override or _int(_require(obj, "modulus", where), f"{where}: modulus")
     field = Field(modulus)
-    names = _require(obj, "variables", where)
+    names = _list(_require(obj, "variables", where), f"{where}: variables")
+    if not all(isinstance(name, str) for name in names):
+        raise StructuralError(f"{where}: variables must be strings")
     if len(set(names)) != len(names):
         raise StructuralError(f"{where}: variables declared more than once")
     index = {name: i for i, name in enumerate(names)}
@@ -162,12 +181,12 @@ def obj_to_instance(obj: dict, modulus_override: int | None = None):
     kind = _require(obj, "kind", where)
     if kind == "roabp":
         width = _int(_require(obj, "width", where), f"{where}: width")
-        block_names = _require(obj, "blocks", where)
+        block_names = _list(_require(obj, "blocks", where), f"{where}: blocks")
         seen: dict[str, int] = {}
-        all_blocks = [obj.get("left_block", [])] + list(block_names) + [obj.get("right_block", [])]
+        all_blocks = [obj.get("left_block", [])] + block_names + [obj.get("right_block", [])]
         for b_idx, blk in enumerate(all_blocks):
-            for name in blk:
-                if name not in index:
+            for name in _list(blk, f"{where}: block {b_idx}"):
+                if not isinstance(name, str) or name not in index:
                     raise StructuralError(f"{where}: unknown variable {name!r} in blocks")
                 if name in seen:
                     raise StructuralError(
@@ -175,32 +194,33 @@ def obj_to_instance(obj: dict, modulus_override: int | None = None):
                     )
                 seen[name] = b_idx
         blocks = [tuple(index[name] for name in blk) for blk in block_names]
-        layer_objs = _require(obj, "layers", where)
+        layer_objs = _list(_require(obj, "layers", where), f"{where}: layers")
         if len(layer_objs) != len(blocks):
             raise StructuralError(f"{where}: {len(layer_objs)} layers for {len(blocks)} blocks")
         layers = []
         for li, terms in enumerate(layer_objs):
             term_map = {}
-            for t in terms:
+            for t in _list(terms, f"layer {li}"):
                 e = _obj_to_exponents(
                     _require(t, "exponents", f"layer {li}"), index, n, f"layer {li}"
                 )
-                matrix = _require(t, "matrix", f"layer {li}")
-                if len(matrix) != width or any(len(row) != width for row in matrix):
+                matrix = _list(_require(t, "matrix", f"layer {li}"), f"layer {li}: matrix")
+                rows = [_list(row, f"layer {li}: matrix row") for row in matrix]
+                if len(rows) != width or any(len(row) != width for row in rows):
                     raise StructuralError(f"layer {li}: matrix is not {width}x{width}")
                 term_map[e] = tuple(
-                    tuple(_int(v, f"layer {li}: matrix entry") for v in row) for row in matrix
+                    tuple(_int(v, f"layer {li}: matrix entry") for v in row) for row in rows
                 )
             layers.append(MatPoly(field, n, width, term_map))
 
         def vec_from(key: str) -> tuple:
-            entries = _require(obj, key, where)
+            entries = _list(_require(obj, key, where), f"{where}: {key}")
             if len(entries) != width:
                 raise StructuralError(f"{where}: {key} must have {width} entries")
             out = []
             for poly_terms in entries:
                 term_map = {}
-                for t in poly_terms:
+                for t in _list(poly_terms, f"{key} entry"):
                     e = _obj_to_exponents(
                         _require(t, "exponents", key), index, n, key
                     )
@@ -221,12 +241,12 @@ def obj_to_instance(obj: dict, modulus_override: int | None = None):
         )
     if kind == "depth3":
         gates = []
-        for gi, g in enumerate(_require(obj, "gates", where)):
+        for gi, g in enumerate(_list(_require(obj, "gates", where), f"{where}: gates")):
             forms = []
-            for f in _require(g, "forms", f"gate {gi}"):
-                coeffs_obj = f.get("coeffs", {})
+            for f in _list(_require(g, "forms", f"gate {gi}"), f"gate {gi}: forms"):
+                f = _obj(f, f"gate {gi}: form")
                 coeffs = {}
-                for name, coef in coeffs_obj.items():
+                for name, coef in _obj(f.get("coeffs", {}), f"gate {gi}: coeffs").items():
                     if name not in index:
                         raise StructuralError(f"gate {gi}: unknown variable {name!r}")
                     coeffs[index[name]] = _int(coef, f"gate {gi}: coefficient")
@@ -309,21 +329,7 @@ def _cmd_hs(args) -> int:
     instance = load_instance(args.input, args.modulus)
     if not isinstance(instance, Roabp):
         raise PreconditionError("hs expects an roabp circuit file")
-    if args.family == "roabp":
-        points = roabp_hitting_set(instance, args.mode, expand_ceiling=args.ceiling)
-    elif args.family == "invertible":
-        points = invertible_hitting_set(instance, args.mode, expand_ceiling=args.ceiling)
-    elif args.family == "width2":
-        if args.mode == "blackbox":
-            points = width2_hitting_set_params(
-                instance.n, instance.d, instance.delta,
-                max(1, instance.layer_sparsity), instance.layer_support,
-                instance.field,
-            )
-        else:
-            points = width2_hitting_set(instance, expand_ceiling=args.ceiling)
-    else:  # pragma: no cover - argparse restricts choices
-        raise StructuralError(f"unknown family {args.family}")
+    points = HITTING_SETS[args.family](instance, args.mode, args.ceiling)
     if args.out:
         save_points(points, args.out)
         print(f"wrote {len(points)} points to {args.out}")
@@ -345,18 +351,14 @@ def _cmd_whitebox(args) -> int:
     instance = load_instance(args.input, args.modulus)
     if not isinstance(instance, Depth3Circuit):
         raise PreconditionError("whitebox sum-sml expects a depth3 circuit file")
-    distinct = instance.distinct_partitions()
-    decomp = decompose_base_sets(distinct)
-    sweep = 1
-    for cert in decomp.certificates:
-        sweep *= 2 ** len(cert.base_set)
+    result = sum_sml_whitebox_test(instance, sweep_ceiling=args.ceiling)
+    decomp = result.decomposition
     print(
-        f"partitions: {len(distinct)}; base sets: {decomp.m} "
-        f"(cap {decomp.cap:.2f}); sweep size: {sweep}"
+        f"partitions: {decomp.partition_count}; base sets: {decomp.m} "
+        f"(cap {decomp.cap:.2f}); sweep size: {result.sweep}"
     )
-    verdict, witness = sum_sml_whitebox_test(instance, sweep_ceiling=args.ceiling)
-    if verdict == "nonzero":
-        print(f"verdict: nonzero at {','.join(str(v) for v in witness)}")
+    if result.verdict == "nonzero":
+        print(f"verdict: nonzero at {','.join(str(v) for v in result.witness)}")
     else:
         print("verdict: zero")
     return EXIT_OK
@@ -442,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     hs = sub.add_parser("hs", help="generate a hitting set for an ROABP file")
-    hs.add_argument("family", choices=["roabp", "invertible", "width2"])
+    hs.add_argument("family", choices=list(HITTING_SETS))
     hs.add_argument("--input", required=True)
     hs.add_argument("--mode", choices=["whitebox", "blackbox"], default="whitebox")
     hs.add_argument("--out")

@@ -39,7 +39,6 @@ from .errors import (
     StructuralError,
 )
 from .kron import (
-    DEFAULT_CUTOFF_CONSTANT,
     PairSet,
     WeightFn,
     prime_cutoff,
@@ -136,7 +135,6 @@ def greedy_basis(
 
 def construct_isolating_weights(
     factors: Sequence[MatPoly],
-    c0: int = DEFAULT_CUTOFF_CONSTANT,
     self_check: bool = True,
     expand_ceiling: int = EXPAND_CEILING,
 ) -> tuple[LayeredWeight, IsolationTrace]:
@@ -171,7 +169,7 @@ def construct_isolating_weights(
             # constructed assignment inside the blackbox family
             wfn = weights_mod_prime(n, delta, 2)
         else:
-            wfn = separating_weights(n, delta, pair_set, c0).verified
+            wfn = separating_weights(n, delta, pair_set).verified
         rounds.append(wfn)
         record = RoundRecord(index=len(rounds) - 1, weight_fn=wfn, blocks=[])
         survivors: list[list[tuple[Monomial, Matrix]]] = []
@@ -265,7 +263,6 @@ def enumerate_candidate_weights(
     s: int,
     w: int,
     delta: int,
-    c0: int = DEFAULT_CUTOFF_CONSTANT,
 ) -> Iterator[WeightFn]:
     """Blackbox candidate family: the cartesian product of per-round prime
     candidate lists, each combined positionally with its base B.
@@ -280,7 +277,7 @@ def enumerate_candidate_weights(
     pair_bounds = [d * s * s] + [d * w**8] * (round_count - 1)
     prime_lists: list[list[int]] = []
     for bound in pair_bounds:
-        cutoff = prime_cutoff(n, bound, delta, c0)
+        cutoff = prime_cutoff(n, bound, delta)
         primes = []
         for p in iter_primes():
             if p > cutoff:
@@ -319,35 +316,20 @@ def _embedded_factors(r: Roabp) -> list[MatPoly]:
     return [left, *factors, right]
 
 
-def _points_for_weights(r: Roabp, wfn: WeightFn, label: str, extra: dict) -> PointSet:
-    degree = r.n * r.delta * wfn.max_weight
-    count = degree + 1
-    if count + 1 > r.field.p:
+def _t_sweep(r: Roabp, wfn: WeightFn) -> list[tuple[int, ...]]:
+    """(t^w(x_1), ..., t^w(x_n)) for t = 1 .. 1 + n*delta*max_weight."""
+    count = 1 + r.n * r.delta * wfn.max_weight
+    p = r.field.p
+    if count + 1 > p:
         raise ModulusTooSmallError(
             f"hitting set needs {count} distinct nonzero t values, "
-            f"modulus {r.field.p} is too small"
+            f"modulus {p} is too small"
         )
-    p = r.field.p
-    points = []
-    for t in range(1, count + 1):
-        points.append(tuple(pow(t, wfn.of(v), p) for v in range(r.n)))
-    provenance = {
-        "generator": "roabp_hitting_set",
-        "mode": label,
-        "n": r.n,
-        "d": r.d,
-        "w": r.width,
-        "delta": r.delta,
-        "s": r.layer_sparsity,
-        "t_count": count,
-        "max_weight": wfn.max_weight,
-        **extra,
-    }
-    return PointSet(r.n, tuple(points), provenance)
+    return [tuple(pow(t, w, p) for w in wfn.weights) for t in range(1, count + 1)]
 
 
 def _small_verified_separator(
-    r: Roabp, factors: list[MatPoly], c0: int, expand_ceiling: int
+    r: Roabp, factors: list[MatPoly], expand_ceiling: int
 ) -> tuple[WeightFn, int]:
     """A weight function separating every pair of monomials of the expanded
     product (hence basis isolating), found at the smallest workable prime.
@@ -367,62 +349,56 @@ def _small_verified_separator(
     delta = max(r.delta, product.individual_degree())
     if len(monos) < 2:
         return WeightFn.constant(r.n, 1), 0
-    search = separating_weights(r.n, delta, PairSet(r.n, delta, [monos]), c0)
+    search = separating_weights(r.n, delta, PairSet(r.n, delta, [monos]))
     return search.verified, search.verified_prime
 
 
 def roabp_hitting_set(
-    r: Roabp,
-    mode: str = "whitebox",
-    c0: int = DEFAULT_CUTOFF_CONSTANT,
-    expand_ceiling: int = EXPAND_CEILING,
+    r: Roabp, mode: str = "whitebox", expand_ceiling: int = EXPAND_CEILING
 ) -> PointSet:
     """Hitting set for the polynomial computed by the instance.
 
-    Whitebox mode constructs the basis-isolating assignment from the
-    factors and emits (t^w(x_1), ..., t^w(x_n)) for 1 + n*delta*max_weight
-    distinct nonzero t values.  When the combined assignment needs more
-    points than the field has, it falls back to the smallest verified
-    all-monomial separator, which is basis isolating outright.
-
-    Blackbox mode emits the same point family for every enumerated
-    candidate assignment, using only the instance's declared parameters.
+    Each candidate weight assignment w adds the t-sweep
+    (t^w(x_1), ..., t^w(x_n)) for 1 + n*delta*max_weight distinct nonzero t.
+    Whitebox mode sweeps one assignment: the basis-isolating one constructed
+    from the factors or, when that needs more points than the field has,
+    the smallest verified all-monomial separator, which is basis isolating
+    outright.  Blackbox mode sweeps every enumerated candidate assignment,
+    using only the instance's declared parameters.
     """
+    provenance = {
+        "generator": "roabp_hitting_set",
+        "mode": mode,
+        "n": r.n,
+        "d": r.d,
+        "w": r.width,
+        "delta": r.delta,
+    }
     if mode == "whitebox":
         factors = _embedded_factors(r)
         layered, _ = construct_isolating_weights(
-            factors, c0=c0, self_check=False, expand_ceiling=expand_ceiling
+            factors, self_check=False, expand_ceiling=expand_ceiling
         )
-        degree = r.n * r.delta * layered.combined.max_weight
-        if degree + 2 <= r.field.p:
-            return _points_for_weights(
-                r, layered.combined, "whitebox", {"assignment": "round-combined"}
-            )
-        small, prime = _small_verified_separator(r, factors, c0, expand_ceiling)
-        return _points_for_weights(
-            r,
-            small,
-            "whitebox",
-            {"assignment": "verified-separator", "separator_prime": prime},
+        wfn = layered.combined
+        route = {"assignment": "round-combined"}
+        if 2 + r.n * r.delta * wfn.max_weight > r.field.p:
+            wfn, prime = _small_verified_separator(r, factors, expand_ceiling)
+            route = {"assignment": "verified-separator", "separator_prime": prime}
+        points = _t_sweep(r, wfn)
+        provenance.update(
+            s=r.layer_sparsity, t_count=len(points), max_weight=wfn.max_weight, **route
         )
-    if mode == "blackbox":
+    elif mode == "blackbox":
         s = max(1, r.layer_sparsity)
-        all_points: list[tuple[int, ...]] = []
-        per_assignment: list[int] = []
-        for wfn in enumerate_candidate_weights(r.n, max(1, r.d), s, r.width, r.delta, c0):
-            ps = _points_for_weights(r, wfn, "blackbox", {})
-            per_assignment.append(len(ps))
-            all_points.extend(ps.points)
-        provenance = {
-            "generator": "roabp_hitting_set",
-            "mode": "blackbox",
-            "n": r.n,
-            "d": r.d,
-            "w": r.width,
-            "delta": r.delta,
-            "s": s,
-            "assignments": len(per_assignment),
-            "per_assignment": per_assignment,
-        }
-        return PointSet(r.n, tuple(all_points), provenance)
-    raise StructuralError(f"unknown mode {mode!r}")
+        points = []
+        per_assignment = []
+        for wfn in enumerate_candidate_weights(r.n, max(1, r.d), s, r.width, r.delta):
+            sweep = _t_sweep(r, wfn)
+            per_assignment.append(len(sweep))
+            points.extend(sweep)
+        provenance.update(
+            s=s, assignments=len(per_assignment), per_assignment=per_assignment
+        )
+    else:
+        raise StructuralError(f"unknown mode {mode!r}")
+    return PointSet(r.n, tuple(points), provenance)

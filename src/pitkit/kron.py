@@ -15,7 +15,7 @@ from typing import Iterator
 from .algebra import Monomial
 from .errors import InternalInconsistencyError, StructuralError
 
-DEFAULT_CUTOFF_CONSTANT = 4
+CUTOFF_CONSTANT = 4  # the counting argument's c0; see prime_cutoff
 
 
 @dataclass(frozen=True)
@@ -110,14 +110,15 @@ def iter_primes() -> Iterator[int]:
         cand += 2
 
 
-def prime_cutoff(n: int, pair_count: int, delta: int, c0: int = DEFAULT_CUTOFF_CONSTANT) -> int:
+def prime_cutoff(n: int, pair_count: int, delta: int) -> int:
     """Largest prime value the candidate search may use.
 
-    N = c0 * n * |A| * ceil(log2(delta+2)); the candidates are the primes up
-    to N log N, enough for the counting argument to guarantee a separator.
+    N = CUTOFF_CONSTANT * n * |A| * ceil(log2(delta+2)); the candidates are the
+    primes up to N log N, enough for the counting argument to guarantee a
+    separator.
     """
     count = max(1, pair_count)
-    big_n = c0 * n * count * max(1, math.ceil(math.log2(delta + 2)))
+    big_n = CUTOFF_CONSTANT * n * count * max(1, math.ceil(math.log2(delta + 2)))
     return max(13, math.ceil(big_n * math.log(max(big_n, 2))))
 
 
@@ -140,7 +141,6 @@ class SeparatorSearch:
 
     n: int
     delta: int
-    c0: int
     pair_count: int
     cutoff: int
     verified_prime: int
@@ -153,9 +153,7 @@ class SeparatorSearch:
             yield p
 
 
-def separating_weights(
-    n: int, delta: int, pair_set: PairSet, c0: int = DEFAULT_CUTOFF_CONSTANT
-) -> SeparatorSearch:
+def separating_weights(n: int, delta: int, pair_set: PairSet) -> SeparatorSearch:
     """Find the first prime whose reduced Kronecker weights separate every
     pair inside every group of the set.
 
@@ -171,7 +169,7 @@ def separating_weights(
         raise StructuralError("pair set must be nonempty")
     naive = naive_kronecker(n, delta)
     groups = [[naive.monomial_weight(m) for m in g] for g in pair_set.groups if len(g) > 1]
-    cutoff = prime_cutoff(n, pair_count, delta, c0)
+    cutoff = prime_cutoff(n, pair_count, delta)
     for p in iter_primes():
         if p > cutoff:
             break
@@ -179,7 +177,6 @@ def separating_weights(
             return SeparatorSearch(
                 n=n,
                 delta=delta,
-                c0=c0,
                 pair_count=pair_count,
                 cutoff=cutoff,
                 verified_prime=p,

@@ -32,6 +32,12 @@ from .roabp import EXPAND_CEILING, PointSet, Roabp
 
 REJECTION_BUDGET = 400
 
+HITTING_SETS = {
+    "roabp": roabp_hitting_set,
+    "invertible-roabp": invertible_hitting_set,
+    "width2-roabp": width2_hitting_set,
+}
+
 
 class DetStream:
     """Deterministic pseudo-random stream keyed by (seed, counter)."""
@@ -400,14 +406,16 @@ class HittingReport:
 
 
 def verify_hitting_property(instance, points: PointSet) -> HittingReport:
-    """Vacuous-pass for zero instances; otherwise pass iff some point
-    evaluates nonzero (the first witness index is reported)."""
-    if oracle_is_zero(instance):
-        return HittingReport(True, True, None, len(points), dict(points.provenance))
+    """Pass iff some point evaluates nonzero (the first witness index is
+    reported); vacuous-pass for zero instances.
+
+    A witness proves the instance nonzero, so the expansion oracle runs
+    only when no point is one."""
     for idx, pt in enumerate(points):
         if _evaluate(instance, pt):
             return HittingReport(False, True, idx, len(points), dict(points.provenance))
-    return HittingReport(False, False, None, len(points), dict(points.provenance))
+    zero = oracle_is_zero(instance)
+    return HittingReport(zero, zero, None, len(points), dict(points.provenance))
 
 
 # ---------------------------------------------------------------------------
@@ -443,17 +451,9 @@ class CampaignResult:
 
 def _campaign_case(spec: InstanceSpec) -> tuple[bool, str]:
     label = f"seed={spec.seed}"
-    if spec.klass in ("roabp",):
+    if spec.klass in HITTING_SETS:
         inst = generate_instance(spec)
-        report = verify_hitting_property(inst, roabp_hitting_set(inst, "whitebox"))
-        return report.passed, report.line(label)
-    if spec.klass == "invertible-roabp":
-        inst = generate_instance(spec)
-        report = verify_hitting_property(inst, invertible_hitting_set(inst))
-        return report.passed, report.line(label)
-    if spec.klass == "width2-roabp":
-        inst = generate_instance(spec)
-        report = verify_hitting_property(inst, width2_hitting_set(inst))
+        report = verify_hitting_property(inst, HITTING_SETS[spec.klass](inst))
         return report.passed, report.line(label)
     if spec.klass == "depth3-distance":
         circuit = generate_instance(spec)
@@ -471,13 +471,13 @@ def _campaign_case(spec: InstanceSpec) -> tuple[bool, str]:
         )
     if spec.klass == "sum-sml":
         circuit = generate_instance(spec)
-        verdict, witness = sum_sml_whitebox_test(circuit)
+        result = sum_sml_whitebox_test(circuit)
         truth = "zero" if oracle_is_zero(circuit) else "nonzero"
-        ok = verdict == truth
-        if verdict == "nonzero":
-            ok = ok and witness is not None and circuit.eval_at(witness) != 0
+        ok = result.verdict == truth
+        if result.verdict == "nonzero":
+            ok = ok and result.witness is not None and circuit.eval_at(result.witness) != 0
         status = "pass" if ok else "FAIL"
-        return ok, f"{label}: {status} verdict={verdict} truth={truth}"
+        return ok, f"{label}: {status} verdict={result.verdict} truth={truth}"
     raise StructuralError(f"unknown campaign class {spec.klass!r}")
 
 

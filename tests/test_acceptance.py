@@ -139,7 +139,7 @@ def test_criterion_3_kronecker_separator_within_cutoff():
             b = stream.choice(monos)
             if a != b:
                 pairs.append((a, b))
-        search = separating_weights(n, delta, PairSet(n, delta, tuple(pairs)), c0=4)
+        search = separating_weights(n, delta, PairSet(n, delta, tuple(pairs)))
         if search.verified_prime <= search.cutoff and all(
             search.verified.monomial_weight(a) != search.verified.monomial_weight(b)
             for a, b in pairs
@@ -241,12 +241,12 @@ def test_criterion_6_sum_sml_whitebox():
             engineered_zero=engineered,
         )
         circuit = generate_instance(spec)
-        verdict, witness = sum_sml_whitebox_test(circuit)
+        result = sum_sml_whitebox_test(circuit)
         truth = "zero" if oracle_is_zero(circuit) else "nonzero"
         zeros += truth == "zero"
-        ok = verdict == truth
-        if verdict == "nonzero":
-            ok = ok and witness is not None and circuit.eval_at(witness) != 0
+        ok = result.verdict == truth
+        if result.verdict == "nonzero":
+            ok = ok and result.witness is not None and circuit.eval_at(result.witness) != 0
         if ok:
             passed += 1
     report(

@@ -1,6 +1,7 @@
 """Field, matrix, polynomial, rank, and determinant kernels."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from pitkit.algebra import (
     mat_mul,
     poly_mul,
     rank_over_field,
+    is_prime,
     uni_interpolate,
 )
 from pitkit.errors import CapabilityError, StructuralError
@@ -57,6 +59,23 @@ def test_field_requires_odd_prime():
     with pytest.raises(StructuralError):
         Field(2)
     assert Field(3).p == 3
+
+
+def test_is_prime_matches_trial_division():
+    def by_trial_division(m):
+        return m >= 2 and all(m % f for f in range(2, math.isqrt(m) + 1))
+
+    assert [m for m in range(10**5) if is_prime(m)] == [
+        m for m in range(10**5) if by_trial_division(m)
+    ]
+
+
+@pytest.mark.parametrize(
+    "m", [2047, 3215031751, 3825123056546413051, 318665857834031151167461]
+)
+def test_is_prime_rejects_strong_pseudoprimes(m):
+    # strong pseudoprimes to all prime bases up to 2, 7, 23 and 37 in turn
+    assert not is_prime(m)
 
 
 def test_inverse_extended_euclid():

@@ -344,6 +344,29 @@ def test_blackbox_invertible_params_tiny():
         assert report.passed and not report.vacuous
 
 
+def test_width2_blackbox_mode_is_the_params_set():
+    from pitkit.concentrate import width2_hitting_set_params
+
+    big = Field(1000003)
+    inst = generate_instance(InstanceSpec(
+        klass="width2-roabp", seed=0, modulus=big.p, n=1, d=1, w=2, s=1, delta=1, mu=1,
+    ))
+    params = width2_hitting_set_params(
+        inst.n, inst.d, inst.delta, inst.layer_sparsity, inst.layer_support, big
+    )
+    mode = width2_hitting_set(inst, "blackbox")
+    assert (mode.points, mode.provenance) == (params.points, params.provenance)
+
+
+def test_generators_reject_unknown_mode():
+    from pitkit.isolate import roabp_hitting_set
+
+    inst = generate_instance(InstanceSpec(klass="width2-roabp", seed=0, n=2, d=1, w=2, s=1))
+    for generator in (roabp_hitting_set, invertible_hitting_set, width2_hitting_set):
+        with pytest.raises(StructuralError, match="unknown mode"):
+            generator(inst, "greybox")
+
+
 def test_blackbox_width2_params_tiny():
     from pitkit.concentrate import width2_hitting_set_params
 

@@ -301,15 +301,15 @@ def test_cancelled_gates_verdict_zero():
     c = Depth3Circuit(
         F, 3, (Gate(4, (form_a, form_b)), Gate(-4, (form_a, form_b)))
     )
-    verdict, witness = sum_sml_whitebox_test(c)
-    assert verdict == "zero" and witness is None
+    result = sum_sml_whitebox_test(c)
+    assert result.verdict == "zero" and result.witness is None
 
 
 def test_single_nonzero_gate_verdict():
     c = Depth3Circuit(F, 3, (Gate(4, (LinearForm(1, {0: 2}), LinearForm(3, {1: 1, 2: 5})),),))
-    verdict, witness = sum_sml_whitebox_test(c)
-    assert verdict == "nonzero"
-    assert c.eval_at(witness) != 0
+    result = sum_sml_whitebox_test(c)
+    assert result.verdict == "nonzero"
+    assert c.eval_at(result.witness) != 0
 
 
 def test_verdicts_match_oracle_on_random_instances():
@@ -319,10 +319,21 @@ def test_verdicts_match_oracle_on_random_instances():
             c=1 + seed % 3, engineered_zero=(seed % 2 == 0),
         )
         circuit = generate_instance(spec)
-        verdict, witness = sum_sml_whitebox_test(circuit)
-        assert verdict == ("zero" if oracle_is_zero(circuit) else "nonzero")
-        if verdict == "nonzero":
-            assert circuit.eval_at(witness) != 0
+        result = sum_sml_whitebox_test(circuit)
+        assert result.verdict == ("zero" if oracle_is_zero(circuit) else "nonzero")
+        if result.verdict == "nonzero":
+            assert circuit.eval_at(result.witness) != 0
+
+
+def test_result_carries_the_swept_plan():
+    for seed in range(10):
+        spec = InstanceSpec(klass="sum-sml", seed=seed, n=3 + seed % 5, k=1 + seed % 3,
+                            c=1 + seed % 3, engineered_zero=(seed % 2 == 0))
+        circuit = generate_instance(spec)
+        result = sum_sml_whitebox_test(circuit)
+        assert result.decomposition == decompose_base_sets(circuit.distinct_partitions())
+        # base sets partition the variables, so the product sweep is 2^n
+        assert result.sweep == 2**circuit.n
 
 
 def test_neighborhood_partitions_form_refinement_chain():

@@ -7,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import pitkit
 from pitkit.io_cli import (
@@ -190,6 +192,20 @@ def test_cli_verify_campaign(capsys):
     assert "passed=2/2" in out
 
 
+def test_cli_hs_at_61_bit_modulus(tmp_path, capsys):
+    inst = generate_instance(
+        InstanceSpec(klass="roabp", seed=3, n=3, d=2, w=2, s=2, delta=1)
+    )
+    circuit_path = write_instance(tmp_path, "c.json", inst)
+    points_path = str(tmp_path / "pts.txt")
+    p61 = str(2**61 - 1)
+    assert main(["hs", "roabp", "--input", circuit_path, "--modulus", p61,
+                 "--out", points_path]) == 0
+    assert main(["test", "--input", circuit_path, "--modulus", p61,
+                 "--points", points_path]) == 0
+    assert "test: pass" in capsys.readouterr().out
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["expand", "--input", missing]) == 2
@@ -228,15 +244,32 @@ NON_INTEGER_FIELDS = [
 ]
 
 
+WRONG_STRUCTURES = [
+    (MINIMAL_ROABP, ("layers", 0, 0, "matrix"), 5, "expected a list"),
+    (MINIMAL_ROABP, ("blocks",), 5, "expected a list"),
+    (MINIMAL_ROABP, ("layers",), [5, 6], "expected a list"),
+    (MINIMAL_ROABP, ("left_boundary", 0), 5, "expected a list"),
+    (MINIMAL_ROABP, ("variables",), 3, "expected a list"),
+    (MINIMAL_ROABP, ("modulus",), "7", "expected an integer"),
+    (MINIMAL_DEPTH3, ("gates", 0, "forms", 0, "coeffs"), [1], "expected an object"),
+    (MINIMAL_DEPTH3, ("gates", 0), 5, "expected an object"),
+]
+
+BAD_VALUES = [
+    (doc, path, value, ("expected an integer", "bad exponent"))
+    for doc, path, value in NON_INTEGER_FIELDS
+] + [(doc, path, value, (message,)) for doc, path, value, message in WRONG_STRUCTURES]
+
+
 @pytest.mark.parametrize(
-    "doc, path, value",
-    NON_INTEGER_FIELDS,
+    "doc, path, value, messages",
+    BAD_VALUES,
     ids=[
         f"{doc['kind']}-{'.'.join(map(str, path))}={value!r}"
-        for doc, path, value in NON_INTEGER_FIELDS
+        for doc, path, value, _ in BAD_VALUES
     ],
 )
-def test_cli_rejects_non_integer_values(tmp_path, doc, path, value):
+def test_cli_rejects_non_integer_values(tmp_path, doc, path, value, messages):
     doc = json.loads(json.dumps(doc))
     _set(doc, path, value)
     circuit = tmp_path / "bad.json"
@@ -248,4 +281,55 @@ def test_cli_rejects_non_integer_values(tmp_path, doc, path, value):
     )
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert "expected an integer" in proc.stderr or "bad exponent" in proc.stderr
+    assert any(message in proc.stderr for message in messages)
+
+
+def _paths(node, prefix=()):
+    """Every path into a JSON document, the root excluded."""
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+# integers stay small so that no huge prime modulus reaches the primality test
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-3, 10**6),
+        st.sampled_from(["", "a", "x1", "x2", "7"]),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(
+            st.sampled_from(["x1", "x2", "exponents", "matrix", "value", "forms",
+                             "coeffs", "const", "scale"]),
+            inner, max_size=3,
+        ),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_survives_mutated_documents(tmp_path, capsys, data):
+    doc = json.loads(json.dumps(data.draw(st.sampled_from([MINIMAL_ROABP, MINIMAL_DEPTH3]))))
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        path = data.draw(st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(JSON_VALUES)
+    circuit = tmp_path / "mutated.json"
+    circuit.write_text(json.dumps(doc))
+    assert main(["expand", "--input", str(circuit)]) in (0, 2, 3)
+    capsys.readouterr()

@@ -139,7 +139,7 @@ def test_cutoff_matches_formula():
 
     n, pairs, delta, c0 = 5, 30, 2, 4
     big_n = c0 * n * pairs * math.ceil(math.log2(delta + 2))
-    assert prime_cutoff(n, pairs, delta, c0) == max(13, math.ceil(big_n * math.log(big_n)))
+    assert prime_cutoff(n, pairs, delta) == max(13, math.ceil(big_n * math.log(big_n)))
 
 
 def test_weightfn_positivity_enforced():

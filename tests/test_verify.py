@@ -4,10 +4,10 @@ import itertools
 
 import pytest
 
-from pitkit.algebra import Field, det_poly
+from pitkit.algebra import Field, MatPoly, det_poly
 from pitkit.depth3 import Depth3Circuit, Gate, LinearForm
 from pitkit.errors import StructuralError
-from pitkit.roabp import PointSet
+from pitkit.roabp import EXPAND_CEILING, PointSet, Roabp
 from pitkit.verify import (
     DetStream,
     InstanceSpec,
@@ -92,6 +92,20 @@ def test_empty_point_set_fails_nonzero_instance():
     c = Depth3Circuit(F, 2, (Gate(1, (LinearForm(0, {0: 1}),)),))
     report = verify_hitting_property(c, PointSet(2, ()))
     assert not report.passed and not report.vacuous
+
+
+def test_witness_needs_no_oracle():
+    # prod_i (1 + x_i + ... + x_i^7): 8^7 terms, past the expansion ceiling;
+    # it vanishes at x = (-1, ..., -1) and is 8^7 at x = (1, ..., 1)
+    n = 7
+    layers = [
+        MatPoly(F, n, 1, {tuple(k if v == i else 0 for v in range(n)): ((1,),) for k in range(8)})
+        for i in range(n)
+    ]
+    inst = Roabp.with_constant_boundaries(F, n, [(i,) for i in range(n)], layers, (1,), (1,))
+    assert inst.expansion_estimate() > EXPAND_CEILING
+    report = verify_hitting_property(inst, PointSet(n, ((F.p - 1,) * n, (1,) * n)))
+    assert (report.passed, report.vacuous, report.witness_index) == (True, False, 1)
 
 
 def test_unknown_class_rejected():
