@@ -13,8 +13,6 @@ from .algebra import (
     ScalarPoly,
     UniPoly,
     det_poly,
-    eval_poly,
-    poly_mul,
     rank_over_field,
 )
 from .concentrate import (
@@ -27,7 +25,6 @@ from .concentrate import (
     find_concentrating_shift,
     invertible_hitting_set,
     invertible_hitting_set_params,
-    lagrange_curve,
     low_support_hitting_set,
     support_parameter,
     width2_hitting_set,
@@ -57,8 +54,7 @@ from .errors import (
     StructuralError,
 )
 from .isolate import (
-    IsolationTrace,
-    LayeredWeight,
+    combine_rounds,
     construct_isolating_weights,
     enumerate_candidate_weights,
     greedy_basis,
@@ -66,7 +62,7 @@ from .isolate import (
     roabp_hitting_set,
 )
 from .kron import PairSet, WeightFn, naive_kronecker, separating_weights
-from .roabp import PointSet, Roabp, evaluate, expand, weighted_substitute
+from .roabp import PointSet, Roabp
 from .verify import (
     DetStream,
     InstanceSpec,

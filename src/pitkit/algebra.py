@@ -634,17 +634,6 @@ class MatPoly:
         return f"MatPoly(n={self.n}, w={self.w}, terms={len(self.terms)})"
 
 
-def poly_mul(a: MatPoly, b: MatPoly) -> MatPoly:
-    """Product of matrix polynomials; coefficient of x^e is the convolution
-    sum of matrix products over e1 + e2 = e."""
-    return a * b
-
-
-def eval_poly(f: ScalarPoly | MatPoly, point: Sequence[int]):
-    """Evaluate a scalar or matrix polynomial at a point."""
-    return f.eval_at(point)
-
-
 # ---------------------------------------------------------------------------
 # symbolic determinant
 
@@ -720,84 +709,12 @@ class UniPoly:
         object.__setattr__(self, "terms", clean)
 
     @classmethod
-    def zero(cls, field: Field) -> "UniPoly":
-        return cls(field, ())
-
-    @classmethod
     def from_dict(cls, field: Field, terms: Mapping[int, int]) -> "UniPoly":
         return cls(field, tuple(terms.items()))
-
-    @classmethod
-    def from_coefficients(cls, field: Field, coeffs: Sequence[int]) -> "UniPoly":
-        """From an ascending dense coefficient list (trailing zeros trimmed)."""
-        return cls(field, tuple((i, c) for i, c in enumerate(coeffs)))
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        return self.terms[-1][0] if self.terms else 0
-
-    def coeff(self, e: int) -> int:
-        for exp, c in self.terms:
-            if exp == e:
-                return c
-        return 0
-
     def lowest_term(self) -> tuple[int, int] | None:
         """(exponent, coefficient) of the lowest-degree surviving term."""
         return self.terms[0] if self.terms else None
-
-    def coefficient_list(self, limit: int = 10**6) -> list[int]:
-        """Dense ascending coefficients; guarded against huge degrees."""
-        if self.is_zero():
-            return []
-        d = self.degree()
-        if d + 1 > limit:
-            raise CapabilityError(f"degree {d} too large for a dense list")
-        out = [0] * (d + 1)
-        for e, c in self.terms:
-            out[e] = c
-        return out
-
-    def eval_at(self, t: int) -> int:
-        p = self.field.p
-        t %= p
-        return sum(c * pow(t, e, p) for e, c in self.terms) % p
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        if self.field != other.field:
-            raise StructuralError("modulus mismatch")
-        acc = dict(self.terms)
-        p = self.field.p
-        for e, c in other.terms:
-            s = (acc.get(e, 0) + c) % p
-            if s:
-                acc[e] = s
-            else:
-                acc.pop(e, None)
-        return UniPoly.from_dict(self.field, acc)
-
-
-def uni_interpolate(xs: Sequence[int], ys: Sequence[int], field: Field) -> UniPoly:
-    """Newton interpolation through (xs[i], ys[i]) with distinct nodes."""
-    if len(xs) != len(ys):
-        raise StructuralError("node/value length mismatch")
-    if len(set(x % field.p for x in xs)) != len(xs):
-        raise StructuralError("interpolation nodes must be distinct")
-    p = field.p
-    m = len(xs)
-    xs = [x % p for x in xs]
-    coef = [y % p for y in ys]
-    for j in range(1, m):
-        for i in range(m - 1, j - 1, -1):
-            denom = (xs[i] - xs[i - j]) % p
-            coef[i] = ((coef[i] - coef[i - 1]) * field.inv(denom)) % p
-    # expand Newton form to the power basis
-    dense = [0] * m
-    for i in range(m - 1, -1, -1):
-        # dense <- dense * (t - xs[i]) + coef[i]
-        shifted = [0] + dense[:-1]
-        dense = [(s - xs[i] * d) % p for s, d in zip(shifted, dense)]
-        dense[0] = (dense[0] + coef[i]) % p
-    return UniPoly.from_coefficients(field, dense)

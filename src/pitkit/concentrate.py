@@ -186,7 +186,7 @@ def find_concentrating_shift(
         for t0 in range(1, t_budget + 1):
             offsets = shift.offsets_at(t0, r.field)
             if any(
-                mat_det(layer.shift(offsets).constant_term(), r.field) == 0
+                mat_det(layer.eval_at(offsets), r.field) == 0
                 for layer in r.layers
             ):
                 continue
@@ -494,10 +494,6 @@ class LagrangeCurve:
         return tuple(out)
 
 
-def lagrange_curve(points: Sequence[Sequence[int]], nodes: Sequence[int], field: Field) -> LagrangeCurve:
-    return LagrangeCurve(field, tuple(tuple(pt) for pt in points), tuple(nodes))
-
-
 def _curve_sweep(
     anchor_points: list, n: int, d: int, delta: int, field: Field, extra: dict
 ) -> PointSet:
@@ -508,7 +504,7 @@ def _curve_sweep(
         raise ModulusTooSmallError(
             f"curve sweep needs {count} distinct values, modulus {field.p} too small"
         )
-    curve = lagrange_curve(anchor_points, list(range(h)), field)
+    curve = LagrangeCurve(field, tuple(anchor_points), tuple(range(h)))
     points = tuple(curve.eval_at(u) for u in range(count))
     provenance = {
         "generator": "width2_hitting_set",
@@ -535,6 +531,8 @@ def width2_hitting_set(
     where Delta = (d+2) * delta conservatively bounds each factor's total
     degree.  Blackbox mode reads only the declared parameters.
     """
+    if r.width != 2:
+        raise PreconditionError(f"width-2 only; got width {r.width}")
     if mode == "blackbox":
         return width2_hitting_set_params(
             r.n, r.d, r.delta, max(1, r.layer_sparsity), r.layer_support, r.field

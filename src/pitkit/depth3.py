@@ -556,11 +556,13 @@ class BaseSetDecomposition:
     @property
     def cap(self) -> float:
         c = self.partition_count
+        if c == 0:
+            return 0.0
         return 2 ** (c - 1) * self.n ** (1 - 1.0 / 2 ** (c - 1))
 
     def within_cap(self) -> bool:
-        if self.partition_count == 1:
-            return self.m == 1
+        if self.partition_count <= 1:
+            return self.m == self.partition_count
         return self.m < self.cap
 
 
@@ -591,9 +593,10 @@ def _decompose(partitions: Sequence[Partition], indices: list[int], ground: froz
 def decompose_base_sets(partitions: Sequence[Partition]) -> BaseSetDecomposition:
     """Split the ground set into base sets on which the partitions admit a
     distance-1 ordering; at most 2^(c-1) * n^(1-1/2^(c-1)) sets for c >= 2
-    partitions (exactly one trivial set for c = 1)."""
+    partitions (exactly one trivial set for c = 1, none for c = 0: a circuit
+    without gates has nothing to decompose)."""
     if not partitions:
-        raise StructuralError("need at least one partition")
+        return BaseSetDecomposition(n=0, partition_count=0, certificates=())
     ground = partitions[0].ground
     for part in partitions:
         if part.ground != ground:
@@ -676,6 +679,9 @@ def sum_sml_whitebox_test(
         base_set_hitting_points(sorted(cert.base_set), c.field)
         for cert in decomp.certificates
     ]
+    if not per_set:
+        # no gates: the circuit is the zero polynomial
+        return SumSmlResult("zero", None, decomp, 0)
     total = math.prod(len(ps) for ps in per_set)
     if total > sweep_ceiling:
         raise CapabilityError(

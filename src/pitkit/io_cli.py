@@ -20,6 +20,7 @@ from typing import Sequence
 from .algebra import DEFAULT_MODULUS, Field, MatPoly, ScalarPoly
 from .concentrate import invertible_hitting_set, width2_hitting_set
 from .depth3 import (
+    SWEEP_CEILING,
     Depth3Circuit,
     Gate,
     LinearForm,
@@ -462,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     wb.add_argument("family", choices=["sum-sml"])
     wb.add_argument("--input", required=True)
     wb.add_argument("--modulus", type=int)
-    wb.add_argument("--ceiling", type=int, default=10**7)
+    wb.add_argument("--ceiling", type=int, default=SWEEP_CEILING)
     wb.set_defaults(func=_cmd_whitebox)
 
     dist = sub.add_parser("distance", help="partition distance of a depth3 file")

@@ -17,7 +17,6 @@ weight, so earlier rounds take precedence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Iterator, Sequence
 
@@ -49,57 +48,22 @@ from .kron import (
 from .roabp import EXPAND_CEILING, PointSet, Roabp
 
 
-@dataclass(frozen=True)
-class LayeredWeight:
-    """The multi-round combined assignment w0..w_R with base B.
+def combine_rounds(rounds: Sequence[WeightFn], n: int, delta: int) -> WeightFn:
+    """The rounds w0..w_R combined positionally with base B:
+    combined(x) = sum_r rounds[r](x) * B^(R-r).
 
-    combined(x) = sum_r rounds[r](x) * B^(R-r), so round weights never
-    interfere and the combined order is lexicographic on round tuples.
+    B exceeds any monomial's weight in a single round, so round weights
+    never interfere and the combined order is lexicographic on round tuples.
     """
-
-    rounds: tuple
-    base: int
-    combined: WeightFn
-
-    @classmethod
-    def build(cls, rounds: Sequence[WeightFn], n: int, delta: int) -> "LayeredWeight":
-        max_single = max(w.max_weight for w in rounds)
-        base = max(2, 1 + n * delta * max_single)
-        count = len(rounds)
-        combined = WeightFn(
-            tuple(
-                sum(rounds[r].of(v) * base ** (count - 1 - r) for r in range(count))
-                for v in range(n)
-            )
+    max_single = max(w.max_weight for w in rounds)
+    base = max(2, 1 + n * delta * max_single)
+    count = len(rounds)
+    return WeightFn(
+        tuple(
+            sum(rounds[r].of(v) * base ** (count - 1 - r) for r in range(count))
+            for v in range(n)
         )
-        return cls(tuple(rounds), base, combined)
-
-    def round_tuple(self, e: Monomial) -> tuple[int, ...]:
-        return tuple(w.monomial_weight(e) for w in self.rounds)
-
-
-@dataclass
-class RoundBlock:
-    """One factor's items at one round: (monomial, coefficient) pairs plus
-    the indices the greedy pass kept."""
-
-    items: list
-    kept: list
-
-
-@dataclass
-class RoundRecord:
-    index: int
-    weight_fn: WeightFn
-    blocks: list
-
-
-@dataclass
-class IsolationTrace:
-    """Per-round records plus the final isolated monomial set."""
-
-    rounds: list
-    isolated: list  # (monomial, coefficient, combined weight)
+    )
 
 
 def _flatten_coeff(coeff) -> tuple[int, ...]:
@@ -137,9 +101,13 @@ def construct_isolating_weights(
     factors: Sequence[MatPoly],
     self_check: bool = True,
     expand_ceiling: int = EXPAND_CEILING,
-) -> tuple[LayeredWeight, IsolationTrace]:
+) -> tuple[WeightFn, list[tuple[Monomial, Matrix]]]:
     """Whitebox construction of a basis-isolating weight assignment for the
-    product of variable-disjoint matrix-polynomial factors."""
+    product of variable-disjoint matrix-polynomial factors.
+
+    Returns the round-combined assignment and the isolated basis, as
+    (monomial, coefficient) pairs of the product, at most w^2 of them.
+    """
     if not factors:
         raise PreconditionError("need at least one factor")
     field = factors[0].field
@@ -160,7 +128,6 @@ def construct_isolating_weights(
         sorted(f.terms.items()) for f in factors
     ]
     rounds: list[WeightFn] = []
-    records: list[RoundRecord] = []
 
     def run_round(current: list[list[tuple[Monomial, Matrix]]]) -> list[list[tuple[Monomial, Matrix]]]:
         pair_set = PairSet(n, delta, [[m for m, _ in block] for block in current])
@@ -171,17 +138,13 @@ def construct_isolating_weights(
         else:
             wfn = separating_weights(n, delta, pair_set).verified
         rounds.append(wfn)
-        record = RoundRecord(index=len(rounds) - 1, weight_fn=wfn, blocks=[])
         survivors: list[list[tuple[Monomial, Matrix]]] = []
         for block in current:
             keyed = [
                 (tuple(r.monomial_weight(m) for r in rounds), m, coeff)
                 for m, coeff in block
             ]
-            kept = greedy_basis(keyed, field)
-            record.blocks.append(RoundBlock(items=list(block), kept=kept))
-            survivors.append([block[i] for i in kept])
-        records.append(record)
+            survivors.append([block[i] for i in greedy_basis(keyed, field)])
         return survivors
 
     blocks = run_round(blocks)
@@ -201,19 +164,15 @@ def construct_isolating_weights(
                 paired.append(blocks[j])
         blocks = run_round(paired)
 
-    layered = LayeredWeight.build(rounds, n, delta)
-    final = blocks[0]
-    isolated = [
-        (m, coeff, layered.combined.monomial_weight(m)) for m, coeff in final
-    ]
+    combined = combine_rounds(rounds, n, delta)
+    isolated = blocks[0]
     if len(isolated) > w * w:
         raise InternalInconsistencyError(
             f"isolated set has {len(isolated)} > w^2 = {w * w} monomials"
         )
-    weights = [wt for _, _, wt in isolated]
+    weights = [combined.monomial_weight(m) for m, _ in isolated]
     if len(set(weights)) != len(weights):
         raise InternalInconsistencyError("isolated monomials got equal combined weights")
-    trace = IsolationTrace(rounds=records, isolated=isolated)
 
     if self_check:
         est = 1
@@ -223,11 +182,11 @@ def construct_isolating_weights(
             product = factors[0]
             for f in factors[1:]:
                 product = product * f
-            if not is_basis_isolating(layered.combined, product):
+            if not is_basis_isolating(combined, product):
                 raise InternalInconsistencyError(
                     "constructed assignment failed the isolation self-check"
                 )
-    return layered, trace
+    return combined, isolated
 
 
 def is_basis_isolating(wfn: WeightFn, poly: MatPoly) -> bool:
@@ -286,7 +245,7 @@ def enumerate_candidate_weights(
         prime_lists.append(primes)
     for combo in iter_product(*prime_lists):
         rounds = [weights_mod_prime(n, delta, p) for p in combo]
-        yield LayeredWeight.build(rounds, n, delta).combined
+        yield combine_rounds(rounds, n, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +335,7 @@ def roabp_hitting_set(
     }
     if mode == "whitebox":
         factors = _embedded_factors(r)
-        layered, _ = construct_isolating_weights(
-            factors, self_check=False, expand_ceiling=expand_ceiling
-        )
-        wfn = layered.combined
+        wfn, _ = construct_isolating_weights(factors, self_check=False)
         route = {"assignment": "round-combined"}
         if 2 + r.n * r.delta * wfn.max_weight > r.field.p:
             wfn, prime = _small_verified_separator(r, factors, expand_ceiling)

@@ -139,9 +139,6 @@ def weights_mod_prime(n: int, delta: int, p: int) -> WeightFn:
 class SeparatorSearch:
     """Result of the separating-prime search for one pair set."""
 
-    n: int
-    delta: int
-    pair_count: int
     cutoff: int
     verified_prime: int
     verified: WeightFn
@@ -175,9 +172,6 @@ def separating_weights(n: int, delta: int, pair_set: PairSet) -> SeparatorSearch
             break
         if all(len({x % p for x in g}) == len(g) for g in groups):
             return SeparatorSearch(
-                n=n,
-                delta=delta,
-                pair_count=pair_count,
                 cutoff=cutoff,
                 verified_prime=p,
                 verified=weights_mod_prime(n, delta, p),

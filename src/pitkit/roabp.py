@@ -21,13 +21,11 @@ from .algebra import (
     ScalarPoly,
     UniPoly,
     mono_zero,
-    uni_interpolate,
 )
-from .errors import CapabilityError, ModulusTooSmallError, StructuralError
+from .errors import CapabilityError, StructuralError
 from .kron import WeightFn
 
 EXPAND_CEILING = 10**6
-SYMBOLIC_SUBSTITUTE_CEILING = 10**5
 
 
 @dataclass(frozen=True)
@@ -260,55 +258,15 @@ class Roabp:
                     scalar_part = scalar_part + li * entry * rj
         return matrix_part, scalar_part
 
-    def weighted_substitute(
-        self,
-        wfn: WeightFn,
-        symbolic_ceiling: int = SYMBOLIC_SUBSTITUTE_CEILING,
-        expand_ceiling: int = EXPAND_CEILING,
-    ) -> UniPoly:
+    def weighted_substitute(self, wfn: WeightFn) -> UniPoly:
         """The univariate image of the computed polynomial under
-        x_i -> t^(w(x_i)).
-
-        Uses direct symbolic substitution when the instance is cheap to
-        expand; otherwise interpolates from 1 + n*delta*max_weight distinct
-        field points, which requires the modulus to exceed that degree.
-        """
+        x_i -> t^(w(x_i)), read off the expansion oracle."""
         if wfn.n != self.n:
             raise StructuralError("weight function ambient mismatch")
-        if self.expansion_estimate() <= symbolic_ceiling:
-            _, scalar = self.expand(expand_ceiling)
-            acc: dict[int, int] = {}
-            p = self.field.p
-            for e, c in scalar.terms.items():
-                t_exp = wfn.monomial_weight(e)
-                s = (acc.get(t_exp, 0) + c) % p
-                if s:
-                    acc[t_exp] = s
-                else:
-                    acc.pop(t_exp, None)
-            return UniPoly.from_dict(self.field, acc)
-        degree = self.n * self.delta * wfn.max_weight
-        if self.field.p <= degree:
-            raise ModulusTooSmallError(
-                f"interpolation needs {degree + 1} distinct points, "
-                f"modulus {self.field.p} is too small"
-            )
+        _, scalar = self.expand()
+        acc: dict[int, int] = {}
         p = self.field.p
-        xs = list(range(degree + 1))
-        ys = [
-            self.evaluate([pow(t, wfn.of(v), p) for v in range(self.n)])
-            for t in xs
-        ]
-        return uni_interpolate(xs, ys, self.field)
-
-
-def evaluate(r: Roabp, point: Sequence[int]) -> int:
-    return r.evaluate(point)
-
-
-def expand(r: Roabp, ceiling: int = EXPAND_CEILING) -> tuple[MatPoly, ScalarPoly]:
-    return r.expand(ceiling)
-
-
-def weighted_substitute(r: Roabp, wfn: WeightFn) -> UniPoly:
-    return r.weighted_substitute(wfn)
+        for e, c in scalar.terms.items():
+            t_exp = wfn.monomial_weight(e)
+            acc[t_exp] = (acc.get(t_exp, 0) + c) % p
+        return UniPoly.from_dict(self.field, acc)

@@ -10,12 +10,12 @@ import random
 
 from pitkit.algebra import Field, mat_flatten, rank_over_field
 from pitkit.concentrate import (
+    LagrangeCurve,
     block_support,
     concentration_rank,
     factorize_width2,
     find_concentrating_shift,
     invertible_hitting_set,
-    lagrange_curve,
     support_parameter,
     width2_hitting_set,
 )
@@ -82,11 +82,11 @@ def test_criterion_2_basis_isolation_soundness():
             s=stream.randint(1, 3), delta=stream.randint(1, 2), mu=2,
         )
         inst = generate_instance(spec)
-        layered, trace = construct_isolating_weights(list(inst.layers))
+        wfn, isolated = construct_isolating_weights(list(inst.layers))
         product, scalar = inst.expand()
-        if not is_basis_isolating(layered.combined, product):
+        if not is_basis_isolating(wfn, product):
             continue
-        substituted = inst.weighted_substitute(layered.combined)
+        substituted = inst.weighted_substitute(wfn)
         if substituted.is_zero():
             continue
         left, right = inst.boundary_vectors()
@@ -102,8 +102,8 @@ def test_criterion_2_basis_isolation_soundness():
             )
 
         surviving = [
-            (weight, dot(coeff))
-            for _, coeff, weight in trace.isolated
+            (wfn.monomial_weight(m), dot(coeff))
+            for m, coeff in isolated
             if dot(coeff) != 0
         ]
         if not surviving:
@@ -381,7 +381,7 @@ def test_criterion_9_width2():
 
     anchors = [tuple(rnd.randint(0, FIELD.p - 1) for _ in range(3)) for _ in range(5)]
     nodes = list(range(5))
-    curve = lagrange_curve(anchors, nodes, FIELD)
+    curve = LagrangeCurve(FIELD, tuple(anchors), tuple(nodes))
     curve_ok = all(curve.eval_at(b) == a for b, a in zip(nodes, anchors))
 
     hit_ok = 0

@@ -17,10 +17,8 @@ from pitkit.algebra import (
     mat_det,
     mat_identity,
     mat_mul,
-    poly_mul,
     rank_over_field,
     is_prime,
-    uni_interpolate,
 )
 from pitkit.errors import CapabilityError, StructuralError
 
@@ -86,14 +84,14 @@ def test_inverse_extended_euclid():
 
 
 # ---------------------------------------------------------------------------
-# poly_mul
+# matrix-polynomial product
 
 
 def test_poly_mul_identity_coefficients():
     eye = mat_identity(2)
     a = MatPoly(F7, 2, 2, {(1, 0): eye})
     b = MatPoly(F7, 2, 2, {(0, 1): eye})
-    prod = poly_mul(a, b)
+    prod = a * b
     assert prod.terms == {(1, 1): eye}
 
 
@@ -101,7 +99,7 @@ def test_poly_mul_zero_annihilates():
     rnd = random.Random(0)
     b = random_mat_poly(rnd, F7, 2, 2, 3, 2)
     zero = MatPoly.zero(F7, 2, 2)
-    assert poly_mul(zero, b).is_zero()
+    assert (zero * b).is_zero()
 
 
 def naive_matpoly_mul(a, b):
@@ -136,9 +134,9 @@ def test_poly_mul_disjoint_matches_bruteforce():
     for _ in range(30):
         a = random_mat_poly(rnd, F101, 4, 2, 3, 2, variables=[0, 1])
         b = random_mat_poly(rnd, F101, 4, 2, 3, 2, variables=[2, 3])
-        assert poly_mul(a, b).terms == naive_matpoly_mul(a, b)
+        assert (a * b).terms == naive_matpoly_mul(a, b)
         # disjoint variables: each product coefficient has a unique factorization
-        prod = poly_mul(a, b)
+        prod = a * b
         for e in prod.terms:
             e1 = tuple(v if i < 2 else 0 for i, v in enumerate(e))
             e2 = tuple(v if i >= 2 else 0 for i, v in enumerate(e))
@@ -148,9 +146,9 @@ def test_poly_mul_disjoint_matches_bruteforce():
 def test_poly_mul_mismatch_errors():
     a = MatPoly.identity(F7, 2, 2)
     with pytest.raises(StructuralError):
-        poly_mul(a, MatPoly.identity(F7, 2, 3))
+        a * MatPoly.identity(F7, 2, 3)
     with pytest.raises(StructuralError):
-        poly_mul(a, MatPoly.identity(Field(11), 2, 2))
+        a * MatPoly.identity(Field(11), 2, 2)
 
 
 @settings(max_examples=50, deadline=None)
@@ -268,7 +266,7 @@ def test_det_poly_matches_numeric_on_general_grids():
 
 
 # ---------------------------------------------------------------------------
-# eval_poly
+# evaluation
 
 
 def test_eval_examples():
@@ -309,26 +307,26 @@ def test_eval_distributes_over_mul(seed):
     assert (a * b).eval_at(pt) == mat_mul(a.eval_at(pt), b.eval_at(pt), F101)
 
 
+def test_shifted_constant_term_is_the_value_at_the_offsets():
+    # the constant term of f(x + a) is f(a), for matrix coefficients too
+    rnd = random.Random(8)
+    for _ in range(20):
+        f = random_mat_poly(rnd, F101, 3, 2, 4, 2)
+        offs = [rnd.randint(0, 100) for _ in range(3)]
+        assert f.shift(offs).constant_term() == f.eval_at(offs)
+
+
 # ---------------------------------------------------------------------------
 # univariate helpers
 
 
 def test_unipoly_basics():
-    u = UniPoly.from_coefficients(F7, [3, 0, 2, 0])
-    assert u.degree() == 2
-    assert u.coefficient_list() == [3, 0, 2]
+    u = UniPoly.from_dict(F7, {2: 2, 0: 3, 5: 7})
+    assert u.terms == ((0, 3), (2, 2))
     assert u.lowest_term() == (0, 3)
-    assert UniPoly.zero(F7).is_zero()
-
-
-def test_interpolation_roundtrip():
-    rnd = random.Random(5)
-    coeffs = [rnd.randint(0, 100) for _ in range(6)]
-    poly = UniPoly.from_coefficients(F101, coeffs)
-    xs = list(range(7))
-    ys = [poly.eval_at(x) for x in xs]
-    again = uni_interpolate(xs, ys, F101)
-    assert again.terms == poly.terms
+    assert not u.is_zero()
+    assert UniPoly.from_dict(F7, {3: 14}).is_zero()
+    assert UniPoly.from_dict(F7, {}).lowest_term() is None
 
 
 def test_shift_is_translation():

@@ -17,12 +17,12 @@ from pitkit.algebra import (
     rank_over_field,
 )
 from pitkit.concentrate import (
+    LagrangeCurve,
     block_support,
     concentration_rank,
     factorize_width2,
     find_concentrating_shift,
     invertible_hitting_set,
-    lagrange_curve,
     low_support_hitting_set,
     support_parameter,
     width2_hitting_set,
@@ -358,6 +358,13 @@ def test_width2_blackbox_mode_is_the_params_set():
     assert (mode.points, mode.provenance) == (params.points, params.provenance)
 
 
+def test_width2_generator_rejects_other_widths_in_both_modes():
+    inst = generate_instance(InstanceSpec(klass="roabp", seed=0, n=1, d=1, w=3, s=1, delta=1))
+    for mode in ("whitebox", "blackbox"):
+        with pytest.raises(PreconditionError, match="width-2 only; got width 3"):
+            width2_hitting_set(inst, mode)
+
+
 def test_generators_reject_unknown_mode():
     from pitkit.isolate import roabp_hitting_set
 
@@ -471,12 +478,12 @@ def test_width2_requires_width_two():
 
 
 def test_curve_single_point_is_constant():
-    curve = lagrange_curve([(5, 6)], [0], F7)
+    curve = LagrangeCurve(F7, ((5, 6),), (0,))
     assert curve.eval_at(3) == (5, 6)
 
 
 def test_curve_two_points_nodes_zero_one():
-    curve = lagrange_curve([(1, 2), (3, 4)], [0, 1], F7)
+    curve = LagrangeCurve(F7, ((1, 2), (3, 4)), (0, 1))
     assert curve.eval_at(0) == (1, 2)
     assert curve.eval_at(1) == (3, 4)
 
@@ -485,14 +492,14 @@ def test_curve_interpolates_random_points():
     rnd = random.Random(71)
     pts = [tuple(rnd.randint(0, 100) for _ in range(3)) for _ in range(4)]
     nodes = [2, 5, 9, 11]
-    curve = lagrange_curve(pts, nodes, Field(101))
+    curve = LagrangeCurve(Field(101), tuple(pts), tuple(nodes))
     for node, pt in zip(nodes, pts):
         assert curve.eval_at(node) == pt
 
 
 def test_curve_rejects_repeated_nodes():
     with pytest.raises(StructuralError):
-        lagrange_curve([(1,), (2,)], [3, 3], F7)
+        LagrangeCurve(F7, ((1,), (2,)), (3, 3))
 
 
 # ---------------------------------------------------------------------------

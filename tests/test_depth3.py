@@ -336,6 +336,21 @@ def test_result_carries_the_swept_plan():
         assert result.sweep == 2**circuit.n
 
 
+def test_gateless_circuit_is_zero_without_a_sweep(monkeypatch):
+    def no_evaluation(self, point):
+        raise AssertionError("a gateless circuit needs no evaluation")
+
+    monkeypatch.setattr(Depth3Circuit, "eval_at", no_evaluation)
+    c = Depth3Circuit(F, 3, ())
+    decomp = decompose_base_sets(c.distinct_partitions())
+    assert (decomp.partition_count, decomp.m, decomp.certificates, decomp.cap) == (0, 0, (), 0)
+    assert decomp.within_cap()
+    result = sum_sml_whitebox_test(c)
+    assert (result.verdict, result.witness, result.decomposition, result.sweep) == (
+        "zero", None, decomp, 0
+    )
+
+
 def test_neighborhood_partitions_form_refinement_chain():
     from pitkit.depth3 import _neighborhood_partitions
 

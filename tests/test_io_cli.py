@@ -11,7 +11,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pitkit
+from pitkit.depth3 import SWEEP_CEILING
 from pitkit.io_cli import (
+    build_parser,
     dumps_canonical,
     load_instance,
     load_points,
@@ -204,6 +206,39 @@ def test_cli_hs_at_61_bit_modulus(tmp_path, capsys):
     assert main(["test", "--input", circuit_path, "--modulus", p61,
                  "--points", points_path]) == 0
     assert "test: pass" in capsys.readouterr().out
+
+
+def test_cli_width2_blackbox_rejects_other_widths(tmp_path, capsys):
+    inst = generate_instance(InstanceSpec(
+        klass="roabp", seed=0, modulus=2**31 - 1, n=1, d=1, w=3, s=1, delta=1,
+    ))
+    circuit_path = write_instance(tmp_path, "w3.json", inst)
+    points_path = tmp_path / "pts.txt"
+    assert main(["hs", "width2", "--mode", "blackbox", "--input", circuit_path,
+                 "--out", str(points_path)]) == 2
+    assert "width-2 only; got width 3" in capsys.readouterr().err
+    assert not points_path.exists()
+
+
+def test_cli_gateless_depth3_is_zero(tmp_path, capsys):
+    doc = json.loads(json.dumps(MINIMAL_DEPTH3))
+    doc["gates"] = []
+    path = tmp_path / "gateless.json"
+    path.write_text(dumps_canonical(doc))
+    assert main(["whitebox", "sum-sml", "--input", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "partitions: 0; base sets: 0 (cap 0.00); sweep size: 0",
+        "verdict: zero",
+    ]
+    out_path = tmp_path / "base.json"
+    assert main(["decompose", "--input", str(path), "--out", str(out_path)]) == 0
+    assert json.loads(out_path.read_text()) == {"base_sets": [], "cap": 0.0, "m": 0}
+    capsys.readouterr()
+
+
+def test_cli_sweep_ceiling_defaults_to_the_library_constant():
+    args = build_parser().parse_args(["whitebox", "sum-sml", "--input", "c.json"])
+    assert args.ceiling == SWEEP_CEILING
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -10,13 +10,14 @@ import pytest
 from pitkit.algebra import Field, MatPoly, RowSpan, mat_flatten, rank_over_field
 from pitkit.errors import PreconditionError
 from pitkit.isolate import (
+    combine_rounds,
     construct_isolating_weights,
     enumerate_candidate_weights,
     greedy_basis,
     is_basis_isolating,
     roabp_hitting_set,
 )
-from pitkit.kron import WeightFn, naive_kronecker
+from pitkit.kron import PairSet, WeightFn, naive_kronecker, separating_weights, weights_mod_prime
 from pitkit.roabp import Roabp
 from pitkit.verify import InstanceSpec, generate_instance, verify_hitting_property
 
@@ -81,20 +82,22 @@ def diag_factor(var, n):
 
 def test_construct_single_factor_single_round():
     factor = diag_factor(0, 1)
-    layered, trace = construct_isolating_weights([factor])
-    assert len(layered.rounds) == 1
-    assert len(trace.rounds) == 1
-    kept_monos = {m for m, _, _ in trace.isolated}
+    wfn, isolated = construct_isolating_weights([factor])
+    # one factor runs one round, and one round combines to itself
+    round0 = separating_weights(1, 1, PairSet(1, 1, [list(factor.terms)])).verified
+    assert combine_rounds([round0], 1, 1) == round0
+    assert wfn == round0
+    kept_monos = {m for m, _ in isolated}
     assert kept_monos == set(factor.terms)
 
 
 def test_construct_diagonal_pair_example():
     d1, d2 = diag_factor(0, 2), diag_factor(1, 2)
-    layered, trace = construct_isolating_weights([d1, d2])
-    isolated = {m for m, _, _ in trace.isolated}
-    assert isolated <= {(0, 0), (1, 0), (0, 1), (1, 1)}
-    assert len(isolated) <= 4
-    assert is_basis_isolating(layered.combined, d1 * d2)
+    wfn, isolated = construct_isolating_weights([d1, d2])
+    monos = {m for m, _ in isolated}
+    assert monos <= {(0, 0), (1, 0), (0, 1), (1, 1)}
+    assert len(monos) <= 4
+    assert is_basis_isolating(wfn, d1 * d2)
 
 
 def test_construct_verified_on_random_instances():
@@ -105,9 +108,9 @@ def test_construct_verified_on_random_instances():
             s=3, delta=2, nonzero=False,
         )
         inst = generate_instance(spec)
-        layered, _ = construct_isolating_weights(list(inst.layers))
+        wfn, _ = construct_isolating_weights(list(inst.layers))
         product, _ = inst.expand()
-        assert is_basis_isolating(layered.combined, product)
+        assert is_basis_isolating(wfn, product)
         passed += 1
     assert passed == 40
 
@@ -123,25 +126,35 @@ def rnd_d(seed):
 def test_round_monotonicity_and_isolated_cap():
     spec = InstanceSpec(klass="roabp", seed=3, n=4, d=4, w=2, s=3, delta=2)
     inst = generate_instance(spec)
-    layered, trace = construct_isolating_weights(list(inst.layers))
-    for record in trace.rounds:
-        for block in record.blocks:
-            vecs_all = [mat_flatten(c) for _, c in block.items]
-            vecs_kept = [mat_flatten(block.items[i][1]) for i in block.kept]
-            assert rank_over_field(vecs_kept, F) == rank_over_field(vecs_all, F)
-    assert len(trace.isolated) <= 4
+    n, delta = inst.n, inst.delta
+    # round 0: the greedy pass keeps each factor's rank
+    blocks = [sorted(layer.terms.items()) for layer in inst.layers]
+    round0 = separating_weights(n, delta, PairSet(n, delta, [[m for m, _ in b] for b in blocks])).verified
+    for block in blocks:
+        keyed = [(round0.monomial_weight(m), m, c) for m, c in block]
+        kept = greedy_basis(keyed, F)
+        vecs_all = [mat_flatten(c) for _, c in block]
+        vecs_kept = [mat_flatten(block[i][1]) for i in kept]
+        assert rank_over_field(vecs_kept, F) == rank_over_field(vecs_all, F)
+    # every round keeps rank, so the isolated set spans the product
+    _, isolated = construct_isolating_weights(list(inst.layers))
+    product, _ = inst.expand()
+    vecs_product = [mat_flatten(c) for c in product.terms.values()]
+    vecs_isolated = [mat_flatten(c) for _, c in isolated]
+    assert rank_over_field(vecs_isolated, F) == rank_over_field(vecs_product, F)
+    assert len(isolated) <= 4
 
 
 def test_precedence_is_lexicographic():
-    spec = InstanceSpec(klass="roabp", seed=5, n=3, d=2, w=2, s=2, delta=1)
-    inst = generate_instance(spec)
-    layered, _ = construct_isolating_weights(list(inst.layers))
+    rounds = [weights_mod_prime(3, 1, p) for p in (2, 5, 3)]
+    combined = combine_rounds(rounds, 3, 1)
     rnd = random.Random(0)
     monos = [tuple(rnd.randint(0, 1) for _ in range(3)) for _ in range(30)]
     for a, b in itertools.combinations(monos, 2):
-        ta, tb = layered.round_tuple(a), layered.round_tuple(b)
-        ca = layered.combined.monomial_weight(a)
-        cb = layered.combined.monomial_weight(b)
+        ta = tuple(w.monomial_weight(a) for w in rounds)
+        tb = tuple(w.monomial_weight(b) for w in rounds)
+        ca = combined.monomial_weight(a)
+        cb = combined.monomial_weight(b)
         if ta < tb:
             assert ca < cb
         elif ta > tb:
@@ -259,8 +272,8 @@ def test_enumerate_members_are_positive_weightfns():
 def test_whitebox_assignment_appears_among_candidates():
     # rank-2 factors keep two survivors each, so every round separates pairs
     d1, d2 = diag_factor(0, 2), diag_factor(1, 2)
-    layered, _ = construct_isolating_weights([d1, d2])
-    target = layered.combined.weights
+    wfn, _ = construct_isolating_weights([d1, d2])
+    target = wfn.weights
     found = any(
         wfn.weights == target
         for wfn in enumerate_candidate_weights(n=2, d=2, s=2, w=2, delta=1)
@@ -273,8 +286,8 @@ def test_whitebox_membership_with_empty_rounds():
     # candidate-family member
     f1 = MatPoly(F7, 2, 1, {(0, 0): ((2,),), (1, 0): ((3,),)})
     f2 = MatPoly(F7, 2, 1, {(0, 0): ((1,),), (0, 1): ((5,),)})
-    layered, _ = construct_isolating_weights([f1, f2])
-    target = layered.combined.weights
+    wfn, _ = construct_isolating_weights([f1, f2])
+    target = wfn.weights
     found = any(
         wfn.weights == target
         for wfn in enumerate_candidate_weights(n=2, d=2, s=2, w=1, delta=1)

@@ -7,7 +7,7 @@ import pytest
 
 from pitkit.algebra import Field, MatPoly, mat_identity, mat_mul
 from pitkit.errors import CapabilityError, StructuralError
-from pitkit.kron import WeightFn, naive_kronecker
+from pitkit.kron import WeightFn
 from pitkit.roabp import Roabp
 from pitkit.verify import DetStream, InstanceSpec, generate_instance
 
@@ -140,15 +140,6 @@ def test_weighted_substitute_zero_instance():
     zero_layer = MatPoly.zero(F7, 1, 1)
     r = Roabp.with_constant_boundaries(F7, 1, [(0,)], [zero_layer], (1,), (1,))
     assert r.weighted_substitute(WeightFn((3,))).is_zero()
-
-
-def test_weighted_substitute_interpolation_matches_symbolic():
-    spec = InstanceSpec(klass="roabp", seed=5, n=3, d=2, w=2, s=2, delta=1)
-    inst = generate_instance(spec)
-    wfn = naive_kronecker(3, 1)
-    symbolic = inst.weighted_substitute(wfn)
-    interpolated = inst.weighted_substitute(wfn, symbolic_ceiling=0)
-    assert symbolic.terms == interpolated.terms
 
 
 def test_zero_iff_zero_on_full_grid_tiny():
