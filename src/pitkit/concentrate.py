@@ -38,7 +38,7 @@ from .errors import (
 from .kron import (
     PairSet,
     WeightFn,
-    iter_primes,
+    distinct_reductions,
     prime_cutoff,
     separating_weights,
     weights_mod_prime,
@@ -166,11 +166,11 @@ def find_concentrating_shift(
             return
         search = separating_weights(r.n, sep_delta, pair_set)
         yield search.verified, search.verified_prime
-        for p in search.iter_candidate_primes():
-            if p == search.verified_prime:
-                continue
+        # equal exponents give equal offsets for every t0, so a repeated
+        # map would only repeat a failed sweep
+        for p in distinct_reductions(r.n, sep_delta, search.cutoff):
             wfn = weights_mod_prime(r.n, sep_delta, p)
-            if pair_set.separated_by(wfn):
+            if wfn != search.verified and pair_set.separated_by(wfn):
                 yield wfn, p
 
     det_degree = max((det.total_degree() for det in dets), default=0)
@@ -291,11 +291,11 @@ def invertible_hitting_set_params(
     """Parameter-only hitting set for every invertible-factor instance with
     the declared parameters.
 
-    Enumerates the full candidate family of shift maps (sized for every
-    layer determinant's s^w monomials plus all low-support monomials),
-    sweeps t0 far enough to clear every determinant and rank minor, and
-    translates the low-support grid by each specialization.  Size is
-    exactly |grid| * |t-sweep| * |maps|; feasible only for tiny parameters.
+    Enumerates every distinct shift map of the candidate family (sized for
+    every layer determinant's s^w monomials plus all low-support
+    monomials), sweeps t0 far enough to clear every determinant and rank
+    minor, and translates the low-support grid by each specialization.
+    Size is exactly |grid| * |t-sweep| * |maps|.
     """
     ell = support_parameter(w, max(1, s), mu)
     det_monomials = s**w
@@ -307,11 +307,10 @@ def invertible_hitting_set_params(
     pair_bound = max(1, det_pairs + support_pairs)
     delta_all = max(delta, w * delta)
     cutoff = prime_cutoff(n, pair_bound, delta_all)
-    maps = []
-    for p in iter_primes():
-        if p > cutoff:
-            break
-        maps.append(ShiftMap(weights_mod_prime(n, delta_all, p).weights, p))
+    maps = [
+        ShiftMap(weights_mod_prime(n, delta_all, p).weights, p)
+        for p in distinct_reductions(n, delta_all, cutoff)
+    ]
     max_a = max(max(m.exponents) for m in maps)
     det_degree = w * delta * n
     conc_degree = w * w * n * max(1, delta)

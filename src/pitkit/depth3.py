@@ -550,10 +550,6 @@ class BaseSetDecomposition:
         return [c.base_set for c in self.certificates]
 
     @property
-    def epsilon(self) -> float:
-        return 1.0 / 2 ** (self.partition_count - 1)
-
-    @property
     def cap(self) -> float:
         c = self.partition_count
         if c == 0:

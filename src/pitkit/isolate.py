@@ -40,10 +40,10 @@ from .errors import (
 from .kron import (
     PairSet,
     WeightFn,
+    distinct_reductions,
     prime_cutoff,
     separating_weights,
     weights_mod_prime,
-    iter_primes,
 )
 from .roabp import EXPAND_CEILING, PointSet, Roabp
 
@@ -223,29 +223,32 @@ def enumerate_candidate_weights(
     w: int,
     delta: int,
 ) -> Iterator[WeightFn]:
-    """Blackbox candidate family: the cartesian product of per-round prime
-    candidate lists, each combined positionally with its base B.
+    """Blackbox candidate family: the cartesian product of per-round
+    candidate lists, each combination combined positionally with its base B.
 
     Round 0 is sized for d*s^2 intra-factor pairs; later rounds for d*w^8
-    pairs (paired survivor blocks have at most w^4 monomials each).  The
+    pairs (paired survivor blocks have at most w^4 monomials each).  A
+    round's list holds one prime per distinct reduced weight vector up to
+    its cutoff, and each distinct combined assignment is yielded once, in
+    the order of its first occurrence over all primes.  The
     whitebox-constructed assignment always appears among the members.
     """
     if min(n, d, s, w) < 1 or delta < 0:
         raise StructuralError("parameters must be positive (delta nonnegative)")
     round_count = 1 + (math.ceil(math.log2(d)) if d > 1 else 0)
     pair_bounds = [d * s * s] + [d * w**8] * (round_count - 1)
-    prime_lists: list[list[int]] = []
-    for bound in pair_bounds:
-        cutoff = prime_cutoff(n, bound, delta)
-        primes = []
-        for p in iter_primes():
-            if p > cutoff:
-                break
-            primes.append(p)
-        prime_lists.append(primes)
-    for combo in iter_product(*prime_lists):
-        rounds = [weights_mod_prime(n, delta, p) for p in combo]
-        yield combine_rounds(rounds, n, delta)
+    round_lists = [
+        [weights_mod_prime(n, delta, p)
+         for p in distinct_reductions(n, delta, prime_cutoff(n, bound, delta))]
+        for bound in pair_bounds
+    ]
+    # combinations with different bases B could still coincide
+    seen: set[tuple] = set()
+    for rounds in iter_product(*round_lists):
+        combined = combine_rounds(rounds, n, delta)
+        if combined.weights not in seen:
+            seen.add(combined.weights)
+            yield combined
 
 
 # ---------------------------------------------------------------------------

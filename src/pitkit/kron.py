@@ -135,6 +135,28 @@ def weights_mod_prime(n: int, delta: int, p: int) -> WeightFn:
     return WeightFn(tuple(ws))
 
 
+def distinct_reductions(n: int, delta: int, cutoff: int) -> list[int]:
+    """The first prime of each distinct weights_mod_prime(n, delta, p)
+    vector over the primes p <= cutoff, in increasing order.
+
+    Every prime above (delta+1)^(n-1) leaves the naive weights unreduced,
+    so the scan stops at the first such prime.
+    """
+    top = (delta + 1) ** (n - 1)
+    seen: set[tuple] = set()
+    primes = []
+    for p in iter_primes():
+        if p > cutoff:
+            break
+        weights = weights_mod_prime(n, delta, p).weights
+        if weights not in seen:
+            seen.add(weights)
+            primes.append(p)
+        if p > top:
+            break
+    return primes
+
+
 @dataclass(frozen=True)
 class SeparatorSearch:
     """Result of the separating-prime search for one pair set."""
@@ -142,12 +164,6 @@ class SeparatorSearch:
     cutoff: int
     verified_prime: int
     verified: WeightFn
-
-    def iter_candidate_primes(self) -> Iterator[int]:
-        for p in iter_primes():
-            if p > self.cutoff:
-                return
-            yield p
 
 
 def separating_weights(n: int, delta: int, pair_set: PairSet) -> SeparatorSearch:

@@ -18,6 +18,7 @@ from pitkit.algebra import (
 )
 from pitkit.concentrate import (
     LagrangeCurve,
+    ShiftMap,
     block_support,
     concentration_rank,
     factorize_width2,
@@ -27,7 +28,7 @@ from pitkit.concentrate import (
     support_parameter,
     width2_hitting_set,
 )
-from pitkit.errors import PreconditionError, StructuralError
+from pitkit.errors import InternalInconsistencyError, PreconditionError, StructuralError
 from pitkit.roabp import Roabp
 from pitkit.verify import InstanceSpec, generate_instance, verify_hitting_property
 
@@ -201,6 +202,32 @@ def test_singular_layer_rejected():
         find_concentrating_shift(r)
 
 
+def test_shift_search_tries_each_specialization_once(monkeypatch):
+    # At p = 7 every candidate prime reduces these instances to one exponent
+    # vector, and every t0 makes some layer singular, so the search exhausts
+    # the family; at p = 10007 the first map verifies.
+    tried = []
+    offsets_at = ShiftMap.offsets_at
+
+    def recorded(self, t0, field):
+        tried.append((self.exponents, t0))
+        return offsets_at(self, t0, field)
+
+    monkeypatch.setattr(ShiftMap, "offsets_at", recorded)
+    cases = [(7, 33, 3, 1, 2, 1), (7, 135, 2, 1, 2, 2), (10007, 0, 2, 2, 2, 1)]
+    for modulus, seed, n, d, s, delta in cases:
+        inst = generate_instance(InstanceSpec(
+            klass="invertible-roabp", seed=seed, modulus=modulus,
+            n=n, d=d, w=2, s=s, delta=delta, mu=1,
+        ))
+        tried.clear()
+        try:
+            find_concentrating_shift(inst)
+        except InternalInconsistencyError:
+            assert modulus == 7
+        assert len(tried) == len(set(tried)) > 0
+
+
 def test_shift_verified_on_random_invertible_instances():
     for seed in range(20):
         spec = InstanceSpec(
@@ -342,6 +369,28 @@ def test_blackbox_invertible_params_tiny():
         inst = generate_instance(spec)
         report = verify_hitting_property(inst, points)
         assert report.passed and not report.vacuous
+
+
+def test_invertible_params_sweep_each_distinct_map_once(monkeypatch):
+    # reference: the family over every prime up to the cutoff, with each
+    # repeated map's block of grid * t_sweep points dropped
+    from pitkit import concentrate
+    from pitkit.kron import iter_primes
+
+    def every_prime(n, delta, cutoff):
+        return list(itertools.takewhile(lambda p: p <= cutoff, iter_primes()))
+
+    for params in [(1, 1, 2, 1, 1, 1), (2, 1, 2, 1, 1, 1), (2, 2, 2, 1, 1, 1)]:
+        got = concentrate.invertible_hitting_set_params(*params, F)
+        with monkeypatch.context() as m:
+            m.setattr(concentrate, "distinct_reductions", every_prime)
+            full = concentrate.invertible_hitting_set_params(*params, F)
+        size = full.provenance["grid"] * full.provenance["t_sweep"]
+        blocks = [full.points[i:i + size] for i in range(0, len(full.points), size)]
+        distinct = list(dict.fromkeys(blocks))
+        assert full.provenance["maps"] > len(distinct)
+        assert got.points == tuple(itertools.chain.from_iterable(distinct))
+        assert got.provenance == {**full.provenance, "maps": len(distinct)}
 
 
 def test_width2_blackbox_mode_is_the_params_set():

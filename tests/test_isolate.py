@@ -2,6 +2,7 @@
 ROABP hitting set."""
 
 import itertools
+import math
 import random
 from dataclasses import replace
 
@@ -17,7 +18,15 @@ from pitkit.isolate import (
     is_basis_isolating,
     roabp_hitting_set,
 )
-from pitkit.kron import PairSet, WeightFn, naive_kronecker, separating_weights, weights_mod_prime
+from pitkit.kron import (
+    PairSet,
+    WeightFn,
+    iter_primes,
+    naive_kronecker,
+    prime_cutoff,
+    separating_weights,
+    weights_mod_prime,
+)
 from pitkit.roabp import Roabp
 from pitkit.verify import InstanceSpec, generate_instance, verify_hitting_property
 
@@ -259,14 +268,38 @@ def test_enumerate_single_round_for_d1():
 
 
 def test_enumerate_members_are_positive_weightfns():
+    # n=2, delta=1 reduces to (1, 2) at every prime, a single member; n=3
+    # also has (1, 2, 2) at p=2 and (1, 2, 1) at p=3
     count = 0
-    for wfn in enumerate_candidate_weights(n=2, d=2, s=2, w=1, delta=1):
+    for wfn in enumerate_candidate_weights(n=3, d=2, s=2, w=1, delta=1):
         assert isinstance(wfn, WeightFn)
         assert all(v >= 1 for v in wfn.weights)
         count += 1
         if count > 200:
             break
     assert count > 1
+
+
+@pytest.mark.parametrize("n, d, s, w, delta", [
+    (2, 1, 1, 1, 1), (3, 1, 2, 2, 1), (1, 2, 1, 1, 1),
+    (2, 2, 1, 1, 2), (2, 2, 2, 1, 1), (3, 2, 2, 1, 1),
+])
+def test_enumeration_is_first_occurrence_over_all_primes(n, d, s, w, delta):
+    # reference: every combination of primes up to each round's cutoff,
+    # duplicates dropped in order of first occurrence
+    round_count = 1 + (math.ceil(math.log2(d)) if d > 1 else 0)
+    bounds = [d * s * s] + [d * w**8] * (round_count - 1)
+    prime_lists = [
+        list(itertools.takewhile(lambda p, c=prime_cutoff(n, b, delta): p <= c, iter_primes()))
+        for b in bounds
+    ]
+    reference = list(dict.fromkeys(
+        combine_rounds([weights_mod_prime(n, delta, p) for p in combo], n, delta).weights
+        for combo in itertools.product(*prime_lists)
+    ))
+    got = [wfn.weights for wfn in enumerate_candidate_weights(n, d, s, w, delta)]
+    assert len(set(got)) == len(got)
+    assert got == reference
 
 
 def test_whitebox_assignment_appears_among_candidates():

@@ -12,6 +12,7 @@ from pitkit.errors import StructuralError
 from pitkit.kron import (
     PairSet,
     WeightFn,
+    distinct_reductions,
     iter_primes,
     naive_kronecker,
     prime_cutoff,
@@ -132,6 +133,14 @@ def test_iter_primes_matches_sieve():
             sieve[q * q :: q] = bytearray(len(range(q * q, limit + 1, q)))
     expected = [q for q in range(limit + 1) if sieve[q]]
     assert list(itertools.islice(iter_primes(), len(expected))) == expected
+
+
+def test_distinct_reductions_keep_each_vectors_first_prime():
+    for n, delta, cutoff in itertools.product([1, 2, 3, 5], [0, 1, 2, 3], [1, 2, 30, 2_000]):
+        first: dict[tuple, int] = {}
+        for p in itertools.takewhile(lambda p: p <= cutoff, iter_primes()):
+            first.setdefault(weights_mod_prime(n, delta, p).weights, p)
+        assert distinct_reductions(n, delta, cutoff) == list(first.values()), (n, delta, cutoff)
 
 
 def test_cutoff_matches_formula():
