@@ -152,7 +152,9 @@ def find_concentrating_shift(
     determinant's monomials and all low-support monomials, picks t0 with
     every shifted constant term invertible, and keeps the first (map, t0)
     whose shifted, specialized polynomial verifies l(w^2+2)-support
-    concentration.
+    concentration.  A failed search is ModulusTooSmallError when some
+    candidate's t0 budget was cut at p - 1, and InternalInconsistencyError
+    only when every candidate ran its full budget.
     """
     dets = _interior_dets(r)
     w = r.width
@@ -177,12 +179,13 @@ def find_concentrating_shift(
     # bad t0 values: roots of any layer determinant sweep plus roots of one
     # rank-certifying minor, whose t-degree is at most w^2 * n * delta * max_a
     conc_degree = w * w * r.n * max(1, r.delta)
+    clipped = False
     for wfn, prime in candidate_maps():
         shift = ShiftMap(tuple(wfn.weights), prime)
         max_a = max(shift.exponents)
-        t_budget = min(
-            r.field.p - 1, 1 + (r.d * det_degree + conc_degree) * max_a
-        )
+        full_budget = 1 + (r.d * det_degree + conc_degree) * max_a
+        t_budget = min(r.field.p - 1, full_budget)
+        clipped = clipped or t_budget < full_budget
         for t0 in range(1, t_budget + 1):
             offsets = shift.offsets_at(t0, r.field)
             if any(
@@ -195,6 +198,13 @@ def find_concentrating_shift(
             low_rank, full_rank = concentration_rank(scalar, target, "support")
             if low_rank == full_rank:
                 return shift, t0
+    if clipped:
+        # a bad-t0 count past p - 1 leaves no good t0 guaranteed: the field
+        # is too small, not the construction wrong
+        raise ModulusTooSmallError(
+            f"no concentrating shift verified; some candidate needs more t0 "
+            f"values than the {r.field.p - 1} nonzero residues of GF({r.field.p})"
+        )
     raise InternalInconsistencyError(
         "no concentrating shift verified within the candidate family"
     )

@@ -289,8 +289,8 @@ def save_points(points: PointSet, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# pitkit points n={points.n} count={len(points)}\n")
         fh.write(f"# provenance: {json.dumps(points.provenance, sort_keys=True)}\n")
-        for pt in points:
-            fh.write(",".join(str(v) for v in pt) + "\n")
+        line = ",".join(["%d"] * points.n) + "\n"
+        fh.writelines(line % pt for pt in points)
 
 
 def load_points(path: str) -> PointSet:
@@ -312,7 +312,7 @@ def load_points(path: str) -> PointSet:
                     provenance = json.loads(body.split(":", 1)[1])
                 continue
             try:
-                pts.append(tuple(int(v) for v in line.split(",")))
+                pts.append(tuple(map(int, line.split(","))))
             except ValueError as exc:
                 raise StructuralError(f"{path}:{line_no}: bad point line") from exc
     if n is None:

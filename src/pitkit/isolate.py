@@ -278,8 +278,26 @@ def _embedded_factors(r: Roabp) -> list[MatPoly]:
     return [left, *factors, right]
 
 
+def _composite_factors(limit: int) -> list[int]:
+    """spf[t] for t <= limit: the smallest prime factor of composite t, and
+    0 for prime t and for t < 2.
+
+    Divisors run downwards and overwrite, so each composite t keeps its
+    smallest divisor q > 1 with q^2 <= t, which is prime."""
+    spf = [0] * (limit + 1)
+    for q in range(math.isqrt(limit), 1, -1):
+        spf[q * q :: q] = [q] * len(range(q * q, limit + 1, q))
+    return spf
+
+
 def _t_sweep(r: Roabp, wfn: WeightFn) -> list[tuple[int, ...]]:
-    """(t^w(x_1), ..., t^w(x_n)) for t = 1 .. 1 + n*delta*max_weight."""
+    """(t^w(x_1), ..., t^w(x_n)) for t = 1 .. 1 + n*delta*max_weight.
+
+    The sweep is sieved, and its points are those of one pow(t, w, p) per
+    coordinate: t -> t^w is completely multiplicative, so each distinct
+    weight's column takes a pow only at prime t, and
+    col[t] = col[q] * col[t // q] for composite t with smallest prime q.
+    """
     count = 1 + r.n * r.delta * wfn.max_weight
     p = r.field.p
     if count + 1 > p:
@@ -287,7 +305,18 @@ def _t_sweep(r: Roabp, wfn: WeightFn) -> list[tuple[int, ...]]:
             f"hitting set needs {count} distinct nonzero t values, "
             f"modulus {p} is too small"
         )
-    return [tuple(pow(t, w, p) for w in wfn.weights) for t in range(1, count + 1)]
+    spf = _composite_factors(count)
+    columns: dict[int, list[int]] = {}
+    for w in set(wfn.weights):
+        # col[0] is a placeholder, dropped below
+        col = [1] * (count + 1)
+        for t in range(2, count + 1):
+            q = spf[t]
+            col[t] = col[q] * col[t // q] % p if q else pow(t, w, p)
+        columns[w] = col
+    points = list(zip(*(columns[w] for w in wfn.weights)))
+    del points[0]
+    return points
 
 
 def _small_verified_separator(

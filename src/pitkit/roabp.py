@@ -41,7 +41,7 @@ class PointSet:
     provenance: dict = dc_field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        pts = tuple(tuple(v for v in pt) for pt in self.points)
+        pts = tuple(map(tuple, self.points))
         for pt in pts:
             if len(pt) != self.n:
                 raise StructuralError(f"point {pt} has length {len(pt)}, ambient is {self.n}")

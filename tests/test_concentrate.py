@@ -28,7 +28,7 @@ from pitkit.concentrate import (
     support_parameter,
     width2_hitting_set,
 )
-from pitkit.errors import InternalInconsistencyError, PreconditionError, StructuralError
+from pitkit.errors import ModulusTooSmallError, PreconditionError, StructuralError
 from pitkit.roabp import Roabp
 from pitkit.verify import InstanceSpec, generate_instance, verify_hitting_property
 
@@ -205,7 +205,8 @@ def test_singular_layer_rejected():
 def test_shift_search_tries_each_specialization_once(monkeypatch):
     # At p = 7 every candidate prime reduces these instances to one exponent
     # vector, and every t0 makes some layer singular, so the search exhausts
-    # the family; at p = 10007 the first map verifies.
+    # the family with its t0 budget cut at p - 1; at p = 10007 the first map
+    # verifies.
     tried = []
     offsets_at = ShiftMap.offsets_at
 
@@ -223,7 +224,7 @@ def test_shift_search_tries_each_specialization_once(monkeypatch):
         tried.clear()
         try:
             find_concentrating_shift(inst)
-        except InternalInconsistencyError:
+        except ModulusTooSmallError:
             assert modulus == 7
         assert len(tried) == len(set(tried)) > 0
 

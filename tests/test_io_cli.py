@@ -155,6 +155,15 @@ def write_instance(tmp_path, name, instance):
     return str(path)
 
 
+def run_cli(*argv):
+    """The CLI in a fresh interpreter, so a traceback shows on stderr."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(pitkit.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "pitkit.io_cli", *argv],
+        capture_output=True, text=True, env=env,
+    )
+
+
 def test_cli_hs_test_cycle(tmp_path, capsys):
     inst = generate_instance(
         InstanceSpec(klass="roabp", seed=3, n=3, d=2, w=2, s=2, delta=1)
@@ -309,14 +318,58 @@ def test_cli_rejects_non_integer_values(tmp_path, doc, path, value, messages):
     _set(doc, path, value)
     circuit = tmp_path / "bad.json"
     circuit.write_text(json.dumps(doc))
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(pitkit.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "pitkit.io_cli", "expand", "--input", str(circuit)],
-        capture_output=True, text=True, env=env,
-    )
+    proc = run_cli("expand", "--input", str(circuit))
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert any(message in proc.stderr for message in messages)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("1,2,x", "bad point line"),
+    ("1,,3", "bad point line"),
+    ("1,2,3.0", "bad point line"),
+    ("1,2", "has length 2"),
+])
+def test_cli_test_rejects_bad_point_lines(tmp_path, line, message):
+    inst = generate_instance(
+        InstanceSpec(klass="roabp", seed=3, n=3, d=2, w=2, s=2, delta=1)
+    )
+    circuit_path = write_instance(tmp_path, "c.json", inst)
+    points = tmp_path / "pts.txt"
+    points.write_text(f"# pitkit points n=3 count=2\n1,2,3\n{line}\n")
+    proc = run_cli("test", "--input", circuit_path, "--points", str(points))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+
+
+def test_save_points_matches_the_join_writer(tmp_path):
+    p = 2**61 - 1
+    pts = ((0, p - 1, 2**60 + 12345), (2**31 - 2, 0, 1), (p - 1, p - 1, 0))
+    points = PointSet(3, pts, {"generator": "none"})
+    path = tmp_path / "pts.txt"
+    save_points(points, str(path))
+    header = (
+        "# pitkit points n=3 count=3\n"
+        '# provenance: {"generator": "none"}\n'
+    )
+    body = "".join(",".join(map(str, pt)) + "\n" for pt in pts)
+    assert path.read_bytes() == (header + body).encode("utf-8")
+    assert load_points(str(path)).points == pts
+
+
+def test_cli_small_field_invertible_is_a_capability_error(tmp_path):
+    # every t0 up to p - 1 = 6 makes some layer singular, and the t0 budget
+    # of every candidate map was cut at p - 1: exit 3, not a traceback
+    inst = generate_instance(InstanceSpec(
+        klass="invertible-roabp", seed=33, modulus=7,
+        n=3, d=1, w=2, s=2, delta=1, mu=1,
+    ))
+    circuit_path = write_instance(tmp_path, "inv.json", inst)
+    proc = run_cli("hs", "invertible", "--input", circuit_path)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "capability error" in proc.stderr
 
 
 def _paths(node, prefix=()):
