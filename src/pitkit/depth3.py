@@ -6,14 +6,15 @@ singleton colors).  The distance of an ordered partition sequence measures
 how far it is from a refinement chain: colors group into friendly
 neighborhoods, the minimal color sets whose variable unions are exactly
 partitioned by all upper partitions, and the distance is the largest
-neighborhood size.  Distance-1 restrictions drive both the ROABP reduction
-and the base-set decomposition behind the sum-of-set-multilinear test.
+neighborhood size.  Small distance drives the ROABP reduction, and
+distance-1 restrictions define the base-set decomposition, an analysis of
+the circuit's partitions.  The sum-of-set-multilinear zero test does not use
+it: the circuit is multilinear, so it sweeps the Boolean cube {0,1}^n.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -152,26 +153,6 @@ class Depth3Circuit:
                 prod = prod * form.to_scalar_poly(self.field, self.n)
             acc = acc + prod
         return acc
-
-    def restrict(self, base_set: Iterable[int], outside: Sequence[int]) -> "Depth3Circuit":
-        """The circuit with variables outside base_set fixed to the given
-        point (their linear-form contributions fold into the constants)."""
-        base = set(base_set)
-        p = self.field.p
-        gates = []
-        for gate in self.gates:
-            forms = []
-            for f in gate.forms:
-                const = f.constant
-                coeffs = {}
-                for v, c in f.coeffs.items():
-                    if v in base:
-                        coeffs[v] = c
-                    else:
-                        const = (const + c * outside[v]) % p
-                forms.append(LinearForm(const, coeffs))
-            gates.append(Gate(gate.scale, tuple(forms)))
-        return Depth3Circuit(self.field, self.n, tuple(gates))
 
 
 # ---------------------------------------------------------------------------
@@ -630,64 +611,37 @@ def decompose_base_sets(partitions: Sequence[Partition]) -> BaseSetDecomposition
 # whitebox test for sums of set-multilinear circuits
 
 
-def base_set_hitting_points(base: Sequence[int], field: Field) -> list[dict]:
-    """Substitution points hitting any nonzero multilinear polynomial over
-    the given variables: x_v -> t^(2^j) for the j-th variable, t sweeping
-    2^|base| values, so distinct monomials get distinct t-degrees."""
-    base = sorted(base)
-    count = 2 ** len(base)
-    if field.p < count:
-        raise CapabilityError(
-            f"modulus {field.p} too small for {count} Kronecker points"
-        )
-    p = field.p
-    points = []
-    for t in range(count):
-        points.append({v: pow(t, 2**j, p) for j, v in enumerate(base)})
-    return points
-
-
 @dataclass(frozen=True)
 class SumSmlResult:
     """A sum-sml verdict ("zero" or "nonzero", with the witness point when
-    nonzero) and the plan that produced it: the base-set decomposition and
-    the size of the swept product."""
+    nonzero) and the size of the cube it swept."""
 
     verdict: str
     witness: tuple | None
-    decomposition: BaseSetDecomposition
     sweep: int
 
 
 def sum_sml_whitebox_test(
     c: Depth3Circuit, sweep_ceiling: int = SWEEP_CEILING
 ) -> SumSmlResult:
-    """Whitebox zero test for a multilinear depth-3 circuit whose gates
-    induce few distinct partitions.
+    """Whitebox zero test for a sum of set-multilinear depth-3 circuits.
 
-    Decomposes the variables into base sets with distance-1 certificates,
-    builds one hitting set per base set that covers every restriction of
-    the circuit to that base set (outside variables fixed arbitrarily), and
-    sweeps the cartesian product in hybrid order with early exit.
+    Every gate multiplies forms over disjoint variables, so the circuit is
+    multilinear, and the cube {0,1}^n hits any nonzero multilinear
+    polynomial over any field: write f = x_v g + h with g, h free of x_v;
+    x_v = 0 leaves h and x_v = 1 leaves g + h, so one of them is nonzero,
+    and induction on n finishes.  The test sweeps the 2^n cube points in
+    lexicographic order (all-zeros first) and stops at the first nonzero
+    value; only n decides the cost.
     """
-    decomp = decompose_base_sets(c.distinct_partitions())
-    per_set = [
-        base_set_hitting_points(sorted(cert.base_set), c.field)
-        for cert in decomp.certificates
-    ]
-    if not per_set:
-        # no gates: the circuit is the zero polynomial
-        return SumSmlResult("zero", None, decomp, 0)
-    total = math.prod(len(ps) for ps in per_set)
+    if not c.gates:
+        return SumSmlResult("zero", None, 0)
+    total = 2**c.n
     if total > sweep_ceiling:
         raise CapabilityError(
-            f"hybrid sweep of {total} evaluations exceeds the ceiling {sweep_ceiling}"
+            f"cube sweep of {total} evaluations exceeds the ceiling {sweep_ceiling}"
         )
-    for combo in itertools.product(*per_set):
-        point = [0] * c.n
-        for assignment in combo:
-            for v, val in assignment.items():
-                point[v] = val
+    for point in itertools.product((0, 1), repeat=c.n):
         if c.eval_at(point):
-            return SumSmlResult("nonzero", tuple(point), decomp, total)
-    return SumSmlResult("zero", None, decomp, total)
+            return SumSmlResult("nonzero", point, total)
+    return SumSmlResult("zero", None, total)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from typing import Sequence
 
 from .algebra import DEFAULT_MODULUS, Field, MatPoly, ScalarPoly
@@ -31,7 +32,7 @@ from .depth3 import (
 from .errors import CapabilityError, PreconditionError, StructuralError
 from .isolate import roabp_hitting_set
 from .roabp import EXPAND_CEILING, PointSet, Roabp
-from .verify import run_campaign, verify_hitting_property
+from .verify import InstanceSpec, run_campaign, verify_hitting_property
 
 FORMAT_VERSION = 1
 
@@ -39,6 +40,12 @@ EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_USAGE = 2
 EXIT_CAPABILITY = 3
+
+# the InstanceSpec fields `verify --param` may set; class, seed and modulus
+# have options of their own
+CAMPAIGN_PARAMS = tuple(
+    f.name for f in fields(InstanceSpec) if f.name not in ("klass", "seed", "modulus")
+)
 
 # family -> generator(instance, mode, expand_ceiling); each entry looks its
 # generator up per call, so rebinding the module-level name (as the
@@ -353,7 +360,7 @@ def _cmd_whitebox(args) -> int:
     if not isinstance(instance, Depth3Circuit):
         raise PreconditionError("whitebox sum-sml expects a depth3 circuit file")
     result = sum_sml_whitebox_test(instance, sweep_ceiling=args.ceiling)
-    decomp = result.decomposition
+    decomp = decompose_base_sets(instance.distinct_partitions())
     print(
         f"partitions: {decomp.partition_count}; base sets: {decomp.m} "
         f"(cap {decomp.cap:.2f}); sweep size: {result.sweep}"
@@ -427,14 +434,28 @@ def _cmd_verify(args) -> int:
         key, _, value = item.partition("=")
         if not value:
             raise StructuralError(f"bad --param {item!r}; expected key=value")
-        overrides[key] = value.lower() == "true" if value.lower() in ("true", "false") else int(value)
+        if key not in CAMPAIGN_PARAMS:
+            raise StructuralError(
+                f"unknown --param {key!r}; expected one of {', '.join(CAMPAIGN_PARAMS)}"
+            )
+        if value.lower() in ("true", "false"):
+            overrides[key] = value.lower() == "true"
+            continue
+        try:
+            overrides[key] = int(value)
+        except ValueError:
+            raise StructuralError(
+                f"bad --param {item!r}; expected an integer or true/false"
+            ) from None
     result = run_campaign(
         args.klass, args.samples, seed=args.seed, modulus=args.modulus or DEFAULT_MODULUS,
         **overrides,
     )
     print(result.render(), end="")
     print(json.dumps(result.summary(), sort_keys=True))
-    return EXIT_OK if result.all_passed else EXIT_VERDICT
+    if result.failed:
+        return EXIT_VERDICT
+    return EXIT_CAPABILITY if result.limited else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -424,14 +424,22 @@ def verify_hitting_property(instance, points: PointSet) -> HittingReport:
 
 @dataclass
 class CampaignResult:
+    """Per-case lines and counts.  A case that hits a capability limit
+    (a `LIMIT` line) neither passes nor fails."""
+
     klass: str
     samples: int
     passed: int
     lines: list
+    limited: int = 0
 
     @property
     def all_passed(self) -> bool:
         return self.passed == self.samples
+
+    @property
+    def failed(self) -> int:
+        return self.samples - self.passed - self.limited
 
     def summary(self) -> dict:
         return {
@@ -489,17 +497,26 @@ def run_campaign(
     **overrides,
 ) -> CampaignResult:
     """Run `samples` seeded cases of one class; reports are deterministic
-    functions of (class, samples, seed, parameters)."""
+    functions of (class, samples, seed, parameters).  A case that raises a
+    capability error is recorded as `seed=S: LIMIT <message>` and the
+    campaign goes on."""
     lines = []
-    passed = 0
+    passed = limited = 0
     for i in range(samples):
         spec = InstanceSpec(
             klass=klass, seed=seed + i, modulus=modulus, **_case_overrides(klass, seed + i, overrides)
         )
-        ok, line = _campaign_case(spec)
+        try:
+            ok, line = _campaign_case(spec)
+        except CapabilityError as exc:
+            limited += 1
+            lines.append(f"seed={spec.seed}: LIMIT {exc}")
+            continue
         passed += ok
         lines.append(line)
-    return CampaignResult(klass=klass, samples=samples, passed=passed, lines=lines)
+    return CampaignResult(
+        klass=klass, samples=samples, passed=passed, lines=lines, limited=limited
+    )
 
 
 def _case_overrides(klass: str, seed: int, overrides: dict) -> dict:

@@ -12,7 +12,6 @@ from pitkit.depth3 import (
     Gate,
     LinearForm,
     Partition,
-    base_set_hitting_points,
     circuit_to_roabp,
     compute_distance,
     decompose_base_sets,
@@ -312,10 +311,11 @@ def test_single_nonzero_gate_verdict():
     assert c.eval_at(result.witness) != 0
 
 
-def test_verdicts_match_oracle_on_random_instances():
+@pytest.mark.parametrize("modulus", [10007, 5, 3])
+def test_verdicts_match_oracle_on_random_instances(modulus):
     for seed in range(30):
         spec = InstanceSpec(
-            klass="sum-sml", seed=seed, n=3 + seed % 7, k=1 + seed % 3,
+            klass="sum-sml", seed=seed, modulus=modulus, n=3 + seed % 7, k=1 + seed % 3,
             c=1 + seed % 3, engineered_zero=(seed % 2 == 0),
         )
         circuit = generate_instance(spec)
@@ -331,8 +331,6 @@ def test_result_carries_the_swept_plan():
                             c=1 + seed % 3, engineered_zero=(seed % 2 == 0))
         circuit = generate_instance(spec)
         result = sum_sml_whitebox_test(circuit)
-        assert result.decomposition == decompose_base_sets(circuit.distinct_partitions())
-        # base sets partition the variables, so the product sweep is 2^n
         assert result.sweep == 2**circuit.n
 
 
@@ -346,9 +344,7 @@ def test_gateless_circuit_is_zero_without_a_sweep(monkeypatch):
     assert (decomp.partition_count, decomp.m, decomp.certificates, decomp.cap) == (0, 0, (), 0)
     assert decomp.within_cap()
     result = sum_sml_whitebox_test(c)
-    assert (result.verdict, result.witness, result.decomposition, result.sweep) == (
-        "zero", None, decomp, 0
-    )
+    assert (result.verdict, result.witness, result.sweep) == ("zero", None, 0)
 
 
 def test_neighborhood_partitions_form_refinement_chain():
@@ -363,46 +359,3 @@ def test_neighborhood_partitions_form_refinement_chain():
     for earlier, later in zip(primed, primed[1:]):
         for color in earlier.colors:
             assert any(color <= big for big in later.colors)
-
-
-def test_restriction_fixes_outside_variables():
-    circuit = generate_instance(
-        InstanceSpec(klass="sum-sml", seed=3, n=6, k=2, c=2)
-    )
-    rnd = random.Random(2)
-    outside = [rnd.randint(0, 10006) for _ in range(6)]
-    base = {1, 4}
-    restricted = circuit.restrict(base, outside)
-    for _ in range(20):
-        pt = list(outside)
-        for v in base:
-            pt[v] = rnd.randint(0, 10006)
-        assert restricted.eval_at(pt) == circuit.eval_at(pt)
-
-
-def test_base_points_hit_multilinear_restrictions():
-    rnd = random.Random(41)
-    base = [1, 3, 4]
-    points = base_set_hitting_points(base, F)
-    assert len(points) == 8
-    for _ in range(20):
-        terms = {}
-        for mask in range(8):
-            if rnd.randint(0, 1):
-                e = [0] * 5
-                for j, v in enumerate(base):
-                    if mask >> j & 1:
-                        e[v] = 1
-                terms[tuple(e)] = rnd.randint(1, 10006)
-        poly = ScalarPoly(F, 5, terms)
-        if poly.is_zero():
-            continue
-        hit = False
-        for assignment in points:
-            pt = [0] * 5
-            for v, val in assignment.items():
-                pt[v] = val
-            if poly.eval_at(pt):
-                hit = True
-                break
-        assert hit

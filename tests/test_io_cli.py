@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pitkit
-from pitkit.depth3 import SWEEP_CEILING
+from pitkit.depth3 import SWEEP_CEILING, Depth3Circuit
 from pitkit.io_cli import (
     build_parser,
     dumps_canonical,
@@ -201,6 +201,24 @@ def test_cli_verify_campaign(capsys):
     assert main(["verify", "--class", "roabp", "--samples", "2", "--seed", "7"]) == 0
     out = capsys.readouterr().out
     assert "passed=2/2" in out
+    # the cube sweep needs no field larger than 2^n
+    assert main(["verify", "--class", "sum-sml", "--modulus", "5",
+                 "--samples", "40", "--seed", "0"]) == 0
+    assert "passed=40/40" in capsys.readouterr().out
+
+
+def test_cli_campaign_records_capability_limited_cases(capsys):
+    # seed 1 needs more t0 values than GF(5) has; seeds 0 and 2 still run
+    assert main(["verify", "--class", "invertible-roabp", "--modulus", "5",
+                 "--samples", "3", "--seed", "0"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "campaign class=invertible-roabp samples=3 passed=2/3"
+    assert lines[1].startswith("seed=0: pass ")
+    assert lines[2].startswith("seed=1: LIMIT no concentrating shift verified")
+    assert lines[3].startswith("seed=2: pass ")
+    assert json.loads(lines[4]) == {
+        "all_passed": False, "class": "invertible-roabp", "passed": 2, "samples": 3,
+    }
 
 
 def test_cli_hs_at_61_bit_modulus(tmp_path, capsys):
@@ -250,6 +268,19 @@ def test_cli_sweep_ceiling_defaults_to_the_library_constant():
     assert args.ceiling == SWEEP_CEILING
 
 
+def test_cli_sweep_ceiling_fails_before_any_evaluation(tmp_path, capsys, monkeypatch):
+    def no_evaluation(self, point):
+        raise AssertionError("the ceiling is checked before the sweep")
+
+    circuit = generate_instance(InstanceSpec(klass="sum-sml", seed=0, n=3, k=2, c=1))
+    path = write_instance(tmp_path, "d.json", circuit)
+    monkeypatch.setattr(Depth3Circuit, "eval_at", no_evaluation)
+    assert main(["whitebox", "sum-sml", "--input", path, "--ceiling", "7"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cube sweep of 8 evaluations exceeds the ceiling 7" in captured.err
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["expand", "--input", missing]) == 2
@@ -263,6 +294,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     path = write_instance(tmp_path, "big.json", inst)
     assert main(["expand", "--input", path, "--ceiling", "1"]) == 3
     capsys.readouterr()
+    # campaign parameters: a value that is no integer, a name that is no field
+    for param, message in [("n=abc", "expected an integer"), ("foo=1", "unknown --param")]:
+        argv = ["verify", "--class", "sum-sml", "--samples", "1", "--param", param]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
 
 def _set(doc, path, value):

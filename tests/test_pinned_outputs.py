@@ -3,7 +3,9 @@
 `pinned_outputs.json` holds one sha256 per (class, seed), taken from the
 generators before the separator search moved from pair lists to monomial
 groups.  A change of weight prime, shift prime, t0 or point order shows up
-here as a changed digest.
+here as a changed digest.  The sum-sml campaign report is pinned as well,
+from the base-set Kronecker sweep that preceded the cube sweep, so its
+verdict lines stay byte-identical.
 """
 
 import hashlib
@@ -12,9 +14,13 @@ import pathlib
 
 from pitkit.concentrate import invertible_hitting_set, width2_hitting_set
 from pitkit.isolate import roabp_hitting_set
+from pitkit.io_cli import main
 from pitkit.verify import InstanceSpec, _case_overrides, generate_instance
 
 PINNED = pathlib.Path(__file__).with_name("pinned_outputs.json")
+
+# sha256 of the stdout of `pitkit verify --class sum-sml --samples 100 --seed 0`
+SUM_SML_REPORT = "96851e6c198081a4f31de57339e7a051090e89108f726a5b8042647d87b7f913"
 
 GENERATORS = {
     "roabp": lambda inst: roabp_hitting_set(inst, "whitebox"),
@@ -48,3 +54,9 @@ def test_outputs_match_pins():
         for seed in seeds
     }
     assert got == pinned
+
+
+def test_sum_sml_campaign_report_matches_pin(capsys):
+    assert main(["verify", "--class", "sum-sml", "--samples", "100", "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SUM_SML_REPORT
