@@ -638,25 +638,22 @@ class MatPoly:
 # symbolic determinant
 
 
-def det_poly(
-    grid: Sequence[Sequence[ScalarPoly]],
-    width_limit: int = DET_WIDTH_LIMIT,
-    term_ceiling: int = DET_TERM_CEILING,
-) -> ScalarPoly:
+def det_poly(grid: Sequence[Sequence[ScalarPoly]]) -> ScalarPoly:
     """Symbolic determinant of a square grid of scalar polynomials.
 
-    Uses cofactor expansion, so the width is capped (default 4).  When the
-    grid comes from a matrix polynomial with s monomials, the result's
-    monomials are products of w of them, so its sparsity is at most s^w.
+    Uses cofactor expansion, so the width is capped at DET_WIDTH_LIMIT and
+    the expansion at DET_TERM_CEILING terms.  When the grid comes from a
+    matrix polynomial with s monomials, the result's monomials are products
+    of w of them, so its sparsity is at most s^w.
     """
     w = len(grid)
     if w == 0:
         raise StructuralError("empty grid")
     if any(len(row) != w for row in grid):
         raise StructuralError("grid is not square")
-    if w > width_limit:
+    if w > DET_WIDTH_LIMIT:
         raise CapabilityError(
-            f"determinant width {w} exceeds the configured limit {width_limit}"
+            f"determinant width {w} exceeds the configured limit {DET_WIDTH_LIMIT}"
         )
     field = grid[0][0].field
     n = grid[0][0].n
@@ -680,9 +677,9 @@ def det_poly(
             if k % 2:
                 term = -term
             acc = acc + term
-            if acc.sparsity > term_ceiling:
+            if acc.sparsity > DET_TERM_CEILING:
                 raise CapabilityError(
-                    f"determinant expansion exceeded {term_ceiling} terms"
+                    f"determinant expansion exceeded {DET_TERM_CEILING} terms"
                 )
         return acc
 

@@ -164,7 +164,7 @@ def find_concentrating_shift(
 
     def candidate_maps():
         if not pair_set:
-            yield WeightFn.constant(r.n, 1), 0
+            yield WeightFn.constant(r.n), 0
             return
         search = separating_weights(r.n, sep_delta, pair_set)
         yield search.verified, search.verified_prime
@@ -444,53 +444,45 @@ def factorize_width2(r: Roabp) -> Width2Factorization:
 
 @dataclass(frozen=True)
 class LagrangeCurve:
-    """The degree-(h-1) vector curve through anchor points alpha_i at nodes
-    beta_i, so curve(beta_i) = alpha_i exactly."""
+    """The degree-(h-1) vector curve through anchor points alpha_0..alpha_{h-1}
+    at nodes 0..h-1, so curve(i) = alpha_i exactly."""
 
     field: Field
     anchors: tuple
-    nodes: tuple
 
     def __post_init__(self) -> None:
         anchors = tuple(tuple(a) for a in self.anchors)
-        nodes = tuple(int(b) % self.field.p for b in self.nodes)
-        if len(anchors) != len(nodes):
-            raise StructuralError("anchor/node count mismatch")
         if not anchors:
             raise StructuralError("need at least one anchor")
-        if len(set(nodes)) != len(nodes):
-            raise StructuralError("interpolation nodes must be distinct")
-        if self.field.p <= len(anchors):
-            raise ModulusTooSmallError(
-                f"modulus {self.field.p} too small for {len(anchors)} nodes"
-            )
-        object.__setattr__(self, "anchors", anchors)
-        object.__setattr__(self, "nodes", nodes)
-        # barycentric weights 1 / prod_{j != i} (beta_i - beta_j)
+        h = len(anchors)
         p = self.field.p
-        weights = []
-        for i, bi in enumerate(nodes):
-            den = 1
-            for j, bj in enumerate(nodes):
-                if j != i:
-                    den = (den * (bi - bj)) % p
-            weights.append(self.field.inv(den))
-        object.__setattr__(self, "_weights", tuple(weights))
+        if p <= h:
+            raise ModulusTooSmallError(f"modulus {p} too small for {h} nodes")
+        object.__setattr__(self, "anchors", anchors)
+        # barycentric weights 1 / prod_{j != i} (i - j)
+        #   = (-1)^(h-1-i) / (i! (h-1-i)!)
+        fact = [1] * h
+        for i in range(1, h):
+            fact[i] = fact[i - 1] * i % p
+        weights = tuple(
+            self.field.inv((-1) ** (h - 1 - i) * fact[i] * fact[h - 1 - i])
+            for i in range(h)
+        )
+        object.__setattr__(self, "_weights", weights)
 
     def eval_at(self, u: int) -> tuple[int, ...]:
         p = self.field.p
         u %= p
         h = len(self.anchors)
+        if u < h:
+            return self.anchors[u]
         n = len(self.anchors[0])
-        for i, b in enumerate(self.nodes):
-            if u == b:
-                return self.anchors[i]
         prefix = [1] * (h + 1)
         for j in range(h):
-            prefix[j + 1] = (prefix[j] * (u - self.nodes[j])) % p
+            prefix[j + 1] = (prefix[j] * (u - j)) % p
         suffix = [1] * (h + 1)
         for j in range(h - 1, -1, -1):
-            suffix[j] = (suffix[j + 1] * (u - self.nodes[j])) % p
+            suffix[j] = (suffix[j + 1] * (u - j)) % p
         out = [0] * n
         for i in range(h):
             lag = (self._weights[i] * prefix[i]) % p
@@ -513,7 +505,7 @@ def _curve_sweep(
         raise ModulusTooSmallError(
             f"curve sweep needs {count} distinct values, modulus {field.p} too small"
         )
-    curve = LagrangeCurve(field, tuple(anchor_points), tuple(range(h)))
+    curve = LagrangeCurve(field, tuple(anchor_points))
     points = tuple(curve.eval_at(u) for u in range(count))
     provenance = {
         "generator": "width2_hitting_set",

@@ -191,12 +191,6 @@ class Partition:
     def canonical_key(self) -> frozenset:
         return frozenset(self.colors)
 
-    def color_of(self, v: int) -> frozenset:
-        for c in self.colors:
-            if v in c:
-                return c
-        raise StructuralError(f"variable {v} not in ground set")
-
     def restrict(self, base: Iterable[int]) -> "Partition":
         base = frozenset(base)
         if not base <= self.ground:
@@ -432,33 +426,20 @@ def _gate_lane(
     return width, matrices
 
 
-def circuit_to_roabp(
-    c: Depth3Circuit,
-    gate_order: Sequence[int] | None = None,
-    expected_distance: int | None = None,
-) -> Roabp:
+def circuit_to_roabp(c: Depth3Circuit) -> Roabp:
     """Reduce a multilinear depth-3 circuit to an ROABP over single-variable
     blocks in a total order respecting every neighborhood partition.
 
-    The width is at most the sum over gates of the largest neighborhood
-    product sparsity.  With distance delta, neighborhood products multiply
-    at most delta linear forms.
+    The gates are taken in the order `minimal_distance_order` picks.  The
+    width is at most the sum over gates of the largest neighborhood product
+    sparsity.  With distance delta, neighborhood products multiply at most
+    delta linear forms.
     """
     if c.k == 0:
         raise PreconditionError("circuit has no gates")
-    if gate_order is None:
-        parts = [c.gate_partition(i) for i in range(c.k)]
-        gate_order, _ = minimal_distance_order(parts)
-    gate_order = list(gate_order)
-    if sorted(gate_order) != list(range(c.k)):
-        raise PreconditionError("gate order must permute the gates")
-    seq = [c.gate_partition(i) for i in gate_order]
-    if expected_distance is not None:
-        achieved = compute_distance(seq)
-        if achieved > expected_distance:
-            raise PreconditionError(
-                f"gate order achieves distance {achieved} > {expected_distance}"
-            )
+    parts = [c.gate_partition(i) for i in range(c.k)]
+    gate_order, _ = minimal_distance_order(parts)
+    seq = [parts[i] for i in gate_order]
     primed = _neighborhood_partitions(seq)
     order = _respecting_order(list(reversed(primed)))
     lanes = []

@@ -177,7 +177,11 @@ def obj_to_instance(obj: dict, modulus_override: int | None = None):
     version = _require(obj, "format", where)
     if version != FORMAT_VERSION:
         raise StructuralError(f"{where}: unsupported format version {version}")
-    modulus = modulus_override or _int(_require(obj, "modulus", where), f"{where}: modulus")
+    modulus = (
+        modulus_override
+        if modulus_override is not None
+        else _int(_require(obj, "modulus", where), f"{where}: modulus")
+    )
     field = Field(modulus)
     names = _list(_require(obj, "variables", where), f"{where}: variables")
     if not all(isinstance(name, str) for name in names):
@@ -212,6 +216,8 @@ def obj_to_instance(obj: dict, modulus_override: int | None = None):
                 e = _obj_to_exponents(
                     _require(t, "exponents", f"layer {li}"), index, n, f"layer {li}"
                 )
+                if e in term_map:
+                    raise StructuralError(f"layer {li}: repeated exponents {t['exponents']}")
                 matrix = _list(_require(t, "matrix", f"layer {li}"), f"layer {li}: matrix")
                 rows = [_list(row, f"layer {li}: matrix row") for row in matrix]
                 if len(rows) != width or any(len(row) != width for row in rows):
@@ -226,12 +232,16 @@ def obj_to_instance(obj: dict, modulus_override: int | None = None):
             if len(entries) != width:
                 raise StructuralError(f"{where}: {key} must have {width} entries")
             out = []
-            for poly_terms in entries:
+            for ei, poly_terms in enumerate(entries):
                 term_map = {}
                 for t in _list(poly_terms, f"{key} entry"):
                     e = _obj_to_exponents(
                         _require(t, "exponents", key), index, n, key
                     )
+                    if e in term_map:
+                        raise StructuralError(
+                            f"{key} entry {ei}: repeated exponents {t['exponents']}"
+                        )
                     term_map[e] = _int(_require(t, "value", key), f"{key}: value")
                 out.append(ScalarPoly(field, n, term_map))
             return tuple(out)
@@ -448,7 +458,8 @@ def _cmd_verify(args) -> int:
                 f"bad --param {item!r}; expected an integer or true/false"
             ) from None
     result = run_campaign(
-        args.klass, args.samples, seed=args.seed, modulus=args.modulus or DEFAULT_MODULUS,
+        args.klass, args.samples, seed=args.seed,
+        modulus=DEFAULT_MODULUS if args.modulus is None else args.modulus,
         **overrides,
     )
     print(result.render(), end="")

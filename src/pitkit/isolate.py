@@ -66,14 +66,6 @@ def combine_rounds(rounds: Sequence[WeightFn], n: int, delta: int) -> WeightFn:
     )
 
 
-def _flatten_coeff(coeff) -> tuple[int, ...]:
-    if isinstance(coeff, int):
-        return (coeff,)
-    if coeff and isinstance(coeff[0], (tuple, list)):
-        return mat_flatten(coeff)
-    return tuple(coeff)
-
-
 def greedy_basis(
     items: Sequence[tuple], field: Field
 ) -> list[int]:
@@ -81,9 +73,9 @@ def greedy_basis(
     keep each one whose coefficient is independent of the kept span.
 
     Weights must be pairwise distinct (a duplicate signals a failed
-    separator upstream); any totally ordered key works.  Coefficients may be
-    matrices, flat vectors, or bare scalars; zero coefficients are never
-    kept.  Returns kept indices in scan order.
+    separator upstream); any totally ordered key works.  Coefficients are
+    matrices; zero coefficients are never kept.  Returns kept indices in
+    scan order.
     """
     keys = [it[0] for it in items]
     if len(set(keys)) != len(keys):
@@ -92,21 +84,21 @@ def greedy_basis(
     span = RowSpan(field)
     kept: list[int] = []
     for i in order:
-        if span.add(_flatten_coeff(items[i][2])):
+        if span.add(mat_flatten(items[i][2])):
             kept.append(i)
     return kept
 
 
 def construct_isolating_weights(
     factors: Sequence[MatPoly],
-    self_check: bool = True,
-    expand_ceiling: int = EXPAND_CEILING,
 ) -> tuple[WeightFn, list[tuple[Monomial, Matrix]]]:
     """Whitebox construction of a basis-isolating weight assignment for the
     product of variable-disjoint matrix-polynomial factors.
 
     Returns the round-combined assignment and the isolated basis, as
     (monomial, coefficient) pairs of the product, at most w^2 of them.
+    The product is never expanded; `is_basis_isolating` checks the
+    assignment against an expanded product.
     """
     if not factors:
         raise PreconditionError("need at least one factor")
@@ -173,19 +165,6 @@ def construct_isolating_weights(
     weights = [combined.monomial_weight(m) for m, _ in isolated]
     if len(set(weights)) != len(weights):
         raise InternalInconsistencyError("isolated monomials got equal combined weights")
-
-    if self_check:
-        est = 1
-        for f in factors:
-            est *= max(1, f.sparsity)
-        if est <= expand_ceiling:
-            product = factors[0]
-            for f in factors[1:]:
-                product = product * f
-            if not is_basis_isolating(combined, product):
-                raise InternalInconsistencyError(
-                    "constructed assignment failed the isolation self-check"
-                )
     return combined, isolated
 
 
@@ -339,7 +318,7 @@ def _small_verified_separator(
     monos = sorted(product.terms)
     delta = max(r.delta, product.individual_degree())
     if len(monos) < 2:
-        return WeightFn.constant(r.n, 1), 0
+        return WeightFn.constant(r.n), 0
     search = separating_weights(r.n, delta, PairSet(r.n, delta, [monos]))
     return search.verified, search.verified_prime
 
@@ -367,7 +346,7 @@ def roabp_hitting_set(
     }
     if mode == "whitebox":
         factors = _embedded_factors(r)
-        wfn, _ = construct_isolating_weights(factors, self_check=False)
+        wfn, _ = construct_isolating_weights(factors)
         route = {"assignment": "round-combined"}
         if 2 + r.n * r.delta * wfn.max_weight > r.field.p:
             wfn, prime = _small_verified_separator(r, factors, expand_ceiling)

@@ -32,8 +32,9 @@ class WeightFn:
         object.__setattr__(self, "weights", ws)
 
     @classmethod
-    def constant(cls, n: int, value: int = 1) -> "WeightFn":
-        return cls((value,) * n)
+    def constant(cls, n: int) -> "WeightFn":
+        """Weight 1 on every variable."""
+        return cls((1,) * n)
 
     @property
     def n(self) -> int:

@@ -12,7 +12,7 @@ oracle, so hitting campaigns never count vacuous passes.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .algebra import DEFAULT_MODULUS, Field, MatPoly, ScalarPoly, det_poly, mat_det
@@ -28,7 +28,7 @@ from .depth3 import (
 )
 from .errors import CapabilityError, StructuralError
 from .isolate import roabp_hitting_set
-from .roabp import EXPAND_CEILING, PointSet, Roabp
+from .roabp import PointSet, Roabp
 
 REJECTION_BUDGET = 400
 
@@ -100,6 +100,17 @@ class InstanceSpec:
     force_singular: bool = False
     invertible_constant: bool = False
     engineered_zero: bool = False
+
+    def __post_init__(self) -> None:
+        for name in ("n", "d", "w", "s", "k", "c"):
+            if getattr(self, name) < 1:
+                raise StructuralError(
+                    f"instance parameter {name}={getattr(self, name)} must be at least 1"
+                )
+        if self.delta < 0:
+            raise StructuralError(
+                f"instance parameter delta={self.delta} must be nonnegative"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +384,11 @@ def generate_instance(spec: InstanceSpec):
 # oracles
 
 
-def oracle_is_zero(instance, ceiling: int = EXPAND_CEILING) -> bool:
-    """Ground truth by exhaustive expansion."""
+def oracle_is_zero(instance) -> bool:
+    """Ground truth by exhaustive expansion; an ROABP expands within
+    roabp.EXPAND_CEILING terms."""
     if isinstance(instance, Roabp):
-        _, scalar = instance.expand(ceiling)
+        _, scalar = instance.expand()
         return scalar.is_zero()
     if isinstance(instance, Depth3Circuit):
         return instance.expand().is_zero()
@@ -395,7 +407,6 @@ class HittingReport:
     passed: bool
     witness_index: int | None
     point_count: int
-    provenance: dict = dc_field(default_factory=dict)
 
     def line(self, label: str) -> str:
         if self.vacuous:
@@ -413,9 +424,9 @@ def verify_hitting_property(instance, points: PointSet) -> HittingReport:
     only when no point is one."""
     for idx, pt in enumerate(points):
         if _evaluate(instance, pt):
-            return HittingReport(False, True, idx, len(points), dict(points.provenance))
+            return HittingReport(False, True, idx, len(points))
     zero = oracle_is_zero(instance)
-    return HittingReport(zero, zero, None, len(points), dict(points.provenance))
+    return HittingReport(zero, zero, None, len(points))
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +511,8 @@ def run_campaign(
     functions of (class, samples, seed, parameters).  A case that raises a
     capability error is recorded as `seed=S: LIMIT <message>` and the
     campaign goes on."""
+    if samples < 0:
+        raise StructuralError(f"samples={samples} must be nonnegative")
     lines = []
     passed = limited = 0
     for i in range(samples):

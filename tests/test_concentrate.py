@@ -528,12 +528,12 @@ def test_width2_requires_width_two():
 
 
 def test_curve_single_point_is_constant():
-    curve = LagrangeCurve(F7, ((5, 6),), (0,))
+    curve = LagrangeCurve(F7, ((5, 6),))
     assert curve.eval_at(3) == (5, 6)
 
 
 def test_curve_two_points_nodes_zero_one():
-    curve = LagrangeCurve(F7, ((1, 2), (3, 4)), (0, 1))
+    curve = LagrangeCurve(F7, ((1, 2), (3, 4)))
     assert curve.eval_at(0) == (1, 2)
     assert curve.eval_at(1) == (3, 4)
 
@@ -541,15 +541,9 @@ def test_curve_two_points_nodes_zero_one():
 def test_curve_interpolates_random_points():
     rnd = random.Random(71)
     pts = [tuple(rnd.randint(0, 100) for _ in range(3)) for _ in range(4)]
-    nodes = [2, 5, 9, 11]
-    curve = LagrangeCurve(Field(101), tuple(pts), tuple(nodes))
-    for node, pt in zip(nodes, pts):
+    curve = LagrangeCurve(Field(101), tuple(pts))
+    for node, pt in enumerate(pts):
         assert curve.eval_at(node) == pt
-
-
-def test_curve_rejects_repeated_nodes():
-    with pytest.raises(StructuralError):
-        LagrangeCurve(F7, ((1,), (2,)), (3, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -206,23 +206,10 @@ def test_random_low_distance_reductions():
         parts = [circuit.gate_partition(i) for i in range(circuit.k)]
         order, dist = minimal_distance_order(parts)
         assert dist <= 2
-        r = circuit_to_roabp(circuit, gate_order=order, expected_distance=2)
+        r = circuit_to_roabp(circuit)
         _, scalar = r.expand()
         assert scalar == circuit.expand()
         assert r.width <= circuit.k * (circuit.n + 1) ** dist
-
-
-def test_expected_distance_enforced():
-    seq = [rows_partition(3), residues_partition(3)]
-    gates = []
-    for part in seq:
-        forms = tuple(
-            LinearForm(1, {v: 1 for v in color}) for color in part.colors
-        )
-        gates.append(Gate(1, forms))
-    c = Depth3Circuit(F, 9, tuple(gates))
-    with pytest.raises(PreconditionError):
-        circuit_to_roabp(c, gate_order=[0, 1], expected_distance=1)
 
 
 def test_gates_with_omitted_variables_pad_as_singletons():

@@ -361,6 +361,48 @@ def test_cli_rejects_non_integer_values(tmp_path, doc, path, value, messages):
     assert any(message in proc.stderr for message in messages)
 
 
+@pytest.mark.parametrize("key, message", [
+    ("layers", "layer 0: repeated exponents"),
+    ("left_boundary", "left_boundary entry 0: repeated exponents"),
+])
+def test_cli_rejects_a_repeated_monomial(tmp_path, key, message):
+    doc = json.loads(json.dumps(MINIMAL_ROABP))
+    doc[key][0].append(dict(doc[key][0][0]))
+    circuit = tmp_path / "repeated.json"
+    circuit.write_text(json.dumps(doc))
+    proc = run_cli("expand", "--input", str(circuit))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["hs roabp --input {path}", "verify --class roabp --samples 1"])
+def test_cli_modulus_zero_is_not_replaced(tmp_path, command):
+    circuit = tmp_path / "minimal.json"
+    circuit.write_text(dumps_canonical(MINIMAL_ROABP))
+    proc = run_cli(*command.format(path=circuit).split(), "--modulus", "0")
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "modulus 0 is not prime" in proc.stderr
+
+
+@pytest.mark.parametrize("klass, args, message", [
+    ("sum-sml", ["--param", "c=0"], "c=0 must be at least 1"),
+    ("sum-sml", ["--param", "n=0"], "n=0 must be at least 1"),
+    ("sum-sml", ["--param", "k=0"], "k=0 must be at least 1"),
+    ("roabp", ["--param", "d=0"], "d=0 must be at least 1"),
+    ("roabp", ["--param", "w=0"], "w=0 must be at least 1"),
+    ("roabp", ["--param", "s=0"], "s=0 must be at least 1"),
+    ("roabp", ["--param", "delta=-1"], "delta=-1 must be nonnegative"),
+    ("roabp", ["--samples", "-2"], "samples=-2 must be nonnegative"),
+])
+def test_cli_verify_rejects_out_of_range_inputs(klass, args, message):
+    proc = run_cli("verify", "--class", klass, "--samples", "1", *args)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+
+
 @pytest.mark.parametrize("line, message", [
     ("1,2,x", "bad point line"),
     ("1,,3", "bad point line"),

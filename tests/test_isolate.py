@@ -42,17 +42,17 @@ F = Field(10007)
 
 
 def test_greedy_scalars_keep_lightest_spanning():
-    items = [(1, (1, 0), 3), (2, (0, 1), 5), (3, (1, 1), 0)]
+    items = [(1, (1, 0), ((3,),)), (2, (0, 1), ((5,),)), (3, (1, 1), ((0,),))]
     assert greedy_basis(items, F7) == [0]
 
 
 def test_greedy_all_zero_coefficients():
-    items = [(1, (1, 0), 0), (2, (0, 1), 0)]
+    items = [(1, (1, 0), ((0,),)), (2, (0, 1), ((0,),))]
     assert greedy_basis(items, F7) == []
 
 
 def test_greedy_duplicate_weights_rejected():
-    items = [(1, (1, 0), 3), (1, (0, 1), 5)]
+    items = [(1, (1, 0), ((3,),)), (1, (0, 1), ((5,),))]
     with pytest.raises(PreconditionError):
         greedy_basis(items, F7)
 
@@ -95,6 +95,7 @@ def diag_factor(var, n):
 def test_construct_single_factor_single_round():
     factor = diag_factor(0, 1)
     wfn, isolated = construct_isolating_weights([factor])
+    assert is_basis_isolating(wfn, factor)
     # one factor runs one round, and one round combines to itself
     round0 = separating_weights(1, 1, PairSet(1, 1, [list(factor.terms)])).verified
     assert combine_rounds([round0], 1, 1) == round0
@@ -149,8 +150,9 @@ def test_round_monotonicity_and_isolated_cap():
         vecs_kept = [mat_flatten(block[i][1]) for i in kept]
         assert rank_over_field(vecs_kept, F) == rank_over_field(vecs_all, F)
     # every round keeps rank, so the isolated set spans the product
-    _, isolated = construct_isolating_weights(list(inst.layers))
+    wfn, isolated = construct_isolating_weights(list(inst.layers))
     product, _ = inst.expand()
+    assert is_basis_isolating(wfn, product)
     vecs_product = [mat_flatten(c) for c in product.terms.values()]
     vecs_isolated = [mat_flatten(c) for _, c in isolated]
     assert rank_over_field(vecs_isolated, F) == rank_over_field(vecs_product, F)
@@ -309,6 +311,7 @@ def test_whitebox_assignment_appears_among_candidates():
     # rank-2 factors keep two survivors each, so every round separates pairs
     d1, d2 = diag_factor(0, 2), diag_factor(1, 2)
     wfn, _ = construct_isolating_weights([d1, d2])
+    assert is_basis_isolating(wfn, d1 * d2)
     target = wfn.weights
     found = any(
         wfn.weights == target
@@ -323,6 +326,7 @@ def test_whitebox_membership_with_empty_rounds():
     f1 = MatPoly(F7, 2, 1, {(0, 0): ((2,),), (1, 0): ((3,),)})
     f2 = MatPoly(F7, 2, 1, {(0, 0): ((1,),), (0, 1): ((5,),)})
     wfn, _ = construct_isolating_weights([f1, f2])
+    assert is_basis_isolating(wfn, f1 * f2)
     target = wfn.weights
     found = any(
         wfn.weights == target
