@@ -17,7 +17,6 @@ from .algebra import (
 )
 from .concentrate import (
     LagrangeCurve,
-    ShiftMap,
     Width2Factorization,
     block_support,
     concentration_rank,

@@ -101,26 +101,6 @@ def concentration_rank(
     return low_rank, full_rank
 
 
-@dataclass(frozen=True)
-class ShiftMap:
-    """x_i -> x_i + t^(a_i): per-variable exponents plus the separating
-    prime that produced them."""
-
-    exponents: tuple
-    prime: int
-
-    def __post_init__(self) -> None:
-        exps = tuple(int(a) for a in self.exponents)
-        if any(a < 1 for a in exps):
-            raise StructuralError("shift exponents must be positive")
-        object.__setattr__(self, "exponents", exps)
-
-    def offsets_at(self, t0: int, field: Field) -> tuple[int, ...]:
-        p = field.p
-        t0 %= p
-        return tuple(pow(t0, a, p) for a in self.exponents)
-
-
 def _interior_dets(r: Roabp) -> list[ScalarPoly]:
     dets = []
     for i, layer in enumerate(r.layers):
@@ -143,10 +123,18 @@ def _shift_pair_set(r: Roabp, dets: Sequence[ScalarPoly], ell: int) -> tuple[Pai
     return PairSet(r.n, delta, groups), delta
 
 
+def _t0_budget(d: int, det_degree: int, w: int, n: int, delta: int, max_a: int) -> int:
+    """t0 values that clear every bad specialization of a shift with largest
+    exponent max_a: the roots of the d layer determinants' sweeps plus those
+    of one rank-certifying minor, of t-degree at most w^2 * n * delta * max_a."""
+    return 1 + (d * det_degree + w * w * n * max(1, delta)) * max_a
+
+
 def find_concentrating_shift(
     r: Roabp, expand_ceiling: int = EXPAND_CEILING
-) -> tuple[ShiftMap, int]:
-    """A verified concentrating shift for an invertible-factor instance.
+) -> tuple[WeightFn, int, int]:
+    """A verified concentrating shift x_i -> x_i + t0^(a_i) for an
+    invertible-factor instance, as (exponent map a, its prime, t0).
 
     Enumerates prime-derived monomial maps separating every layer
     determinant's monomials and all low-support monomials, picks t0 with
@@ -176,18 +164,14 @@ def find_concentrating_shift(
                 yield wfn, p
 
     det_degree = max((det.total_degree() for det in dets), default=0)
-    # bad t0 values: roots of any layer determinant sweep plus roots of one
-    # rank-certifying minor, whose t-degree is at most w^2 * n * delta * max_a
-    conc_degree = w * w * r.n * max(1, r.delta)
+    p = r.field.p
     clipped = False
     for wfn, prime in candidate_maps():
-        shift = ShiftMap(tuple(wfn.weights), prime)
-        max_a = max(shift.exponents)
-        full_budget = 1 + (r.d * det_degree + conc_degree) * max_a
-        t_budget = min(r.field.p - 1, full_budget)
+        full_budget = _t0_budget(r.d, det_degree, w, r.n, r.delta, wfn.max_weight)
+        t_budget = min(p - 1, full_budget)
         clipped = clipped or t_budget < full_budget
         for t0 in range(1, t_budget + 1):
-            offsets = shift.offsets_at(t0, r.field)
+            offsets = wfn.powers(t0, p)
             if any(
                 mat_det(layer.eval_at(offsets), r.field) == 0
                 for layer in r.layers
@@ -197,20 +181,22 @@ def find_concentrating_shift(
             _, scalar = shifted.expand(expand_ceiling)
             low_rank, full_rank = concentration_rank(scalar, target, "support")
             if low_rank == full_rank:
-                return shift, t0
+                return wfn, prime, t0
     if clipped:
         # a bad-t0 count past p - 1 leaves no good t0 guaranteed: the field
         # is too small, not the construction wrong
         raise ModulusTooSmallError(
             f"no concentrating shift verified; some candidate needs more t0 "
-            f"values than the {r.field.p - 1} nonzero residues of GF({r.field.p})"
+            f"values than the {p - 1} nonzero residues of GF({p})"
         )
     raise InternalInconsistencyError(
         "no concentrating shift verified within the candidate family"
     )
 
 
-def low_support_hitting_set(n: int, delta: int, ell: int, field: Field) -> PointSet:
+def low_support_hitting_set(
+    n: int, delta: int, ell: int, field: Field
+) -> tuple[tuple[int, ...], ...]:
     """Points that vanish outside some (ell-1)-subset and take the nonzero
     grid values 1..delta+1 inside it; size C(n, ell-1) (delta+1)^(ell-1)."""
     if ell < 1:
@@ -227,15 +213,7 @@ def low_support_hitting_set(n: int, delta: int, ell: int, field: Field) -> Point
             for v, val in zip(subset, values):
                 pt[v] = val
             points.append(tuple(pt))
-    provenance = {
-        "generator": "low_support_hitting_set",
-        "n": n,
-        "delta": delta,
-        "ell": ell,
-        "subset_size": size,
-        "count": len(points),
-    }
-    return PointSet(n, tuple(points), provenance)
+    return tuple(points)
 
 
 def _translated_grid(
@@ -281,11 +259,11 @@ def invertible_hitting_set(
     parameters and enumerates the whole candidate family.
     """
     if mode == "whitebox":
-        shift, t0 = find_concentrating_shift(r, expand_ceiling)
+        wfn, prime, t0 = find_concentrating_shift(r, expand_ceiling)
         return _translated_grid(
             "whitebox", r.n, r.d, r.width, r.delta, r.layer_sparsity,
-            r.layer_support, r.field, [shift.offsets_at(t0, r.field)],
-            {"t_sweep": 1, "maps": 1, "shift_prime": shift.prime, "t0": t0},
+            r.layer_support, r.field, [wfn.powers(t0, r.field.p)],
+            {"t_sweep": 1, "maps": 1, "shift_prime": prime, "t0": t0},
         )
     if mode == "blackbox":
         return invertible_hitting_set_params(
@@ -318,20 +296,16 @@ def invertible_hitting_set_params(
     delta_all = max(delta, w * delta)
     cutoff = prime_cutoff(n, pair_bound, delta_all)
     maps = [
-        ShiftMap(weights_mod_prime(n, delta_all, p).weights, p)
+        weights_mod_prime(n, delta_all, p)
         for p in distinct_reductions(n, delta_all, cutoff)
     ]
-    max_a = max(max(m.exponents) for m in maps)
-    det_degree = w * delta * n
-    conc_degree = w * w * n * max(1, delta)
-    t_sweep = 1 + (d * det_degree + conc_degree) * max_a
-    if t_sweep >= field.p:
-        raise ModulusTooSmallError(
-            f"blackbox t sweep needs {t_sweep} values, modulus {field.p} too small"
-        )
+    max_a = max(m.max_weight for m in maps)
+    t_sweep = _t0_budget(d, w * delta * n, w, n, delta, max_a)
+    # swept before the grid is built, so a sweep too long for the field is
+    # reported ahead of a grid that does not fit it
+    offsets = [pt for m in maps for pt in m.sweep(t_sweep, field.p)]
     return _translated_grid(
-        "blackbox", n, d, w, delta, s, mu, field,
-        (m.offsets_at(t0, field) for m in maps for t0 in range(1, t_sweep + 1)),
+        "blackbox", n, d, w, delta, s, mu, field, offsets,
         {"t_sweep": t_sweep, "maps": len(maps)},
     )
 

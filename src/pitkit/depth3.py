@@ -271,8 +271,7 @@ def minimal_distance_order(partitions: Sequence[Partition]) -> tuple[tuple[int, 
     k = len(partitions)
     if k > ORDER_SEARCH_LIMIT:
         raise PreconditionError(
-            f"{k} partitions exceed the k <= {ORDER_SEARCH_LIMIT} search limit; "
-            "supply an explicit order"
+            f"{k} partitions exceed the k <= {ORDER_SEARCH_LIMIT} search limit"
         )
     best: tuple[tuple[int, ...], int] | None = None
     for perm in itertools.permutations(range(k)):

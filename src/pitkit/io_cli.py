@@ -284,11 +284,24 @@ def save_instance(instance, path: str) -> None:
         fh.write(dumps_canonical(instance_to_obj(instance)))
 
 
+def _unique_keys(pairs: list) -> dict:
+    """JSON object hook refusing a repeated key, which json.load would
+    silently resolve to its last value."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise StructuralError(f"circuit file: repeated key {key!r}")
+            seen.add(key)
+    return obj
+
+
 def load_instance(path: str, modulus_override: int | None = None):
     """Parse and eagerly validate a circuit file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise StructuralError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -33,7 +33,6 @@ from .algebra import (
 from .errors import (
     CapabilityError,
     InternalInconsistencyError,
-    ModulusTooSmallError,
     PreconditionError,
     StructuralError,
 )
@@ -257,45 +256,10 @@ def _embedded_factors(r: Roabp) -> list[MatPoly]:
     return [left, *factors, right]
 
 
-def _composite_factors(limit: int) -> list[int]:
-    """spf[t] for t <= limit: the smallest prime factor of composite t, and
-    0 for prime t and for t < 2.
-
-    Divisors run downwards and overwrite, so each composite t keeps its
-    smallest divisor q > 1 with q^2 <= t, which is prime."""
-    spf = [0] * (limit + 1)
-    for q in range(math.isqrt(limit), 1, -1):
-        spf[q * q :: q] = [q] * len(range(q * q, limit + 1, q))
-    return spf
-
-
-def _t_sweep(r: Roabp, wfn: WeightFn) -> list[tuple[int, ...]]:
-    """(t^w(x_1), ..., t^w(x_n)) for t = 1 .. 1 + n*delta*max_weight.
-
-    The sweep is sieved, and its points are those of one pow(t, w, p) per
-    coordinate: t -> t^w is completely multiplicative, so each distinct
-    weight's column takes a pow only at prime t, and
-    col[t] = col[q] * col[t // q] for composite t with smallest prime q.
-    """
-    count = 1 + r.n * r.delta * wfn.max_weight
-    p = r.field.p
-    if count + 1 > p:
-        raise ModulusTooSmallError(
-            f"hitting set needs {count} distinct nonzero t values, "
-            f"modulus {p} is too small"
-        )
-    spf = _composite_factors(count)
-    columns: dict[int, list[int]] = {}
-    for w in set(wfn.weights):
-        # col[0] is a placeholder, dropped below
-        col = [1] * (count + 1)
-        for t in range(2, count + 1):
-            q = spf[t]
-            col[t] = col[q] * col[t // q] % p if q else pow(t, w, p)
-        columns[w] = col
-    points = list(zip(*(columns[w] for w in wfn.weights)))
-    del points[0]
-    return points
+def _sweep_count(r: Roabp, wfn: WeightFn) -> int:
+    """t values that hit f(t^w(x_1), ..., t^w(x_n)): more than its degree,
+    at most n * delta * max_weight."""
+    return 1 + r.n * r.delta * wfn.max_weight
 
 
 def _small_verified_separator(
@@ -348,10 +312,10 @@ def roabp_hitting_set(
         factors = _embedded_factors(r)
         wfn, _ = construct_isolating_weights(factors)
         route = {"assignment": "round-combined"}
-        if 2 + r.n * r.delta * wfn.max_weight > r.field.p:
+        if _sweep_count(r, wfn) + 1 > r.field.p:
             wfn, prime = _small_verified_separator(r, factors, expand_ceiling)
             route = {"assignment": "verified-separator", "separator_prime": prime}
-        points = _t_sweep(r, wfn)
+        points = wfn.sweep(_sweep_count(r, wfn), r.field.p)
         provenance.update(
             s=r.layer_sparsity, t_count=len(points), max_weight=wfn.max_weight, **route
         )
@@ -360,7 +324,7 @@ def roabp_hitting_set(
         points = []
         per_assignment = []
         for wfn in enumerate_candidate_weights(r.n, max(1, r.d), s, r.width, r.delta):
-            sweep = _t_sweep(r, wfn)
+            sweep = wfn.sweep(_sweep_count(r, wfn), r.field.p)
             per_assignment.append(len(sweep))
             points.extend(sweep)
         provenance.update(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .algebra import Monomial
-from .errors import InternalInconsistencyError, StructuralError
+from .errors import InternalInconsistencyError, ModulusTooSmallError, StructuralError
 
 CUTOFF_CONSTANT = 4  # the counting argument's c0; see prime_cutoff
 
@@ -49,6 +49,48 @@ class WeightFn:
 
     def monomial_weight(self, e: Monomial) -> int:
         return sum(exp * w for exp, w in zip(e, self.weights) if exp)
+
+    def powers(self, t: int, p: int) -> tuple[int, ...]:
+        """The point (t^w(x_1), ..., t^w(x_n)) mod p."""
+        return tuple(pow(t, w, p) for w in self.weights)
+
+    def sweep(self, count: int, p: int) -> list[tuple[int, ...]]:
+        """powers(t, p) for t = 1 .. count, which must be distinct nonzero
+        residues mod p.
+
+        The sweep is sieved: t -> t^w is completely multiplicative, so each
+        distinct weight's column takes a pow only at prime t, and
+        col[t] = col[q] * col[t // q] for composite t with smallest prime q.
+        """
+        if count + 1 > p:
+            raise ModulusTooSmallError(
+                f"hitting set needs {count} distinct nonzero t values, "
+                f"modulus {p} is too small"
+            )
+        spf = _composite_factors(count)
+        columns: dict[int, list[int]] = {}
+        for w in set(self.weights):
+            # col[0] is a placeholder, dropped below
+            col = [1] * (count + 1)
+            for t in range(2, count + 1):
+                q = spf[t]
+                col[t] = col[q] * col[t // q] % p if q else pow(t, w, p)
+            columns[w] = col
+        points = list(zip(*(columns[w] for w in self.weights)))
+        del points[0]
+        return points
+
+
+def _composite_factors(limit: int) -> list[int]:
+    """spf[t] for t <= limit: the smallest prime factor of composite t, and
+    0 for prime t and for t < 2.
+
+    Divisors run downwards and overwrite, so each composite t keeps its
+    smallest divisor q > 1 with q^2 <= t, which is prime."""
+    spf = [0] * (limit + 1)
+    for q in range(math.isqrt(limit), 1, -1):
+        spf[q * q :: q] = [q] * len(range(q * q, limit + 1, q))
+    return spf
 
 
 @dataclass(frozen=True)

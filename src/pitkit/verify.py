@@ -300,7 +300,7 @@ def _generate_depth3_distance(spec: InstanceSpec) -> Depth3Circuit:
             ]
         gates = _gates_from_partitions(stream, field, n, parts)
         circuit = Depth3Circuit(field, n, gates)
-        order, dist = minimal_distance_order(
+        _, dist = minimal_distance_order(
             [circuit.gate_partition(i) for i in range(circuit.k)]
         )
         if dist > spec.delta:
@@ -367,10 +367,8 @@ def _generate_sum_sml(spec: InstanceSpec) -> Depth3Circuit:
 def generate_instance(spec: InstanceSpec):
     """Deterministic instance for the spec; identical specs give identical
     instances."""
-    if spec.klass == "roabp":
+    if spec.klass in ("roabp", "invertible-roabp"):
         return _generate_roabp(spec)
-    if spec.klass == "invertible-roabp":
-        return _generate_roabp(replace(spec, invertible_constant=spec.invertible_constant))
     if spec.klass == "width2-roabp":
         return _generate_roabp(replace(spec, w=2))
     if spec.klass == "depth3-distance":
@@ -479,7 +477,7 @@ def _campaign_case(spec: InstanceSpec) -> tuple[bool, str]:
         reduced = circuit_to_roabp(circuit)
         _, scalar = reduced.expand()
         ok = scalar == circuit.expand()
-        order, dist = minimal_distance_order(
+        _, dist = minimal_distance_order(
             [circuit.gate_partition(i) for i in range(circuit.k)]
         )
         bound = circuit.k * (circuit.n + 1) ** dist

@@ -335,7 +335,7 @@ def test_criterion_8_invertible_hitting_set():
             w=2, s=stream.randint(1, 3), delta=stream.randint(1, 2), mu=1,
         )
         inst = generate_instance(spec)
-        shift, t0 = find_concentrating_shift(inst)
+        _, _, t0 = find_concentrating_shift(inst)
         points = invertible_hitting_set(inst)
         ell = support_parameter(2, max(1, inst.layer_sparsity), inst.layer_support)
         subset = min(ell * 6 - 1, inst.n)

@@ -18,7 +18,6 @@ from pitkit.algebra import (
 )
 from pitkit.concentrate import (
     LagrangeCurve,
-    ShiftMap,
     block_support,
     concentration_rank,
     factorize_width2,
@@ -29,6 +28,7 @@ from pitkit.concentrate import (
     width2_hitting_set,
 )
 from pitkit.errors import ModulusTooSmallError, PreconditionError, StructuralError
+from pitkit.kron import WeightFn
 from pitkit.roabp import Roabp
 from pitkit.verify import InstanceSpec, generate_instance, verify_hitting_property
 
@@ -189,8 +189,8 @@ def test_composition_of_concentrations():
 
 def test_shift_found_for_univariate_layers():
     inst = invertible_constant_instance(2, n=3, d=3, s=2, delta=1)
-    shift, t0 = find_concentrating_shift(inst)
-    assert all(a >= 1 for a in shift.exponents)
+    wfn, _, t0 = find_concentrating_shift(inst)
+    assert all(a >= 1 for a in wfn.weights)
     assert t0 >= 1
 
 
@@ -208,13 +208,13 @@ def test_shift_search_tries_each_specialization_once(monkeypatch):
     # the family with its t0 budget cut at p - 1; at p = 10007 the first map
     # verifies.
     tried = []
-    offsets_at = ShiftMap.offsets_at
+    powers = WeightFn.powers
 
-    def recorded(self, t0, field):
-        tried.append((self.exponents, t0))
-        return offsets_at(self, t0, field)
+    def recorded(self, t0, p):
+        tried.append((self.weights, t0))
+        return powers(self, t0, p)
 
-    monkeypatch.setattr(ShiftMap, "offsets_at", recorded)
+    monkeypatch.setattr(WeightFn, "powers", recorded)
     cases = [(7, 33, 3, 1, 2, 1), (7, 135, 2, 1, 2, 2), (10007, 0, 2, 2, 2, 1)]
     for modulus, seed, n, d, s, delta in cases:
         inst = generate_instance(InstanceSpec(
@@ -237,8 +237,8 @@ def test_shift_verified_on_random_invertible_instances():
         )
         spec = replace(spec, d=min(spec.d, spec.n))
         inst = generate_instance(spec)
-        shift, t0 = find_concentrating_shift(inst)
-        offsets = shift.offsets_at(t0, inst.field)
+        wfn, _, t0 = find_concentrating_shift(inst)
+        offsets = wfn.powers(t0, inst.field.p)
         shifted = inst.shift(offsets)
         _, scalar = shifted.expand()
         ell = support_parameter(2, max(1, inst.layer_sparsity), inst.layer_support)
@@ -303,15 +303,15 @@ def _symbolic_rank_over_ft(rows, field):
 def test_specialized_rank_reaches_symbolic_rank():
     # the max specialized rank over the t0 sweep equals the rank over F(t)
     inst = invertible_constant_instance(4, n=3, d=2, s=2, delta=1)
-    shift, _ = find_concentrating_shift(inst)
+    wfn, _, _ = find_concentrating_shift(inst)
     ell = support_parameter(2, max(1, inst.layer_sparsity), inst.layer_support)
     for layer in inst.layers:
-        rows = _shifted_low_support_rows(layer, shift.exponents, ell)
+        rows = _shifted_low_support_rows(layer, wfn.weights, ell)
         symbolic = _symbolic_rank_over_ft(rows, inst.field)
-        max_a = max(shift.exponents)
+        max_a = wfn.max_weight
         best = 0
         for t0 in range(1, 2 + 4 * inst.n * max(1, inst.delta) * max_a):
-            shifted = layer.shift(shift.offsets_at(t0, inst.field))
+            shifted = layer.shift(wfn.powers(t0, inst.field.p))
             low, _ = concentration_rank(shifted, ell, "support")
             best = max(best, low)
             if best == symbolic:
@@ -326,7 +326,7 @@ def test_specialized_rank_reaches_symbolic_rank():
 def test_low_support_sizes():
     assert len(low_support_hitting_set(3, 1, 2, F)) == 6
     ps = low_support_hitting_set(3, 1, 1, F)
-    assert len(ps) == 1 and ps.points[0] == (0, 0, 0)
+    assert len(ps) == 1 and ps[0] == (0, 0, 0)
     assert len(low_support_hitting_set(4, 2, 3, F)) == math.comb(4, 2) * 9
 
 
@@ -381,7 +381,7 @@ def test_invertible_params_sweep_each_distinct_map_once(monkeypatch):
     def every_prime(n, delta, cutoff):
         return list(itertools.takewhile(lambda p: p <= cutoff, iter_primes()))
 
-    for params in [(1, 1, 2, 1, 1, 1), (2, 1, 2, 1, 1, 1), (2, 2, 2, 1, 1, 1)]:
+    for params in INVERTIBLE_PARAMS:
         got = concentrate.invertible_hitting_set_params(*params, F)
         with monkeypatch.context() as m:
             m.setattr(concentrate, "distinct_reductions", every_prime)
@@ -392,6 +392,40 @@ def test_invertible_params_sweep_each_distinct_map_once(monkeypatch):
         assert full.provenance["maps"] > len(distinct)
         assert got.points == tuple(itertools.chain.from_iterable(distinct))
         assert got.provenance == {**full.provenance, "maps": len(distinct)}
+
+
+INVERTIBLE_PARAMS = [(1, 1, 2, 1, 1, 1), (2, 1, 2, 1, 1, 1), (2, 2, 2, 1, 1, 1)]
+
+
+@pytest.mark.parametrize("params", INVERTIBLE_PARAMS)
+def test_invertible_params_offsets_are_per_t0_powers(monkeypatch, params):
+    # reference: one pow per coordinate per t0, the offsets' old computation
+    from pitkit.concentrate import invertible_hitting_set_params
+    from pitkit.kron import iter_primes
+
+    def per_t0_pow(self, count, p):
+        return [tuple(pow(t0, a, p) for a in self.weights) for t0 in range(1, count + 1)]
+
+    got = invertible_hitting_set_params(*params, F)
+    with monkeypatch.context() as m:
+        m.setattr(WeightFn, "sweep", per_t0_pow)
+        ref = invertible_hitting_set_params(*params, F)
+    assert (got.points, got.provenance) == (ref.points, ref.provenance)
+    t_sweep = got.provenance["t_sweep"]
+    largest = max(itertools.takewhile(lambda p: p <= t_sweep, iter_primes()))
+    with pytest.raises(ModulusTooSmallError, match=(
+        f"hitting set needs {t_sweep} distinct nonzero t values, "
+        f"modulus {largest} is too small"
+    )):
+        invertible_hitting_set_params(*params, Field(largest))
+
+
+def test_invertible_params_check_the_sweep_before_the_grid():
+    # delta = 2: the grid 1..3 does not fit GF(3) either
+    from pitkit.concentrate import invertible_hitting_set_params
+
+    with pytest.raises(ModulusTooSmallError, match="hitting set needs"):
+        invertible_hitting_set_params(1, 1, 2, 2, 1, 1, Field(3))
 
 
 def test_width2_blackbox_mode_is_the_params_set():

@@ -376,6 +376,34 @@ def test_cli_rejects_a_repeated_monomial(tmp_path, key, message):
     assert message in proc.stderr
 
 
+@pytest.mark.parametrize("doc, repeated", [
+    # x1 (1 + x2) with the form x1 written as {"x1": 1, "x1": 0}
+    (MINIMAL_DEPTH3, '"coeffs": {"x1": 1, "x1": 0}'),
+    (MINIMAL_ROABP, '"exponents": {"x1": 1, "x1": 0}'),
+])
+def test_cli_rejects_a_repeated_key(tmp_path, doc, repeated):
+    text = json.dumps(doc)
+    once = repeated.replace(', "x1": 0', "")
+    assert text.count(once) == 1
+    circuit = tmp_path / "repeated.json"
+    circuit.write_text(text.replace(once, repeated))
+    proc = run_cli("expand", "--input", str(circuit))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "repeated key 'x1'" in proc.stderr
+
+
+def test_cli_distance_states_the_order_search_limit(tmp_path):
+    doc = json.loads(json.dumps(MINIMAL_DEPTH3))
+    doc["gates"] = doc["gates"] * 7
+    circuit = tmp_path / "seven.json"
+    circuit.write_text(json.dumps(doc))
+    proc = run_cli("distance", "--input", str(circuit))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: 7 partitions exceed the k <= 6 search limit\n"
+
+
 @pytest.mark.parametrize("command", ["hs roabp --input {path}", "verify --class roabp --samples 1"])
 def test_cli_modulus_zero_is_not_replaced(tmp_path, command):
     circuit = tmp_path / "minimal.json"

@@ -7,13 +7,10 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from pitkit.algebra import Field, MatPoly, RowSpan, mat_flatten, rank_over_field
-from pitkit.errors import ModulusTooSmallError, PreconditionError
+from pitkit.errors import PreconditionError
 from pitkit.isolate import (
-    _t_sweep,
     combine_rounds,
     construct_isolating_weights,
     enumerate_candidate_weights,
@@ -337,58 +334,6 @@ def test_whitebox_membership_with_empty_rounds():
 
 # ---------------------------------------------------------------------------
 # hitting set
-
-
-def _sweep_instance(p, n, delta):
-    """Width-1 instance over GF(p) with one layer x_v^delta per variable, so
-    its t-sweep length is 1 + n * delta * max_weight."""
-    field = Field(p)
-    layers = []
-    for v in range(n):
-        e = [0] * n
-        e[v] = delta
-        layers.append(MatPoly(field, n, 1, {tuple(e): ((1,),)}))
-    return Roabp.with_constant_boundaries(
-        field, n, [(v,) for v in range(n)], layers, (1,), (1,)
-    )
-
-
-@st.composite
-def sweep_cases(draw):
-    """(p, delta, weights); the weight cap lets count reach p, one past the
-    largest sweep GF(p) holds, and a pool of at most two values makes
-    repeated weights common."""
-    p = draw(st.sampled_from([5, 7, 11, 13, 10007, 2**31 - 1, 2**61 - 1]))
-    n = draw(st.integers(1, 4))
-    delta = draw(st.integers(0, 3))
-    top = max(1, min(600, (p - 1) // max(1, n * delta)))
-    pool = draw(st.lists(st.integers(1, top), min_size=1, max_size=2))
-    return p, delta, tuple(draw(st.sampled_from(pool)) for _ in range(n))
-
-
-@settings(max_examples=150, deadline=None)
-@given(case=sweep_cases())
-# count = 1 (delta = 0), count = p - 1 at small primes, and count = p
-@example(case=(2**61 - 1, 0, (7, 7, 7)))
-@example(case=(2**31 - 1, 0, (1,)))
-@example(case=(5, 1, (3,)))
-@example(case=(7, 1, (5,)))
-@example(case=(11, 1, (3, 2, 3)))
-@example(case=(13, 1, (11,)))
-@example(case=(5, 1, (4,)))
-@example(case=(13, 2, (3, 3)))
-def test_t_sweep_equals_per_t_pow(case):
-    p, delta, weights = case
-    n = len(weights)
-    r = _sweep_instance(p, n, delta)
-    assert r.delta == delta
-    count = 1 + n * delta * max(weights)
-    if count + 1 > p:
-        with pytest.raises(ModulusTooSmallError):
-            _t_sweep(r, WeightFn(weights))
-        return
-    expected = [tuple(pow(t, w, p) for w in weights) for t in range(1, count + 1)]
-    assert _t_sweep(r, WeightFn(weights)) == expected
 
 
 def test_hitting_set_zero_instance_vacuous():

@@ -5,10 +5,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pitkit.errors import StructuralError
+from pitkit.errors import ModulusTooSmallError, StructuralError
 from pitkit.kron import (
     PairSet,
     WeightFn,
@@ -154,3 +154,41 @@ def test_cutoff_matches_formula():
 def test_weightfn_positivity_enforced():
     with pytest.raises(StructuralError):
         WeightFn((1, 0, 2))
+
+
+@st.composite
+def sweep_cases(draw):
+    """(p, delta, weights); the sweep has 1 + n * delta * max_weight values,
+    as a ROABP's does.  The weight cap lets count reach p, one past the
+    largest sweep GF(p) holds, and a pool of at most two values makes
+    repeated weights common."""
+    p = draw(st.sampled_from([5, 7, 11, 13, 10007, 2**31 - 1, 2**61 - 1]))
+    n = draw(st.integers(1, 4))
+    delta = draw(st.integers(0, 3))
+    top = max(1, min(600, (p - 1) // max(1, n * delta)))
+    pool = draw(st.lists(st.integers(1, top), min_size=1, max_size=2))
+    return p, delta, tuple(draw(st.sampled_from(pool)) for _ in range(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=sweep_cases())
+# count = 1 (delta = 0), count = p - 1 at small primes, and count = p
+@example(case=(2**61 - 1, 0, (7, 7, 7)))
+@example(case=(2**31 - 1, 0, (1,)))
+@example(case=(5, 1, (3,)))
+@example(case=(7, 1, (5,)))
+@example(case=(11, 1, (3, 2, 3)))
+@example(case=(13, 1, (11,)))
+@example(case=(5, 1, (4,)))
+@example(case=(13, 2, (3, 3)))
+def test_sweep_equals_per_t_pow(case):
+    p, delta, weights = case
+    wfn = WeightFn(weights)
+    count = 1 + len(weights) * delta * max(weights)
+    if count + 1 > p:
+        with pytest.raises(ModulusTooSmallError):
+            wfn.sweep(count, p)
+        return
+    expected = [tuple(pow(t, w, p) for w in weights) for t in range(1, count + 1)]
+    assert wfn.sweep(count, p) == expected
+    assert [wfn.powers(t, p) for t in range(1, count + 1)] == expected
