@@ -9,7 +9,8 @@ partitioned by all upper partitions, and the distance is the largest
 neighborhood size.  Small distance drives the ROABP reduction, and
 distance-1 restrictions define the base-set decomposition, an analysis of
 the circuit's partitions.  The sum-of-set-multilinear zero test does not use
-it: the circuit is multilinear, so it sweeps the Boolean cube {0,1}^n.
+it: the circuit is multilinear, so it sweeps the Boolean cube {0,1}^n in
+lexicographic order, evaluated a block of 2^CUBE_BLOCK points at a time.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ from .roabp import Roabp
 
 ORDER_SEARCH_LIMIT = 6
 SWEEP_CEILING = 10**7
+# low variables of one sum-sml sweep block: a larger block cuts the per-block
+# cost of a full sweep, but every call pays for a whole first block of
+# 2^CUBE_BLOCK values, also when the all-zeros point is a witness
+CUBE_BLOCK = 6
 
 
 # ---------------------------------------------------------------------------
@@ -87,28 +92,26 @@ class Depth3Circuit:
     def __post_init__(self) -> None:
         gates = []
         for g_idx, gate in enumerate(self.gates):
+            forms = []
             seen: set[int] = set()
-            for form in gate.forms:
-                for v in form.support:
+            for f in gate.forms:
+                for v in f.support:
                     if not 0 <= v < self.n:
                         raise StructuralError(f"variable {v} out of range in gate {g_idx}")
+                # multilinearity is a property of the reduced forms: a
+                # coefficient divisible by p leaves the support
+                form = LinearForm(
+                    self.field.normalize(f.constant),
+                    {v: self.field.normalize(c) for v, c in f.coeffs.items()},
+                )
+                for v in form.support:
                     if v in seen:
                         raise StructuralError(
                             f"gate {g_idx} is not multilinear: variable {v} repeats"
                         )
                     seen.add(v)
-            gates.append(
-                Gate(
-                    self.field.normalize(gate.scale),
-                    tuple(
-                        LinearForm(
-                            self.field.normalize(f.constant),
-                            {v: self.field.normalize(c) for v, c in f.coeffs.items()},
-                        )
-                        for f in gate.forms
-                    ),
-                )
-            )
+                forms.append(form)
+            gates.append(Gate(self.field.normalize(gate.scale), tuple(forms)))
         object.__setattr__(self, "gates", tuple(gates))
 
     @property
@@ -601,6 +604,20 @@ class SumSmlResult:
     sweep: int
 
 
+def _low_table(constant: int, coeffs: dict, low_vars: range) -> list[int]:
+    """Values of constant + sum of coeffs[v] x_v on the low variables'
+    cube, in lexicographic order (the first low variable most significant).
+
+    Built by doubling from the last variable: the table of x_v, ..., x_{n-1}
+    is that of x_{v+1}, ..., x_{n-1} followed by its copy plus c_v.  Entries
+    are left unreduced (below (b + 1) p); the sweep reduces its products."""
+    table = [constant]
+    for v in reversed(low_vars):
+        c = coeffs.get(v)
+        table = table + [x + c for x in table] if c else table * 2
+    return table
+
+
 def sum_sml_whitebox_test(
     c: Depth3Circuit, sweep_ceiling: int = SWEEP_CEILING
 ) -> SumSmlResult:
@@ -613,6 +630,14 @@ def sum_sml_whitebox_test(
     and induction on n finishes.  The test sweeps the 2^n cube points in
     lexicographic order (all-zeros first) and stops at the first nonzero
     value; only n decides the cost.
+
+    The sweep is evaluated a block at a time: the last b = min(n,
+    CUBE_BLOCK) variables are the low ones, and each block is the 2^b
+    points that share one setting of the first n - b, the high ones.  Each
+    form's low part is a 2^b table built once; per block a form adds the
+    scalar value of its constant and high part, and the forms free of high
+    variables are one table per gate.  The points, their order and the
+    first witness are those of the point-by-point sweep.
     """
     if not c.gates:
         return SumSmlResult("zero", None, 0)
@@ -621,7 +646,50 @@ def sum_sml_whitebox_test(
         raise CapabilityError(
             f"cube sweep of {total} evaluations exceeds the ceiling {sweep_ceiling}"
         )
-    for point in itertools.product((0, 1), repeat=c.n):
-        if c.eval_at(point):
-            return SumSmlResult("nonzero", point, total)
+    p = c.field.p
+    b = min(c.n, CUBE_BLOCK)
+    high = c.n - b
+    low_vars = range(high, c.n)
+    # per gate: its scale; the forms free of low variables as (constant,
+    # high coefficients); the product table of the forms free of high
+    # variables, or None; the other forms as (constant, high coefficients,
+    # low table from 0)
+    plans = []
+    for gate in c.gates:
+        scalars, base, mixed = [], None, []
+        for form in gate.forms:
+            high_coeffs = {v: co for v, co in form.coeffs.items() if v < high}
+            if len(high_coeffs) == len(form.coeffs):
+                scalars.append((form.constant, high_coeffs))
+            elif not high_coeffs:
+                table = _low_table(form.constant, form.coeffs, low_vars)
+                base = table if base is None else [x * y % p for x, y in zip(base, table)]
+            else:
+                mixed.append((form.constant, high_coeffs, _low_table(0, form.coeffs, low_vars)))
+        plans.append((gate.scale, scalars, base, mixed))
+    size = 2**b
+    for high_point in itertools.product((0, 1), repeat=high):
+        acc = [0] * size
+        for scale, scalars, base, mixed in plans:
+            s = scale
+            for const, coeffs in scalars:
+                s = s * (const + sum(co for v, co in coeffs.items() if high_point[v])) % p
+            if not s:
+                continue
+            vec = base
+            for const, coeffs, table in mixed:
+                h = const + sum(co for v, co in coeffs.items() if high_point[v])
+                if vec is None:
+                    vec = [h + y for y in table]
+                else:
+                    vec = [x * (h + y) % p for x, y in zip(vec, table)]
+            if vec is None:
+                acc = [a + s for a in acc]
+            else:
+                acc = [a + s * x for a, x in zip(acc, vec)]
+        acc = [a % p for a in acc]
+        if any(acc):
+            j = next(i for i, value in enumerate(acc) if value)
+            low_point = tuple((j >> k) & 1 for k in range(b - 1, -1, -1))
+            return SumSmlResult("nonzero", high_point + low_point, total)
     return SumSmlResult("zero", None, total)

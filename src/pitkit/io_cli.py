@@ -324,7 +324,11 @@ def save_points(points: PointSet, path: str) -> None:
 
 
 def load_points(path: str) -> PointSet:
+    """Read a point file; a malformed header, a header count that differs
+    from the number of point lines, or a bad point line is a
+    StructuralError."""
     n = None
+    count = None
     provenance: dict = {}
     pts = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -334,17 +338,26 @@ def load_points(path: str) -> PointSet:
                 continue
             if line.startswith("#"):
                 body = line[1:].strip()
-                if body.startswith("pitkit points"):
-                    for chunk in body.split():
-                        if chunk.startswith("n="):
-                            n = int(chunk[2:])
-                elif body.startswith("provenance:"):
-                    provenance = json.loads(body.split(":", 1)[1])
+                try:
+                    if body.startswith("pitkit points"):
+                        for chunk in body.split():
+                            if chunk.startswith("n="):
+                                n = int(chunk[2:])
+                            elif chunk.startswith("count="):
+                                count, count_line = int(chunk[6:]), line_no
+                    elif body.startswith("provenance:"):
+                        provenance = json.loads(body.split(":", 1)[1])
+                except ValueError as exc:  # json.JSONDecodeError included
+                    raise StructuralError(f"{path}:{line_no}: bad header line") from exc
                 continue
             try:
                 pts.append(tuple(map(int, line.split(","))))
             except ValueError as exc:
                 raise StructuralError(f"{path}:{line_no}: bad point line") from exc
+    if count is not None and count != len(pts):
+        raise StructuralError(
+            f"{path}:{count_line}: header count={count} but {len(pts)} point lines"
+        )
     if n is None:
         if not pts:
             raise StructuralError(f"{path}: empty point file without a header")

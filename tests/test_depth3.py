@@ -1,13 +1,16 @@
 """Partitions, distance, the ROABP reduction, base sets, and the whitebox
 sum-of-set-multilinear test."""
 
+import itertools
 import math
 import random
 
 import pytest
 
 from pitkit.algebra import Field, ScalarPoly
+from pitkit import depth3
 from pitkit.depth3 import (
+    CUBE_BLOCK,
     Depth3Circuit,
     Gate,
     LinearForm,
@@ -322,16 +325,111 @@ def test_result_carries_the_swept_plan():
 
 
 def test_gateless_circuit_is_zero_without_a_sweep(monkeypatch):
-    def no_evaluation(self, point):
+    def no_evaluation(*args):
         raise AssertionError("a gateless circuit needs no evaluation")
 
     monkeypatch.setattr(Depth3Circuit, "eval_at", no_evaluation)
+    monkeypatch.setattr(depth3, "_low_table", no_evaluation)
     c = Depth3Circuit(F, 3, ())
     decomp = decompose_base_sets(c.distinct_partitions())
     assert (decomp.partition_count, decomp.m, decomp.certificates, decomp.cap) == (0, 0, (), 0)
     assert decomp.within_cap()
     result = sum_sml_whitebox_test(c)
     assert (result.verdict, result.witness, result.sweep) == ("zero", None, 0)
+
+
+def _point_sweep(c):
+    """Reference for the blocked sweep: the cube point by point, in
+    lexicographic order, stopping at the first nonzero value."""
+    for point in itertools.product((0, 1), repeat=c.n):
+        if c.eval_at(point):
+            return "nonzero", point, 2**c.n
+    return "zero", None, 2**c.n
+
+
+def _assert_blocked_sweep_matches(c, monkeypatch):
+    expected = _point_sweep(c)
+
+    def no_evaluation(self, point):
+        raise AssertionError("the blocked sweep evaluates no single point")
+
+    with monkeypatch.context() as m:
+        m.setattr(Depth3Circuit, "eval_at", no_evaluation)
+        result = sum_sml_whitebox_test(c)
+    assert (result.verdict, result.witness, result.sweep) == expected
+
+
+@pytest.mark.parametrize("modulus", [3, 10007, 2**61 - 1])
+@pytest.mark.parametrize("n", [CUBE_BLOCK - 2, CUBE_BLOCK, CUBE_BLOCK + 3])
+def test_blocked_sweep_matches_point_sweep_on_seeded_circuits(modulus, n, monkeypatch):
+    for seed in range(6):
+        spec = InstanceSpec(klass="sum-sml", seed=seed, modulus=modulus, n=n,
+                            k=1 + seed % 3, c=1 + seed % 3,
+                            engineered_zero=(seed % 2 == 0))
+        _assert_blocked_sweep_matches(generate_instance(spec), monkeypatch)
+
+
+@pytest.mark.parametrize("modulus", [3, 10007, 2**61 - 1])
+def test_blocked_sweep_matches_point_sweep_on_late_witnesses(modulus, monkeypatch):
+    # forms without constants vanish at the all-zeros point, so witnesses
+    # fall anywhere in the cube; constant forms, forms free of the low or
+    # the high variables and cancelling gate pairs all occur
+    field = Field(modulus)
+    rng = random.Random(modulus)
+    for _ in range(40):
+        n = rng.randint(1, CUBE_BLOCK + 3)
+        gates = []
+        for _ in range(rng.randint(1, 3)):
+            free = rng.sample(range(n), n)
+            forms = []
+            while free and rng.random() < 0.8:
+                size = rng.randint(1, len(free))
+                color, free = free[:size], free[size:]
+                forms.append(LinearForm(rng.choice([0, 0, 1, rng.randrange(modulus)]),
+                                        {v: rng.choice([1, -1, rng.randrange(1, modulus)])
+                                         for v in color}))
+            if rng.random() < 0.2:
+                forms.append(LinearForm(rng.randrange(modulus), {}))
+            gates.append(Gate(rng.randrange(1, modulus), tuple(forms)))
+        if rng.random() < 0.3:
+            gates.append(Gate(-gates[0].scale, gates[0].forms))
+        _assert_blocked_sweep_matches(Depth3Circuit(field, n, tuple(gates)), monkeypatch)
+
+
+@pytest.mark.parametrize("n", [1, CUBE_BLOCK, CUBE_BLOCK + 1, CUBE_BLOCK + 4])
+def test_blocked_sweep_finds_the_last_and_the_first_cube_point(n, monkeypatch):
+    last = Depth3Circuit(F, n, (Gate(1, tuple(LinearForm(0, {v: 1}) for v in range(n))),))
+    first = Depth3Circuit(F, n, (Gate(1, tuple(LinearForm(1, {v: -1}) for v in range(n))),))
+    assert sum_sml_whitebox_test(last).witness == (1,) * n
+    assert sum_sml_whitebox_test(first).witness == (0,) * n
+    for c in (last, first):
+        _assert_blocked_sweep_matches(c, monkeypatch)
+
+
+def test_blocked_sweep_of_formless_gates_and_supportless_forms(monkeypatch):
+    cases = [
+        Depth3Circuit(F, 0, (Gate(3, ()),)),
+        Depth3Circuit(F, 4, (Gate(3, ()),)),
+        Depth3Circuit(F, 4, (Gate(3, ()), Gate(-3, ()))),
+        Depth3Circuit(F, CUBE_BLOCK + 2, (Gate(2, (LinearForm(5, {}),)), Gate(-10, ()))),
+        Depth3Circuit(F, CUBE_BLOCK + 2, (
+            Gate(1, (LinearForm(0, {}), LinearForm(1, {0: 1}))),
+            Gate(1, (LinearForm(4, {}), LinearForm(0, {CUBE_BLOCK + 1: 1}))),
+        )),
+    ]
+    for c in cases:
+        _assert_blocked_sweep_matches(c, monkeypatch)
+    assert sum_sml_whitebox_test(cases[-1]).witness == (0,) * (CUBE_BLOCK + 1) + (1,)
+
+
+def test_coefficient_divisible_by_p_leaves_the_support():
+    field = Field(7)
+    c = Depth3Circuit(field, 2, (Gate(1, (LinearForm(1, {0: 7}), LinearForm(0, {0: 1, 1: 1}))),))
+    assert c.gates[0].forms[0].support == frozenset()
+    assert c.gate_partition(0).colors == (frozenset({0, 1}),)
+    assert sum_sml_whitebox_test(c).witness == (0, 1)
+    with pytest.raises(StructuralError, match="variable 0 repeats"):
+        Depth3Circuit(field, 2, (Gate(1, (LinearForm(1, {0: 8}), LinearForm(0, {0: 1}))),))
 
 
 def test_neighborhood_partitions_form_refinement_chain():

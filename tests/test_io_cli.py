@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pitkit
+from pitkit import depth3
 from pitkit.depth3 import SWEEP_CEILING, Depth3Circuit
 from pitkit.io_cli import (
     build_parser,
@@ -263,18 +264,38 @@ def test_cli_gateless_depth3_is_zero(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("file_modulus, flags", [(7, []), (10007, ["--modulus", "7"])])
+def test_cli_coefficient_divisible_by_p_is_not_a_repeat(tmp_path, capsys, file_modulus, flags):
+    # x1 has coefficient 7 in the first form; mod 7 that form is the
+    # constant 1, so x1 + x2 alone uses x1 and the gate is multilinear
+    doc = json.loads(json.dumps(MINIMAL_DEPTH3))
+    doc["modulus"] = file_modulus
+    doc["gates"][0]["forms"] = [
+        {"const": 1, "coeffs": {"x1": 7}},
+        {"const": 0, "coeffs": {"x1": 1, "x2": 1}},
+    ]
+    path = tmp_path / "d.json"
+    path.write_text(dumps_canonical(doc))
+    assert main(["whitebox", "sum-sml", "--input", str(path), *flags]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "partitions: 1; base sets: 1 (cap 1.00); sweep size: 4",
+        "verdict: nonzero at 0,1",
+    ]
+
+
 def test_cli_sweep_ceiling_defaults_to_the_library_constant():
     args = build_parser().parse_args(["whitebox", "sum-sml", "--input", "c.json"])
     assert args.ceiling == SWEEP_CEILING
 
 
 def test_cli_sweep_ceiling_fails_before_any_evaluation(tmp_path, capsys, monkeypatch):
-    def no_evaluation(self, point):
+    def no_evaluation(*args):
         raise AssertionError("the ceiling is checked before the sweep")
 
     circuit = generate_instance(InstanceSpec(klass="sum-sml", seed=0, n=3, k=2, c=1))
     path = write_instance(tmp_path, "d.json", circuit)
     monkeypatch.setattr(Depth3Circuit, "eval_at", no_evaluation)
+    monkeypatch.setattr(depth3, "_low_table", no_evaluation)
     assert main(["whitebox", "sum-sml", "--input", path, "--ceiling", "7"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -444,6 +465,26 @@ def test_cli_test_rejects_bad_point_lines(tmp_path, line, message):
     circuit_path = write_instance(tmp_path, "c.json", inst)
     points = tmp_path / "pts.txt"
     points.write_text(f"# pitkit points n=3 count=2\n1,2,3\n{line}\n")
+    proc = run_cli("test", "--input", circuit_path, "--points", str(points))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# pitkit points n=x count=1\n1,2,3\n", "pts.txt:1: bad header line"),
+    ("# pitkit points n=3 count=\n1,2,3\n", "pts.txt:1: bad header line"),
+    ("# pitkit points n=3 count=1\n# provenance: {bad\n1,2,3\n", "pts.txt:2: bad header line"),
+    ("# pitkit points n=3 count=5\n1,2,3\n", "pts.txt:1: header count=5 but 1 point lines"),
+    ("# pitkit points n=3 count=0\n1,2,3\n", "pts.txt:1: header count=0 but 1 point lines"),
+], ids=["bad-n", "empty-count", "bad-provenance", "count-above-lines", "count-below-lines"])
+def test_cli_test_rejects_bad_point_headers(tmp_path, text, message):
+    inst = generate_instance(
+        InstanceSpec(klass="roabp", seed=3, n=3, d=2, w=2, s=2, delta=1)
+    )
+    circuit_path = write_instance(tmp_path, "c.json", inst)
+    points = tmp_path / "pts.txt"
+    points.write_text(text)
     proc = run_cli("test", "--input", circuit_path, "--points", str(points))
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
