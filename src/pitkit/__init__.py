@@ -41,7 +41,6 @@ from .depth3 import (
     decompose_base_sets,
     friendly_neighborhoods,
     minimal_distance_order,
-    sparse_to_roabp,
     sum_sml_whitebox_test,
 )
 from .errors import (

@@ -711,7 +711,3 @@ class UniPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def lowest_term(self) -> tuple[int, int] | None:
-        """(exponent, coefficient) of the lowest-degree surviving term."""
-        return self.terms[0] if self.terms else None

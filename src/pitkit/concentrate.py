@@ -30,6 +30,7 @@ from .algebra import (
     rank_over_field,
 )
 from .errors import (
+    CapabilityError,
     InternalInconsistencyError,
     ModulusTooSmallError,
     PreconditionError,
@@ -114,9 +115,21 @@ def _interior_dets(r: Roabp) -> list[ScalarPoly]:
     return dets
 
 
+def _low_support_count(n: int, delta: int, ell: int) -> int:
+    """Monomials in n variables of individual degree <= delta and support
+    <= min(ell, n)."""
+    return sum(math.comb(n, j) * delta**j for j in range(min(ell, n) + 1))
+
+
 def _shift_pair_set(r: Roabp, dets: Sequence[ScalarPoly], ell: int) -> tuple[PairSet, int]:
     """Monomial groups a concentrating map must separate: each layer
     determinant's monomials, and all low-support bounded-degree monomials."""
+    low_count = _low_support_count(r.n, r.delta, ell)
+    if low_count > EXPAND_CEILING:
+        raise CapabilityError(
+            f"shift search would separate {low_count} low-support monomials, "
+            f"past the ceiling {EXPAND_CEILING}"
+        )
     delta = max([r.delta] + [det.individual_degree() for det in dets])
     groups = [list(det.terms) for det in dets]
     groups.append(list(monomials_up_to(r.n, r.delta, max_support=min(ell, r.n))))
@@ -130,9 +143,7 @@ def _t0_budget(d: int, det_degree: int, w: int, n: int, delta: int, max_a: int) 
     return 1 + (d * det_degree + w * w * n * max(1, delta)) * max_a
 
 
-def find_concentrating_shift(
-    r: Roabp, expand_ceiling: int = EXPAND_CEILING
-) -> tuple[WeightFn, int, int]:
+def find_concentrating_shift(r: Roabp) -> tuple[WeightFn, int, int]:
     """A verified concentrating shift x_i -> x_i + t0^(a_i) for an
     invertible-factor instance, as (exponent map a, its prime, t0).
 
@@ -178,7 +189,7 @@ def find_concentrating_shift(
             ):
                 continue
             shifted = r.shift(offsets)
-            _, scalar = shifted.expand(expand_ceiling)
+            _, scalar = shifted.expand()
             low_rank, full_rank = concentration_rank(scalar, target, "support")
             if low_rank == full_rank:
                 return wfn, prime, t0
@@ -248,9 +259,7 @@ def _translated_grid(
     return PointSet(n, points, provenance)
 
 
-def invertible_hitting_set(
-    r: Roabp, mode: str = "whitebox", expand_ceiling: int = EXPAND_CEILING
-) -> PointSet:
+def invertible_hitting_set(r: Roabp, mode: str = "whitebox") -> PointSet:
     """Hitting set for an invertible-factor instance: the low-support grid
     translated by concentrating shifts.
 
@@ -258,8 +267,10 @@ def invertible_hitting_set(
     size is exactly |grid| * 1 * 1.  Blackbox mode reads only the declared
     parameters and enumerates the whole candidate family.
     """
+    if r.n < 1:
+        raise StructuralError("a hitting set needs at least one variable")
     if mode == "whitebox":
-        wfn, prime, t0 = find_concentrating_shift(r, expand_ceiling)
+        wfn, prime, t0 = find_concentrating_shift(r)
         return _translated_grid(
             "whitebox", r.n, r.d, r.width, r.delta, r.layer_sparsity,
             r.layer_support, r.field, [wfn.powers(t0, r.field.p)],
@@ -288,9 +299,7 @@ def invertible_hitting_set_params(
     ell = support_parameter(w, max(1, s), mu)
     det_monomials = s**w
     det_pairs = d * det_monomials * (det_monomials - 1) // 2
-    low_count = sum(
-        math.comb(n, j) * max(1, delta) ** j for j in range(min(ell, n) + 1)
-    )
+    low_count = _low_support_count(n, max(1, delta), ell)
     support_pairs = low_count * (low_count - 1) // 2
     pair_bound = max(1, det_pairs + support_pairs)
     delta_all = max(delta, w * delta)
@@ -494,9 +503,7 @@ def _curve_sweep(
     return PointSet(n, points, provenance)
 
 
-def width2_hitting_set(
-    r: Roabp, mode: str = "whitebox", expand_ceiling: int = EXPAND_CEILING
-) -> PointSet:
+def width2_hitting_set(r: Roabp, mode: str = "whitebox") -> PointSet:
     """Hitting set for any width-2 sparse-factor instance, singular layers
     included.
 
@@ -506,6 +513,8 @@ def width2_hitting_set(
     where Delta = (d+2) * delta conservatively bounds each factor's total
     degree.  Blackbox mode reads only the declared parameters.
     """
+    if r.n < 1:
+        raise StructuralError("a hitting set needs at least one variable")
     if r.width != 2:
         raise PreconditionError(f"width-2 only; got width {r.width}")
     if mode == "blackbox":
@@ -527,9 +536,7 @@ def width2_hitting_set(
         )
     anchor_points: list[tuple[int, ...]] = []
     for piece in fact.chain:
-        anchor_points.extend(
-            invertible_hitting_set(piece, "whitebox", expand_ceiling).points
-        )
+        anchor_points.extend(invertible_hitting_set(piece, "whitebox").points)
     return _curve_sweep(
         anchor_points,
         r.n,

@@ -289,44 +289,6 @@ def minimal_distance_order(partitions: Sequence[Partition]) -> tuple[tuple[int, 
 # reductions to ROABP
 
 
-def sparse_to_roabp(f: ScalarPoly, order: Sequence[int]) -> Roabp:
-    """A width-sp(f) ROABP for a multilinear polynomial, in any variable
-    order: one lane per monomial, edge labels x_v or 1."""
-    if f.individual_degree() > 1:
-        raise PreconditionError("polynomial is not multilinear")
-    order = list(order)
-    if not f.support_vars() <= set(order):
-        raise StructuralError("order does not cover the polynomial's variables")
-    monos = sorted(f.terms)
-    width = len(monos)
-    field, n = f.field, f.n
-    if width == 0:
-        return Roabp.with_constant_boundaries(
-            field, n, [(v,) for v in order],
-            [MatPoly.zero(field, n, 0) for _ in order], (), (),
-        )
-    layers = []
-    for v in order:
-        diag0 = [[0] * width for _ in range(width)]
-        diag1 = [[0] * width for _ in range(width)]
-        for idx, m in enumerate(monos):
-            if m[v]:
-                diag1[idx][idx] = 1
-            else:
-                diag0[idx][idx] = 1
-        e = [0] * n
-        e[v] = 1
-        terms = {}
-        if any(any(r) for r in diag0):
-            terms[mono_zero(n)] = tuple(tuple(r) for r in diag0)
-        if any(any(r) for r in diag1):
-            terms[tuple(e)] = tuple(tuple(r) for r in diag1)
-        layers.append(MatPoly(field, n, width, terms))
-    left = tuple(f.terms[m] for m in monos)
-    right = (1,) * width
-    return Roabp.with_constant_boundaries(field, n, [(v,) for v in order], layers, left, right)
-
-
 def _neighborhood_partitions(seq: Sequence[Partition]) -> list[Partition]:
     """P'_i: the union of colors in each friendly neighborhood of seq[i]."""
     out = []

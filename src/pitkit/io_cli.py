@@ -47,9 +47,9 @@ CAMPAIGN_PARAMS = tuple(
     f.name for f in fields(InstanceSpec) if f.name not in ("klass", "seed", "modulus")
 )
 
-# family -> generator(instance, mode, expand_ceiling); each entry looks its
-# generator up per call, so rebinding the module-level name (as the
-# benchmark's tracer does) reaches the CLI
+# family -> generator(instance, mode); each entry looks its generator up
+# per call, so rebinding the module-level name (as the benchmark's tracer
+# does) reaches the CLI
 HITTING_SETS = {
     "roabp": lambda *args: roabp_hitting_set(*args),
     "invertible": lambda *args: invertible_hitting_set(*args),
@@ -347,6 +347,8 @@ def load_points(path: str) -> PointSet:
                                 count, count_line = int(chunk[6:]), line_no
                     elif body.startswith("provenance:"):
                         provenance = json.loads(body.split(":", 1)[1])
+                        if not isinstance(provenance, dict):
+                            raise ValueError("provenance is not a JSON object")
                 except ValueError as exc:  # json.JSONDecodeError included
                     raise StructuralError(f"{path}:{line_no}: bad header line") from exc
                 continue
@@ -373,7 +375,7 @@ def _cmd_hs(args) -> int:
     instance = load_instance(args.input, args.modulus)
     if not isinstance(instance, Roabp):
         raise PreconditionError("hs expects an roabp circuit file")
-    points = HITTING_SETS[args.family](instance, args.mode, args.ceiling)
+    points = HITTING_SETS[args.family](instance, args.mode)
     if args.out:
         save_points(points, args.out)
         print(f"wrote {len(points)} points to {args.out}")
@@ -508,7 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     hs.add_argument("--mode", choices=["whitebox", "blackbox"], default="whitebox")
     hs.add_argument("--out")
     hs.add_argument("--modulus", type=int)
-    hs.add_argument("--ceiling", type=int, default=EXPAND_CEILING)
     hs.set_defaults(func=_cmd_hs)
 
     test = sub.add_parser("test", help="check a point set against an instance")

@@ -262,9 +262,7 @@ def _sweep_count(r: Roabp, wfn: WeightFn) -> int:
     return 1 + r.n * r.delta * wfn.max_weight
 
 
-def _small_verified_separator(
-    r: Roabp, factors: list[MatPoly], expand_ceiling: int
-) -> tuple[WeightFn, int]:
+def _small_verified_separator(r: Roabp, factors: list[MatPoly]) -> tuple[WeightFn, int]:
     """A weight function separating every pair of monomials of the expanded
     product (hence basis isolating), found at the smallest workable prime.
 
@@ -275,7 +273,7 @@ def _small_verified_separator(
     product = factors[0]
     for f in factors[1:]:
         product = product * f
-        if product.sparsity > expand_ceiling:
+        if product.sparsity > EXPAND_CEILING:
             raise CapabilityError(
                 "instance too large to derive a field-sized separator"
             )
@@ -287,9 +285,7 @@ def _small_verified_separator(
     return search.verified, search.verified_prime
 
 
-def roabp_hitting_set(
-    r: Roabp, mode: str = "whitebox", expand_ceiling: int = EXPAND_CEILING
-) -> PointSet:
+def roabp_hitting_set(r: Roabp, mode: str = "whitebox") -> PointSet:
     """Hitting set for the polynomial computed by the instance.
 
     Each candidate weight assignment w adds the t-sweep
@@ -300,6 +296,8 @@ def roabp_hitting_set(
     outright.  Blackbox mode sweeps every enumerated candidate assignment,
     using only the instance's declared parameters.
     """
+    if r.n < 1:
+        raise StructuralError("a hitting set needs at least one variable")
     provenance = {
         "generator": "roabp_hitting_set",
         "mode": mode,
@@ -313,7 +311,7 @@ def roabp_hitting_set(
         wfn, _ = construct_isolating_weights(factors)
         route = {"assignment": "round-combined"}
         if _sweep_count(r, wfn) + 1 > r.field.p:
-            wfn, prime = _small_verified_separator(r, factors, expand_ceiling)
+            wfn, prime = _small_verified_separator(r, factors)
             route = {"assignment": "verified-separator", "separator_prime": prime}
         points = wfn.sweep(_sweep_count(r, wfn), r.field.p)
         provenance.update(

@@ -167,32 +167,6 @@ class Roabp:
             for p in (*self.left_boundary, *self.right_boundary)
         )
 
-    def boundary_vectors(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        if not self.has_constant_boundaries():
-            raise StructuralError("boundaries are not constant vectors")
-        zero = mono_zero(self.n)
-        return (
-            tuple(p.coeff(zero) for p in self.left_boundary),
-            tuple(p.coeff(zero) for p in self.right_boundary),
-        )
-
-    def permuted(self, order: Sequence[int]) -> "Roabp":
-        """The instance with its interior blocks re-ordered (a different
-        polynomial in general; used by order-obliviousness tests)."""
-        if sorted(order) != list(range(self.d)):
-            raise StructuralError("order must permute the interior layers")
-        return Roabp(
-            self.field,
-            self.n,
-            self.width,
-            tuple(self.blocks[i] for i in order),
-            tuple(self.layers[i] for i in order),
-            self.left_boundary,
-            self.right_boundary,
-            self.left_block,
-            self.right_block,
-        )
-
     def shift(self, offsets: Sequence[int]) -> "Roabp":
         """Substitute x_i -> x_i + offsets[i] in every layer and boundary."""
         return Roabp(

@@ -557,6 +557,13 @@ def test_width2_requires_width_two():
         factorize_width2(inst)
 
 
+@pytest.mark.parametrize("mode", ["whitebox", "blackbox"])
+def test_width2_refuses_an_instance_without_variables(mode):
+    inst = Roabp.with_constant_boundaries(F, 0, [], [], (1, 0), (0, 1))
+    with pytest.raises(StructuralError, match="at least one variable"):
+        width2_hitting_set(inst, mode)
+
+
 # ---------------------------------------------------------------------------
 # lagrange curve
 

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from pitkit.algebra import Field, ScalarPoly
+from pitkit.algebra import Field
 from pitkit import depth3
 from pitkit.depth3 import (
     CUBE_BLOCK,
@@ -20,10 +20,9 @@ from pitkit.depth3 import (
     decompose_base_sets,
     friendly_neighborhoods,
     minimal_distance_order,
-    sparse_to_roabp,
     sum_sml_whitebox_test,
 )
-from pitkit.errors import PreconditionError, StructuralError
+from pitkit.errors import StructuralError
 from pitkit.verify import InstanceSpec, generate_instance, oracle_is_zero
 
 F = Field(10007)
@@ -128,45 +127,6 @@ def test_inconsistent_grounds_rejected():
     p2 = Partition.of_lists([[0, 1, 2]])
     with pytest.raises(StructuralError):
         compute_distance([p1, p2])
-
-
-# ---------------------------------------------------------------------------
-# sparse polynomial reduction
-
-
-def test_sparse_to_roabp_single_monomial():
-    f = ScalarPoly(F, 2, {(1, 1): 1})
-    r = sparse_to_roabp(f, [0, 1])
-    assert r.width == 1
-    _, scalar = r.expand()
-    assert scalar == f
-
-
-def test_sparse_to_roabp_zero_polynomial():
-    r = sparse_to_roabp(ScalarPoly.zero(F, 2), [0, 1])
-    assert r.width == 0
-    assert r.evaluate([5, 9]) == 0
-
-
-def test_sparse_to_roabp_any_order():
-    rnd = random.Random(23)
-    for _ in range(10):
-        terms = {}
-        while len(terms) < 4:
-            e = tuple(rnd.randint(0, 1) for _ in range(4))
-            terms[e] = rnd.randint(1, 10006)
-        f = ScalarPoly(F, 4, terms)
-        for order in ([3, 2, 1, 0], [1, 3, 0, 2]):
-            r = sparse_to_roabp(f, order)
-            assert r.width == f.sparsity
-            _, scalar = r.expand()
-            assert scalar == f
-
-
-def test_sparse_to_roabp_rejects_nonmultilinear():
-    f = ScalarPoly(F, 1, {(2,): 1})
-    with pytest.raises(PreconditionError):
-        sparse_to_roabp(f, [0])
 
 
 # ---------------------------------------------------------------------------

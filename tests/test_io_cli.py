@@ -475,9 +475,13 @@ def test_cli_test_rejects_bad_point_lines(tmp_path, line, message):
     ("# pitkit points n=x count=1\n1,2,3\n", "pts.txt:1: bad header line"),
     ("# pitkit points n=3 count=\n1,2,3\n", "pts.txt:1: bad header line"),
     ("# pitkit points n=3 count=1\n# provenance: {bad\n1,2,3\n", "pts.txt:2: bad header line"),
+    ("# pitkit points n=3 count=1\n# provenance: [1]\n1,2,3\n", "pts.txt:2: bad header line"),
     ("# pitkit points n=3 count=5\n1,2,3\n", "pts.txt:1: header count=5 but 1 point lines"),
     ("# pitkit points n=3 count=0\n1,2,3\n", "pts.txt:1: header count=0 but 1 point lines"),
-], ids=["bad-n", "empty-count", "bad-provenance", "count-above-lines", "count-below-lines"])
+], ids=[
+    "bad-n", "empty-count", "bad-provenance", "list-provenance",
+    "count-above-lines", "count-below-lines",
+])
 def test_cli_test_rejects_bad_point_headers(tmp_path, text, message):
     inst = generate_instance(
         InstanceSpec(klass="roabp", seed=3, n=3, d=2, w=2, s=2, delta=1)
@@ -518,6 +522,64 @@ def test_cli_small_field_invertible_is_a_capability_error(tmp_path):
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "capability error" in proc.stderr
+
+
+NO_VARIABLES = {
+    "no-blocks": {"blocks": [], "layers": []},
+    "one-empty-block": {"blocks": [[]], "layers": [[{"exponents": {}, "matrix": [[1]]}]]},
+}
+
+
+@pytest.mark.parametrize("mode", ["whitebox", "blackbox"])
+@pytest.mark.parametrize("family", ["roabp", "invertible"])
+@pytest.mark.parametrize("shape", list(NO_VARIABLES))
+def test_cli_hs_refuses_an_instance_without_variables(tmp_path, capsys, shape, family, mode):
+    doc = dict(MINIMAL_ROABP, variables=[], **NO_VARIABLES[shape])
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    assert main(["hs", family, "--mode", mode, "--input", str(path)]) == 2
+    assert "at least one variable" in capsys.readouterr().err
+    # the expansion oracle still reads the constant polynomial
+    assert main(["expand", "--input", str(path)]) == 0
+    assert capsys.readouterr().out == "terms: 1\n1\nzero: no\n"
+
+
+def test_cli_shift_search_counts_low_support_monomials_first(tmp_path, capsys):
+    # support parameter 1 and individual degree 10^6: 1 + 2 * 10^6 monomials
+    # of support <= 1, past the ceiling before any is enumerated
+    doc = json.loads(json.dumps(MINIMAL_ROABP))
+    doc["layers"][0][0]["exponents"] = {"x1": 10**6}
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(doc))
+    assert main(["hs", "invertible", "--input", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("capability error: ") and "2000001" in err
+
+
+def test_cli_verified_separator_reads_the_expansion_ceiling(tmp_path, capsys, monkeypatch):
+    # at GF(10007) the round-combined sweep does not fit, so the generator
+    # multiplies the factors out; their product reaches 8 terms
+    inst = generate_instance(InstanceSpec(
+        klass="roabp", seed=25, n=4, d=4, w=2, s=3, delta=2, mu=2,
+    ))
+    circuit_path = write_instance(tmp_path, "c.json", inst)
+    points_path = tmp_path / "pts.txt"
+    monkeypatch.setattr("pitkit.isolate.EXPAND_CEILING", 3)
+    assert main(["hs", "roabp", "--input", circuit_path, "--out", str(points_path)]) == 3
+    err = capsys.readouterr().err
+    assert "instance too large to derive a field-sized separator" in err
+    assert not points_path.exists()
+
+
+def test_cli_hs_has_no_ceiling_option(tmp_path, capsys):
+    inst = generate_instance(
+        InstanceSpec(klass="roabp", seed=3, n=3, d=2, w=2, s=2, delta=1)
+    )
+    circuit_path = write_instance(tmp_path, "c.json", inst)
+    with pytest.raises(SystemExit) as exc:
+        main(["hs", "roabp", "--input", circuit_path, "--ceiling", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --ceiling 5" in capsys.readouterr().err
 
 
 def _paths(node, prefix=()):

@@ -426,6 +426,11 @@ def test_hitting_set_order_oblivious():
     spec = InstanceSpec(klass="roabp", seed=6, n=4, d=3, w=2, s=2, delta=1)
     inst = generate_instance(spec)
     for order in itertools.permutations(range(3)):
-        permuted = inst.permuted(order)
+        # replace() re-runs the Roabp validation on the re-ordered blocks
+        permuted = replace(
+            inst,
+            blocks=tuple(inst.blocks[i] for i in order),
+            layers=tuple(inst.layers[i] for i in order),
+        )
         report = verify_hitting_property(permuted, roabp_hitting_set(permuted, "whitebox"))
         assert report.passed

@@ -9,7 +9,7 @@ from pitkit.algebra import Field, MatPoly, mat_identity, mat_mul
 from pitkit.errors import CapabilityError, StructuralError
 from pitkit.kron import WeightFn
 from pitkit.roabp import Roabp
-from pitkit.verify import DetStream, InstanceSpec, generate_instance
+from pitkit.verify import InstanceSpec, generate_instance
 
 F7 = Field(7)
 F = Field(10007)
@@ -155,16 +155,3 @@ def test_zero_iff_zero_on_full_grid_tiny():
             for pt in itertools.product(range(degree + 1), repeat=2)
         )
         assert grid_zero == scalar.is_zero()
-
-
-def test_block_permutation_still_roabp():
-    spec = InstanceSpec(klass="roabp", seed=7, n=4, d=3, w=2, s=2, delta=1)
-    inst = generate_instance(spec)
-    stream = DetStream("perm")
-    order = stream.shuffled(range(inst.d))
-    permuted = inst.permuted(order)
-    assert permuted.d == inst.d
-    _, scalar = permuted.expand()
-    # the permuted program computes a polynomial of the same parameters
-    assert permuted.delta <= inst.delta
-    assert scalar.n == inst.n
