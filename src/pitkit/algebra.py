@@ -31,8 +31,12 @@ MR_EXACT_BELOW = 3317044064679887385961981
 
 
 def is_prime(m: int) -> bool:
-    """Exact primality: deterministic Miller-Rabin below MR_EXACT_BELOW;
-    above it a probable prime is confirmed by trial division."""
+    """Exact primality by deterministic Miller-Rabin; m at or above
+    MR_EXACT_BELOW, where the test is no longer exact, is a CapabilityError."""
+    if m >= MR_EXACT_BELOW:
+        raise CapabilityError(
+            f"modulus {m} is not below {MR_EXACT_BELOW}, the bound of exact primality"
+        )
     if m < 2:
         return False
     for q in MR_BASES:
@@ -52,13 +56,6 @@ def is_prime(m: int) -> bool:
                 break
         else:
             return False
-    if m < MR_EXACT_BELOW:
-        return True
-    f = 43
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 2
     return True
 
 

@@ -16,7 +16,9 @@ lexicographic order, evaluated a block of 2^CUBE_BLOCK points at a time.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .algebra import Field, MatPoly, Monomial, ScalarPoly, mono_zero
@@ -26,7 +28,7 @@ from .errors import (
     PreconditionError,
     StructuralError,
 )
-from .roabp import Roabp
+from .roabp import EXPAND_CEILING, Roabp
 
 ORDER_SEARCH_LIMIT = 6
 SWEEP_CEILING = 10**7
@@ -133,6 +135,12 @@ class Depth3Circuit:
             seen.setdefault(part.canonical_key(), part)
         return list(seen.values())
 
+    @cached_property
+    def distance_order(self) -> tuple[tuple[int, ...], int]:
+        """(gate order, distance): `minimal_distance_order` of the gate
+        partitions, searched once per circuit."""
+        return minimal_distance_order([self.gate_partition(i) for i in range(self.k)])
+
     def eval_at(self, point: Sequence[int]) -> int:
         if len(point) != self.n:
             raise StructuralError(f"point length {len(point)} != ambient {self.n}")
@@ -148,7 +156,18 @@ class Depth3Circuit:
             total = (total + val) % p
         return total
 
-    def expand(self) -> ScalarPoly:
+    def expand(self, ceiling: int = EXPAND_CEILING) -> ScalarPoly:
+        """Brute-force oracle: the gates multiplied out, after checking that
+        the sum over gates of the product of form sizes is within the
+        ceiling."""
+        count = sum(
+            math.prod(len(f.coeffs) + (f.constant != 0) for f in gate.forms)
+            for gate in self.gates
+        )
+        if count > ceiling:
+            raise CapabilityError(
+                f"depth-3 expansion of {count} terms exceeds the ceiling {ceiling}"
+            )
         acc = ScalarPoly.zero(self.field, self.n)
         for gate in self.gates:
             prod = ScalarPoly.const(self.field, self.n, gate.scale)
@@ -289,24 +308,25 @@ def minimal_distance_order(partitions: Sequence[Partition]) -> tuple[tuple[int, 
 # reductions to ROABP
 
 
-def _neighborhood_partitions(seq: Sequence[Partition]) -> list[Partition]:
-    """P'_i: the union of colors in each friendly neighborhood of seq[i]."""
-    out = []
-    for i in range(len(seq)):
-        classes = friendly_neighborhoods(seq, i)
-        out.append(
-            Partition(seq[i].ground, tuple(frozenset().union(*k) for k in classes))
-        )
-    return out
+def _neighborhood_partitions(
+    seq: Sequence[Partition],
+) -> tuple[list[list[list[frozenset]]], list[Partition]]:
+    """The friendly neighborhoods of each seq[i], and P'_i: the union of
+    colors in each of them."""
+    classes = [friendly_neighborhoods(seq, i) for i in range(len(seq))]
+    primed = [
+        Partition(part.ground, tuple(frozenset().union(*k) for k in ks))
+        for part, ks in zip(seq, classes)
+    ]
+    return classes, primed
 
 
 def _respecting_order(coarse_to_fine: Sequence[Partition]) -> list[int]:
     """A total variable order respecting every partition in the sequence
     (coarsest first, each refined by the next); arbitrary choices are fixed
     by smallest variable index."""
-    parts = list(coarse_to_fine)
-    blocks: list[frozenset] = sorted(parts[0].colors, key=min)
-    for part in parts[1:]:
+    blocks: list[frozenset] = sorted(coarse_to_fine[0].colors, key=min)
+    for part in coarse_to_fine[1:]:
         new_blocks: list[frozenset] = []
         for blk in blocks:
             inner = sorted((c for c in part.colors if c <= blk), key=min)
@@ -314,136 +334,70 @@ def _respecting_order(coarse_to_fine: Sequence[Partition]) -> list[int]:
                 raise InternalInconsistencyError("refinement property violated")
             new_blocks.extend(inner)
         blocks = new_blocks
-    order: list[int] = []
-    for blk in blocks:
-        order.extend(sorted(blk))
-    return order
-
-
-def _gate_lane(
-    circuit: Depth3Circuit,
-    gate: Gate,
-    neighborhoods: list[list[frozenset]],
-    order: list[int],
-) -> tuple[int, dict[int, tuple]]:
-    """Per-variable transfer matrices for one gate's lane.
-
-    Every neighborhood's forms are multiplied out into a sparse multilinear
-    segment polynomial; the lane walks the segments in order, entering each
-    one through a carry channel (state 0), fanning out to one state per
-    monomial, and funnelling back to the carry at the segment's last
-    variable.
-    """
-    field, n = circuit.field, circuit.n
-    position = {v: i for i, v in enumerate(order)}
-    form_by_color = {f.support: f for f in gate.forms if f.support}
-    segments = []
-    for klass in neighborhoods:
-        union = sorted(frozenset().union(*klass))
-        poly = ScalarPoly.const(field, n, 1)
-        for color in klass:
-            form = form_by_color.get(color)
-            if form is not None:
-                poly = poly * form.to_scalar_poly(field, n)
-        positions = sorted(position[v] for v in union)
-        if positions != list(range(positions[0], positions[0] + len(positions))):
-            raise InternalInconsistencyError("neighborhood is not an order interval")
-        segments.append((positions[0], positions[-1], poly))
-    # constant forms scale the lane at its first segment entry
-    const_scale = 1
-    for f in gate.forms:
-        if not f.support:
-            const_scale = (const_scale * f.constant) % field.p
-    width = max(1, max(s[2].sparsity for s in segments))
-    matrices: dict[int, tuple] = {}
-    segments.sort()
-    first_segment_start = segments[0][0]
-    for start, end, poly in segments:
-        monos = sorted(poly.terms)
-        for pos in range(start, end + 1):
-            v = order[pos]
-            const_m = [[0] * width for _ in range(width)]
-            var_m = [[0] * width for _ in range(width)]
-            if start == end:
-                uni = poly
-                for e, c in uni.terms.items():
-                    if c and e[v]:
-                        var_m[0][0] = (var_m[0][0] + c) % field.p
-                    elif c:
-                        const_m[0][0] = (const_m[0][0] + c) % field.p
-            else:
-                for idx, m in enumerate(monos):
-                    target = var_m if m[v] else const_m
-                    if pos == start:
-                        target[0][idx] = poly.terms[m]
-                    elif pos == end:
-                        target[idx][0] = 1
-                    else:
-                        target[idx][idx] = 1
-            if pos == first_segment_start and const_scale != 1:
-                const_m = [[(x * const_scale) % field.p for x in row] for row in const_m]
-                var_m = [[(x * const_scale) % field.p for x in row] for row in var_m]
-            matrices[pos] = (
-                tuple(tuple(r) for r in const_m),
-                tuple(tuple(r) for r in var_m),
-            )
-    return width, matrices
+    return [v for blk in blocks for v in sorted(blk)]
 
 
 def circuit_to_roabp(c: Depth3Circuit) -> Roabp:
     """Reduce a multilinear depth-3 circuit to an ROABP over single-variable
     blocks in a total order respecting every neighborhood partition.
 
-    The gates are taken in the order `minimal_distance_order` picks.  The
-    width is at most the sum over gates of the largest neighborhood product
-    sparsity.  With distance delta, neighborhood products multiply at most
-    delta linear forms.
+    The gates are taken in `Depth3Circuit.distance_order`, and each gate is
+    a lane of the block-diagonal layers, as wide as its largest neighborhood
+    product.  Each neighborhood is a segment, an interval [start, end] of
+    the order carrying the product of its forms: the lane enters it through
+    its carry state (the lane's first), fans out to one state per monomial
+    of the product, and funnels back to the carry at end.  With distance
+    delta, neighborhood products multiply at most delta linear forms.
     """
     if c.k == 0:
         raise PreconditionError("circuit has no gates")
-    parts = [c.gate_partition(i) for i in range(c.k)]
-    gate_order, _ = minimal_distance_order(parts)
-    seq = [parts[i] for i in gate_order]
-    primed = _neighborhood_partitions(seq)
-    order = _respecting_order(list(reversed(primed)))
-    lanes = []
-    for pos_in_seq, g_idx in enumerate(gate_order):
-        neighborhoods = friendly_neighborhoods(seq, pos_in_seq)
-        lanes.append(_gate_lane(c, c.gates[g_idx], neighborhoods, order))
-    field, n = c.field, c.n
-    total_width = sum(w for w, _ in lanes)
-    offsets = []
-    acc = 0
-    for w, _ in lanes:
-        offsets.append(acc)
-        acc += w
-    layers = []
-    for pos, v in enumerate(order):
-        const_m = [[0] * total_width for _ in range(total_width)]
-        var_m = [[0] * total_width for _ in range(total_width)]
-        for (w, mats), off in zip(lanes, offsets):
-            cm, vm = mats[pos]
-            for i in range(w):
-                for j in range(w):
-                    if cm[i][j]:
-                        const_m[off + i][off + j] = cm[i][j]
-                    if vm[i][j]:
-                        var_m[off + i][off + j] = vm[i][j]
-        e = [0] * n
-        e[v] = 1
-        terms = {}
-        if any(any(r) for r in const_m):
-            terms[mono_zero(n)] = tuple(tuple(r) for r in const_m)
-        if any(any(r) for r in var_m):
-            terms[tuple(e)] = tuple(tuple(r) for r in var_m)
-        layers.append(MatPoly(field, n, total_width, terms))
-    left = [0] * total_width
-    right = [0] * total_width
-    for (w, _), off, g_idx in zip(lanes, offsets, gate_order):
-        left[off] = c.gates[g_idx].scale
-        right[off] = 1
+    gate_order, _ = c.distance_order
+    classes, primed = _neighborhood_partitions([c.gate_partition(i) for i in gate_order])
+    order = _respecting_order(primed[::-1])
+    position = {v: i for i, v in enumerate(order)}
+    lanes = []  # per gate: (gate, width, segments as (start, end, product terms))
+    for g_idx, neighborhoods in zip(gate_order, classes):
+        gate = c.gates[g_idx]
+        form_by_color = {f.support: f for f in gate.forms if f.support}
+        segments = []
+        for klass in neighborhoods:
+            positions = sorted(position[v] for color in klass for v in color)
+            if positions[-1] - positions[0] != len(positions) - 1:
+                raise InternalInconsistencyError("neighborhood is not an order interval")
+            poly = ScalarPoly.const(c.field, c.n, 1)
+            for color in klass:
+                if color in form_by_color:
+                    poly = poly * form_by_color[color].to_scalar_poly(c.field, c.n)
+            segments.append((positions[0], positions[-1], sorted(poly.terms.items())))
+        width = max(len(terms) for _, _, terms in segments)
+        lanes.append((gate, width, sorted(segments, key=lambda seg: seg[0])))
+    total = sum(width for _, width, _ in lanes)
+    # per position: the constant matrix and the x_v matrix, indexed by the
+    # exponent of x_v in a (multilinear) monomial; MatPoly reduces them mod p
+    mats = [[[[0] * total for _ in range(total)] for _ in range(2)] for _ in order]
+    left, right = [0] * total, [0] * total
+    offset = 0
+    for gate, width, segments in lanes:
+        left[offset], right[offset] = gate.scale, 1
+        # constant forms scale the lane at its first segment's start
+        scale = math.prod(f.constant for f in gate.forms if not f.support)
+        for start, end, terms in segments:
+            for idx, (m, coef) in enumerate(terms):
+                for pos in range(start, end + 1):
+                    row = offset if pos == start else offset + idx
+                    col = offset if pos == end else offset + idx
+                    mats[pos][m[order[pos]]][row][col] += coef * scale if pos == start else 1
+            scale = 1
+        offset += width
+    layers = [
+        MatPoly(
+            c.field, c.n, total,
+            {mono_zero(c.n): const, tuple(int(u == v) for u in range(c.n)): var},
+        )
+        for v, (const, var) in zip(order, mats)
+    ]
     return Roabp.with_constant_boundaries(
-        field, n, [(v,) for v in order], layers, tuple(left), tuple(right)
+        c.field, c.n, [(v,) for v in order], layers, tuple(left), tuple(right)
     )
 
 

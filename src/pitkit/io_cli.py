@@ -26,7 +26,6 @@ from .depth3 import (
     Gate,
     LinearForm,
     decompose_base_sets,
-    minimal_distance_order,
     sum_sml_whitebox_test,
 )
 from .errors import CapabilityError, PreconditionError, StructuralError
@@ -414,8 +413,7 @@ def _cmd_distance(args) -> int:
     instance = load_instance(args.input, args.modulus)
     if not isinstance(instance, Depth3Circuit):
         raise PreconditionError("distance expects a depth3 circuit file")
-    parts = [instance.gate_partition(i) for i in range(instance.k)]
-    order, dist = minimal_distance_order(parts)
+    order, dist = instance.distance_order
     print(f"distance: {dist}")
     print(f"gate order: {' '.join(str(i) for i in order)}")
     return EXIT_OK
@@ -454,7 +452,7 @@ def _cmd_expand(args) -> int:
     if isinstance(instance, Roabp):
         _, scalar = instance.expand(args.ceiling)
     else:
-        scalar = instance.expand()
+        scalar = instance.expand(args.ceiling)
     names = _var_names(scalar.n)
     print(f"terms: {scalar.sparsity}")
     for e, ccoef in sorted(scalar.terms.items()):
@@ -554,18 +552,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except CapabilityError as exc:
         print(f"capability error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
-    except (StructuralError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (StructuralError, PreconditionError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

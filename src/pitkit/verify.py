@@ -23,7 +23,6 @@ from .depth3 import (
     LinearForm,
     Partition,
     circuit_to_roabp,
-    minimal_distance_order,
     sum_sml_whitebox_test,
 )
 from .errors import CapabilityError, StructuralError
@@ -300,10 +299,7 @@ def _generate_depth3_distance(spec: InstanceSpec) -> Depth3Circuit:
             ]
         gates = _gates_from_partitions(stream, field, n, parts)
         circuit = Depth3Circuit(field, n, gates)
-        _, dist = minimal_distance_order(
-            [circuit.gate_partition(i) for i in range(circuit.k)]
-        )
-        if dist > spec.delta:
+        if circuit.distance_order[1] > spec.delta:
             continue
         if spec.nonzero and circuit.expand().is_zero():
             continue
@@ -477,9 +473,7 @@ def _campaign_case(spec: InstanceSpec) -> tuple[bool, str]:
         reduced = circuit_to_roabp(circuit)
         _, scalar = reduced.expand()
         ok = scalar == circuit.expand()
-        _, dist = minimal_distance_order(
-            [circuit.gate_partition(i) for i in range(circuit.k)]
-        )
+        _, dist = circuit.distance_order
         bound = circuit.k * (circuit.n + 1) ** dist
         ok = ok and reduced.width <= bound
         status = "pass" if ok else "FAIL"

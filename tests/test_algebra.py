@@ -19,6 +19,7 @@ from pitkit.algebra import (
     mat_mul,
     rank_over_field,
     is_prime,
+    MR_EXACT_BELOW,
 )
 from pitkit.errors import CapabilityError, StructuralError
 
@@ -74,6 +75,13 @@ def test_is_prime_matches_trial_division():
 def test_is_prime_rejects_strong_pseudoprimes(m):
     # strong pseudoprimes to all prime bases up to 2, 7, 23 and 37 in turn
     assert not is_prime(m)
+
+
+def test_moduli_past_exact_primality_are_a_capability_error():
+    assert is_prime(2**61 - 1)
+    for m in (MR_EXACT_BELOW, 2**89 - 1, 2**90):
+        with pytest.raises(CapabilityError, match=str(MR_EXACT_BELOW)):
+            Field(m)
 
 
 def test_inverse_extended_euclid():

@@ -175,6 +175,16 @@ def test_random_low_distance_reductions():
         assert r.width <= circuit.k * (circuit.n + 1) ** dist
 
 
+def test_distance_order_is_the_minimal_order_of_the_gate_partitions():
+    for seed in range(12):
+        circuit = generate_instance(
+            InstanceSpec(klass="depth3-distance", seed=seed, n=3 + seed % 4, k=1 + seed % 3, delta=3)
+        )
+        parts = [circuit.gate_partition(i) for i in range(circuit.k)]
+        assert circuit.distance_order == minimal_distance_order(parts)
+        assert circuit.distance_order is circuit.distance_order
+
+
 def test_gates_with_omitted_variables_pad_as_singletons():
     gate = Gate(2, (LinearForm(0, {0: 1, 1: 1}),))
     c = Depth3Circuit(F, 4, (gate,))
@@ -400,7 +410,7 @@ def test_neighborhood_partitions_form_refinement_chain():
         Partition.of_lists([[0, 1], [2, 3], [4, 5]]),
         Partition.of_lists([[0, 2], [1, 3], [4], [5]]),
     ]
-    primed = _neighborhood_partitions(seq)
+    _, primed = _neighborhood_partitions(seq)
     for earlier, later in zip(primed, primed[1:]):
         for color in earlier.colors:
             assert any(color <= big for big in later.colors)

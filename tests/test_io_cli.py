@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pitkit
-from pitkit import depth3
+from pitkit import depth3, io_cli
 from pitkit.depth3 import SWEEP_CEILING, Depth3Circuit
 from pitkit.io_cli import (
     build_parser,
@@ -156,12 +157,12 @@ def write_instance(tmp_path, name, instance):
     return str(path)
 
 
-def run_cli(*argv):
+def run_cli(*argv, **kwargs):
     """The CLI in a fresh interpreter, so a traceback shows on stderr."""
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(pitkit.__file__).parents[1]))
     return subprocess.run(
         [sys.executable, "-m", "pitkit.io_cli", *argv],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=env, **kwargs,
     )
 
 
@@ -493,6 +494,73 @@ def test_cli_test_rejects_bad_point_headers(tmp_path, text, message):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
+
+
+@pytest.mark.parametrize("unreadable", ["directory", "binary-circuit", "binary-point-line"])
+def test_cli_unreadable_files_are_usage_errors(tmp_path, unreadable):
+    circuit = tmp_path / "c.json"
+    circuit.write_text(dumps_canonical(MINIMAL_ROABP))
+    points = tmp_path / "pts.txt"
+    points.write_text("# pitkit points n=2 count=1\n1,2\n")
+    if unreadable == "directory":
+        circuit = tmp_path
+    elif unreadable == "binary-circuit":
+        circuit.write_bytes(bytes(range(255, -1, -1)))
+    else:
+        points.write_bytes(b"# pitkit points n=2 count=1\n1,\xff\n")
+    proc = run_cli("test", "--input", str(circuit), "--points", str(points))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_modulus_past_exact_primality_exits_at_once(tmp_path):
+    circuit = tmp_path / "r.json"
+    circuit.write_text(dumps_canonical(MINIMAL_ROABP))
+    proc = run_cli("expand", "--input", str(circuit), "--modulus", str(2**89 - 1), timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert "3317044064679887385961981" in proc.stderr
+
+
+def test_cli_depth3_expand_reads_the_ceiling(tmp_path, capsys):
+    # x1 * (1 + x2) multiplies out 1 * 2 = 2 terms
+    circuit = tmp_path / "d.json"
+    circuit.write_text(dumps_canonical(MINIMAL_DEPTH3))
+    assert main(["expand", "--input", str(circuit), "--ceiling", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "depth-3 expansion of 2 terms exceeds the ceiling 1" in captured.err
+    assert main(["expand", "--input", str(circuit), "--ceiling", "2"]) == 0
+    assert "terms: 2" in capsys.readouterr().out
+
+
+def test_cli_sum_sml_campaign_past_the_expansion_ceiling_is_limited():
+    # 40 variables multiply out to 431,661,312 terms: cap the address space,
+    # so that a missing ceiling fails the test instead of exhausting memory
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+
+    proc = run_cli(
+        "verify", "--class", "sum-sml", "--samples", "1", "--param", "n=40",
+        timeout=120, preexec_fn=cap_memory,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout.splitlines()[1] == (
+        "seed=0: LIMIT depth-3 expansion of 431661312 terms exceeds the ceiling 1000000"
+    )
+
+
+def test_cli_builds_its_parser_once(tmp_path, monkeypatch, capsys):
+    built = []
+    build = io_cli.build_parser
+    monkeypatch.setattr(io_cli, "_PARSER", None)
+    monkeypatch.setattr(io_cli, "build_parser", lambda: built.append(1) or build())
+    circuit = tmp_path / "d.json"
+    circuit.write_text(dumps_canonical(MINIMAL_DEPTH3))
+    for command in ("distance", "decompose", "expand"):
+        assert main([command, "--input", str(circuit)]) == 0
+    assert built == [1]
+    capsys.readouterr()
 
 
 def test_save_points_matches_the_join_writer(tmp_path):

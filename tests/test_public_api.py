@@ -18,7 +18,7 @@ from pitkit.concentrate import (
     invertible_hitting_set,
     width2_hitting_set,
 )
-from pitkit.depth3 import circuit_to_roabp
+from pitkit.depth3 import Depth3Circuit, circuit_to_roabp
 from pitkit.isolate import construct_isolating_weights, greedy_basis, roabp_hitting_set
 from pitkit.kron import WeightFn
 from pitkit.verify import HittingReport, InstanceSpec, generate_instance, oracle_is_zero
@@ -38,6 +38,7 @@ def params(fn) -> list[str]:
     (WeightFn.powers, ["self", "t", "p"]),
     (WeightFn.sweep, ["self", "count", "p"]),
     (find_concentrating_shift, ["r"]),
+    (Depth3Circuit.expand, ["self", "ceiling"]),
 ])
 def test_parameter_names(fn, names):
     assert params(fn) == names

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from pitkit import depth3
 from pitkit.algebra import Field, MatPoly, det_poly
 from pitkit.depth3 import Depth3Circuit, Gate, LinearForm
 from pitkit.errors import StructuralError
@@ -11,6 +12,8 @@ from pitkit.roabp import EXPAND_CEILING, PointSet, Roabp
 from pitkit.verify import (
     DetStream,
     InstanceSpec,
+    _campaign_case,
+    _case_overrides,
     generate_instance,
     oracle_is_zero,
     run_campaign,
@@ -130,3 +133,23 @@ def test_campaigns_pass_across_classes():
     ]:
         result = run_campaign(klass, samples, seed=100)
         assert result.all_passed, result.render()
+
+
+def test_depth3_distance_case_searches_the_gate_order_once(monkeypatch):
+    # seed 0's first generated circuit is accepted: one circuit, one search;
+    # the name is counted wherever a module may have imported it
+    calls = []
+    search = depth3.minimal_distance_order
+
+    def counted(parts):
+        calls.append(len(parts))
+        return search(parts)
+
+    monkeypatch.setattr("pitkit.depth3.minimal_distance_order", counted)
+    monkeypatch.setattr("pitkit.verify.minimal_distance_order", counted, raising=False)
+    spec = InstanceSpec(
+        klass="depth3-distance", seed=0, **_case_overrides("depth3-distance", 0, {})
+    )
+    ok, line = _campaign_case(spec)
+    assert ok and line.startswith("seed=0: pass distance=")
+    assert len(calls) == 1
