@@ -428,17 +428,23 @@ def factorize_width2(r: Roabp) -> Width2Factorization:
 @dataclass(frozen=True)
 class LagrangeCurve:
     """The degree-(h-1) vector curve through anchor points alpha_0..alpha_{h-1}
-    at nodes 0..h-1, so curve(i) = alpha_i exactly."""
+    at nodes 0..h-1, so curve(i) = alpha_i exactly.
+
+    `eval_at(u)` gives one point; `sweep(count)` gives curve(0), ...,
+    curve(count-1) in O(count) products per coordinate.
+    """
 
     field: Field
     anchors: tuple
 
     def __post_init__(self) -> None:
-        anchors = tuple(tuple(a) for a in self.anchors)
+        p = self.field.p
+        anchors = tuple(tuple(a % p for a in anchor) for anchor in self.anchors)
         if not anchors:
             raise StructuralError("need at least one anchor")
+        if len({len(a) for a in anchors}) > 1:
+            raise StructuralError("anchors must all have the same length")
         h = len(anchors)
-        p = self.field.p
         if p <= h:
             raise ModulusTooSmallError(f"modulus {p} too small for {h} nodes")
         object.__setattr__(self, "anchors", anchors)
@@ -477,6 +483,53 @@ class LagrangeCurve:
                         out[v] = (out[v] + lag * anchor[v]) % p
         return tuple(out)
 
+    def sweep(self, count: int) -> tuple[tuple[int, ...], ...]:
+        """eval_at(u) for u = 0 .. count-1, which must be distinct residues
+        mod p.
+
+        For u >= h, curve(u) = l(u) * sum_i w_i alpha_i / (u - i) with
+        l(u) = u! / (u-h)! and w_i the barycentric weights.  The sum is, per
+        coordinate, the convolution of (w_i alpha_i) with (1/m), computed as
+        one big-int product of the two sequences packed into byte slots
+        wide enough that no slot overflows.
+        """
+        p = self.field.p
+        if count > p:
+            raise ModulusTooSmallError(
+                f"curve sweep needs {count} distinct values, modulus {p} too small"
+            )
+        h = len(self.anchors)
+        if count <= h:
+            return self.anchors[:max(count, 0)]
+        # u! and 1/u! for u < count from one inverse; 1/m = (m-1)! / m!
+        fact = [1] * count
+        for u in range(1, count):
+            fact[u] = fact[u - 1] * u % p
+        inv_fact = [1] * count
+        inv_fact[-1] = self.field.inv(fact[-1])
+        for u in range(count - 1, 0, -1):
+            inv_fact[u - 1] = inv_fact[u] * u % p
+        ell = [fact[u] * inv_fact[u - h] % p for u in range(h, count)]
+        # each slot sums at most h products of two residues
+        width = (2 * p.bit_length() + h.bit_length() + 7) // 8
+
+        def pack(seq) -> int:
+            return int.from_bytes(
+                b"".join(x.to_bytes(width, "little") for x in seq), "little"
+            )
+
+        recips = pack([0] + [fact[m - 1] * inv_fact[m] % p for m in range(1, count)])
+        columns = []
+        for coords in zip(*self.anchors):
+            conv = pack(w * a % p for w, a in zip(self._weights, coords)) * recips
+            buf = conv.to_bytes((h + count) * width, "little")
+            columns.append([
+                int.from_bytes(buf[u * width:(u + 1) * width], "little") * scale % p
+                for u, scale in zip(range(h, count), ell)
+            ])
+        tail = tuple(zip(*columns)) if columns else ((),) * (count - h)
+        return self.anchors + tail
+
 
 def _curve_sweep(
     anchor_points: list, n: int, d: int, delta: int, field: Field, extra: dict
@@ -489,7 +542,7 @@ def _curve_sweep(
             f"curve sweep needs {count} distinct values, modulus {field.p} too small"
         )
     curve = LagrangeCurve(field, tuple(anchor_points))
-    points = tuple(curve.eval_at(u) for u in range(count))
+    points = curve.sweep(count)
     provenance = {
         "generator": "width2_hitting_set",
         "n": n,

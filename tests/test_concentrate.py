@@ -587,6 +587,63 @@ def test_curve_interpolates_random_points():
         assert curve.eval_at(node) == pt
 
 
+def test_curve_refuses_anchors_of_unequal_length():
+    for anchors in (((1,), (2, 3)), ((1, 2), (3,))):
+        with pytest.raises(StructuralError, match="same length"):
+            LagrangeCurve(Field(101), anchors)
+
+
+def test_curve_reduces_its_anchors():
+    curve = LagrangeCurve(F7, ((8, -1), (3, 4)))
+    assert curve.anchors == ((1, 6), (3, 4))
+    assert curve.eval_at(0) == (1, 6)
+    assert curve.sweep(3) == ((1, 6), (3, 4), curve.eval_at(2))
+
+
+@pytest.mark.parametrize("p", [5, 7, 101, 10007, 2**31 - 1, 2**61 - 1])
+def test_curve_sweep_matches_eval_at(p):
+    field = Field(p)
+    rnd = random.Random(p)
+    shapes = [(1, 1), (1, 3), (2, 1), (min(p - 1, 4), 2), (min(p - 1, 40), 3)]
+    for h, n in shapes:
+        for _ in range(4):
+            # coordinate 0 is zero on every anchor, the others partly zero
+            anchors = tuple(
+                (0,) + tuple(rnd.choice((0, rnd.randrange(p))) for _ in range(n - 1))
+                for _ in range(h)
+            )
+            curve = LagrangeCurve(field, anchors)
+            counts = {0, 1, h - 1, h, h + 1, min(p, 3 * h + 50)}
+            if p * h <= 50_000:
+                counts.add(p)
+            for count in counts:
+                expected = tuple(curve.eval_at(u) for u in range(count))
+                assert curve.sweep(count) == expected, (h, n, count)
+            with pytest.raises(ModulusTooSmallError):
+                curve.sweep(p + 1)
+
+
+def test_curve_sweep_of_points_without_coordinates():
+    curve = LagrangeCurve(F7, ((), ()))
+    assert curve.sweep(5) == tuple(curve.eval_at(u) for u in range(5)) == ((),) * 5
+
+
+@pytest.mark.parametrize("mode", ["whitebox", "blackbox"])
+def test_width2_hitting_set_sweeps_the_curve(mode, monkeypatch):
+    def no_evaluation(self, u):
+        raise AssertionError("the curve sweep evaluates no single point")
+
+    spec = InstanceSpec(klass="width2-roabp", seed=0, modulus=2**31 - 1, n=2,
+                        d=1, w=2, s=1, delta=1, mu=1, force_singular=True)
+    inst = generate_instance(spec)
+    with monkeypatch.context() as m:
+        m.setattr(LagrangeCurve, "eval_at", no_evaluation)
+        points = width2_hitting_set(inst, mode)
+    assert len(points) == points.provenance["count"]
+    report = verify_hitting_property(inst, points)
+    assert report.passed and not report.vacuous
+
+
 # ---------------------------------------------------------------------------
 # width-2 hitting set
 

@@ -36,6 +36,7 @@ CASES = [
     ("invertible", "invertible-roabp", (1, 1, 2, 1, 1, 1), 10007),
     ("invertible", "invertible-roabp", (2, 2, 2, 1, 1, 1), 10007),
     ("width2", "width2-roabp", (1, 1, 2, 1, 1, 1), P31),
+    ("width2", "width2-roabp", (2, 2, 2, 1, 1, 1), 10007),
 ]
 
 

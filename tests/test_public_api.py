@@ -39,6 +39,7 @@ def params(fn) -> list[str]:
     (WeightFn.sweep, ["self", "count", "p"]),
     (find_concentrating_shift, ["r"]),
     (Depth3Circuit.expand, ["self", "ceiling"]),
+    (LagrangeCurve.sweep, ["self", "count"]),
 ])
 def test_parameter_names(fn, names):
     assert params(fn) == names
