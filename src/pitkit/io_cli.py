@@ -13,9 +13,12 @@ invariant errors; 3 capability limits (ceilings, small modulus).
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import re
 import sys
 from dataclasses import fields
+from itertools import chain
 from typing import Sequence
 
 from .algebra import DEFAULT_MODULUS, Field, MatPoly, ScalarPoly
@@ -312,58 +315,160 @@ def load_instance(path: str, modulus_override: int | None = None):
 # point files
 
 
+# points formatted by one `%` and written by one call; a block, not the
+# whole file, is held as one string
+_POINTS_PER_WRITE = 1024
+
+
 def save_points(points: PointSet, path: str) -> None:
     """Provenance header, then one point per line as comma-separated
     residues."""
+    pts = points.points
+    line = ",".join(["%d"] * points.n) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# pitkit points n={points.n} count={len(points)}\n")
+        fh.write(f"# pitkit points n={points.n} count={len(pts)}\n")
         fh.write(f"# provenance: {json.dumps(points.provenance, sort_keys=True)}\n")
-        line = ",".join(["%d"] * points.n) + "\n"
-        fh.writelines(line % pt for pt in points)
+        for start in range(0, len(pts), _POINTS_PER_WRITE):
+            chunk = pts[start:start + _POINTS_PER_WRITE]
+            fh.write(line * len(chunk) % tuple(chain.from_iterable(chunk)))
+
+
+class _Header:
+    """What the '#' lines of a point file declare.  A value that does not
+    parse, a negative n, or a second `pitkit points` or `provenance:` line
+    is a bad header line."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self.n: int | None = None
+        self.count: int | None = None
+        self.count_line = 0
+        self.provenance: dict | None = None
+        self.declared = False  # a `pitkit points` line was read
+
+    def read(self, line: str, line_no: int) -> None:
+        """`line` is stripped and starts with '#'."""
+        body = line[1:].strip()
+        try:
+            if body.startswith("pitkit points"):
+                if self.declared:
+                    raise ValueError("repeated pitkit points line")
+                self.declared = True
+                for chunk in body.split():
+                    if chunk.startswith("n="):
+                        self.n = int(chunk[2:])
+                        if self.n < 0:
+                            raise ValueError("negative n")
+                    elif chunk.startswith("count="):
+                        self.count, self.count_line = int(chunk[6:]), line_no
+            elif body.startswith("provenance:"):
+                if self.provenance is not None:
+                    raise ValueError("repeated provenance line")
+                provenance = json.loads(body.split(":", 1)[1])
+                if not isinstance(provenance, dict):
+                    raise ValueError("provenance is not a JSON object")
+                self.provenance = provenance
+        except ValueError as exc:  # json.JSONDecodeError included
+            raise StructuralError(f"{self.path}:{line_no}: bad header line") from exc
+
+    def check_count(self, lines: int) -> None:
+        if self.count is not None and self.count != lines:
+            raise StructuralError(
+                f"{self.path}:{self.count_line}: header count={self.count} "
+                f"but {lines} point lines"
+            )
+
+
+class _PointLines:
+    """The points of a canonical point-file body, still as bytes: `len()`
+    is the line count, and iteration parses one line per step."""
+
+    def __init__(self, header: _Header, data: bytes, start: int, first_line: int):
+        self.n = header.n
+        self.provenance = header.provenance or {}
+        self._path = header.path
+        self._data = data
+        self._start = start
+        self._first_line = first_line
+        self._count = data.count(b"\n", start)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self):
+        data, pos = self._data, self._start
+        for line_no in range(self._first_line, self._first_line + self._count):
+            end = data.find(b"\n", pos)
+            try:
+                point = tuple(map(int, data[pos:end].split(b",")))
+            except ValueError as exc:  # a value past the interpreter's digit limit
+                raise StructuralError(f"{self._path}:{line_no}: bad point line") from exc
+            yield point
+            pos = end + 1
+
+
+def _canonical_body(n: int) -> re.Pattern:
+    """Lines of exactly n comma-separated digit strings, each ending in a
+    newline; possessive, so a mismatch fails without backtracking."""
+    return re.compile(rb"(?:[0-9]++(?:,[0-9]++){%d}\n)*+" % (n - 1))
+
+
+def _read_points(path: str) -> _PointLines | PointSet:
+    """Read a point file once.  A canonical file (ASCII, '#' header lines
+    first, then lines of n digit strings) is checked in one pass and left
+    unparsed; any other file goes through the line loop.  A malformed
+    header, a header count that differs from the number of point lines, or
+    a bad point line is a StructuralError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # the line loop decodes UTF-8 and breaks lines at '\r' as well
+    if data.isascii() and b"\r" not in data:
+        header = _Header(path)
+        pos = line_no = 0
+        while data.startswith(b"#", pos):
+            end = data.find(b"\n", pos) + 1 or len(data)
+            line_no += 1
+            header.read(data[pos:end].decode().strip(), line_no)
+            pos = end
+        if header.n and _canonical_body(header.n).fullmatch(data, pos):
+            points = _PointLines(header, data, pos, line_no + 1)
+            header.check_count(len(points))
+            return points
+    return _read_point_lines(path, data)
+
+
+def _read_point_lines(path: str, data: bytes) -> PointSet:
+    """The line loop: blank lines, surrounding whitespace, '#' lines
+    anywhere and any line ending are accepted, and every point is parsed."""
+    header = _Header(path)
+    pts = []
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                header.read(line, line_no)
+                continue
+            try:
+                pts.append(tuple(map(int, line.split(","))))
+            except ValueError as exc:
+                raise StructuralError(f"{path}:{line_no}: bad point line") from exc
+    header.check_count(len(pts))
+    n = header.n
+    if n is None:
+        if not pts:
+            raise StructuralError(f"{path}: empty point file without a header")
+        n = len(pts[0])
+    return PointSet(n, tuple(pts), header.provenance or {})
 
 
 def load_points(path: str) -> PointSet:
     """Read a point file; a malformed header, a header count that differs
     from the number of point lines, or a bad point line is a
     StructuralError."""
-    n = None
-    count = None
-    provenance: dict = {}
-    pts = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                try:
-                    if body.startswith("pitkit points"):
-                        for chunk in body.split():
-                            if chunk.startswith("n="):
-                                n = int(chunk[2:])
-                            elif chunk.startswith("count="):
-                                count, count_line = int(chunk[6:]), line_no
-                    elif body.startswith("provenance:"):
-                        provenance = json.loads(body.split(":", 1)[1])
-                        if not isinstance(provenance, dict):
-                            raise ValueError("provenance is not a JSON object")
-                except ValueError as exc:  # json.JSONDecodeError included
-                    raise StructuralError(f"{path}:{line_no}: bad header line") from exc
-                continue
-            try:
-                pts.append(tuple(map(int, line.split(","))))
-            except ValueError as exc:
-                raise StructuralError(f"{path}:{line_no}: bad point line") from exc
-    if count is not None and count != len(pts):
-        raise StructuralError(
-            f"{path}:{count_line}: header count={count} but {len(pts)} point lines"
-        )
-    if n is None:
-        if not pts:
-            raise StructuralError(f"{path}: empty point file without a header")
-        n = len(pts[0])
-    return PointSet(n, tuple(pts), provenance)
+    points = _read_points(path)
+    return PointSet(points.n, tuple(points), points.provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +491,7 @@ def _cmd_hs(args) -> int:
 
 def _cmd_test(args) -> int:
     instance = load_instance(args.input, args.modulus)
-    points = load_points(args.points)
-    report = verify_hitting_property(instance, points)
+    report = verify_hitting_property(instance, _read_points(args.points))
     print(report.line("test"))
     return EXIT_OK if report.passed else EXIT_VERDICT
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .algebra import DEFAULT_MODULUS, Field, MatPoly, ScalarPoly, det_poly, mat_det
 from .concentrate import invertible_hitting_set, width2_hitting_set
@@ -27,7 +27,7 @@ from .depth3 import (
 )
 from .errors import CapabilityError, StructuralError
 from .isolate import roabp_hitting_set
-from .roabp import PointSet, Roabp
+from .roabp import Roabp
 
 REJECTION_BUDGET = 400
 
@@ -410,12 +410,14 @@ class HittingReport:
         return f"{label}: {status} witness={idx} size={self.point_count}"
 
 
-def verify_hitting_property(instance, points: PointSet) -> HittingReport:
+def verify_hitting_property(instance, points: Collection[tuple]) -> HittingReport:
     """Pass iff some point evaluates nonzero (the first witness index is
     reported); vacuous-pass for zero instances.
 
-    A witness proves the instance nonzero, so the expansion oracle runs
-    only when no point is one."""
+    `points` is iterated once, up to the witness, and sized by `len()`: a
+    PointSet, or a point file that parses each line as it is read.  A
+    witness proves the instance nonzero, so the expansion oracle runs only
+    when no point is one."""
     for idx, pt in enumerate(points):
         if _evaluate(instance, pt):
             return HittingReport(False, True, idx, len(points))

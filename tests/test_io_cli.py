@@ -27,6 +27,7 @@ from pitkit.io_cli import (
 from pitkit.errors import StructuralError
 from pitkit.roabp import PointSet, Roabp
 from pitkit.verify import InstanceSpec, generate_instance, verify_hitting_property
+from test_pinned_blackbox import CASES as PINNED_BLACKBOX, declared
 
 
 MINIMAL_ROABP = {
@@ -479,9 +480,15 @@ def test_cli_test_rejects_bad_point_lines(tmp_path, line, message):
     ("# pitkit points n=3 count=1\n# provenance: [1]\n1,2,3\n", "pts.txt:2: bad header line"),
     ("# pitkit points n=3 count=5\n1,2,3\n", "pts.txt:1: header count=5 but 1 point lines"),
     ("# pitkit points n=3 count=0\n1,2,3\n", "pts.txt:1: header count=0 but 1 point lines"),
+    ("# pitkit points n=3 count=5\n1,2,3\n# pitkit points n=3 count=1\n",
+     "pts.txt:3: bad header line"),
+    ("# pitkit points n=3 count=1\n# provenance: {}\n# provenance: {}\n1,2,3\n",
+     "pts.txt:3: bad header line"),
+    ("# pitkit points n=-1 count=0\n", "pts.txt:1: bad header line"),
 ], ids=[
     "bad-n", "empty-count", "bad-provenance", "list-provenance",
     "count-above-lines", "count-below-lines",
+    "repeated-points-line", "repeated-provenance", "negative-n",
 ])
 def test_cli_test_rejects_bad_point_headers(tmp_path, text, message):
     inst = generate_instance(
@@ -494,6 +501,90 @@ def test_cli_test_rejects_bad_point_headers(tmp_path, text, message):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
+
+
+# (family, instance class, mode, (n, d, w, s, delta, mu), modulus): the pinned
+# blackbox sets, and seeded whitebox sets from GF(5) to GF(2^61 - 1)
+CANONICAL_SETS = [(family, klass, "blackbox", params, modulus)
+                  for family, klass, params, modulus in PINNED_BLACKBOX] + [
+    ("invertible", "invertible-roabp", "whitebox", (3, 2, 2, 2, 1, 1), 5),
+    *((family, klass, "whitebox", (3, 2, 2, 2, 1, 1), modulus)
+      for family, klass in [("roabp", "roabp"), ("invertible", "invertible-roabp"),
+                            ("width2", "width2-roabp")]
+      for modulus in (10007, 2**31 - 1, 2**61 - 1)),
+]
+
+
+@pytest.mark.parametrize("family, klass, mode, params, modulus", CANONICAL_SETS, ids=[
+    f"{family}-{mode}-{','.join(map(str, params))}-{modulus}"
+    for family, _, mode, params, modulus in CANONICAL_SETS
+])
+def test_canonical_point_files_load_the_line_loop_points(
+        tmp_path, family, klass, mode, params, modulus):
+    if mode == "blackbox":
+        inst = declared(klass, params, modulus)
+    else:
+        n, d, w, s, delta, mu = params
+        inst = generate_instance(InstanceSpec(
+            klass=klass, seed=1, modulus=modulus, n=n, d=d, w=w, s=s, delta=delta, mu=mu,
+        ))
+    points = io_cli.HITTING_SETS[family](inst, mode)
+    path = tmp_path / "pts.txt"
+    save_points(points, str(path))
+    assert isinstance(io_cli._read_points(str(path)), io_cli._PointLines)
+    loop = io_cli._read_point_lines(str(path), path.read_bytes())
+    loaded = load_points(str(path))
+    assert loaded.points == loop.points == points.points
+    assert (loaded.n, loaded.provenance) == (loop.n, loop.provenance)
+
+
+@pytest.mark.parametrize("text, n, pts", [
+    ("# pitkit points n=3 count=2\n 1, 2 ,3 \n4,5,6\n", 3, ((1, 2, 3), (4, 5, 6))),
+    ("# pitkit points n=3 count=2\n+1,2,3\n4,5,+6\n", 3, ((1, 2, 3), (4, 5, 6))),
+    ("# pitkit points n=3 count=2\n1_0,2,3\n4,5,6\n", 3, ((10, 2, 3), (4, 5, 6))),
+    ("# pitkit points n=3 count=2\r\n1,2,3\r\n4,5,6\r\n", 3, ((1, 2, 3), (4, 5, 6))),
+    ("# pitkit points n=3 count=2\r1,2,3\r4,5,6\r", 3, ((1, 2, 3), (4, 5, 6))),
+    ("# pitkit points n=3 count=2\n\n1,2,3\n\n4,5,6\n\n", 3, ((1, 2, 3), (4, 5, 6))),
+    ("# pitkit points n=3 count=2\n1,2,3\n# note\n4,5,6\n", 3, ((1, 2, 3), (4, 5, 6))),
+    ("# pitkit points n=3 count=2\n1,2,3\n4,5,6", 3, ((1, 2, 3), (4, 5, 6))),
+    ("1,2,3\n4,5,6\n", 3, ((1, 2, 3), (4, 5, 6))),
+    ("# pitkit points n=3 count=1\n\u0661,2,3\n", 3, ((1, 2, 3),)),
+], ids=[
+    "spaces", "plus", "underscore", "crlf", "cr", "blank-lines", "comment-in-body",
+    "no-final-newline", "no-header", "non-ascii-digit",
+])
+def test_lenient_point_files_load(tmp_path, text, n, pts):
+    path = tmp_path / "pts.txt"
+    path.write_bytes(text.encode("utf-8"))
+    loaded = load_points(str(path))
+    assert (loaded.n, loaded.points) == (n, pts)
+
+
+def test_cli_test_parses_points_only_up_to_the_witness(tmp_path, capsys):
+    # x1 * x2 is nonzero at (1, 2), the first point.  The second point has
+    # one more digit than int() converts, and 10^5 points follow: test
+    # passes at point 0, and parses no line after it.
+    circuit = tmp_path / "c.json"
+    circuit.write_text(dumps_canonical(MINIMAL_ROABP))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        unparsable = "9" * 4301 + ",1\n"
+        tail = "0,0\n" * 10**5
+        points = tmp_path / "pts.txt"
+        for first, code, out, err in [
+            ("1,2\n", 0, "test: pass witness=0 size=100002\n", ""),
+            ("0,0\n", 2, "", f"error: {points}:4: bad point line\n"),
+        ]:
+            points.write_text(
+                "# pitkit points n=2 count=100002\n# provenance: {}\n" + first + unparsable + tail
+            )
+            assert main(["test", "--input", str(circuit), "--points", str(points)]) == code
+            assert capsys.readouterr() == (out, err)
+        with pytest.raises(StructuralError, match="pts.txt:4: bad point line"):
+            load_points(str(points))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("unreadable", ["directory", "binary-circuit", "binary-point-line"])
@@ -565,17 +656,20 @@ def test_cli_builds_its_parser_once(tmp_path, monkeypatch, capsys):
 
 def test_save_points_matches_the_join_writer(tmp_path):
     p = 2**61 - 1
-    pts = ((0, p - 1, 2**60 + 12345), (2**31 - 2, 0, 1), (p - 1, p - 1, 0))
-    points = PointSet(3, pts, {"generator": "none"})
-    path = tmp_path / "pts.txt"
-    save_points(points, str(path))
-    header = (
-        "# pitkit points n=3 count=3\n"
-        '# provenance: {"generator": "none"}\n'
-    )
-    body = "".join(",".join(map(str, pt)) + "\n" for pt in pts)
-    assert path.read_bytes() == (header + body).encode("utf-8")
-    assert load_points(str(path)).points == pts
+    few = ((0, p - 1, 2**60 + 12345), (2**31 - 2, 0, 1), (p - 1, p - 1, 0))
+    # two whole write blocks and a partial one
+    many = tuple((i, p - 1 - i, i * i) for i in range(2 * io_cli._POINTS_PER_WRITE + 1))
+    for pts in (few, many):
+        points = PointSet(3, pts, {"generator": "none"})
+        path = tmp_path / "pts.txt"
+        save_points(points, str(path))
+        header = (
+            f"# pitkit points n=3 count={len(pts)}\n"
+            '# provenance: {"generator": "none"}\n'
+        )
+        body = "".join(",".join(map(str, pt)) + "\n" for pt in pts)
+        assert path.read_bytes() == (header + body).encode("utf-8")
+        assert load_points(str(path)).points == pts
 
 
 def test_cli_small_field_invertible_is_a_capability_error(tmp_path):
