@@ -38,6 +38,7 @@ from .errors import (
 )
 from .kron import (
     PairSet,
+    PointFamily,
     WeightFn,
     distinct_reductions,
     prime_cutoff,
@@ -231,17 +232,22 @@ def _translated_grid(
     mode: str, n: int, d: int, w: int, delta: int, s: int, mu: int, field: Field,
     shifts, extra: dict,
 ) -> PointSet:
-    """The low-support grid translated by every offset vector of `shifts`,
-    in order, for the support bound l(w^2+2) with l = support_parameter."""
+    """The low-support grid translated by every offset vector of `shifts`
+    (a sized, re-iterable family), in order, for the support bound l(w^2+2)
+    with l = support_parameter.  The grid is built here; the translated
+    points are built as the set is iterated."""
     ell = support_parameter(w, max(1, s), mu)
     target = ell * (w * w + 2)
     grid = low_support_hitting_set(n, delta, target, field)
     p = field.p
-    points = tuple(
-        tuple((h + o) % p for h, o in zip(pt, offsets))
-        for offsets in shifts
-        for pt in grid
-    )
+
+    def rows():
+        return (
+            tuple((h + o) % p for h, o in zip(pt, offsets))
+            for offsets in shifts
+            for pt in grid
+        )
+
     provenance = {
         "generator": "invertible_hitting_set",
         "mode": mode,
@@ -256,7 +262,7 @@ def _translated_grid(
         "grid": len(grid),
         **extra,
     }
-    return PointSet(n, points, provenance)
+    return PointSet(n, PointFamily(len(shifts) * len(grid), rows), provenance)
 
 
 def invertible_hitting_set(r: Roabp, mode: str = "whitebox") -> PointSet:
@@ -312,7 +318,7 @@ def invertible_hitting_set_params(
     t_sweep = _t0_budget(d, w * delta * n, w, n, delta, max_a)
     # swept before the grid is built, so a sweep too long for the field is
     # reported ahead of a grid that does not fit it
-    offsets = [pt for m in maps for pt in m.sweep(t_sweep, field.p)]
+    offsets = PointFamily.concat([m.sweep(t_sweep, field.p) for m in maps])
     return _translated_grid(
         "blackbox", n, d, w, delta, s, mu, field, offsets,
         {"t_sweep": t_sweep, "maps": len(maps)},

@@ -18,7 +18,7 @@ import json
 import re
 import sys
 from dataclasses import fields
-from itertools import chain
+from itertools import chain, islice
 from typing import Sequence
 
 from .algebra import DEFAULT_MODULUS, Field, MatPoly, ScalarPoly
@@ -48,6 +48,10 @@ EXIT_CAPABILITY = 3
 CAMPAIGN_PARAMS = tuple(
     f.name for f in fields(InstanceSpec) if f.name not in ("klass", "seed", "modulus")
 )
+
+# the most points `hs` builds; the generators size a set before building it,
+# so a larger one is refused before any point or file is made
+HS_POINT_CEILING = 10**8
 
 # family -> generator(instance, mode); each entry looks its generator up
 # per call, so rebinding the module-level name (as the benchmark's tracer
@@ -322,21 +326,21 @@ _POINTS_PER_WRITE = 1024
 
 def save_points(points: PointSet, path: str) -> None:
     """Provenance header, then one point per line as comma-separated
-    residues."""
-    pts = points.points
+    residues.  The points are read from one iteration of the set, a block
+    at a time, so a lazy family is streamed to the file."""
+    rows = iter(points.points)
     line = ",".join(["%d"] * points.n) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# pitkit points n={points.n} count={len(pts)}\n")
+        fh.write(f"# pitkit points n={points.n} count={len(points)}\n")
         fh.write(f"# provenance: {json.dumps(points.provenance, sort_keys=True)}\n")
-        for start in range(0, len(pts), _POINTS_PER_WRITE):
-            chunk = pts[start:start + _POINTS_PER_WRITE]
+        while chunk := tuple(islice(rows, _POINTS_PER_WRITE)):
             fh.write(line * len(chunk) % tuple(chain.from_iterable(chunk)))
 
 
 class _Header:
     """What the '#' lines of a point file declare.  A value that does not
-    parse, a negative n, or a second `pitkit points` or `provenance:` line
-    is a bad header line."""
+    parse, a negative n, a repeated n= or count=, or a second
+    `pitkit points` or `provenance:` line is a bad header line."""
 
     def __init__(self, path: str):
         self.path = path
@@ -356,10 +360,14 @@ class _Header:
                 self.declared = True
                 for chunk in body.split():
                     if chunk.startswith("n="):
+                        if self.n is not None:
+                            raise ValueError("repeated n")
                         self.n = int(chunk[2:])
                         if self.n < 0:
                             raise ValueError("negative n")
                     elif chunk.startswith("count="):
+                        if self.count is not None:
+                            raise ValueError("repeated count")
                         self.count, self.count_line = int(chunk[6:]), line_no
             elif body.startswith("provenance:"):
                 if self.provenance is not None:
@@ -439,7 +447,8 @@ def _read_points(path: str) -> _PointLines | PointSet:
 
 def _read_point_lines(path: str, data: bytes) -> PointSet:
     """The line loop: blank lines, surrounding whitespace, '#' lines
-    anywhere and any line ending are accepted, and every point is parsed."""
+    anywhere and any line ending are accepted, and every point is parsed
+    and must have the header's n values (the first point's, without one)."""
     header = _Header(path)
     pts = []
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
@@ -460,6 +469,9 @@ def _read_point_lines(path: str, data: bytes) -> PointSet:
         if not pts:
             raise StructuralError(f"{path}: empty point file without a header")
         n = len(pts[0])
+    for pt in pts:
+        if len(pt) != n:
+            raise StructuralError(f"point {pt} has length {len(pt)}, ambient is {n}")
     return PointSet(n, tuple(pts), header.provenance or {})
 
 
@@ -480,6 +492,10 @@ def _cmd_hs(args) -> int:
     if not isinstance(instance, Roabp):
         raise PreconditionError("hs expects an roabp circuit file")
     points = HITTING_SETS[args.family](instance, args.mode)
+    if len(points) > HS_POINT_CEILING:
+        raise CapabilityError(
+            f"hitting set of {len(points)} points exceeds the ceiling {HS_POINT_CEILING}"
+        )
     if args.out:
         save_points(points, args.out)
         print(f"wrote {len(points)} points to {args.out}")

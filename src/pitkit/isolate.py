@@ -38,6 +38,7 @@ from .errors import (
 )
 from .kron import (
     PairSet,
+    PointFamily,
     WeightFn,
     distinct_reductions,
     prime_cutoff,
@@ -294,7 +295,8 @@ def roabp_hitting_set(r: Roabp, mode: str = "whitebox") -> PointSet:
     from the factors or, when that needs more points than the field has,
     the smallest verified all-monomial separator, which is basis isolating
     outright.  Blackbox mode sweeps every enumerated candidate assignment,
-    using only the instance's declared parameters.
+    using only the instance's declared parameters.  Every sweep's modulus
+    check runs here; its points are built as the set is iterated.
     """
     if r.n < 1:
         raise StructuralError("a hitting set needs at least one variable")
@@ -319,15 +321,15 @@ def roabp_hitting_set(r: Roabp, mode: str = "whitebox") -> PointSet:
         )
     elif mode == "blackbox":
         s = max(1, r.layer_sparsity)
-        points = []
-        per_assignment = []
-        for wfn in enumerate_candidate_weights(r.n, max(1, r.d), s, r.width, r.delta):
-            sweep = wfn.sweep(_sweep_count(r, wfn), r.field.p)
-            per_assignment.append(len(sweep))
-            points.extend(sweep)
+        sweeps = [
+            wfn.sweep(_sweep_count(r, wfn), r.field.p)
+            for wfn in enumerate_candidate_weights(r.n, max(1, r.d), s, r.width, r.delta)
+        ]
+        points = PointFamily.concat(sweeps)
+        per_assignment = [len(sweep) for sweep in sweeps]
         provenance.update(
             s=s, assignments=len(per_assignment), per_assignment=per_assignment
         )
     else:
         raise StructuralError(f"unknown mode {mode!r}")
-    return PointSet(r.n, tuple(points), provenance)
+    return PointSet(r.n, points, provenance)

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from functools import partial
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebra import Monomial
 from .errors import InternalInconsistencyError, ModulusTooSmallError, StructuralError
@@ -54,31 +56,80 @@ class WeightFn:
         """The point (t^w(x_1), ..., t^w(x_n)) mod p."""
         return tuple(pow(t, w, p) for w in self.weights)
 
-    def sweep(self, count: int, p: int) -> list[tuple[int, ...]]:
+    def sweep(self, count: int, p: int) -> "PointFamily":
         """powers(t, p) for t = 1 .. count, which must be distinct nonzero
         residues mod p.
 
-        The sweep is sieved: t -> t^w is completely multiplicative, so each
-        distinct weight's column takes a pow only at prime t, and
-        col[t] = col[q] * col[t // q] for composite t with smallest prime q.
+        Only the modulus check runs here; the points are built each time
+        the family is iterated (see _sweep_blocks).
         """
         if count + 1 > p:
             raise ModulusTooSmallError(
                 f"hitting set needs {count} distinct nonzero t values, "
                 f"modulus {p} is too small"
             )
-        spf = _composite_factors(count)
-        columns: dict[int, list[int]] = {}
-        for w in set(self.weights):
-            # col[0] is a placeholder, dropped below
-            col = [1] * (count + 1)
-            for t in range(2, count + 1):
-                q = spf[t]
-                col[t] = col[q] * col[t // q] % p if q else pow(t, w, p)
-            columns[w] = col
-        points = list(zip(*(columns[w] for w in self.weights)))
-        del points[0]
-        return points
+        return PointFamily(
+            count, lambda: chain.from_iterable(_sweep_blocks(self.weights, count, p))
+        )
+
+
+class PointFamily:
+    """A sized, re-iterable family of points: `len()` is `size`, and each
+    iteration builds the points anew from `rows()`."""
+
+    def __init__(self, size: int, rows: Callable[[], Iterable[tuple]]):
+        self._size = size
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self) -> Iterator[tuple]:
+        return iter(self._rows())
+
+    @classmethod
+    def concat(cls, families: Sequence) -> "PointFamily":
+        """The families one after another."""
+        return cls(sum(map(len, families)), partial(chain.from_iterable, families))
+
+
+# rows of a t-sweep built at a time
+_SWEEP_BLOCK = 1024
+
+
+def _sweep_blocks(weights: tuple, count: int, p: int) -> Iterator[zip]:
+    """The rows (t^w mod p for w in weights) for t = 1 .. count, a block of
+    rows at a time.
+
+    The sweep is sieved: t -> t^w is completely multiplicative, so each
+    distinct weight's column takes a pow only at prime t, and
+    col[t] = col[q] * col[t // q] for composite t with smallest prime q.
+    Both factors are at most t / 2, so a column keeps only its entries up
+    to count // 2.
+    """
+    spf = _composite_factors(count)
+    half = count // 2
+    first = min(count, _SWEEP_BLOCK)
+    kept, block = {}, {}
+    for w in set(weights):
+        # filled in place: every t // q of the first block lies in it
+        col = [1] * (first + 1)  # col[0] is a placeholder
+        for t in range(2, first + 1):
+            q = spf[t]
+            col[t] = col[q] * col[t // q] % p if q else pow(t, w, p)
+        kept[w], block[w] = col[: half + 1], col[1:]
+    yield zip(*(block[w] for w in weights))
+    for lo in range(first + 1, count + 1, _SWEEP_BLOCK):
+        # a later block is no longer than the t values below it, so every
+        # t // q it reads is kept
+        ts, qs = range(lo, min(lo + _SWEEP_BLOCK, count + 1)), spf[lo:lo + _SWEEP_BLOCK]
+        for w, col in kept.items():
+            block[w] = [
+                col[q] * col[t // q] % p if q else pow(t, w, p) for t, q in zip(ts, qs)
+            ]
+            if lo <= half:
+                col += block[w][: half + 1 - lo]
+        yield zip(*(block[w] for w in weights))
 
 
 def _composite_factors(limit: int) -> list[int]:

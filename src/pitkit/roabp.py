@@ -12,7 +12,7 @@ ceiling keeps oracle use deliberate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .algebra import (
     Field,
@@ -32,20 +32,17 @@ EXPAND_CEILING = 10**6
 class PointSet:
     """Evaluation points plus a provenance record (generator and parameters).
 
-    Duplicates are permitted; the exact-size count formulas of the
-    generators are part of their contracts.
+    `points` is any sized, re-iterable family of n-tuples: a tuple, or a
+    `kron.PointFamily` whose `len()` is its generator's exact size formula
+    and whose points are built only while it is iterated, so a set is never
+    held whole unless a caller makes it a tuple.  Duplicates are permitted;
+    the exact-size count formulas of the generators are part of their
+    contracts.
     """
 
     n: int
-    points: tuple
+    points: Collection[tuple]
     provenance: dict = dc_field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        pts = tuple(map(tuple, self.points))
-        for pt in pts:
-            if len(pt) != self.n:
-                raise StructuralError(f"point {pt} has length {len(pt)}, ambient is {self.n}")
-        object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
         return len(self.points)

@@ -387,10 +387,11 @@ def test_invertible_params_sweep_each_distinct_map_once(monkeypatch):
             m.setattr(concentrate, "distinct_reductions", every_prime)
             full = concentrate.invertible_hitting_set_params(*params, F)
         size = full.provenance["grid"] * full.provenance["t_sweep"]
-        blocks = [full.points[i:i + size] for i in range(0, len(full.points), size)]
+        full_points = tuple(full.points)
+        blocks = [full_points[i:i + size] for i in range(0, len(full_points), size)]
         distinct = list(dict.fromkeys(blocks))
         assert full.provenance["maps"] > len(distinct)
-        assert got.points == tuple(itertools.chain.from_iterable(distinct))
+        assert tuple(got.points) == tuple(itertools.chain.from_iterable(distinct))
         assert got.provenance == {**full.provenance, "maps": len(distinct)}
 
 
@@ -410,7 +411,7 @@ def test_invertible_params_offsets_are_per_t0_powers(monkeypatch, params):
     with monkeypatch.context() as m:
         m.setattr(WeightFn, "sweep", per_t0_pow)
         ref = invertible_hitting_set_params(*params, F)
-    assert (got.points, got.provenance) == (ref.points, ref.provenance)
+    assert (tuple(got.points), got.provenance) == (tuple(ref.points), ref.provenance)
     t_sweep = got.provenance["t_sweep"]
     largest = max(itertools.takewhile(lambda p: p <= t_sweep, iter_primes()))
     with pytest.raises(ModulusTooSmallError, match=(

@@ -6,6 +6,7 @@ import pathlib
 import resource
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -485,10 +486,13 @@ def test_cli_test_rejects_bad_point_lines(tmp_path, line, message):
     ("# pitkit points n=3 count=1\n# provenance: {}\n# provenance: {}\n1,2,3\n",
      "pts.txt:3: bad header line"),
     ("# pitkit points n=-1 count=0\n", "pts.txt:1: bad header line"),
+    ("# pitkit points n=5 count=9 n=2 count=1\n1,2\n", "pts.txt:1: bad header line"),
+    ("# pitkit points n=3 count=1 count=1\n1,2,3\n", "pts.txt:1: bad header line"),
 ], ids=[
     "bad-n", "empty-count", "bad-provenance", "list-provenance",
     "count-above-lines", "count-below-lines",
     "repeated-points-line", "repeated-provenance", "negative-n",
+    "repeated-keys", "repeated-count",
 ])
 def test_cli_test_rejects_bad_point_headers(tmp_path, text, message):
     inst = generate_instance(
@@ -534,7 +538,7 @@ def test_canonical_point_files_load_the_line_loop_points(
     assert isinstance(io_cli._read_points(str(path)), io_cli._PointLines)
     loop = io_cli._read_point_lines(str(path), path.read_bytes())
     loaded = load_points(str(path))
-    assert loaded.points == loop.points == points.points
+    assert loaded.points == loop.points == tuple(points.points)
     assert (loaded.n, loaded.provenance) == (loop.n, loop.provenance)
 
 
@@ -670,6 +674,85 @@ def test_save_points_matches_the_join_writer(tmp_path):
         body = "".join(",".join(map(str, pt)) + "\n" for pt in pts)
         assert path.read_bytes() == (header + body).encode("utf-8")
         assert load_points(str(path)).points == pts
+
+
+def test_save_points_streams_a_whitebox_set(tmp_path):
+    # the 46,177-point whitebox set of the benchmark's largest roabp-p31 case
+    from pitkit.isolate import roabp_hitting_set
+
+    inst = generate_instance(InstanceSpec(
+        klass="roabp", seed=2, modulus=2**31 - 1, n=4, d=4, w=2, s=2, delta=2, mu=2,
+    ))
+    tracemalloc.start()
+    try:
+        points = roabp_hitting_set(inst, "whitebox")
+        save_points(points, str(tmp_path / "pts.txt"))
+        streamed = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = list(points)
+    assert len(held) >= 40_000
+    listed = sys.getsizeof(held) + sum(
+        sys.getsizeof(pt) + sum(map(sys.getsizeof, pt)) for pt in held
+    )
+    assert streamed < listed, (streamed, listed)
+
+
+def test_cli_hs_refuses_a_set_past_the_point_ceiling(tmp_path):
+    # seed 92 of the depth3-distance campaign at p = 2^31 - 1, reduced to an
+    # roabp: its whitebox sweep is 1,281,404,468 points
+    from pitkit.depth3 import circuit_to_roabp
+    from pitkit.verify import _case_overrides
+
+    spec = InstanceSpec(klass="depth3-distance", seed=92, modulus=2**31 - 1,
+                        **_case_overrides("depth3-distance", 92, {}))
+    circuit_path = write_instance(tmp_path, "c.json", circuit_to_roabp(generate_instance(spec)))
+    out = tmp_path / "pts.txt"
+    proc = run_cli("hs", "roabp", "--input", circuit_path, "--out", str(out), timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == (
+        "capability error: hitting set of 1281404468 points exceeds the ceiling "
+        f"{io_cli.HS_POINT_CEILING}\n"
+    )
+    assert proc.stdout == "" and not out.exists()
+
+
+def test_cli_hs_checks_the_ceiling_before_opening_the_file(tmp_path, capsys, monkeypatch):
+    inst = generate_instance(
+        InstanceSpec(klass="roabp", seed=3, n=3, d=2, w=2, s=2, delta=1)
+    )
+    circuit_path = write_instance(tmp_path, "c.json", inst)
+    out = tmp_path / "pts.txt"
+    assert main(["hs", "roabp", "--input", circuit_path, "--out", str(out)]) == 0
+    count = len(load_points(str(out)))
+    out.unlink()
+    monkeypatch.setattr(io_cli, "HS_POINT_CEILING", count)
+    assert main(["hs", "roabp", "--input", circuit_path, "--out", str(out)]) == 0
+    out.unlink()
+    monkeypatch.setattr(io_cli, "HS_POINT_CEILING", count - 1)
+    capsys.readouterr()
+    assert main(["hs", "roabp", "--input", circuit_path, "--out", str(out)]) == 3
+    assert f"hitting set of {count} points exceeds the ceiling {count - 1}" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family, klass", [
+    ("roabp", "roabp"), ("invertible", "invertible-roabp"), ("width2", "width2-roabp"),
+])
+@pytest.mark.parametrize("mode", ["whitebox", "blackbox"])
+def test_cli_hs_too_small_a_field_leaves_no_file(tmp_path, capsys, family, klass, mode):
+    # the sets are built lazily, but their size checks still run before --out opens
+    inst = generate_instance(
+        InstanceSpec(klass=klass, seed=3, n=3, d=2, w=2, s=2, delta=1, mu=1)
+    )
+    circuit_path = write_instance(tmp_path, "c.json", inst)
+    out = tmp_path / "pts.txt"
+    assert main(["hs", family, "--mode", mode, "--input", circuit_path,
+                 "--modulus", "3", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("capability error: ") and ("modulus 3" in err or "GF(3)" in err)
+    assert not out.exists()
 
 
 def test_cli_small_field_invertible_is_a_capability_error(tmp_path):

@@ -190,5 +190,41 @@ def test_sweep_equals_per_t_pow(case):
             wfn.sweep(count, p)
         return
     expected = [tuple(pow(t, w, p) for w in weights) for t in range(1, count + 1)]
-    assert wfn.sweep(count, p) == expected
+    assert list(wfn.sweep(count, p)) == expected
     assert [wfn.powers(t, p) for t in range(1, count + 1)] == expected
+
+
+# around the first block boundaries of the sweep (blocks of at most 1,024 rows)
+SWEEP_COUNTS = [0, 1, 2, 3, 1023, 1024, 1025, 2047, 2048, 2049, 4097]
+
+
+@pytest.mark.parametrize("p", [5, 10007, 2**31 - 1, 2**61 - 1])
+def test_sweep_family_rows_are_per_t_pows(p):
+    # a repeated weight, a weight above p and a weight of 1
+    weights = (3, 2**40 + 7, 3, 1)
+    wfn = WeightFn(weights)
+    for count in SWEEP_COUNTS:
+        if count + 1 > p:
+            with pytest.raises(ModulusTooSmallError):
+                wfn.sweep(count, p)
+            continue
+        sweep = wfn.sweep(count, p)
+        expected = [tuple(pow(t, w, p) for w in weights) for t in range(1, count + 1)]
+        assert len(sweep) == count
+        assert list(sweep) == expected
+        assert list(sweep) == expected  # a second iteration builds the same rows
+
+
+def test_sweep_family_len_builds_nothing(monkeypatch):
+    from pitkit import kron
+
+    def refuse(*args):
+        raise AssertionError("built a point")
+
+    monkeypatch.setattr(kron, "pow", refuse, raising=False)
+    monkeypatch.setattr(kron, "_composite_factors", refuse)
+    sweep = WeightFn((2, 5)).sweep(4097, 10007)
+    assert len(sweep) == 4097
+    rows = iter(sweep)
+    with pytest.raises(AssertionError, match="built a point"):
+        next(rows)
