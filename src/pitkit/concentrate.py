@@ -538,17 +538,20 @@ class LagrangeCurve:
 
 
 def _curve_sweep(
-    anchor_points: list, n: int, d: int, delta: int, field: Field, extra: dict
+    anchors, n: int, d: int, delta: int, field: Field, extra: dict
 ) -> PointSet:
-    h = len(anchor_points)
+    """The Lagrange curve through the sized, re-iterable family `anchors`,
+    swept at 1 + (d+2)^2 * delta * len(anchors) values.  Only the modulus
+    check runs here, from len(); the anchors and the curve are built each
+    time the set is iterated."""
+    h = len(anchors)
     per_factor_degree = (d + 2) * delta
     count = 1 + (d + 2) * per_factor_degree * h
     if field.p <= max(count - 1, h):
         raise ModulusTooSmallError(
             f"curve sweep needs {count} distinct values, modulus {field.p} too small"
         )
-    curve = LagrangeCurve(field, tuple(anchor_points))
-    points = curve.sweep(count)
+    points = PointFamily(count, lambda: LagrangeCurve(field, tuple(anchors)).sweep(count))
     provenance = {
         "generator": "width2_hitting_set",
         "n": n,
@@ -613,6 +616,4 @@ def width2_hitting_set_params(
     blackbox invertible-class set covers every chain factor of every
     width-2 instance with the declared parameters."""
     anchors = invertible_hitting_set_params(n, d, 2, delta, s, mu, field)
-    return _curve_sweep(
-        list(anchors.points), n, d, delta, field, {"mode": "blackbox"}
-    )
+    return _curve_sweep(anchors.points, n, d, delta, field, {"mode": "blackbox"})

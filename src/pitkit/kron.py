@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import accumulate, chain, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebra import Monomial
@@ -57,11 +57,11 @@ class WeightFn:
         return tuple(pow(t, w, p) for w in self.weights)
 
     def sweep(self, count: int, p: int) -> "PointFamily":
-        """powers(t, p) for t = 1 .. count, which must be distinct nonzero
-        residues mod p.
+        """powers(g^j, p) for j = 0 .. count-1 with g = sweep_generator(count, p),
+        so the t values g^j are distinct nonzero residues mod p.
 
-        Only the modulus check runs here; the points are built each time
-        the family is iterated (see _sweep_blocks).
+        Only the modulus check runs here; g and the points are found each
+        time the family is iterated (see _sweep_blocks).
         """
         if count + 1 > p:
             raise ModulusTooSmallError(
@@ -97,51 +97,46 @@ class PointFamily:
 _SWEEP_BLOCK = 1024
 
 
-def _sweep_blocks(weights: tuple, count: int, p: int) -> Iterator[zip]:
-    """The rows (t^w mod p for w in weights) for t = 1 .. count, a block of
-    rows at a time.
+def sweep_generator(count: int, p: int) -> int:
+    """The smallest g >= 2 of multiplicative order at least count mod the
+    prime p, for count <= p - 1 (1 at p = 2, where count <= 1).
 
-    The sweep is sieved: t -> t^w is completely multiplicative, so each
-    distinct weight's column takes a pow only at prime t, and
-    col[t] = col[q] * col[t // q] for composite t with smallest prime q.
-    Both factors are at most t / 2, so a column keeps only its entries up
-    to count // 2.
+    A primitive root always passes.  With baby steps g^j (j < s, the largest
+    j kept per value) and giant steps g^(s*i) (0 < i <= s), s * s > count,
+    the first giant step that meets a baby step gives the order s*i - j; no
+    meeting means an order above s * s.
     """
-    spf = _composite_factors(count)
-    half = count // 2
-    first = min(count, _SWEEP_BLOCK)
-    kept, block = {}, {}
+    s = math.isqrt(count) + 1
+    for g in range(2, p):
+        baby, x = {}, 1
+        for j in range(s):
+            baby[x] = j
+            x = x * g % p
+        giant = accumulate(repeat(x, s), lambda y, _: y * x % p)
+        if next((s * i - baby[y] for i, y in enumerate(giant, 1) if y in baby), count) >= count:
+            return g
+    return 1
+
+
+def _sweep_blocks(weights: tuple, count: int, p: int) -> Iterator[zip]:
+    """The rows (g^(j*w) mod p for w in weights) for j = 0 .. count-1, a
+    block at a time: each distinct weight's first block is doubled from [1],
+    one multiplication per entry, and each later block is the previous one
+    times g^(w * block)."""
+    g = sweep_generator(count, p)
+    block = {}
     for w in set(weights):
-        # filled in place: every t // q of the first block lies in it
-        col = [1] * (first + 1)  # col[0] is a placeholder
-        for t in range(2, first + 1):
-            q = spf[t]
-            col[t] = col[q] * col[t // q] % p if q else pow(t, w, p)
-        kept[w], block[w] = col[: half + 1], col[1:]
+        col = [1]
+        while len(col) < min(count, _SWEEP_BLOCK):
+            step = pow(g, w * len(col), p)
+            col += [x * step % p for x in col]
+        block[w] = col[:count]
     yield zip(*(block[w] for w in weights))
-    for lo in range(first + 1, count + 1, _SWEEP_BLOCK):
-        # a later block is no longer than the t values below it, so every
-        # t // q it reads is kept
-        ts, qs = range(lo, min(lo + _SWEEP_BLOCK, count + 1)), spf[lo:lo + _SWEEP_BLOCK]
-        for w, col in kept.items():
-            block[w] = [
-                col[q] * col[t // q] % p if q else pow(t, w, p) for t, q in zip(ts, qs)
-            ]
-            if lo <= half:
-                col += block[w][: half + 1 - lo]
+    for lo in range(_SWEEP_BLOCK, count, _SWEEP_BLOCK):
+        for w, col in block.items():
+            step = pow(g, w * _SWEEP_BLOCK, p)
+            block[w] = [x * step % p for x in col[:count - lo]]
         yield zip(*(block[w] for w in weights))
-
-
-def _composite_factors(limit: int) -> list[int]:
-    """spf[t] for t <= limit: the smallest prime factor of composite t, and
-    0 for prime t and for t < 2.
-
-    Divisors run downwards and overwrite, so each composite t keeps its
-    smallest divisor q > 1 with q^2 <= t, which is prime."""
-    spf = [0] * (limit + 1)
-    for q in range(math.isqrt(limit), 1, -1):
-        spf[q * q :: q] = [q] * len(range(q * q, limit + 1, q))
-    return spf
 
 
 @dataclass(frozen=True)

@@ -400,12 +400,13 @@ INVERTIBLE_PARAMS = [(1, 1, 2, 1, 1, 1), (2, 1, 2, 1, 1, 1), (2, 2, 2, 1, 1, 1)]
 
 @pytest.mark.parametrize("params", INVERTIBLE_PARAMS)
 def test_invertible_params_offsets_are_per_t0_powers(monkeypatch, params):
-    # reference: one pow per coordinate per t0, the offsets' old computation
+    # reference: one pow per coordinate per t0 = g^j
     from pitkit.concentrate import invertible_hitting_set_params
-    from pitkit.kron import iter_primes
+    from pitkit.kron import iter_primes, sweep_generator
 
     def per_t0_pow(self, count, p):
-        return [tuple(pow(t0, a, p) for a in self.weights) for t0 in range(1, count + 1)]
+        g = sweep_generator(count, p)
+        return [tuple(pow(g, j * a, p) for a in self.weights) for j in range(count)]
 
     got = invertible_hitting_set_params(*params, F)
     with monkeypatch.context() as m:
@@ -440,7 +441,8 @@ def test_width2_blackbox_mode_is_the_params_set():
         inst.n, inst.d, inst.delta, inst.layer_sparsity, inst.layer_support, big
     )
     mode = width2_hitting_set(inst, "blackbox")
-    assert (mode.points, mode.provenance) == (params.points, params.provenance)
+    assert len(mode.points) == len(params.points)
+    assert (tuple(mode.points), mode.provenance) == (tuple(params.points), params.provenance)
 
 
 def test_width2_generator_rejects_other_widths_in_both_modes():

@@ -717,6 +717,31 @@ def test_cli_hs_refuses_a_set_past_the_point_ceiling(tmp_path):
     assert proc.stdout == "" and not out.exists()
 
 
+@pytest.mark.parametrize("modulus, stderr", [
+    (None, "capability error: curve sweep needs 1255625551 distinct values, "
+           "modulus 10007 too small\n"),
+    (2**61 - 1, "capability error: hitting set of 1255625551 points exceeds "
+                f"the ceiling {io_cli.HS_POINT_CEILING}\n"),
+])
+def test_cli_width2_blackbox_refuses_before_building_anchors(tmp_path, modulus, stderr):
+    # the default seed-1 width-2 file (n=4, d=3, delta=2, s=2, mu=1) has
+    # 25,112,511 blackbox anchors: building them takes far more memory and
+    # CPU than the limits below allow, so the refusal must come from len()
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+        resource.setrlimit(resource.RLIMIT_CPU, (5, 5))
+
+    inst = generate_instance(InstanceSpec(klass="width2-roabp", seed=1))
+    circuit_path = write_instance(tmp_path, "w2.json", inst)
+    out = tmp_path / "pts.txt"
+    argv = ["hs", "width2", "--mode", "blackbox", "--input", circuit_path, "--out", str(out)]
+    if modulus:
+        argv += ["--modulus", str(modulus)]
+    proc = run_cli(*argv, timeout=60, preexec_fn=cap)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (3, stderr, "")
+    assert not out.exists()
+
+
 def test_cli_hs_checks_the_ceiling_before_opening_the_file(tmp_path, capsys, monkeypatch):
     inst = generate_instance(
         InstanceSpec(klass="roabp", seed=3, n=3, d=2, w=2, s=2, delta=1)

@@ -17,6 +17,7 @@ from pitkit.kron import (
     naive_kronecker,
     prime_cutoff,
     separating_weights,
+    sweep_generator,
     weights_mod_prime,
 )
 
@@ -189,9 +190,10 @@ def test_sweep_equals_per_t_pow(case):
         with pytest.raises(ModulusTooSmallError):
             wfn.sweep(count, p)
         return
-    expected = [tuple(pow(t, w, p) for w in weights) for t in range(1, count + 1)]
+    g = sweep_generator(count, p)
+    expected = [tuple(pow(g, j * w, p) for w in weights) for j in range(count)]
     assert list(wfn.sweep(count, p)) == expected
-    assert [wfn.powers(t, p) for t in range(1, count + 1)] == expected
+    assert [wfn.powers(pow(g, j, p), p) for j in range(count)] == expected
 
 
 # around the first block boundaries of the sweep (blocks of at most 1,024 rows)
@@ -209,10 +211,42 @@ def test_sweep_family_rows_are_per_t_pows(p):
                 wfn.sweep(count, p)
             continue
         sweep = wfn.sweep(count, p)
-        expected = [tuple(pow(t, w, p) for w in weights) for t in range(1, count + 1)]
+        g = sweep_generator(count, p)
+        expected = [tuple(pow(g, j * w, p) for w in weights) for j in range(count)]
         assert len(sweep) == count
         assert list(sweep) == expected
         assert list(sweep) == expected  # a second iteration builds the same rows
+
+
+# Mersenne primes, where 2 has the small order log2(p + 1)
+MERSENNE = [7, 31, 127, 8191, 2**31 - 1, 2**61 - 1]
+
+
+@pytest.mark.parametrize("p", MERSENNE)
+def test_sweep_t_values_are_distinct_nonzero(p):
+    bits = (p + 1).bit_length() - 1  # the order of 2
+    counts = {1, 2, bits, bits + 1, 4097}
+    if p < 10**4:
+        counts |= {p - 2, p - 1}  # p - 1 needs a primitive root
+    for count in sorted(c for c in counts if c <= p - 1):
+        ts = [t for (t,) in WeightFn((1,)).sweep(count, p)]
+        assert len(ts) == count and ts[0] == 1
+        assert len(set(ts)) == count and 0 not in ts
+    if p < 10**4:
+        with pytest.raises(ModulusTooSmallError):
+            WeightFn((1,)).sweep(p, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 31, 127])
+def test_sweep_generator_is_the_smallest_of_large_enough_order(p):
+    def order(g):
+        return next(m for m in range(1, p) if pow(g, m, p) == 1)
+
+    for count in range(p):
+        g = sweep_generator(count, p)
+        assert g >= 2 or p == 2
+        assert order(g) >= count
+        assert all(order(h) < count for h in range(2, g))
 
 
 def test_sweep_family_len_builds_nothing(monkeypatch):
@@ -222,7 +256,7 @@ def test_sweep_family_len_builds_nothing(monkeypatch):
         raise AssertionError("built a point")
 
     monkeypatch.setattr(kron, "pow", refuse, raising=False)
-    monkeypatch.setattr(kron, "_composite_factors", refuse)
+    monkeypatch.setattr(kron, "sweep_generator", refuse)
     sweep = WeightFn((2, 5)).sweep(4097, 10007)
     assert len(sweep) == 4097
     rows = iter(sweep)

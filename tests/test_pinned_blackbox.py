@@ -2,13 +2,12 @@
 
 `pinned_blackbox.json` holds one sha256 per (family, parameter tuple,
 modulus) of the full output.  `pinned_blackbox_sets.json` holds the sha256
-of the sorted distinct points, taken from the generators before each
-family swept its distinct candidates only: dropping repeated candidate
-blocks must leave that set unchanged.  Width-2 files are a curve through
-the invertible anchors, so their pinned set is the anchors, the first
-`anchor_count` points.  Blackbox sets read only the declared parameters
-(n, d, w, s, delta, mu), so any instance with that tuple gives the same
-output.
+of the sorted distinct points, so a change that only drops repeated points
+leaves it as it is.  Both come from the geometric t-sweep (t = g^j).
+Width-2 files are a curve through the invertible anchors, so their pinned
+set is the anchors, the first `anchor_count` points.  Blackbox sets read
+only the declared parameters (n, d, w, s, delta, mu), so any instance with
+that tuple gives the same output.
 """
 
 import hashlib

@@ -1,11 +1,11 @@
 """Pinned whitebox outputs: provenance and points of seeded envelope instances.
 
-`pinned_outputs.json` holds one sha256 per (class, seed), taken from the
-generators before the separator search moved from pair lists to monomial
-groups.  A change of weight prime, shift prime, t0 or point order shows up
-here as a changed digest.  The sum-sml campaign report is pinned as well,
-from the base-set Kronecker sweep that preceded the cube sweep, so its
-verdict lines stay byte-identical.
+`pinned_outputs.json` holds one sha256 per (class, seed); the roabp
+digests come from the geometric t-sweep (t = g^j).  A change of weight
+prime, shift prime, t0, t values or point order shows up here as a changed
+digest.  The sum-sml campaign report is pinned as well, from the base-set
+Kronecker sweep that preceded the cube sweep, so its verdict lines stay
+byte-identical.
 """
 
 import hashlib
