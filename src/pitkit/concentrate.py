@@ -543,15 +543,27 @@ def _curve_sweep(
     """The Lagrange curve through the sized, re-iterable family `anchors`,
     swept at 1 + (d+2)^2 * delta * len(anchors) values.  Only the modulus
     check runs here, from len(); the anchors and the curve are built each
-    time the set is iterated."""
+    time the set is iterated.  The curve's first h points are the anchors,
+    so they are yielded as they are built, and the rest of the curve is
+    swept only when iteration goes past them."""
     h = len(anchors)
     per_factor_degree = (d + 2) * delta
     count = 1 + (d + 2) * per_factor_degree * h
-    if field.p <= max(count - 1, h):
+    p = field.p
+    if p <= max(count - 1, h):
         raise ModulusTooSmallError(
-            f"curve sweep needs {count} distinct values, modulus {field.p} too small"
+            f"curve sweep needs {count} distinct values, modulus {p} too small"
         )
-    points = PointFamily(count, lambda: LagrangeCurve(field, tuple(anchors)).sweep(count))
+
+    def rows():
+        head = []
+        for anchor in itertools.islice(anchors, count):
+            head.append(tuple(a % p for a in anchor))
+            yield head[-1]
+        if count > h:
+            yield from LagrangeCurve(field, tuple(head)).sweep(count)[h:]
+
+    points = PointFamily(count, rows)
     provenance = {
         "generator": "width2_hitting_set",
         "n": n,

@@ -9,8 +9,11 @@ partitioned by all upper partitions, and the distance is the largest
 neighborhood size.  Small distance drives the ROABP reduction, and
 distance-1 restrictions define the base-set decomposition, an analysis of
 the circuit's partitions.  The sum-of-set-multilinear zero test does not use
-it: the circuit is multilinear, so it sweeps the Boolean cube {0,1}^n in
-lexicographic order, evaluated a block of 2^CUBE_BLOCK points at a time.
+it: the circuit is multilinear, so the Boolean cube {0,1}^n decides it, and
+the test returns the first nonzero cube point in lexicographic order.  When
+the gates multiply out to fewer terms than the cube has points (and within
+EXPAND_CEILING), it reads that point off the coefficients; otherwise it
+sweeps the cube, a block of 2^CUBE_BLOCK points at a time.
 """
 
 from __future__ import annotations
@@ -156,14 +159,20 @@ class Depth3Circuit:
             total = (total + val) % p
         return total
 
-    def expand(self, ceiling: int = EXPAND_CEILING) -> ScalarPoly:
-        """Brute-force oracle: the gates multiplied out, after checking that
-        the sum over gates of the product of form sizes is within the
-        ceiling."""
-        count = sum(
+    @cached_property
+    def term_count(self) -> int:
+        """The sum over gates of the product of form sizes (coefficients plus
+        a nonzero constant): the number of terms the gates multiply out to,
+        before gates that share a monomial are added up."""
+        return sum(
             math.prod(len(f.coeffs) + (f.constant != 0) for f in gate.forms)
             for gate in self.gates
         )
+
+    def expand(self, ceiling: int = EXPAND_CEILING) -> ScalarPoly:
+        """Brute-force oracle: the gates multiplied out, after checking that
+        `term_count` is within the ceiling."""
+        count = self.term_count
         if count > ceiling:
             raise CapabilityError(
                 f"depth-3 expansion of {count} terms exceeds the ceiling {ceiling}"
@@ -513,7 +522,7 @@ def decompose_base_sets(partitions: Sequence[Partition]) -> BaseSetDecomposition
 @dataclass(frozen=True)
 class SumSmlResult:
     """A sum-sml verdict ("zero" or "nonzero", with the witness point when
-    nonzero) and the size of the cube it swept."""
+    nonzero) and the size 2^n of the cube it is decided over."""
 
     verdict: str
     witness: tuple | None
@@ -543,17 +552,14 @@ def sum_sml_whitebox_test(
     multilinear, and the cube {0,1}^n hits any nonzero multilinear
     polynomial over any field: write f = x_v g + h with g, h free of x_v;
     x_v = 0 leaves h and x_v = 1 leaves g + h, so one of them is nonzero,
-    and induction on n finishes.  The test sweeps the 2^n cube points in
-    lexicographic order (all-zeros first) and stops at the first nonzero
-    value; only n decides the cost.
+    and induction on n finishes.  The verdict and the witness are those of
+    the sweep of the 2^n cube points in lexicographic order (all-zeros
+    first) that stops at the first nonzero value, and `sweep` is 2^n.
 
-    The sweep is evaluated a block at a time: the last b = min(n,
-    CUBE_BLOCK) variables are the low ones, and each block is the 2^b
-    points that share one setting of the first n - b, the high ones.  Each
-    form's low part is a 2^b table built once; per block a form adds the
-    scalar value of its constant and high part, and the forms free of high
-    variables are one table per gate.  The points, their order and the
-    first witness are those of the point-by-point sweep.
+    Two routes reach them, chosen from two counts before any work: with
+    T = `term_count` below 2^n and within `EXPAND_CEILING`, the gates are
+    multiplied out (`_coefficient_route`, O(T)); otherwise the cube is
+    swept a block at a time (`_cube_route`, up to 2^n points).
     """
     if not c.gates:
         return SumSmlResult("zero", None, 0)
@@ -562,6 +568,58 @@ def sum_sml_whitebox_test(
         raise CapabilityError(
             f"cube sweep of {total} evaluations exceeds the ceiling {sweep_ceiling}"
         )
+    if c.term_count < total and c.term_count <= EXPAND_CEILING:
+        witness = _coefficient_route(c)
+    else:
+        witness = _cube_route(c)
+    if witness is None:
+        return SumSmlResult("zero", None, total)
+    return SumSmlResult("nonzero", witness, total)
+
+
+def _coefficient_route(c: Depth3Circuit) -> tuple | None:
+    """The first nonzero cube point, from the multiplied-out gates, or None
+    for the zero polynomial.
+
+    A monomial and a cube point are both bit masks with x_0 as the most
+    significant bit, so lexicographic order is numeric order.  The forms of
+    a gate are variable-disjoint, so no two of its terms share a mask.  The
+    smallest mask m with a nonzero coefficient is the witness: at a point y
+    only the submasks of y survive, and for y < m they are all smaller than
+    m, so of coefficient 0, while for y = m only m itself is not.
+    """
+    p = c.field.p
+    top = c.n - 1
+    coeffs: dict[int, int] = {}
+    for gate in c.gates:
+        terms = {0: gate.scale}
+        for form in gate.forms:
+            parts = [(1 << (top - v), a) for v, a in form.coeffs.items()]
+            if form.constant:
+                parts.append((0, form.constant))
+            terms = {m | bit: x * a % p for m, x in terms.items() for bit, a in parts}
+        if not coeffs:
+            coeffs = terms
+            continue
+        for m, x in terms.items():
+            coeffs[m] = coeffs.get(m, 0) + x
+    first = min((m for m, x in coeffs.items() if x % p), default=None)
+    if first is None:
+        return None
+    return tuple((first >> (top - v)) & 1 for v in range(c.n))
+
+
+def _cube_route(c: Depth3Circuit) -> tuple | None:
+    """The first nonzero cube point in lexicographic order, or None, swept a
+    block at a time.
+
+    The last b = min(n, CUBE_BLOCK) variables are the low ones, and each
+    block is the 2^b points that share one setting of the first n - b, the
+    high ones.  Each form's low part is a 2^b table built once; per block a
+    form adds the scalar value of its constant and high part, and the forms
+    free of high variables are one table per gate.  The points, their order
+    and the first witness are those of the point-by-point sweep.
+    """
     p = c.field.p
     b = min(c.n, CUBE_BLOCK)
     high = c.n - b
@@ -606,6 +664,5 @@ def sum_sml_whitebox_test(
         acc = [a % p for a in acc]
         if any(acc):
             j = next(i for i, value in enumerate(acc) if value)
-            low_point = tuple((j >> k) & 1 for k in range(b - 1, -1, -1))
-            return SumSmlResult("nonzero", high_point + low_point, total)
-    return SumSmlResult("zero", None, total)
+            return high_point + tuple((j >> k) & 1 for k in range(b - 1, -1, -1))
+    return None

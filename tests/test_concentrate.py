@@ -647,6 +647,27 @@ def test_width2_hitting_set_sweeps_the_curve(mode, monkeypatch):
     assert report.passed and not report.vacuous
 
 
+@pytest.mark.parametrize("mode", ["whitebox", "blackbox"])
+def test_width2_hitting_set_yields_its_anchors_before_the_sweep(mode, monkeypatch):
+    spec = InstanceSpec(klass="width2-roabp", seed=1, modulus=10007, n=2,
+                        d=1, w=2, s=1, delta=1, mu=1, force_singular=True)
+    inst = generate_instance(spec)
+    points = width2_hitting_set(inst, mode)
+    h = points.provenance["anchor_count"]
+    full = tuple(points)
+    curve = LagrangeCurve(inst.field, full[:h])
+    assert full == curve.sweep(len(points))
+
+    def no_sweep(self, count):
+        raise AssertionError("the anchors need no curve sweep")
+
+    with monkeypatch.context() as m:
+        m.setattr(LagrangeCurve, "sweep", no_sweep)
+        assert tuple(itertools.islice(points, h)) == curve.anchors
+        with pytest.raises(AssertionError, match="no curve sweep"):
+            tuple(itertools.islice(points, h + 1))
+
+
 # ---------------------------------------------------------------------------
 # width-2 hitting set
 

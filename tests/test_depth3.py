@@ -300,6 +300,7 @@ def test_gateless_circuit_is_zero_without_a_sweep(monkeypatch):
 
     monkeypatch.setattr(Depth3Circuit, "eval_at", no_evaluation)
     monkeypatch.setattr(depth3, "_low_table", no_evaluation)
+    monkeypatch.setattr(depth3, "_coefficient_route", no_evaluation)
     c = Depth3Circuit(F, 3, ())
     decomp = decompose_base_sets(c.distinct_partitions())
     assert (decomp.partition_count, decomp.m, decomp.certificates, decomp.cap) == (0, 0, (), 0)
@@ -309,34 +310,71 @@ def test_gateless_circuit_is_zero_without_a_sweep(monkeypatch):
 
 
 def _point_sweep(c):
-    """Reference for the blocked sweep: the cube point by point, in
-    lexicographic order, stopping at the first nonzero value."""
+    """Reference for both routes: the cube point by point, in lexicographic
+    order, stopping at the first nonzero value."""
     for point in itertools.product((0, 1), repeat=c.n):
         if c.eval_at(point):
             return "nonzero", point, 2**c.n
     return "zero", None, 2**c.n
 
 
-def _assert_blocked_sweep_matches(c, monkeypatch):
+ROUTES = ("_coefficient_route", "_cube_route")
+
+
+def _spy_routes(m):
+    """Record in the returned list the name of every route helper called."""
+    taken = []
+    for name in ROUTES:
+        route = getattr(depth3, name)
+
+        def spy(circuit, route=route, name=name):
+            taken.append(name)
+            return route(circuit)
+
+        m.setattr(depth3, name, spy)
+    return taken
+
+
+def _assert_routes_match(c, monkeypatch) -> str:
+    """The test's result and each route's witness against the point sweep,
+    with no single-point evaluation; returns the route the test took."""
     expected = _point_sweep(c)
+    routes = {name: getattr(depth3, name) for name in ROUTES}
 
     def no_evaluation(self, point):
-        raise AssertionError("the blocked sweep evaluates no single point")
+        raise AssertionError("neither route evaluates a single point")
 
     with monkeypatch.context() as m:
         m.setattr(Depth3Circuit, "eval_at", no_evaluation)
+        taken = _spy_routes(m)
         result = sum_sml_whitebox_test(c)
+        witnesses = {name: route(c) for name, route in routes.items()}
     assert (result.verdict, result.witness, result.sweep) == expected
+    assert witnesses == dict.fromkeys(ROUTES, expected[1])
+    assert len(taken) == 1
+    return taken[0]
+
+
+def _singletons(n, constant, a):
+    return tuple(LinearForm(constant, {v: a}) for v in range(n))
 
 
 @pytest.mark.parametrize("modulus", [3, 10007, 2**61 - 1])
 @pytest.mark.parametrize("n", [CUBE_BLOCK - 2, CUBE_BLOCK, CUBE_BLOCK + 3])
 def test_blocked_sweep_matches_point_sweep_on_seeded_circuits(modulus, n, monkeypatch):
+    # each circuit also runs with a cancelling pair of all-singleton gates
+    # added: the same polynomial, with at least 2^(n+1) terms, so the cube
+    taken = []
     for seed in range(6):
         spec = InstanceSpec(klass="sum-sml", seed=seed, modulus=modulus, n=n,
                             k=1 + seed % 3, c=1 + seed % 3,
                             engineered_zero=(seed % 2 == 0))
-        _assert_blocked_sweep_matches(generate_instance(spec), monkeypatch)
+        c = generate_instance(spec)
+        forms = _singletons(n, 1, 1)
+        padded = Depth3Circuit(c.field, n, c.gates + (Gate(1, forms), Gate(-1, forms)))
+        taken += [_assert_routes_match(c, monkeypatch),
+                  _assert_routes_match(padded, monkeypatch)]
+    assert min(taken.count(name) for name in ROUTES) >= 2
 
 
 @pytest.mark.parametrize("modulus", [3, 10007, 2**61 - 1])
@@ -346,6 +384,7 @@ def test_blocked_sweep_matches_point_sweep_on_late_witnesses(modulus, monkeypatc
     # the high variables and cancelling gate pairs all occur
     field = Field(modulus)
     rng = random.Random(modulus)
+    taken = []
     for _ in range(40):
         n = rng.randint(1, CUBE_BLOCK + 3)
         gates = []
@@ -363,7 +402,8 @@ def test_blocked_sweep_matches_point_sweep_on_late_witnesses(modulus, monkeypatc
             gates.append(Gate(rng.randrange(1, modulus), tuple(forms)))
         if rng.random() < 0.3:
             gates.append(Gate(-gates[0].scale, gates[0].forms))
-        _assert_blocked_sweep_matches(Depth3Circuit(field, n, tuple(gates)), monkeypatch)
+        taken.append(_assert_routes_match(Depth3Circuit(field, n, tuple(gates)), monkeypatch))
+    assert min(taken.count(name) for name in ROUTES) >= 3
 
 
 @pytest.mark.parametrize("n", [1, CUBE_BLOCK, CUBE_BLOCK + 1, CUBE_BLOCK + 4])
@@ -373,7 +413,7 @@ def test_blocked_sweep_finds_the_last_and_the_first_cube_point(n, monkeypatch):
     assert sum_sml_whitebox_test(last).witness == (1,) * n
     assert sum_sml_whitebox_test(first).witness == (0,) * n
     for c in (last, first):
-        _assert_blocked_sweep_matches(c, monkeypatch)
+        _assert_routes_match(c, monkeypatch)
 
 
 def test_blocked_sweep_of_formless_gates_and_supportless_forms(monkeypatch):
@@ -388,8 +428,52 @@ def test_blocked_sweep_of_formless_gates_and_supportless_forms(monkeypatch):
         )),
     ]
     for c in cases:
-        _assert_blocked_sweep_matches(c, monkeypatch)
+        _assert_routes_match(c, monkeypatch)
     assert sum_sml_whitebox_test(cases[-1]).witness == (0,) * (CUBE_BLOCK + 1) + (1,)
+
+
+def _route_taken(c, monkeypatch):
+    with monkeypatch.context() as m:
+        taken = _spy_routes(m)
+        result = sum_sml_whitebox_test(c)
+    assert (result.verdict, result.witness, result.sweep) == _point_sweep(c)
+    return taken
+
+
+@pytest.mark.parametrize("zero", [True, False])
+def test_coarse_forms_take_the_coefficient_route(zero, monkeypatch):
+    # three variables per form: at most 4^3 terms per gate against 2^9
+    n = 9
+    forms = tuple(LinearForm(1 + j, {v: v + 2 for v in range(3 * j, 3 * j + 3)})
+                  for j in range(3))
+    other = tuple(LinearForm(2, {v: 1 for v in range(j, n, 3)}) for j in range(3))
+    gates = (Gate(5, forms), Gate(-5 if zero else 4, forms), Gate(3, other))
+    c = Depth3Circuit(F, n, gates + ((Gate(-3, other),) if zero else ()))
+    assert c.term_count < 2**n
+    assert _route_taken(c, monkeypatch) == ["_coefficient_route"]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("scale", [1, 2])
+def test_all_singleton_gates_take_the_cube(k, scale, monkeypatch):
+    # prod (1 + x_i) - prod (1 + scale x_i), plus gates of forms x_i
+    n = 10
+    gates = (Gate(1, _singletons(n, 1, 1)), Gate(-1, _singletons(n, 1, scale)))
+    gates += tuple(Gate(j, _singletons(n, 0, j)) for j in range(1, k - 1))
+    c = Depth3Circuit(F, n, gates)
+    assert c.term_count >= 2**n
+    assert _route_taken(c, monkeypatch) == ["_cube_route"]
+
+
+def test_expand_ceiling_sends_a_small_circuit_to_the_cube(monkeypatch):
+    forms = (LinearForm(1, {0: 1, 1: 2}), LinearForm(0, {2: 3, 3: 1}))
+    c = Depth3Circuit(F, 6, (Gate(1, forms), Gate(2, forms[:1])))
+    assert c.term_count == 9 < 2**6
+    assert _route_taken(c, monkeypatch) == ["_coefficient_route"]
+    monkeypatch.setattr(depth3, "EXPAND_CEILING", 9)
+    assert _route_taken(c, monkeypatch) == ["_coefficient_route"]
+    monkeypatch.setattr(depth3, "EXPAND_CEILING", 8)
+    assert _route_taken(c, monkeypatch) == ["_cube_route"]
 
 
 def test_coefficient_divisible_by_p_leaves_the_support():

@@ -299,6 +299,7 @@ def test_cli_sweep_ceiling_fails_before_any_evaluation(tmp_path, capsys, monkeyp
     path = write_instance(tmp_path, "d.json", circuit)
     monkeypatch.setattr(Depth3Circuit, "eval_at", no_evaluation)
     monkeypatch.setattr(depth3, "_low_table", no_evaluation)
+    monkeypatch.setattr(depth3, "_coefficient_route", no_evaluation)
     assert main(["whitebox", "sum-sml", "--input", path, "--ceiling", "7"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
