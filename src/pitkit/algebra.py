@@ -75,17 +75,11 @@ class Field:
         return a % self.p
 
     def inv(self, a: int) -> int:
-        """Inverse of a nonzero residue by the extended Euclidean algorithm."""
+        """Inverse of a nonzero residue."""
         a %= self.p
         if a == 0:
             raise StructuralError("0 has no inverse")
-        r0, r1 = self.p, a
-        s0, s1 = 0, 1
-        while r1:
-            q = r0 // r1
-            r0, r1 = r1, r0 - q * r1
-            s0, s1 = s1, s0 - q * s1
-        return s0 % self.p
+        return pow(a, -1, self.p)
 
 
 # ---------------------------------------------------------------------------

@@ -12,19 +12,22 @@ the circuit's partitions.  The sum-of-set-multilinear zero test does not use
 it: the circuit is multilinear, so the Boolean cube {0,1}^n decides it, and
 the test returns the first nonzero cube point in lexicographic order.  When
 the gates multiply out to fewer terms than the cube has points (and within
-EXPAND_CEILING), it reads that point off the coefficients; otherwise it
-sweeps the cube, a block of 2^CUBE_BLOCK points at a time.
+EXPAND_CEILING), it reads that point off the coefficients, the all-zeros
+value first; otherwise it sweeps the cube, a block of 2^CUBE_BLOCK points at
+a time.  One bit-mask multiply-out, `_multiply_out`, gives the terms of
+`Depth3Circuit.expand`, of that coefficient route and of the ROABP reduction.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .algebra import Field, MatPoly, Monomial, ScalarPoly, mono_zero
+from .algebra import Field, MatPoly, ScalarPoly, mono_zero
 from .errors import (
     CapabilityError,
     InternalInconsistencyError,
@@ -66,14 +69,6 @@ class LinearForm:
         for v, c in self.coeffs.items():
             total += c * point[v]
         return total % field.p
-
-    def to_scalar_poly(self, field: Field, n: int) -> ScalarPoly:
-        terms: dict[Monomial, int] = {mono_zero(n): self.constant}
-        for v, c in self.coeffs.items():
-            e = [0] * n
-            e[v] = 1
-            terms[tuple(e)] = c
-        return ScalarPoly(field, n, terms)
 
 
 @dataclass(frozen=True)
@@ -177,13 +172,36 @@ class Depth3Circuit:
             raise CapabilityError(
                 f"depth-3 expansion of {count} terms exceeds the ceiling {ceiling}"
             )
-        acc = ScalarPoly.zero(self.field, self.n)
-        for gate in self.gates:
-            prod = ScalarPoly.const(self.field, self.n, gate.scale)
-            for form in gate.forms:
-                prod = prod * form.to_scalar_poly(self.field, self.n)
-            acc = acc + prod
-        return acc
+        terms = _summed_terms(self).items()
+        return ScalarPoly(self.field, self.n, {_bits(m, self.n): x for m, x in terms})
+
+
+def _multiply_out(scale: int, forms: Iterable[LinearForm], n: int, p: int) -> dict[int, int]:
+    """scale times the product of forms over disjoint variables, as {bit
+    mask: coefficient mod p} with x_0 the most significant of n bits; no two
+    terms share a mask."""
+    top = n - 1
+    terms = {0: scale} if scale else {}
+    for form in forms:
+        parts = [(1 << (top - v), a) for v, a in form.coeffs.items()]
+        if form.constant:
+            parts.append((0, form.constant))
+        terms = {m | bit: x * a % p for m, x in terms.items() for bit, a in parts}
+    return terms
+
+
+def _summed_terms(c: Depth3Circuit) -> Counter[int]:
+    """The gates multiplied out and added, as {bit mask: coefficient}; a
+    coefficient is a sum of residues, not reduced mod p."""
+    coeffs: Counter[int] = Counter()
+    for gate in c.gates:
+        coeffs.update(_multiply_out(gate.scale, gate.forms, c.n, c.field.p))
+    return coeffs
+
+
+def _bits(mask: int, n: int) -> tuple:
+    """The 0/1 vector of an n-bit mask, x_0 from the most significant bit."""
+    return tuple(map(int, bin(mask | 1 << n)[3:]))
 
 
 # ---------------------------------------------------------------------------
@@ -373,16 +391,14 @@ def circuit_to_roabp(c: Depth3Circuit) -> Roabp:
             positions = sorted(position[v] for color in klass for v in color)
             if positions[-1] - positions[0] != len(positions) - 1:
                 raise InternalInconsistencyError("neighborhood is not an order interval")
-            poly = ScalarPoly.const(c.field, c.n, 1)
-            for color in klass:
-                if color in form_by_color:
-                    poly = poly * form_by_color[color].to_scalar_poly(c.field, c.n)
-            segments.append((positions[0], positions[-1], sorted(poly.terms.items())))
+            forms = [form_by_color[color] for color in klass if color in form_by_color]
+            terms = _multiply_out(1, forms, c.n, c.field.p)
+            segments.append((positions[0], positions[-1], sorted(terms.items())))
         width = max(len(terms) for _, _, terms in segments)
         lanes.append((gate, width, sorted(segments, key=lambda seg: seg[0])))
     total = sum(width for _, width, _ in lanes)
     # per position: the constant matrix and the x_v matrix, indexed by the
-    # exponent of x_v in a (multilinear) monomial; MatPoly reduces them mod p
+    # bit of x_v in a monomial's mask; MatPoly reduces them mod p
     mats = [[[[0] * total for _ in range(total)] for _ in range(2)] for _ in order]
     left, right = [0] * total, [0] * total
     offset = 0
@@ -395,7 +411,8 @@ def circuit_to_roabp(c: Depth3Circuit) -> Roabp:
                 for pos in range(start, end + 1):
                     row = offset if pos == start else offset + idx
                     col = offset if pos == end else offset + idx
-                    mats[pos][m[order[pos]]][row][col] += coef * scale if pos == start else 1
+                    bit = m >> (c.n - 1 - order[pos]) & 1
+                    mats[pos][bit][row][col] += coef * scale if pos == start else 1
             scale = 1
         offset += width
     layers = [
@@ -557,7 +574,8 @@ def sum_sml_whitebox_test(
     first) that stops at the first nonzero value, and `sweep` is 2^n.
 
     Two routes reach them, chosen from two counts before any work: with
-    T = `term_count` below 2^n and within `EXPAND_CEILING`, the gates are
+    T = `term_count` below 2^n and within `EXPAND_CEILING`, the all-zeros
+    value is read off the constants, and only when it is 0 are the gates
     multiplied out (`_coefficient_route`, O(T)); otherwise the cube is
     swept a block at a time (`_cube_route`, up to 2^n points).
     """
@@ -582,31 +600,19 @@ def _coefficient_route(c: Depth3Circuit) -> tuple | None:
     for the zero polynomial.
 
     A monomial and a cube point are both bit masks with x_0 as the most
-    significant bit, so lexicographic order is numeric order.  The forms of
-    a gate are variable-disjoint, so no two of its terms share a mask.  The
-    smallest mask m with a nonzero coefficient is the witness: at a point y
-    only the submasks of y survive, and for y < m they are all smaller than
-    m, so of coefficient 0, while for y = m only m itself is not.
+    significant bit, so lexicographic order is numeric order.  The smallest
+    mask m with a nonzero coefficient is the witness: at a point y only the
+    submasks of y survive, and for y < m they are all smaller than m, so of
+    coefficient 0, while for y = m only m itself is not.  Mask 0 comes
+    first, from the constants alone: its coefficient is the all-zeros value.
     """
     p = c.field.p
-    top = c.n - 1
-    coeffs: dict[int, int] = {}
-    for gate in c.gates:
-        terms = {0: gate.scale}
-        for form in gate.forms:
-            parts = [(1 << (top - v), a) for v, a in form.coeffs.items()]
-            if form.constant:
-                parts.append((0, form.constant))
-            terms = {m | bit: x * a % p for m, x in terms.items() for bit, a in parts}
-        if not coeffs:
-            coeffs = terms
-            continue
-        for m, x in terms.items():
-            coeffs[m] = coeffs.get(m, 0) + x
-    first = min((m for m, x in coeffs.items() if x % p), default=None)
+    if sum(gate.scale * math.prod(f.constant for f in gate.forms) for gate in c.gates) % p:
+        return (0,) * c.n
+    first = min((m for m, x in _summed_terms(c).items() if x % p), default=None)
     if first is None:
         return None
-    return tuple((first >> (top - v)) & 1 for v in range(c.n))
+    return _bits(first, c.n)
 
 
 def _cube_route(c: Depth3Circuit) -> tuple | None:

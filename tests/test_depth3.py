@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from pitkit.algebra import Field
+from pitkit.algebra import Field, ScalarPoly
 from pitkit import depth3
 from pitkit.depth3 import (
     CUBE_BLOCK,
@@ -22,7 +22,7 @@ from pitkit.depth3 import (
     minimal_distance_order,
     sum_sml_whitebox_test,
 )
-from pitkit.errors import StructuralError
+from pitkit.errors import CapabilityError, StructuralError
 from pitkit.verify import InstanceSpec, generate_instance, oracle_is_zero
 
 F = Field(10007)
@@ -127,6 +127,71 @@ def test_inconsistent_grounds_rejected():
     p2 = Partition.of_lists([[0, 1, 2]])
     with pytest.raises(StructuralError):
         compute_distance([p1, p2])
+
+
+# ---------------------------------------------------------------------------
+# expansion oracle
+
+
+def _reference_expand(c):
+    """The gates multiplied out as products and sums of `ScalarPoly`s, each
+    form built from `ScalarPoly.const` and `ScalarPoly.variable`."""
+    total = ScalarPoly.zero(c.field, c.n)
+    for gate in c.gates:
+        prod = ScalarPoly.const(c.field, c.n, gate.scale)
+        for form in gate.forms:
+            poly = ScalarPoly.const(c.field, c.n, form.constant)
+            for v, a in form.coeffs.items():
+                var = ScalarPoly.variable(c.field, c.n, v)
+                poly = poly + var * ScalarPoly.const(c.field, c.n, a)
+            prod = prod * poly
+        total = total + prod
+    return total
+
+
+@pytest.mark.parametrize("modulus", [3, 10007, 2**61 - 1])
+@pytest.mark.parametrize("klass", ["sum-sml", "depth3-distance"])
+def test_expand_matches_the_reference_on_seeded_circuits(klass, modulus):
+    for seed in range(8):
+        spec = InstanceSpec(klass=klass, seed=seed, modulus=modulus, n=3 + seed % 5,
+                            k=1 + seed % 3, c=1 + seed % 3, delta=1 + seed % 3,
+                            engineered_zero=(seed % 2 == 0))
+        circuit = generate_instance(spec)
+        assert circuit.expand() == _reference_expand(circuit)
+
+
+def test_expand_matches_the_reference_on_edge_cases():
+    form = LinearForm(2, {0: 1, 2: 3})
+    cases = [
+        Depth3Circuit(F, 3, (Gate(0, (form,)), Gate(4, (LinearForm(0, {1: 5}),)))),
+        Depth3Circuit(F, 3, (Gate(2, (LinearForm(7, {}), form)),)),
+        Depth3Circuit(F, 3, (Gate(2, (LinearForm(0, {}), form)), Gate(1, (form,)))),
+        Depth3Circuit(F, 3, ()),
+        Depth3Circuit(F, 0, (Gate(3, ()), Gate(2, (LinearForm(5, {}),)))),
+        Depth3Circuit(F, 0, (Gate(3, ()), Gate(-3, ()))),
+    ]
+    expected = [
+        {(0, 1, 0): 20},
+        {(0, 0, 0): 28, (1, 0, 0): 14, (0, 0, 1): 42},
+        {(0, 0, 0): 2, (1, 0, 0): 1, (0, 0, 1): 3},
+        {},
+        {(): 13},
+        {},
+    ]
+    for c, terms in zip(cases, expected):
+        assert c.expand() == _reference_expand(c)
+        assert c.expand().terms == terms
+
+
+def test_expand_checks_the_ceiling_before_multiplying(monkeypatch):
+    def no_multiplication(*args):
+        raise AssertionError("the ceiling is checked first")
+
+    monkeypatch.setattr(depth3, "_multiply_out", no_multiplication)
+    form = LinearForm(1, {0: 1, 1: 1})
+    c = Depth3Circuit(F, 2, (Gate(1, (form,)), Gate(2, (form,))))
+    with pytest.raises(CapabilityError, match="expansion of 6 terms exceeds the ceiling 5"):
+        c.expand(5)
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +539,51 @@ def test_expand_ceiling_sends_a_small_circuit_to_the_cube(monkeypatch):
     assert _route_taken(c, monkeypatch) == ["_coefficient_route"]
     monkeypatch.setattr(depth3, "EXPAND_CEILING", 8)
     assert _route_taken(c, monkeypatch) == ["_cube_route"]
+
+
+# three forms of three variables each on x_0..x_8, constants 1, 2 and 3
+COARSE = tuple(LinearForm(1 + j, {v: v + 2 for v in range(3 * j, 3 * j + 3)})
+               for j in range(3))
+
+
+def _spy_multiply_out(monkeypatch):
+    calls = []
+    multiply_out = depth3._multiply_out
+
+    def spy(*args):
+        calls.append(args)
+        return multiply_out(*args)
+
+    monkeypatch.setattr(depth3, "_multiply_out", spy)
+    return calls
+
+
+def test_coefficient_route_reads_the_all_zeros_point_off_the_constants(monkeypatch):
+    n = 9
+    # 5 * 1 * 2 * 3 - 3 * 1 * 2 * 3 = 12, not 0 mod p, though the gates share terms
+    c = Depth3Circuit(F, n, (Gate(5, COARSE), Gate(-3, COARSE)))
+    assert c.term_count < 2**n and c.eval_at((0,) * n) == 12
+    calls = _spy_multiply_out(monkeypatch)
+    assert _route_taken(c, monkeypatch) == ["_coefficient_route"]
+    assert depth3._coefficient_route(c) == (0,) * n
+    assert sum_sml_whitebox_test(c).witness == (0,) * n
+    assert calls == []
+
+
+def test_coefficient_route_multiplies_out_when_the_all_zeros_value_is_zero(monkeypatch):
+    n = 9
+    shifted = COARSE[:2] + (LinearForm(0, {6: 1, 8: 1}),)
+    cases = [
+        Depth3Circuit(F, n, (Gate(5, COARSE), Gate(-5, COARSE), Gate(1, shifted))),
+        Depth3Circuit(F, n, (Gate(5, COARSE), Gate(-5, COARSE))),
+    ]
+    for c in cases:
+        assert c.term_count < 2**n and c.eval_at((0,) * n) == 0
+        calls = _spy_multiply_out(monkeypatch)
+        assert _assert_routes_match(c, monkeypatch) == "_coefficient_route"
+        assert calls
+    assert sum_sml_whitebox_test(cases[0]).witness == (0,) * 8 + (1,)
+    assert sum_sml_whitebox_test(cases[1]).verdict == "zero"
 
 
 def test_coefficient_divisible_by_p_leaves_the_support():
