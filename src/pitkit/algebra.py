@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as iter_product
 from typing import Iterator, Mapping, Sequence
 
@@ -30,9 +31,13 @@ MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_EXACT_BELOW = 3317044064679887385961981
 
 
+@lru_cache(maxsize=64)
 def is_prime(m: int) -> bool:
     """Exact primality by deterministic Miller-Rabin; m at or above
-    MR_EXACT_BELOW, where the test is no longer exact, is a CapabilityError."""
+    MR_EXACT_BELOW, where the test is no longer exact, is a CapabilityError.
+
+    Answers are memoized, as every Field(p) asks again for its modulus;
+    lru_cache stores no raised error, so the refusal raises on every call."""
     if m >= MR_EXACT_BELOW:
         raise CapabilityError(
             f"modulus {m} is not below {MR_EXACT_BELOW}, the bound of exact primality"
@@ -289,6 +294,17 @@ class ScalarPoly:
 
     # constructors ---------------------------------------------------------
     @classmethod
+    def _canonical(cls, field: Field, n: int, terms: dict) -> "ScalarPoly":
+        """Wrap terms already in canonical form (length-n tuples of
+        nonnegative exponents, nonzero residues mod p) without re-checking
+        them: the arithmetic below builds only such dicts."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "field", field)
+        object.__setattr__(poly, "n", n)
+        object.__setattr__(poly, "terms", terms)
+        return poly
+
+    @classmethod
     def zero(cls, field: Field, n: int) -> "ScalarPoly":
         return cls(field, n, {})
 
@@ -345,11 +361,13 @@ class ScalarPoly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return ScalarPoly(self.field, self.n, out)
+        return ScalarPoly._canonical(self.field, self.n, out)
 
     def __neg__(self) -> "ScalarPoly":
         p = self.field.p
-        return ScalarPoly(self.field, self.n, {e: (-c) % p for e, c in self.terms.items()})
+        return ScalarPoly._canonical(
+            self.field, self.n, {e: (-c) % p for e, c in self.terms.items()}
+        )
 
     def __sub__(self, other: "ScalarPoly") -> "ScalarPoly":
         return self + (-other)
@@ -366,14 +384,16 @@ class ScalarPoly:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return ScalarPoly(self.field, self.n, out)
+        return ScalarPoly._canonical(self.field, self.n, out)
 
     def scale(self, c: int) -> "ScalarPoly":
         c = self.field.normalize(c)
         if c == 0:
             return ScalarPoly.zero(self.field, self.n)
         p = self.field.p
-        return ScalarPoly(self.field, self.n, {e: (v * c) % p for e, v in self.terms.items()})
+        return ScalarPoly._canonical(
+            self.field, self.n, {e: (v * c) % p for e, v in self.terms.items()}
+        )
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -17,6 +17,7 @@ weight, so earlier rounds take precedence.
 from __future__ import annotations
 
 import math
+from itertools import dropwhile, islice, takewhile
 from itertools import product as iter_product
 from typing import Iterator, Sequence
 
@@ -40,7 +41,9 @@ from .kron import (
     PairSet,
     PointFamily,
     WeightFn,
+    _first_separating_prime,
     distinct_reductions,
+    iter_primes,
     prime_cutoff,
     separating_weights,
     sweep_generator,
@@ -264,14 +267,36 @@ def _sweep_count(r: Roabp, wfn: WeightFn) -> int:
     return 1 + r.n * r.delta * wfn.max_weight
 
 
-def _small_verified_separator(r: Roabp, factors: list[MatPoly]) -> tuple[WeightFn, int]:
+def _small_verified_separator(
+    r: Roabp, factors: list[MatPoly], limit: int | None = None
+) -> tuple[WeightFn, int] | None:
     """A weight function separating every pair of monomials of the expanded
-    product (hence basis isolating), found at the smallest workable prime.
+    product (hence basis isolating), found at the smallest workable prime,
+    and that prime (0 when the product has fewer than two monomials).
 
     Weight assignments that give distinct weights to all monomials are
-    always basis isolating; this keeps hitting sets inside small fields
-    when the round-combined assignment's weights would overflow them.
+    always basis isolating.  With no `limit` this is the fallback for a
+    round-combined sweep too long for the field: it always returns a
+    separator, or raises CapabilityError when the product expands past
+    EXPAND_CEILING.  With `limit` the round-combined sweep count R, it
+    searches only where a separator is sure to give a shorter sweep, at a
+    bounded cost, and returns None when it finds none:
+
+    - a separator with weights <= L = (R - 2) // (n * max(1, delta)), such
+      as one found at a prime q <= L, sweeps at most 1 + n*delta*L < R
+      points;
+    - the product is formed only when the product S of the factors'
+      sparsities, which bounds its monomial count M, is at most
+      min(EXPAND_CEILING, L);
+    - no prime below M separates M monomials, so the primes tried run from
+      the first one >= M up to L, and stop after n*R // M of them: each
+      reads M residues, so at most n*R in all, the size of the sweep the
+      separator would replace.
     """
+    if limit is not None:
+        top = (limit - 2) // (r.n * max(1, r.delta))
+        if math.prod(f.sparsity for f in factors) > min(EXPAND_CEILING, top):
+            return None
     product = factors[0]
     for f in factors[1:]:
         product = product * f
@@ -283,8 +308,17 @@ def _small_verified_separator(r: Roabp, factors: list[MatPoly]) -> tuple[WeightF
     delta = max(r.delta, product.individual_degree())
     if len(monos) < 2:
         return WeightFn.constant(r.n), 0
-    search = separating_weights(r.n, delta, PairSet(r.n, delta, [monos]))
-    return search.verified, search.verified_prime
+    pair_set = PairSet(r.n, delta, [monos])
+    if limit is None:
+        search = separating_weights(r.n, delta, pair_set)
+        return search.verified, search.verified_prime
+    primes = takewhile(
+        lambda q: q <= top, dropwhile(lambda q: q < len(monos), iter_primes())
+    )
+    prime = _first_separating_prime(
+        r.n, delta, pair_set, islice(primes, r.n * limit // len(monos))
+    )
+    return None if prime is None else (weights_mod_prime(r.n, delta, prime), prime)
 
 
 def roabp_hitting_set(r: Roabp, mode: str = "whitebox") -> PointSet:
@@ -292,12 +326,17 @@ def roabp_hitting_set(r: Roabp, mode: str = "whitebox") -> PointSet:
 
     Each candidate weight assignment w adds the t-sweep
     (t^w(x_1), ..., t^w(x_n)) for 1 + n*delta*max_weight distinct nonzero t.
-    Whitebox mode sweeps one assignment: the basis-isolating one constructed
-    from the factors or, when that needs more points than the field has,
-    the smallest verified all-monomial separator, which is basis isolating
-    outright.  Blackbox mode sweeps every enumerated candidate assignment,
-    using only the instance's declared parameters.  Every sweep's modulus
-    check runs here; its points are built as the set is iterated.
+    Whitebox mode sweeps one of two verified assignments: the
+    basis-isolating one constructed from the factors (the paper's
+    round-combined route, R points), or the smallest verified all-monomial
+    separator, which is basis isolating outright.  When R does not fit the
+    field, the separator is the fallback.  Otherwise the separator is sought
+    only where its sweep is sure to be strictly shorter and its search reads
+    at most n*R residues (see _small_verified_separator); when none is
+    found there, or its sweep would tie, the round-combined route stays.
+    Blackbox mode sweeps every enumerated candidate assignment, using only
+    the instance's declared parameters.  Every sweep's modulus check runs
+    here; its points are built as the set is iterated.
     """
     if r.n < 1:
         raise StructuralError("a hitting set needs at least one variable")
@@ -313,8 +352,12 @@ def roabp_hitting_set(r: Roabp, mode: str = "whitebox") -> PointSet:
         factors = _embedded_factors(r)
         wfn, _ = construct_isolating_weights(factors)
         route = {"assignment": "round-combined"}
-        if _sweep_count(r, wfn) + 1 > r.field.p:
-            wfn, prime = _small_verified_separator(r, factors)
+        count = _sweep_count(r, wfn)
+        found = _small_verified_separator(
+            r, factors, count if count + 1 <= r.field.p else None
+        )
+        if found is not None:
+            wfn, prime = found
             route = {"assignment": "verified-separator", "separator_prime": prime}
         points = wfn.sweep(_sweep_count(r, wfn), r.field.p)
         provenance.update(

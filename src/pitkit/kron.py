@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, repeat, takewhile
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebra import Monomial
@@ -269,18 +269,28 @@ def separating_weights(n: int, delta: int, pair_set: PairSet) -> SeparatorSearch
     pair_count = len(pair_set)
     if pair_count < 1:
         raise StructuralError("pair set must be nonempty")
+    cutoff = prime_cutoff(n, pair_count, delta)
+    p = _first_separating_prime(
+        n, delta, pair_set, takewhile(lambda q: q <= cutoff, iter_primes())
+    )
+    if p is None:
+        raise InternalInconsistencyError(
+            f"no separating prime up to {cutoff} for {pair_count} pairs"
+        )
+    return SeparatorSearch(
+        cutoff=cutoff, verified_prime=p, verified=weights_mod_prime(n, delta, p)
+    )
+
+
+def _first_separating_prime(
+    n: int, delta: int, pair_set: PairSet, primes: Iterable[int]
+) -> int | None:
+    """The first of `primes` at which the naive weights of every group of
+    the set have distinct residues, or None: the per-prime test of
+    separating_weights, over any run of candidate primes."""
     naive = naive_kronecker(n, delta)
     groups = [[naive.monomial_weight(m) for m in g] for g in pair_set.groups if len(g) > 1]
-    cutoff = prime_cutoff(n, pair_count, delta)
-    for p in iter_primes():
-        if p > cutoff:
-            break
-        if all(len({x % p for x in g}) == len(g) for g in groups):
-            return SeparatorSearch(
-                cutoff=cutoff,
-                verified_prime=p,
-                verified=weights_mod_prime(n, delta, p),
-            )
-    raise InternalInconsistencyError(
-        f"no separating prime up to {cutoff} for {pair_count} pairs"
+    return next(
+        (p for p in primes if all(len({x % p for x in g}) == len(g) for g in groups)),
+        None,
     )

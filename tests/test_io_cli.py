@@ -28,6 +28,7 @@ from pitkit.io_cli import (
 from pitkit.errors import StructuralError
 from pitkit.roabp import PointSet, Roabp
 from pitkit.verify import InstanceSpec, generate_instance, verify_hitting_property
+from test_isolate import two_full_layers
 from test_pinned_blackbox import CASES as PINNED_BLACKBOX, declared
 
 
@@ -678,11 +679,12 @@ def test_save_points_matches_the_join_writer(tmp_path):
 
 
 def test_save_points_streams_a_whitebox_set(tmp_path):
-    # the 46,177-point whitebox set of the benchmark's largest roabp-p31 case
+    # a one-layer instance keeps its 53,241-point round-combined sweep: the
+    # all-monomial separator of its product would sweep as many points
     from pitkit.isolate import roabp_hitting_set
 
     inst = generate_instance(InstanceSpec(
-        klass="roabp", seed=2, modulus=2**31 - 1, n=4, d=4, w=2, s=2, delta=2, mu=2,
+        klass="roabp", seed=0, modulus=2**31 - 1, n=4, d=1, w=2, s=1000, delta=10, mu=4,
     ))
     tracemalloc.start()
     try:
@@ -700,19 +702,14 @@ def test_save_points_streams_a_whitebox_set(tmp_path):
 
 
 def test_cli_hs_refuses_a_set_past_the_point_ceiling(tmp_path):
-    # seed 92 of the depth3-distance campaign at p = 2^31 - 1, reduced to an
-    # roabp: its whitebox sweep is 1,281,404,468 points
-    from pitkit.depth3 import circuit_to_roabp
-    from pitkit.verify import _case_overrides
-
-    spec = InstanceSpec(klass="depth3-distance", seed=92, modulus=2**31 - 1,
-                        **_case_overrides("depth3-distance", 92, {}))
-    circuit_path = write_instance(tmp_path, "c.json", circuit_to_roabp(generate_instance(spec)))
+    # past EXPAND_CEILING the round-combined sweep stays: 16,123,036,141
+    # points for these two width-2 layers at p = 2^61 - 1
+    circuit_path = write_instance(tmp_path, "c.json", two_full_layers(2))
     out = tmp_path / "pts.txt"
     proc = run_cli("hs", "roabp", "--input", circuit_path, "--out", str(out), timeout=60)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr == (
-        "capability error: hitting set of 1281404468 points exceeds the ceiling "
+        "capability error: hitting set of 16123036141 points exceeds the ceiling "
         f"{io_cli.HS_POINT_CEILING}\n"
     )
     assert proc.stdout == "" and not out.exists()

@@ -8,9 +8,14 @@ from dataclasses import replace
 
 import pytest
 
+from pitkit import isolate
 from pitkit.algebra import Field, MatPoly, RowSpan, mat_flatten, rank_over_field
+from pitkit.depth3 import circuit_to_roabp
 from pitkit.errors import PreconditionError
 from pitkit.isolate import (
+    _embedded_factors,
+    _small_verified_separator,
+    _sweep_count,
     combine_rounds,
     construct_isolating_weights,
     enumerate_candidate_weights,
@@ -27,8 +32,14 @@ from pitkit.kron import (
     separating_weights,
     weights_mod_prime,
 )
-from pitkit.roabp import Roabp
-from pitkit.verify import InstanceSpec, generate_instance, verify_hitting_property
+from pitkit.roabp import EXPAND_CEILING, Roabp
+from pitkit.verify import (
+    DetStream,
+    InstanceSpec,
+    _case_overrides,
+    generate_instance,
+    verify_hitting_property,
+)
 
 F7 = Field(7)
 F = Field(10007)
@@ -434,3 +445,177 @@ def test_hitting_set_order_oblivious():
         )
         report = verify_hitting_property(permuted, roabp_hitting_set(permuted, "whitebox"))
         assert report.passed
+
+
+# ---------------------------------------------------------------------------
+# whitebox route: the shorter of the two verified t-sweeps
+
+P31 = 2**31 - 1
+
+
+def _campaign_roabps(modulus):
+    """The 200 seeds of the roabp campaign at the modulus and, at 2^31 - 1,
+    the 100 depth3-distance campaign circuits reduced to ROABPs."""
+    for seed in range(200):
+        yield generate_instance(InstanceSpec(
+            klass="roabp", seed=seed, modulus=modulus, **_case_overrides("roabp", seed, {})
+        ))
+    if modulus == P31:
+        for seed in range(100):
+            spec = InstanceSpec(klass="depth3-distance", seed=seed, modulus=modulus,
+                                **_case_overrides("depth3-distance", seed, {}))
+            yield circuit_to_roabp(generate_instance(spec))
+
+
+def _round_combined_count(r):
+    return _sweep_count(r, construct_isolating_weights(_embedded_factors(r))[0])
+
+
+@pytest.mark.parametrize("modulus", [10007, P31, 2**61 - 1])
+def test_whitebox_emits_the_shorter_verified_sweep(modulus):
+    # the separator is taken exactly when its sweep is strictly shorter
+    # (a tie keeps the round-combined sweep), or when the round-combined
+    # sweep does not fit the field; either set hits its instance
+    routes = set()
+    for r in _campaign_roabps(modulus):
+        rounds = _round_combined_count(r)
+        separator = _sweep_count(r, _small_verified_separator(r, _embedded_factors(r))[0])
+        points = roabp_hitting_set(r, "whitebox")
+        route = points.provenance["assignment"]
+        if rounds + 1 > modulus:
+            assert (route, len(points)) == ("verified-separator", separator)
+        else:
+            assert len(points) == min(rounds, separator)
+            assert (route == "verified-separator") == (separator < rounds)
+        report = verify_hitting_property(r, points)
+        assert report.passed and not report.vacuous
+        routes.add(route)
+    assert routes == {"round-combined", "verified-separator"}
+
+
+def test_a_tie_keeps_the_round_combined_sweep():
+    # one layer: the separator's prime is the round's own, so both sweeps
+    # have 25 points
+    r = generate_instance(InstanceSpec(klass="roabp", seed=0, n=3, d=1, w=2, s=3, delta=2))
+    wfn, prime = _small_verified_separator(r, _embedded_factors(r))
+    assert prime > 0 and _sweep_count(r, wfn) == _round_combined_count(r) == 25
+    points = roabp_hitting_set(r, "whitebox")
+    assert (points.provenance["assignment"], len(points)) == ("round-combined", 25)
+
+
+def _count_products(monkeypatch) -> list:
+    calls = []
+    multiply = MatPoly.__mul__
+
+    def spy(self, other):
+        calls.append(1)
+        return multiply(self, other)
+
+    monkeypatch.setattr(MatPoly, "__mul__", spy)
+    return calls
+
+
+def two_full_layers(width: int) -> Roabp:
+    """Over GF(2^61 - 1), layers of all 32 x 32 monomials in x1, x2 and in
+    x3, x4, with seeded nonzero entries: the sparsity bound S = 1,048,576
+    exceeds EXPAND_CEILING, and the round-combined sweep fits the field."""
+    field, stream = Field(2**61 - 1), DetStream("ceiling")
+
+    def layer(u, v):
+        terms = {}
+        for a, b in itertools.product(range(32), repeat=2):
+            e = [0] * 4
+            e[u], e[v] = a, b
+            terms[tuple(e)] = tuple(
+                tuple(stream.nonzero(field) for _ in range(width)) for _ in range(width)
+            )
+        return MatPoly(field, 4, width, terms)
+
+    ends = (1,) + (0,) * (width - 1)
+    return Roabp.with_constant_boundaries(
+        field, 4, [(0, 1), (2, 3)], [layer(0, 1), layer(2, 3)], ends, ends
+    )
+
+
+def test_no_product_past_the_expansion_ceiling(monkeypatch):
+    r = two_full_layers(1)
+    assert math.prod(f.sparsity for f in _embedded_factors(r)) > EXPAND_CEILING
+    calls = _count_products(monkeypatch)
+    points = roabp_hitting_set(r, "whitebox")
+    assert points.provenance["assignment"] == "round-combined" and not calls
+
+
+def test_no_product_when_the_sparsity_bound_exceeds_the_prime_limit(monkeypatch):
+    # a limit R gives L = (R - 2) // (n * delta); the product is formed only
+    # when S <= L, here at L = S and not at L = S - 1
+    r = generate_instance(InstanceSpec(klass="roabp", seed=1, n=4, d=3, w=2, s=3, delta=2))
+    factors = _embedded_factors(r)
+    bound = math.prod(f.sparsity for f in factors)
+    scale = r.n * r.delta
+    calls = _count_products(monkeypatch)
+    assert _small_verified_separator(r, factors, (bound - 1) * scale + 2) is None
+    assert not calls
+    _small_verified_separator(r, factors, bound * scale + 2)
+    assert calls
+
+
+def _record_tested_primes(monkeypatch) -> list:
+    """(M, tested primes) per bounded search: next() tests each prime it
+    draws, so the drawn primes are the tested ones."""
+    searches = []
+    search = isolate._first_separating_prime
+
+    def spy(n, delta, pair_set, primes):
+        tested = []
+
+        def drawn():
+            for q in primes:
+                tested.append(q)
+                yield q
+
+        searches.append((len(pair_set.groups[0]), tested))
+        return search(n, delta, pair_set, drawn())
+
+    monkeypatch.setattr(isolate, "_first_separating_prime", spy)
+    return searches
+
+
+def _primes_from(m, count):
+    return list(itertools.islice(itertools.dropwhile(lambda q: q < m, iter_primes()), count))
+
+
+def test_separator_search_stays_within_its_prime_limit_and_budget(monkeypatch):
+    # primes run from the first one >= M, never past L, never more than
+    # n*R // M of them; on one-layer ties L ends the search
+    searches = _record_tested_primes(monkeypatch)
+    stopped_by_limit = 0
+    for r in _campaign_roabps(P31):
+        searches.clear()
+        rounds = _round_combined_count(r)
+        roabp_hitting_set(r, "whitebox")
+        top = (rounds - 2) // (r.n * max(1, r.delta))
+        for m, tested in searches:
+            assert tested == _primes_from(m, len(tested))
+            assert all(q <= top for q in tested)
+            assert len(tested) <= r.n * rounds // m
+            stopped_by_limit += _primes_from(m, len(tested) + 1)[-1] > top
+    assert stopped_by_limit
+
+
+def test_separator_search_stops_at_its_prime_budget(monkeypatch):
+    # a random half of the 6^5 monomials of degree <= 5 in 5 variables: no
+    # prime from M up to the largest naive weight 7,775 separates them, so
+    # with L = 7,775 the budget n*R // M ends the search first
+    n, delta = 5, 5
+    stream = DetStream("dense")
+    terms = {
+        e: ((1,),) for e in itertools.product(range(delta + 1), repeat=n)
+        if stream.randint(0, 1)
+    }
+    r = Roabp.with_constant_boundaries(F, n, [tuple(range(n))], [MatPoly(F, n, 1, terms)], (1,), (1,))
+    m, limit = len(terms), 7775 * n * delta + 2
+    budget = n * limit // m
+    assert budget < sum(q >= m for q in itertools.takewhile(lambda q: q <= 7775, iter_primes()))
+    searches = _record_tested_primes(monkeypatch)
+    assert _small_verified_separator(r, _embedded_factors(r), limit) is None
+    assert searches == [(m, _primes_from(m, budget))]
