@@ -368,8 +368,7 @@ def factorize_width2(r: Roabp) -> Width2Factorization:
     if r.width != 2:
         raise PreconditionError(f"width-2 only; got width {r.width}")
     field, n = r.field, r.n
-    singular: list[int] = []
-    splits: dict[int, tuple] = {}
+    splits: dict[int, tuple] = {}  # singular layer -> (column, row)
     alpha = ScalarPoly.const(field, n, 1)
     for i, layer in enumerate(r.layers):
         if layer.is_zero():
@@ -386,49 +385,21 @@ def factorize_width2(r: Roabp) -> Width2Factorization:
                 for cc in range(2):
                     if not (col[rr] * row[cc] == layer.entry(rr, cc) * entry):
                         raise InternalInconsistencyError("rank-1 split failed")
-            singular.append(i)
-            splits[i] = (entry, col, row)
+            splits[i] = (col, row)
             alpha = alpha * entry
-    if not singular:
+    if not splits:
         return Width2Factorization(alpha=ScalarPoly.const(field, n, 1), chain=(r,), split_layers=())
-    chain = []
-    prev_left_boundary = r.left_boundary
-    prev_left_block = r.left_block
-    start = 0
-    for idx in singular:
-        _, col, row = splits[idx]
-        block = r.blocks[idx]
-        piece = Roabp(
-            field,
-            n,
-            2,
-            r.blocks[start:idx],
-            r.layers[start:idx],
-            prev_left_boundary,
-            tuple(col),
-            prev_left_block,
-            block,
-        )
-        chain.append(piece)
-        prev_left_boundary = tuple(row)
-        prev_left_block = block
-        start = idx + 1
-    chain.append(
-        Roabp(
-            field,
-            n,
-            2,
-            r.blocks[start:],
-            r.layers[start:],
-            prev_left_boundary,
-            r.right_boundary,
-            prev_left_block,
-            r.right_block,
-        )
+    # a piece starts at the left boundary or a singular layer's row, and
+    # ends at the next singular layer's column or the right boundary
+    starts = [(0, r.left_boundary, r.left_block)]
+    starts += [(i + 1, row, r.blocks[i]) for i, (_, row) in splits.items()]
+    ends = [(i, col, r.blocks[i]) for i, (col, _) in splits.items()]
+    ends.append((r.d, r.right_boundary, r.right_block))
+    chain = tuple(
+        Roabp(field, n, 2, r.blocks[a:b], r.layers[a:b], left, right, left_block, right_block)
+        for (a, left, left_block), (b, right, right_block) in zip(starts, ends)
     )
-    return Width2Factorization(
-        alpha=alpha, chain=tuple(chain), split_layers=tuple(singular)
-    )
+    return Width2Factorization(alpha=alpha, chain=chain, split_layers=tuple(splits))
 
 
 @dataclass(frozen=True)

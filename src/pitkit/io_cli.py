@@ -33,6 +33,7 @@ from .depth3 import (
 )
 from .errors import CapabilityError, PreconditionError, StructuralError
 from .isolate import roabp_hitting_set
+from .kron import PointFamily
 from .roabp import EXPAND_CEILING, PointSet, Roabp
 from .verify import InstanceSpec, run_campaign, verify_hitting_property
 
@@ -387,46 +388,21 @@ class _Header:
             )
 
 
-class _PointLines:
-    """The points of a canonical point-file body, still as bytes: `len()`
-    is the line count, and iteration parses one line per step."""
-
-    def __init__(self, header: _Header, data: bytes, start: int, first_line: int):
-        self.n = header.n
-        self.provenance = header.provenance or {}
-        self._path = header.path
-        self._data = data
-        self._start = start
-        self._first_line = first_line
-        self._count = data.count(b"\n", start)
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __iter__(self):
-        data, pos = self._data, self._start
-        for line_no in range(self._first_line, self._first_line + self._count):
-            end = data.find(b"\n", pos)
-            try:
-                point = tuple(map(int, data[pos:end].split(b",")))
-            except ValueError as exc:  # a value past the interpreter's digit limit
-                raise StructuralError(f"{self._path}:{line_no}: bad point line") from exc
-            yield point
-            pos = end + 1
-
-
 def _canonical_body(n: int) -> re.Pattern:
     """Lines of exactly n comma-separated digit strings, each ending in a
     newline; possessive, so a mismatch fails without backtracking."""
     return re.compile(rb"(?:[0-9]++(?:,[0-9]++){%d}\n)*+" % (n - 1))
 
 
-def _read_points(path: str) -> _PointLines | PointSet:
+def load_points(path: str) -> PointSet:
     """Read a point file once.  A canonical file (ASCII, '#' header lines
-    first, then lines of n digit strings) is checked in one pass and left
-    unparsed; any other file goes through the line loop.  A malformed
-    header, a header count that differs from the number of point lines, or
-    a bad point line is a StructuralError."""
+    first, then lines of n digit strings) is checked in one pass, and its
+    points are a `kron.PointFamily` that parses one line per step, so a
+    reader that stops at a witness parses no further; any other file goes
+    through the line loop.  A malformed header, a header count that differs
+    from the number of point lines, or a bad point line is a
+    StructuralError; in a canonical file, a value past the interpreter's
+    digit limit raises only when iteration reaches its line."""
     with open(path, "rb") as fh:
         data = fh.read()
     # the line loop decodes UTF-8 and breaks lines at '\r' as well
@@ -439,9 +415,21 @@ def _read_points(path: str) -> _PointLines | PointSet:
             header.read(data[pos:end].decode().strip(), line_no)
             pos = end
         if header.n and _canonical_body(header.n).fullmatch(data, pos):
-            points = _PointLines(header, data, pos, line_no + 1)
-            header.check_count(len(points))
-            return points
+            count = data.count(b"\n", pos)
+            header.check_count(count)
+
+            def rows():
+                start = pos
+                for at in range(line_no + 1, line_no + 1 + count):
+                    end = data.find(b"\n", start)
+                    try:
+                        point = tuple(map(int, data[start:end].split(b",")))
+                    except ValueError as exc:
+                        raise StructuralError(f"{path}:{at}: bad point line") from exc
+                    yield point
+                    start = end + 1
+
+            return PointSet(header.n, PointFamily(count, rows), header.provenance or {})
     return _read_point_lines(path, data)
 
 
@@ -475,14 +463,6 @@ def _read_point_lines(path: str, data: bytes) -> PointSet:
     return PointSet(n, tuple(pts), header.provenance or {})
 
 
-def load_points(path: str) -> PointSet:
-    """Read a point file; a malformed header, a header count that differs
-    from the number of point lines, or a bad point line is a
-    StructuralError."""
-    points = _read_points(path)
-    return PointSet(points.n, tuple(points), points.provenance)
-
-
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -507,7 +487,7 @@ def _cmd_hs(args) -> int:
 
 def _cmd_test(args) -> int:
     instance = load_instance(args.input, args.modulus)
-    report = verify_hitting_property(instance, _read_points(args.points))
+    report = verify_hitting_property(instance, load_points(args.points))
     print(report.line("test"))
     return EXIT_OK if report.passed else EXIT_VERDICT
 

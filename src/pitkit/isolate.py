@@ -27,6 +27,7 @@ from .algebra import (
     Matrix,
     Monomial,
     RowSpan,
+    ScalarPoly,
     mat_flatten,
     mono_mul,
     mat_mul,
@@ -245,19 +246,12 @@ def _embedded_factors(r: Roabp) -> list[MatPoly]:
     factors = list(r.layers)
     if r.has_constant_boundaries():
         return factors
+    zero = ScalarPoly.zero(r.field, r.n)
     w = r.width
-    left_terms: dict[Monomial, list[list[int]]] = {}
-    for j, poly in enumerate(r.left_boundary):
-        for e, c in poly.terms.items():
-            m = left_terms.setdefault(e, [[0] * w for _ in range(w)])
-            m[0][j] = c
-    right_terms: dict[Monomial, list[list[int]]] = {}
-    for i, poly in enumerate(r.right_boundary):
-        for e, c in poly.terms.items():
-            m = right_terms.setdefault(e, [[0] * w for _ in range(w)])
-            m[i][0] = c
-    left = MatPoly(r.field, r.n, w, {e: tuple(tuple(row) for row in m) for e, m in left_terms.items()})
-    right = MatPoly(r.field, r.n, w, {e: tuple(tuple(row) for row in m) for e, m in right_terms.items()})
+    left = MatPoly.from_entries(
+        [list(r.left_boundary)] + [[zero] * w for _ in range(w - 1)]
+    )
+    right = MatPoly.from_entries([[poly] + [zero] * (w - 1) for poly in r.right_boundary])
     return [left, *factors, right]
 
 
@@ -305,9 +299,9 @@ def _small_verified_separator(
                 "instance too large to derive a field-sized separator"
             )
     monos = sorted(product.terms)
-    delta = max(r.delta, product.individual_degree())
     if len(monos) < 2:
         return WeightFn.constant(r.n), 0
+    delta = r.delta
     pair_set = PairSet(r.n, delta, [monos])
     if limit is None:
         search = separating_weights(r.n, delta, pair_set)

@@ -33,11 +33,12 @@ class PointSet:
     """Evaluation points plus a provenance record (generator and parameters).
 
     `points` is any sized, re-iterable family of n-tuples: a tuple, or a
-    `kron.PointFamily` whose `len()` is its generator's exact size formula
-    and whose points are built only while it is iterated, so a set is never
-    held whole unless a caller makes it a tuple.  Duplicates are permitted;
-    the exact-size count formulas of the generators are part of their
-    contracts.
+    `kron.PointFamily` whose `len()` is its exact size (a generator's size
+    formula, or a canonical point file's line count) and whose points are
+    built only while it is iterated (a file's lines are parsed then), so a
+    set is never held whole unless a caller makes it a tuple.  Duplicates
+    are permitted; the exact-size count formulas of the generators are part
+    of their contracts.
     """
 
     n: int

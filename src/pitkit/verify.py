@@ -415,10 +415,10 @@ def verify_hitting_property(instance, points: Collection[tuple]) -> HittingRepor
     reported); vacuous-pass for zero instances.
 
     `points` is iterated once, up to the witness, and sized by `len()`: a
-    PointSet, whose lazy family builds points only as they are read, or a
-    point file that parses each line as it is read.  A
-    witness proves the instance nonzero, so the expansion oracle runs only
-    when no point is one."""
+    PointSet, generated or read by `io_cli.load_points`, whose lazy family
+    builds (or parses) points only as they are read.  A witness proves the
+    instance nonzero, so the expansion oracle runs only when no point is
+    one."""
     for idx, pt in enumerate(points):
         if _evaluate(instance, pt):
             return HittingReport(False, True, idx, len(points))

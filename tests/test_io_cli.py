@@ -26,6 +26,7 @@ from pitkit.io_cli import (
     save_points,
 )
 from pitkit.errors import StructuralError
+from pitkit.kron import PointFamily
 from pitkit.roabp import PointSet, Roabp
 from pitkit.verify import InstanceSpec, generate_instance, verify_hitting_property
 from test_isolate import two_full_layers
@@ -125,7 +126,8 @@ def test_points_single_line(tmp_path):
     save_points(PointSet(3, ((1, 2, 3),)), str(path))
     assert "1,2,3" in path.read_text().splitlines()
     loaded = load_points(str(path))
-    assert loaded.points == ((1, 2, 3),)
+    assert isinstance(loaded.points, PointFamily)
+    assert tuple(loaded.points) == ((1, 2, 3),)
 
 
 def test_reloaded_points_give_identical_verdict(tmp_path):
@@ -537,10 +539,11 @@ def test_canonical_point_files_load_the_line_loop_points(
     points = io_cli.HITTING_SETS[family](inst, mode)
     path = tmp_path / "pts.txt"
     save_points(points, str(path))
-    assert isinstance(io_cli._read_points(str(path)), io_cli._PointLines)
     loop = io_cli._read_point_lines(str(path), path.read_bytes())
     loaded = load_points(str(path))
-    assert loaded.points == loop.points == tuple(points.points)
+    assert isinstance(loaded.points, PointFamily)
+    assert len(loaded) == len(loop)
+    assert tuple(loaded.points) == loop.points == tuple(points.points)
     assert (loaded.n, loaded.provenance) == (loop.n, loop.provenance)
 
 
@@ -588,7 +591,7 @@ def test_cli_test_parses_points_only_up_to_the_witness(tmp_path, capsys):
             assert main(["test", "--input", str(circuit), "--points", str(points)]) == code
             assert capsys.readouterr() == (out, err)
         with pytest.raises(StructuralError, match="pts.txt:4: bad point line"):
-            load_points(str(points))
+            tuple(load_points(str(points)))
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -675,7 +678,9 @@ def test_save_points_matches_the_join_writer(tmp_path):
         )
         body = "".join(",".join(map(str, pt)) + "\n" for pt in pts)
         assert path.read_bytes() == (header + body).encode("utf-8")
-        assert load_points(str(path)).points == pts
+        loaded = load_points(str(path))
+        assert isinstance(loaded.points, PointFamily)
+        assert tuple(loaded.points) == pts
 
 
 def test_save_points_streams_a_whitebox_set(tmp_path):

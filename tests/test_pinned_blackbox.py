@@ -66,7 +66,7 @@ def run_hs(family: str, klass: str, params: tuple, modulus: int, workdir, capsys
 
 def distinct_set_digest(path: pathlib.Path) -> str:
     points = load_points(str(path))
-    rows = points.points[:points.provenance.get("anchor_count")]
+    rows = tuple(points.points)[:points.provenance.get("anchor_count")]
     h = hashlib.sha256()
     for pt in sorted(set(rows)):
         h.update((",".join(map(str, pt)) + "\n").encode())
