@@ -144,6 +144,21 @@ def _t0_budget(d: int, det_degree: int, w: int, n: int, delta: int, max_a: int) 
     return 1 + (d * det_degree + w * w * n * max(1, delta)) * max_a
 
 
+def _shift_concentrates(
+    r: Roabp, offsets: Sequence[int], mats: Sequence, target: int
+) -> bool:
+    """Whether f(x + offsets) is target-support concentrated, given the
+    layer matrices `mats` at offsets.  Its coefficients span at most a
+    line, so the test holds outright when every monomial's support, at
+    most n, is below the target, or when the support-0 coefficient
+    f(offsets) is nonzero; only otherwise is the shift expanded."""
+    if target > r.n or r.contract(offsets, mats):
+        return True
+    _, scalar = r.shift(offsets).expand()
+    low_rank, full_rank = concentration_rank(scalar, target, "support")
+    return low_rank == full_rank
+
+
 def find_concentrating_shift(r: Roabp) -> tuple[WeightFn, int, int]:
     """A verified concentrating shift x_i -> x_i + t0^(a_i) for an
     invertible-factor instance, as (exponent map a, its prime, t0).
@@ -152,9 +167,12 @@ def find_concentrating_shift(r: Roabp) -> tuple[WeightFn, int, int]:
     determinant's monomials and all low-support monomials, picks t0 with
     every shifted constant term invertible, and keeps the first (map, t0)
     whose shifted, specialized polynomial verifies l(w^2+2)-support
-    concentration.  A failed search is ModulusTooSmallError when some
-    candidate's t0 budget was cut at p - 1, and InternalInconsistencyError
-    only when every candidate ran its full budget.
+    concentration.  That test needs no expansion when l(w^2+2) > n or when
+    f(offsets), the shifted constant term, is nonzero; the shift is
+    expanded only for an f vanishing at the offsets.  A failed search is
+    ModulusTooSmallError when some candidate's t0 budget was cut at p - 1,
+    and InternalInconsistencyError only when every candidate ran its full
+    budget.
     """
     dets = _interior_dets(r)
     w = r.width
@@ -184,16 +202,14 @@ def find_concentrating_shift(r: Roabp) -> tuple[WeightFn, int, int]:
         clipped = clipped or t_budget < full_budget
         for t0 in range(1, t_budget + 1):
             offsets = wfn.powers(t0, p)
-            if any(
-                mat_det(layer.eval_at(offsets), r.field) == 0
-                for layer in r.layers
-            ):
-                continue
-            shifted = r.shift(offsets)
-            _, scalar = shifted.expand()
-            low_rank, full_rank = concentration_rank(scalar, target, "support")
-            if low_rank == full_rank:
-                return wfn, prime, t0
+            mats = []
+            for layer in r.layers:
+                mats.append(layer.eval_at(offsets))
+                if mat_det(mats[-1], r.field) == 0:
+                    break
+            else:
+                if _shift_concentrates(r, offsets, mats, target):
+                    return wfn, prime, t0
     if clipped:
         # a bad-t0 count past p - 1 leaves no good t0 guaranteed: the field
         # is too small, not the construction wrong

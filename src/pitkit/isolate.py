@@ -47,7 +47,6 @@ from .kron import (
     iter_primes,
     prime_cutoff,
     separating_weights,
-    sweep_generator,
     weights_mod_prime,
 )
 from .roabp import EXPAND_CEILING, PointSet, Roabp
@@ -355,8 +354,7 @@ def roabp_hitting_set(r: Roabp, mode: str = "whitebox") -> PointSet:
             route = {"assignment": "verified-separator", "separator_prime": prime}
         points = wfn.sweep(_sweep_count(r, wfn), r.field.p)
         provenance.update(
-            s=r.layer_sparsity, t_count=len(points), max_weight=wfn.max_weight,
-            t_generator=sweep_generator(len(points), r.field.p), **route
+            s=r.layer_sparsity, t_count=len(points), max_weight=wfn.max_weight, **route
         )
     elif mode == "blackbox":
         s = max(1, r.layer_sparsity)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, repeat, takewhile
+from itertools import accumulate, chain, compress, dropwhile, repeat, takewhile
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebra import Monomial
@@ -184,19 +184,20 @@ def naive_kronecker(n: int, delta: int) -> WeightFn:
 
 
 def iter_primes() -> Iterator[int]:
-    """2, 3, 5, ...: odd candidates are trial-divided by the odd primes up
-    to their square root."""
-    yield 2
-    odd: list[int] = []
-    below_root = 0  # odd[:below_root] are the primes q with q*q <= cand
-    cand = 3
+    """2, 3, 5, ...: a sieve of Eratosthenes over the segments [lo, 2*lo),
+    doubling from [2, 4).  Every prime q with q*q < 2*lo is below lo, so
+    the primes of the earlier segments cross off each segment."""
+    primes: list[int] = []
+    lo = 2
     while True:
-        while below_root < len(odd) and odd[below_root] ** 2 <= cand:
-            below_root += 1
-        if all(cand % q for q in odd[:below_root]):
-            odd.append(cand)
-            yield cand
-        cand += 2
+        alive = bytearray([1]) * lo
+        for q in takewhile(lambda q: q * q < 2 * lo, primes):
+            first = -lo % q
+            alive[first::q] = bytes(len(range(first, lo, q)))
+        found = list(compress(range(lo, 2 * lo), alive))
+        primes += found
+        yield from found
+        lo *= 2
 
 
 def prime_cutoff(n: int, pair_count: int, delta: int) -> int:
@@ -287,10 +288,16 @@ def _first_separating_prime(
 ) -> int | None:
     """The first of `primes` at which the naive weights of every group of
     the set have distinct residues, or None: the per-prime test of
-    separating_weights, over any run of candidate primes."""
+    separating_weights, over any run of candidate primes.  No prime below
+    the widest group's size gives it distinct residues, so those primes
+    are passed over untested."""
     naive = naive_kronecker(n, delta)
     groups = [[naive.monomial_weight(m) for m in g] for g in pair_set.groups if len(g) > 1]
+    widest = max(map(len, groups), default=0)
     return next(
-        (p for p in primes if all(len({x % p for x in g}) == len(g) for g in groups)),
+        (
+            p for p in dropwhile(lambda q: q < widest, primes)
+            if all(len({x % p for x in g}) == len(g) for g in groups)
+        ),
         None,
     )

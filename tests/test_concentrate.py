@@ -4,6 +4,7 @@ the composed hitting sets."""
 import itertools
 import math
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -16,6 +17,7 @@ from pitkit.algebra import (
     mat_flatten,
     rank_over_field,
 )
+from pitkit import concentrate
 from pitkit.concentrate import (
     LagrangeCurve,
     block_support,
@@ -27,10 +29,15 @@ from pitkit.concentrate import (
     support_parameter,
     width2_hitting_set,
 )
-from pitkit.errors import ModulusTooSmallError, PreconditionError, StructuralError
+from pitkit.errors import ModulusTooSmallError, PitError, PreconditionError, StructuralError
 from pitkit.kron import WeightFn
 from pitkit.roabp import Roabp
-from pitkit.verify import InstanceSpec, generate_instance, verify_hitting_property
+from pitkit.verify import (
+    InstanceSpec,
+    _case_overrides,
+    generate_instance,
+    verify_hitting_property,
+)
 
 F7 = Field(7)
 F = Field(10007)
@@ -248,6 +255,102 @@ def test_shift_verified_on_random_invertible_instances():
         for layer in shifted.layers:
             lo, fu = concentration_rank(layer, ell, "support")
             assert lo == fu
+
+
+def _always_expanded(r, offsets, mats, target):
+    # reference: shift, expand and compare the two concentration ranks
+    _, scalar = r.shift(offsets).expand()
+    low, full = concentration_rank(scalar, target, "support")
+    return low == full
+
+
+def _shift_outcome(r):
+    try:
+        wfn, prime, t0 = find_concentrating_shift(r)
+    except PitError as exc:
+        return type(exc).__name__, str(exc)
+    return wfn.weights, prime, t0
+
+
+def _shift_outcomes_match_reference(monkeypatch, instances):
+    got = [_shift_outcome(r) for r in instances]
+    with monkeypatch.context() as m:
+        m.setattr(concentrate, "_shift_concentrates", _always_expanded)
+        assert got == [_shift_outcome(r) for r in instances]
+
+
+def _campaign_instance(klass, seed, modulus):
+    return generate_instance(InstanceSpec(
+        klass=klass, seed=seed, modulus=modulus, **_case_overrides(klass, seed, {})
+    ))
+
+
+@pytest.mark.parametrize("modulus", [10007, 5])
+def test_shift_decided_without_expansion_matches_the_expanded_test(monkeypatch, modulus):
+    # seeded invertible instances and the chain pieces of seeded width-2
+    # instances give the same (map, prime, t0), errors included
+    pieces = [_campaign_instance("invertible-roabp", seed, modulus) for seed in range(200)]
+    for seed in range(200):
+        pieces += factorize_width2(_campaign_instance("width2-roabp", seed, modulus)).chain
+    _shift_outcomes_match_reference(monkeypatch, pieces)
+
+
+def _count_expansions(monkeypatch) -> list:
+    calls = []
+    expand = Roabp.expand
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return expand(self, *args, **kwargs)
+
+    monkeypatch.setattr(Roabp, "expand", counted)
+    return calls
+
+
+def _unit(n, i):
+    return tuple(int(v == i) for v in range(n))
+
+
+def _zero_left_boundary():
+    # s = 1, l = 1, support target 3 = n
+    layers = [MatPoly(F, 3, 1, {_unit(3, i): ((i + 2,),)}) for i in range(3)]
+    return Roabp.with_constant_boundaries(F, 3, [(0,), (1,), (2,)], layers, (0,), (1,))
+
+
+def _left_boundary_x1_minus_1():
+    # s = 2, l = 3, support target 9 = n
+    n = 9
+    left = ScalarPoly(F, n, {_unit(n, 0): 1, (0,) * n: F.p - 1})
+    layers = [MatPoly(F, n, 1, {_unit(n, i): ((1,),)}) for i in range(1, n)]
+    return Roabp(
+        F, n, 1, [(i,) for i in range(1, n)], layers,
+        (left,), (ScalarPoly.const(F, n, 1),), (0,), (),
+    )
+
+
+@pytest.mark.parametrize("build", [_zero_left_boundary, _left_boundary_x1_minus_1])
+def test_shift_of_an_f_vanishing_at_the_offsets_is_expanded(monkeypatch, build):
+    # width 1: every layer is invertible at the first offsets (t0 = 1, all
+    # ones), where f vanishes, and the support target is at most n
+    r = build()
+    expanded = _count_expansions(monkeypatch)
+    assert _shift_outcome(r)[2] == 1
+    assert expanded
+    _shift_outcomes_match_reference(monkeypatch, [r])
+
+
+def test_shift_search_skips_primes_below_the_widest_group():
+    # the 301^2 = 90,601 low-support monomials form one group, and 90,617
+    # is the first prime at which their naive weights have distinct residues
+    layers = [
+        MatPoly(F, 2, 1, {(300, 0): ((3,),), (0, 0): ((1,),)}),
+        MatPoly(F, 2, 1, {(0, 1): ((5,),), (0, 0): ((2,),)}),
+    ]
+    r = Roabp.with_constant_boundaries(F, 2, [(0,), (1,)], layers, (1,), (1,))
+    start = time.process_time()
+    _, prime, t0 = find_concentrating_shift(r)
+    assert (prime, t0) == (90617, 1)
+    assert time.process_time() - start < 2
 
 
 def _shifted_low_support_rows(layer, exponents, ell):

@@ -720,6 +720,48 @@ def test_cli_hs_refuses_a_set_past_the_point_ceiling(tmp_path):
     assert proc.stdout == "" and not out.exists()
 
 
+def dense_width2(n: int) -> Roabp:
+    """Over GF(2^61 - 1), n width-2 layers {1, x_i} with seeded nonzero
+    matrices: the product has 2^n monomials."""
+    from pitkit.algebra import Field, MatPoly
+    from pitkit.verify import DetStream
+
+    field, stream = Field(2**61 - 1), DetStream("dense")
+
+    def layer(i):
+        x_i = tuple(int(v == i) for v in range(n))
+        return MatPoly(field, n, 2, {
+            e: tuple(tuple(stream.nonzero(field) for _ in range(2)) for _ in range(2))
+            for e in ((0,) * n, x_i)
+        })
+
+    return Roabp.with_constant_boundaries(
+        field, n, [(i,) for i in range(n)], [layer(i) for i in range(n)], (1, 0), (1, 0)
+    )
+
+
+def test_cli_hs_refuses_a_dense_roabp_before_any_sweep_work(tmp_path):
+    # at n = 20 the sparsity bound 2^20 exceeds EXPAND_CEILING, so the
+    # round-combined sweep stays: 16,858,411,510,534,761 points, which fit
+    # the field.  Finding its generator by baby steps and giant steps would
+    # need about 1.3e8 table entries, far past the address-space cap, so
+    # the refusal must come before any sweep is started
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+        resource.setrlimit(resource.RLIMIT_CPU, (20, 20))
+
+    circuit_path = write_instance(tmp_path, "dense.json", dense_width2(20))
+    out = tmp_path / "pts.txt"
+    proc = run_cli(
+        "hs", "roabp", "--input", circuit_path, "--out", str(out), timeout=60, preexec_fn=cap
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (3, (
+        "capability error: hitting set of 16858411510534761 points exceeds the "
+        f"ceiling {io_cli.HS_POINT_CEILING}\n"
+    ), "")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("modulus, stderr", [
     (None, "capability error: curve sweep needs 1255625551 distinct values, "
            "modulus 10007 too small\n"),

@@ -136,6 +136,12 @@ def test_iter_primes_matches_sieve():
     assert list(itertools.islice(iter_primes(), len(expected))) == expected
 
 
+def test_iter_primes_below_a_million():
+    below = list(itertools.takewhile(lambda q: q < 10**6, iter_primes()))
+    assert len(below) == 78_498
+    assert below[-1] == 999_983
+
+
 def test_distinct_reductions_keep_each_vectors_first_prime():
     for n, delta, cutoff in itertools.product([1, 2, 3, 5], [0, 1, 2, 3], [1, 2, 30, 2_000]):
         first: dict[tuple, int] = {}

@@ -28,6 +28,7 @@ from tracer import Tracer  # noqa: E402
 UNREACHED = {
     "concentrate.LagrangeCurve.eval_at",
     "depth3.Depth3Circuit.eval_at",
+    "roabp.Roabp.expand",
     "verify.oracle_is_zero",
 }
 
