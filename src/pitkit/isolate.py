@@ -12,12 +12,15 @@ factor's coefficients, pair adjacent factors (odd counts pass through, which
 is multiplication by the identity of the algebra), and repeat.  The rounds
 are combined positionally with a base B exceeding any achievable monomial
 weight, so earlier rounds take precedence.
+
+The paper's map is the guarantee, not the only option: a t-sweep hits f
+under any map whose univariate image of f is nonzero, so the whitebox
+generator tries shorter maps first, each checked by its image.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import dropwhile, islice, takewhile
 from itertools import product as iter_product
 from typing import Iterator, Sequence
 
@@ -33,7 +36,6 @@ from .algebra import (
     mat_mul,
 )
 from .errors import (
-    CapabilityError,
     InternalInconsistencyError,
     PreconditionError,
     StructuralError,
@@ -42,14 +44,12 @@ from .kron import (
     PairSet,
     PointFamily,
     WeightFn,
-    _first_separating_prime,
     distinct_reductions,
-    iter_primes,
     prime_cutoff,
     separating_weights,
     weights_mod_prime,
 )
-from .roabp import EXPAND_CEILING, PointSet, Roabp
+from .roabp import PointSet, Roabp
 
 
 def combine_rounds(rounds: Sequence[WeightFn], n: int, delta: int) -> WeightFn:
@@ -260,73 +260,44 @@ def _sweep_count(r: Roabp, wfn: WeightFn) -> int:
     return 1 + r.n * r.delta * wfn.max_weight
 
 
-def _small_verified_separator(
-    r: Roabp, factors: list[MatPoly], limit: int | None = None
-) -> tuple[WeightFn, int] | None:
-    """A weight function separating every pair of monomials of the expanded
-    product (hence basis isolating), found at the smallest workable prime,
-    and that prime (0 when the product has fewer than two monomials).
+def _whitebox_map(r: Roabp) -> tuple[WeightFn, dict]:
+    """The first map on the ladder whose sweep is sure to hit f, and its
+    provenance route.
 
-    Weight assignments that give distinct weights to all monomials are
-    always basis isolating.  With no `limit` this is the fallback for a
-    round-combined sweep too long for the field: it always returns a
-    separator, or raises CapabilityError when the product expands past
-    EXPAND_CEILING.  With `limit` the round-combined sweep count R, it
-    searches only where a separator is sure to give a shorter sweep, at a
-    bounded cost, and returns None when it finds none:
+    A sweep of 1 + n*delta*max_weight points hits f exactly when f's
+    univariate image under the map is nonzero, so each rung is checked by
+    its image (`Roabp.weighted_substitute`):
 
-    - a separator with weights <= L = (R - 2) // (n * max(1, delta)), such
-      as one found at a prime q <= L, sweeps at most 1 + n*delta*L < R
-      points;
-    - the product is formed only when the product S of the factors'
-      sparsities, which bounds its monomial count M, is at most
-      min(EXPAND_CEILING, L);
-    - no prime below M separates M monomials, so the primes tried run from
-      the first one >= M up to L, and stop after n*R // M of them: each
-      reads M residues, so at most n*R in all, the size of the sweep the
-      separator would replace.
+    1. the constant map, when f is zero (`Roabp.is_zero`; no set hits it)
+       or its image is nonzero;
+    2. the prime-reduced Kronecker maps at primes up to
+       (L - 2) // (n * max(1, delta)), L = min(R, p) for R the
+       round-combined count, so each sweep is shorter than R and fits the
+       field; the first with a nonzero image;
+    3. the paper's round-combined map, which is basis isolating and so
+       keeps every nonzero f nonzero.
     """
-    if limit is not None:
-        top = (limit - 2) // (r.n * max(1, r.delta))
-        if math.prod(f.sparsity for f in factors) > min(EXPAND_CEILING, top):
-            return None
-    product = factors[0]
-    for f in factors[1:]:
-        product = product * f
-        if product.sparsity > EXPAND_CEILING:
-            raise CapabilityError(
-                "instance too large to derive a field-sized separator"
-            )
-    monos = sorted(product.terms)
-    if len(monos) < 2:
-        return WeightFn.constant(r.n), 0
-    delta = r.delta
-    pair_set = PairSet(r.n, delta, [monos])
-    if limit is None:
-        search = separating_weights(r.n, delta, pair_set)
-        return search.verified, search.verified_prime
-    primes = takewhile(
-        lambda q: q <= top, dropwhile(lambda q: q < len(monos), iter_primes())
-    )
-    prime = _first_separating_prime(
-        r.n, delta, pair_set, islice(primes, r.n * limit // len(monos))
-    )
-    return None if prime is None else (weights_mod_prime(r.n, delta, prime), prime)
+    constant = WeightFn.constant(r.n)
+    if r.is_zero() or not r.weighted_substitute(constant).is_zero():
+        return constant, {"assignment": "constant"}
+    combined, _ = construct_isolating_weights(_embedded_factors(r))
+    limit = min(_sweep_count(r, combined), r.field.p)
+    for q in distinct_reductions(r.n, r.delta, (limit - 2) // (r.n * max(1, r.delta))):
+        wfn = weights_mod_prime(r.n, r.delta, q)
+        if not r.weighted_substitute(wfn).is_zero():
+            return wfn, {"assignment": "kronecker", "prime": q}
+    return combined, {"assignment": "round-combined"}
 
 
 def roabp_hitting_set(r: Roabp, mode: str = "whitebox") -> PointSet:
     """Hitting set for the polynomial computed by the instance.
 
-    Each candidate weight assignment w adds the t-sweep
+    Each weight assignment w swept adds the t-sweep
     (t^w(x_1), ..., t^w(x_n)) for 1 + n*delta*max_weight distinct nonzero t.
-    Whitebox mode sweeps one of two verified assignments: the
-    basis-isolating one constructed from the factors (the paper's
-    round-combined route, R points), or the smallest verified all-monomial
-    separator, which is basis isolating outright.  When R does not fit the
-    field, the separator is the fallback.  Otherwise the separator is sought
-    only where its sweep is sure to be strictly shorter and its search reads
-    at most n*R residues (see _small_verified_separator); when none is
-    found there, or its sweep would tie, the round-combined route stays.
+    Whitebox mode sweeps the first map on the ladder of `_whitebox_map`
+    (constant, prime-reduced Kronecker, round-combined) whose univariate
+    image of f is nonzero, or the constant map for a zero f; nothing is
+    expanded.
     Blackbox mode sweeps every enumerated candidate assignment, using only
     the instance's declared parameters.  Every sweep's modulus check runs
     here; its points are built as the set is iterated.
@@ -342,16 +313,7 @@ def roabp_hitting_set(r: Roabp, mode: str = "whitebox") -> PointSet:
         "delta": r.delta,
     }
     if mode == "whitebox":
-        factors = _embedded_factors(r)
-        wfn, _ = construct_isolating_weights(factors)
-        route = {"assignment": "round-combined"}
-        count = _sweep_count(r, wfn)
-        found = _small_verified_separator(
-            r, factors, count if count + 1 <= r.field.p else None
-        )
-        if found is not None:
-            wfn, prime = found
-            route = {"assignment": "verified-separator", "separator_prime": prime}
+        wfn, route = _whitebox_map(r)
         points = wfn.sweep(_sweep_count(r, wfn), r.field.p)
         provenance.update(
             s=r.layer_sparsity, t_count=len(points), max_weight=wfn.max_weight, **route

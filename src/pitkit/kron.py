@@ -225,26 +225,23 @@ def weights_mod_prime(n: int, delta: int, p: int) -> WeightFn:
     return WeightFn(tuple(ws))
 
 
-def distinct_reductions(n: int, delta: int, cutoff: int) -> list[int]:
+def distinct_reductions(n: int, delta: int, cutoff: int) -> Iterator[int]:
     """The first prime of each distinct weights_mod_prime(n, delta, p)
-    vector over the primes p <= cutoff, in increasing order.
+    vector over the primes p <= cutoff, in increasing order, yielded as
+    they are found.
 
     Every prime above (delta+1)^(n-1) leaves the naive weights unreduced,
     so the scan stops at the first such prime.
     """
     top = (delta + 1) ** (n - 1)
     seen: set[tuple] = set()
-    primes = []
-    for p in iter_primes():
-        if p > cutoff:
-            break
+    for p in takewhile(lambda q: q <= cutoff, iter_primes()):
         weights = weights_mod_prime(n, delta, p).weights
         if weights not in seen:
             seen.add(weights)
-            primes.append(p)
+            yield p
         if p > top:
-            break
-    return primes
+            return
 
 
 @dataclass(frozen=True)
@@ -271,8 +268,13 @@ def separating_weights(n: int, delta: int, pair_set: PairSet) -> SeparatorSearch
     if pair_count < 1:
         raise StructuralError("pair set must be nonempty")
     cutoff = prime_cutoff(n, pair_count, delta)
-    p = _first_separating_prime(
-        n, delta, pair_set, takewhile(lambda q: q <= cutoff, iter_primes())
+    naive = naive_kronecker(n, delta)
+    groups = [[naive.monomial_weight(m) for m in g] for g in pair_set.groups if len(g) > 1]
+    # no prime below the widest group's size gives it distinct residues
+    widest = max(map(len, groups), default=0)
+    primes = dropwhile(lambda q: q < widest, takewhile(lambda q: q <= cutoff, iter_primes()))
+    p = next(
+        (q for q in primes if all(len({x % q for x in g}) == len(g) for g in groups)), None
     )
     if p is None:
         raise InternalInconsistencyError(
@@ -280,24 +282,4 @@ def separating_weights(n: int, delta: int, pair_set: PairSet) -> SeparatorSearch
         )
     return SeparatorSearch(
         cutoff=cutoff, verified_prime=p, verified=weights_mod_prime(n, delta, p)
-    )
-
-
-def _first_separating_prime(
-    n: int, delta: int, pair_set: PairSet, primes: Iterable[int]
-) -> int | None:
-    """The first of `primes` at which the naive weights of every group of
-    the set have distinct residues, or None: the per-prime test of
-    separating_weights, over any run of candidate primes.  No prime below
-    the widest group's size gives it distinct residues, so those primes
-    are passed over untested."""
-    naive = naive_kronecker(n, delta)
-    groups = [[naive.monomial_weight(m) for m in g] for g in pair_set.groups if len(g) > 1]
-    widest = max(map(len, groups), default=0)
-    return next(
-        (
-            p for p in dropwhile(lambda q: q < widest, primes)
-            if all(len({x % p for x in g}) == len(g) for g in groups)
-        ),
-        None,
     )

@@ -5,8 +5,10 @@ disjoint variable blocks, contracted on both sides by boundary vectors of
 scalar polynomials (constant vectors being the degree-0 special case).  The
 scalar polynomial computed is left^T (prod layers) right.
 
-`expand` is the brute-force oracle used throughout the test suites; its term
-ceiling keeps oracle use deliberate.
+`expand` is the brute-force coefficient oracle used throughout the test
+suites; its term ceiling keeps oracle use deliberate.  `is_zero` decides
+the polynomial and `weighted_substitute` computes its univariate images
+layer by layer, without expanding.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .algebra import (
     Field,
     MatPoly,
     Monomial,
+    RowSpan,
     ScalarPoly,
     UniPoly,
     mono_zero,
@@ -236,13 +239,68 @@ class Roabp:
 
     def weighted_substitute(self, wfn: WeightFn) -> UniPoly:
         """The univariate image of the computed polynomial under
-        x_i -> t^(w(x_i)), read off the expansion oracle."""
+        x_i -> t^(w(x_i)), computed layer by layer as a row of w sparse
+        univariates (t exponent -> coefficient).  Each layer costs
+        O(w^2 * s * min(D + 1, S)) products, for D the image's degree and S
+        the product of the sparsities so far; nothing is expanded."""
         if wfn.n != self.n:
             raise StructuralError("weight function ambient mismatch")
-        _, scalar = self.expand()
-        acc: dict[int, int] = {}
+        p, w = self.field.p, self.width
+
+        def image(terms) -> dict:
+            out: dict[int, int] = {}
+            for e, c in terms:
+                if c:
+                    k = wfn.monomial_weight(e)
+                    out[k] = out.get(k, 0) + c
+            return out
+
+        def dot(row: Sequence[dict], col: Sequence[dict]) -> dict:
+            out: dict[int, int] = {}
+            for a, b in zip(row, col):
+                for e, x in a.items():
+                    for f, y in b.items():
+                        out[e + f] = out.get(e + f, 0) + x * y
+            return {e: c % p for e, c in out.items() if c % p}
+
+        row = [image(poly.terms.items()) for poly in self.left_boundary]
+        for layer in self.layers:
+            row = [
+                dot(row, [image((e, m[i][j]) for e, m in layer.terms.items()) for i in range(w)])
+                for j in range(w)
+            ]
+        right = [image(poly.terms.items()) for poly in self.right_boundary]
+        return UniPoly.from_dict(self.field, dot(row, right))
+
+    def is_zero(self) -> bool:
+        """Whether the computed polynomial is identically zero, by span
+        propagation (Raz and Shpilka, CCC 2004).
+
+        The blocks are disjoint, so each monomial of f comes from exactly one
+        tuple of boundary and layer monomials, and f = 0 iff
+        u^T C_1 ... C_d v = 0 for every tuple of their coefficients.  A basis
+        of at most w rows spans the products u^T C_1 ... C_i of each prefix,
+        so the test costs O(d * s * w^3) and expands nothing."""
         p = self.field.p
-        for e, c in scalar.terms.items():
-            t_exp = wfn.monomial_weight(e)
-            acc[t_exp] = (acc.get(t_exp, 0) + c) % p
-        return UniPoly.from_dict(self.field, acc)
+
+        def coefficients(vec: Sequence[ScalarPoly]) -> list[list[int]]:
+            return [[poly.coeff(m) for poly in vec] for m in self._boundary_monomials(vec)]
+
+        def basis(rows: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
+            span = RowSpan(self.field)
+            for row in rows:
+                span.add(row)
+            return list(span.rows.values())
+
+        rows = basis(coefficients(self.left_boundary))
+        for layer in self.layers:
+            rows = basis(
+                [sum(row[i] * m[i][j] for i in range(self.width)) % p for j in range(self.width)]
+                for row in rows
+                for m in layer.terms.values()
+            )
+        return not any(
+            sum(a * b for a, b in zip(row, col)) % p
+            for row in rows
+            for col in coefficients(self.right_boundary)
+        )

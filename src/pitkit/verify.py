@@ -223,10 +223,8 @@ def _generate_roabp(spec: InstanceSpec) -> Roabp:
         if all(v == 0 for v in right):
             right = (1,) + right[1:]
         inst = Roabp.with_constant_boundaries(field, n, blocks, layers, left, right)
-        if spec.nonzero:
-            _, scalar = inst.expand()
-            if scalar.is_zero():
-                continue
+        if spec.nonzero and inst.is_zero():
+            continue
         return inst
     raise CapabilityError(f"rejection budget exhausted for {spec}")
 
@@ -379,11 +377,10 @@ def generate_instance(spec: InstanceSpec):
 
 
 def oracle_is_zero(instance) -> bool:
-    """Ground truth by exhaustive expansion; an ROABP expands within
-    roabp.EXPAND_CEILING terms."""
+    """Ground truth: an ROABP by span propagation (`Roabp.is_zero`), a
+    depth-3 circuit by exhaustive expansion."""
     if isinstance(instance, Roabp):
-        _, scalar = instance.expand()
-        return scalar.is_zero()
+        return instance.is_zero()
     if isinstance(instance, Depth3Circuit):
         return instance.expand().is_zero()
     raise StructuralError(f"cannot expand {type(instance).__name__}")
@@ -417,8 +414,7 @@ def verify_hitting_property(instance, points: Collection[tuple]) -> HittingRepor
     `points` is iterated once, up to the witness, and sized by `len()`: a
     PointSet, generated or read by `io_cli.load_points`, whose lazy family
     builds (or parses) points only as they are read.  A witness proves the
-    instance nonzero, so the expansion oracle runs only when no point is
-    one."""
+    instance nonzero, so the zero oracle runs only when no point is one."""
     for idx, pt in enumerate(points):
         if _evaluate(instance, pt):
             return HittingReport(False, True, idx, len(points))

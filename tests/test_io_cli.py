@@ -25,11 +25,11 @@ from pitkit.io_cli import (
     save_instance,
     save_points,
 )
+from pitkit.algebra import Field, MatPoly
 from pitkit.errors import StructuralError
 from pitkit.kron import PointFamily
 from pitkit.roabp import PointSet, Roabp
 from pitkit.verify import InstanceSpec, generate_instance, verify_hitting_property
-from test_isolate import two_full_layers
 from test_pinned_blackbox import CASES as PINNED_BLACKBOX, declared
 
 
@@ -684,13 +684,10 @@ def test_save_points_matches_the_join_writer(tmp_path):
 
 
 def test_save_points_streams_a_whitebox_set(tmp_path):
-    # a one-layer instance keeps its 53,241-point round-combined sweep: the
-    # all-monomial separator of its product would sweep as many points
+    # 1 + x1^50000 at p = 2^31 - 1: the constant map sweeps 50,001 points
     from pitkit.isolate import roabp_hitting_set
 
-    inst = generate_instance(InstanceSpec(
-        klass="roabp", seed=0, modulus=2**31 - 1, n=4, d=1, w=2, s=1000, delta=10, mu=4,
-    ))
+    inst = steep(1, 50_000, Field(2**31 - 1))
     tracemalloc.start()
     try:
         points = roabp_hitting_set(inst, "whitebox")
@@ -706,30 +703,50 @@ def test_save_points_streams_a_whitebox_set(tmp_path):
     assert streamed < listed, (streamed, listed)
 
 
+def steep(n: int, degree: int, field) -> Roabp:
+    """prod_i (1 + x_i^degree) in n width-1 layers: the constant map's sweep
+    has 1 + n * degree points."""
+    layers = [
+        MatPoly(field, n, 1, {(0,) * n: ((1,),), tuple(degree * (v == i) for v in range(n)): ((1,),)})
+        for i in range(n)
+    ]
+    return Roabp.with_constant_boundaries(field, n, [(i,) for i in range(n)], layers, (1,), (1,))
+
+
+def capped(cpu_s: int):
+    """A child-process hook that caps the address space at 512 MB and the CPU
+    time at cpu_s seconds."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+        resource.setrlimit(resource.RLIMIT_CPU, (cpu_s, cpu_s))
+
+    return cap
+
+
 def test_cli_hs_refuses_a_set_past_the_point_ceiling(tmp_path):
-    # past EXPAND_CEILING the round-combined sweep stays: 16,123,036,141
-    # points for these two width-2 layers at p = 2^61 - 1
-    circuit_path = write_instance(tmp_path, "c.json", two_full_layers(2))
+    # 1 + x1^(10^8): the constant map's sweep of 100,000,001 points is the
+    # shortest on the ladder, one past the ceiling
+    circuit_path = write_instance(tmp_path, "c.json", steep(1, 10**8, Field(2**61 - 1)))
     out = tmp_path / "pts.txt"
-    proc = run_cli("hs", "roabp", "--input", circuit_path, "--out", str(out), timeout=60)
+    proc = run_cli("hs", "roabp", "--input", circuit_path, "--out", str(out),
+                   timeout=60, preexec_fn=capped(20))
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr == (
-        "capability error: hitting set of 16123036141 points exceeds the ceiling "
+        "capability error: hitting set of 100000001 points exceeds the ceiling "
         f"{io_cli.HS_POINT_CEILING}\n"
     )
     assert proc.stdout == "" and not out.exists()
 
 
-def dense_width2(n: int) -> Roabp:
+def dense_width2(n: int, degree: int = 1) -> Roabp:
     """Over GF(2^61 - 1), n width-2 layers {1, x_i} with seeded nonzero
-    matrices: the product has 2^n monomials."""
-    from pitkit.algebra import Field, MatPoly
+    matrices, x_1 raised to `degree`: the product has 2^n monomials."""
     from pitkit.verify import DetStream
 
     field, stream = Field(2**61 - 1), DetStream("dense")
 
     def layer(i):
-        x_i = tuple(int(v == i) for v in range(n))
+        x_i = tuple((degree if i == 0 else 1) * (v == i) for v in range(n))
         return MatPoly(field, n, 2, {
             e: tuple(tuple(stream.nonzero(field) for _ in range(2)) for _ in range(2))
             for e in ((0,) * n, x_i)
@@ -741,25 +758,60 @@ def dense_width2(n: int) -> Roabp:
 
 
 def test_cli_hs_refuses_a_dense_roabp_before_any_sweep_work(tmp_path):
-    # at n = 20 the sparsity bound 2^20 exceeds EXPAND_CEILING, so the
-    # round-combined sweep stays: 16,858,411,510,534,761 points, which fit
-    # the field.  Finding its generator by baby steps and giant steps would
-    # need about 1.3e8 table entries, far past the address-space cap, so
-    # the refusal must come before any sweep is started
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
-        resource.setrlimit(resource.RLIMIT_CPU, (20, 20))
-
-    circuit_path = write_instance(tmp_path, "dense.json", dense_width2(20))
+    # 20 dense layers with x1 at degree 10^8: the constant map's sweep has
+    # 1 + 20 * 10^8 points.  Listing them would need far more than the
+    # address-space cap, so the refusal must come before any is built
+    circuit_path = write_instance(tmp_path, "dense.json", dense_width2(20, 10**8))
     out = tmp_path / "pts.txt"
     proc = run_cli(
-        "hs", "roabp", "--input", circuit_path, "--out", str(out), timeout=60, preexec_fn=cap
+        "hs", "roabp", "--input", circuit_path, "--out", str(out), timeout=60,
+        preexec_fn=capped(20),
     )
     assert (proc.returncode, proc.stderr, proc.stdout) == (3, (
-        "capability error: hitting set of 16858411510534761 points exceeds the "
+        "capability error: hitting set of 2000000001 points exceeds the "
         f"ceiling {io_cli.HS_POINT_CEILING}\n"
     ), "")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name, modulus, size", [
+    ("dense-20", None, 21), ("dense-64", None, 65), ("cross-24", 10007, 49),
+])
+def test_cli_hs_hits_dense_roabps_within_small_limits(tmp_path, name, modulus, size):
+    # dense width-2 layers have 2^n product monomials and a round-combined
+    # sweep past 10^16 points; x1*x3 - x2*x4 times dense layers has a zero
+    # constant image.  Each takes a short sweep whose set hits, in a child
+    # capped at 512 MB and 20 s of CPU
+    from test_isolate import cross_times_dense
+
+    n = int(name.split("-")[1])
+    inst = dense_width2(n) if name.startswith("dense") else cross_times_dense(n, Field(modulus))
+    circuit_path = write_instance(tmp_path, f"{name}.json", inst)
+    out = tmp_path / "pts.txt"
+    field = ["--modulus", str(modulus)] if modulus else []
+    proc = run_cli("hs", "roabp", "--input", circuit_path, "--out", str(out), *field,
+                   timeout=60, preexec_fn=capped(20))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith(f"wrote {size} points to ")
+    proc = run_cli("test", "--input", circuit_path, "--points", str(out), *field,
+                   timeout=60, preexec_fn=capped(20))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("test: pass witness=")
+
+
+def test_cli_test_decides_a_zero_roabp_past_the_expansion_ceiling(tmp_path, capsys):
+    # a zero f with 2^21 product monomials: `expand` refuses it, and `test`
+    # decides it by span propagation (a vacuous pass, exit 0)
+    from test_isolate import cross_times_dense
+
+    inst = cross_times_dense(24, Field(2**61 - 1), zero=True)
+    circuit_path = write_instance(tmp_path, "zero.json", inst)
+    points_path = str(tmp_path / "pts.txt")
+    assert main(["expand", "--input", circuit_path]) == 3
+    assert main(["hs", "roabp", "--input", circuit_path, "--out", points_path]) == 0
+    capsys.readouterr()
+    assert main(["test", "--input", circuit_path, "--points", points_path]) == 0
+    assert capsys.readouterr().out == "test: vacuous-pass (zero instance, 25 points)\n"
 
 
 @pytest.mark.parametrize("modulus, stderr", [
@@ -869,21 +921,6 @@ def test_cli_shift_search_counts_low_support_monomials_first(tmp_path, capsys):
     assert main(["hs", "invertible", "--input", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("capability error: ") and "2000001" in err
-
-
-def test_cli_verified_separator_reads_the_expansion_ceiling(tmp_path, capsys, monkeypatch):
-    # at GF(10007) the round-combined sweep does not fit, so the generator
-    # multiplies the factors out; their product reaches 8 terms
-    inst = generate_instance(InstanceSpec(
-        klass="roabp", seed=25, n=4, d=4, w=2, s=3, delta=2, mu=2,
-    ))
-    circuit_path = write_instance(tmp_path, "c.json", inst)
-    points_path = tmp_path / "pts.txt"
-    monkeypatch.setattr("pitkit.isolate.EXPAND_CEILING", 3)
-    assert main(["hs", "roabp", "--input", circuit_path, "--out", str(points_path)]) == 3
-    err = capsys.readouterr().err
-    assert "instance too large to derive a field-sized separator" in err
-    assert not points_path.exists()
 
 
 def test_cli_hs_has_no_ceiling_option(tmp_path, capsys):

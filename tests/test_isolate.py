@@ -1,20 +1,20 @@
 """Greedy bases, the round construction, the isolation checker, and the
 ROABP hitting set."""
 
+import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import replace
 
 import pytest
 
-from pitkit import isolate
 from pitkit.algebra import Field, MatPoly, RowSpan, mat_flatten, rank_over_field
 from pitkit.depth3 import circuit_to_roabp
 from pitkit.errors import PreconditionError
 from pitkit.isolate import (
     _embedded_factors,
-    _small_verified_separator,
     _sweep_count,
     combine_rounds,
     construct_isolating_weights,
@@ -40,6 +40,7 @@ from pitkit.verify import (
     generate_instance,
     verify_hitting_property,
 )
+from test_roabp import image_by_expansion
 
 F7 = Field(7)
 F = Field(10007)
@@ -448,9 +449,10 @@ def test_hitting_set_order_oblivious():
 
 
 # ---------------------------------------------------------------------------
-# whitebox route: the shorter of the two verified t-sweeps
+# whitebox route: the first map on the ladder whose image is nonzero
 
 P31 = 2**31 - 1
+P61 = 2**61 - 1
 
 
 def _campaign_roabps(modulus):
@@ -467,51 +469,107 @@ def _campaign_roabps(modulus):
             yield circuit_to_roabp(generate_instance(spec))
 
 
+def cross_times_dense(n: int, field: Field, zero: bool = False, pair=((0, 2), (1, 3))) -> Roabp:
+    """x1*x3 - x2*x4, as the width-2 layer {x1 x3: A, x2 x4: -A} on x1..x4,
+    times dense layers {1, x_i} for i = 5..n, with seeded matrices: f is
+    nonzero, but its constant image vanishes.  With `zero`, A's first row is
+    zero, so the left boundary (1, 0) makes f zero though no layer is.
+    `pair` names the two monomials' variables; ((2,), (3,)) gives x3 - x4,
+    whose image also vanishes under the reduced map at q = 2."""
+    stream = DetStream(f"cross:{n}")
+
+    def matrix():
+        return tuple(tuple(stream.nonzero(field) for _ in range(2)) for _ in range(2))
+
+    def mono(*vs):
+        return tuple(int(v in vs) for v in range(n))
+
+    a = matrix()
+    if zero:
+        a = ((0, 0), a[1])
+    layers = [MatPoly(field, n, 2, {
+        mono(*pair[0]): a, mono(*pair[1]): tuple(tuple(-x % field.p for x in row) for row in a),
+    })]
+    layers += [MatPoly(field, n, 2, {mono(): matrix(), mono(i): matrix()}) for i in range(4, n)]
+    blocks = [(0, 1, 2, 3)] + [(i,) for i in range(4, n)]
+    return Roabp.with_constant_boundaries(field, n, blocks, layers, (1, 0), (1, 0))
+
+
+def difference(field: Field) -> Roabp:
+    """x1 - x2 in one width-1 layer: no Kronecker map fits below its
+    round-combined sweep of 5 points."""
+    layer = MatPoly(field, 2, 1, {(1, 0): ((1,),), (0, 1): ((field.p - 1,),)})
+    return Roabp.with_constant_boundaries(field, 2, [(0, 1)], [layer], (1,), (1,))
+
+
+def _route_instances(modulus):
+    field = Field(modulus)
+    yield from _campaign_roabps(modulus)
+    for n in (4, 6, 8, 10):
+        yield cross_times_dense(n, field)
+        yield cross_times_dense(n, field, zero=True)
+        yield cross_times_dense(n, field, pair=((2,), (3,)))
+    yield difference(field)
+
+
 def _round_combined_count(r):
     return _sweep_count(r, construct_isolating_weights(_embedded_factors(r))[0])
 
 
-@pytest.mark.parametrize("modulus", [10007, P31, 2**61 - 1])
+def _first_rung(r):
+    """The route and count the ladder should take, found with the expansion
+    oracle: the constant map when f is zero or its image is not; else the
+    first prime q <= (min(R, p) - 2) // (n * max(1, delta)), for R the
+    round-combined count, whose reduced map's image is nonzero; else the
+    round-combined map."""
+    constant = WeightFn.constant(r.n)
+    if r.expand()[1].is_zero() or not image_by_expansion(r, constant).is_zero():
+        return {"assignment": "constant"}, _sweep_count(r, constant)
+    rounds = _round_combined_count(r)
+    top = (min(rounds, r.field.p) - 2) // (r.n * max(1, r.delta))
+    for q in itertools.takewhile(lambda q: q <= top, iter_primes()):
+        wfn = weights_mod_prime(r.n, r.delta, q)
+        if not image_by_expansion(r, wfn).is_zero():
+            return {"assignment": "kronecker", "prime": q}, _sweep_count(r, wfn)
+    return {"assignment": "round-combined"}, rounds
+
+
+def _separator_count(r):
+    """The sweep of the smallest map that separates every monomial of the
+    expanded product of the embedded factors."""
+    product = functools.reduce(operator.mul, _embedded_factors(r))
+    if product.sparsity < 2:
+        return _sweep_count(r, WeightFn.constant(r.n))
+    pair_set = PairSet(r.n, r.delta, [sorted(product.terms)])
+    return _sweep_count(r, separating_weights(r.n, r.delta, pair_set).verified)
+
+
+@pytest.mark.parametrize("modulus", [10007, P31, P61])
 def test_whitebox_emits_the_shorter_verified_sweep(modulus):
-    # the separator is taken exactly when its sweep is strictly shorter
-    # (a tie keeps the round-combined sweep), or when the round-combined
-    # sweep does not fit the field; either set hits its instance
+    # the set sweeps the first map on the ladder whose image is nonzero; it
+    # is never longer than the round-combined sweep or the all-monomial
+    # separator's, and it hits its instance
     routes = set()
-    for r in _campaign_roabps(modulus):
-        rounds = _round_combined_count(r)
-        separator = _sweep_count(r, _small_verified_separator(r, _embedded_factors(r))[0])
+    for r in _route_instances(modulus):
+        route, count = _first_rung(r)
         points = roabp_hitting_set(r, "whitebox")
-        route = points.provenance["assignment"]
-        if rounds + 1 > modulus:
-            assert (route, len(points)) == ("verified-separator", separator)
-        else:
-            assert len(points) == min(rounds, separator)
-            assert (route == "verified-separator") == (separator < rounds)
+        assert {k: points.provenance.get(k) for k in route} == route
+        assert len(points) == count <= min(_round_combined_count(r), _separator_count(r))
         report = verify_hitting_property(r, points)
-        assert report.passed and not report.vacuous
-        routes.add(route)
-    assert routes == {"round-combined", "verified-separator"}
+        assert report.passed and report.vacuous == r.expand()[1].is_zero()
+        routes.add(route["assignment"])
+    assert routes == {"constant", "kronecker", "round-combined"}
 
 
-def test_a_tie_keeps_the_round_combined_sweep():
-    # one layer: the separator's prime is the round's own, so both sweeps
-    # have 25 points
-    r = generate_instance(InstanceSpec(klass="roabp", seed=0, n=3, d=1, w=2, s=3, delta=2))
-    wfn, prime = _small_verified_separator(r, _embedded_factors(r))
-    assert prime > 0 and _sweep_count(r, wfn) == _round_combined_count(r) == 25
-    points = roabp_hitting_set(r, "whitebox")
-    assert (points.provenance["assignment"], len(points)) == ("round-combined", 25)
-
-
-def _count_products(monkeypatch) -> list:
+def _count_calls(monkeypatch, owner, name) -> list:
     calls = []
-    multiply = MatPoly.__mul__
+    method = getattr(owner, name)
 
-    def spy(self, other):
+    def spy(*args, **kwargs):
         calls.append(1)
-        return multiply(self, other)
+        return method(*args, **kwargs)
 
-    monkeypatch.setattr(MatPoly, "__mul__", spy)
+    monkeypatch.setattr(owner, name, spy)
     return calls
 
 
@@ -538,84 +596,18 @@ def two_full_layers(width: int) -> Roabp:
 
 
 def test_no_product_past_the_expansion_ceiling(monkeypatch):
-    r = two_full_layers(1)
-    assert math.prod(f.sparsity for f in _embedded_factors(r)) > EXPAND_CEILING
-    calls = _count_products(monkeypatch)
-    points = roabp_hitting_set(r, "whitebox")
-    assert points.provenance["assignment"] == "round-combined" and not calls
-
-
-def test_no_product_when_the_sparsity_bound_exceeds_the_prime_limit(monkeypatch):
-    # a limit R gives L = (R - 2) // (n * delta); the product is formed only
-    # when S <= L, here at L = S and not at L = S - 1
-    r = generate_instance(InstanceSpec(klass="roabp", seed=1, n=4, d=3, w=2, s=3, delta=2))
-    factors = _embedded_factors(r)
-    bound = math.prod(f.sparsity for f in factors)
-    scale = r.n * r.delta
-    calls = _count_products(monkeypatch)
-    assert _small_verified_separator(r, factors, (bound - 1) * scale + 2) is None
-    assert not calls
-    _small_verified_separator(r, factors, bound * scale + 2)
-    assert calls
-
-
-def _record_tested_primes(monkeypatch) -> list:
-    """(M, tested primes) per bounded search: next() tests each prime it
-    draws, so the drawn primes are the tested ones."""
-    searches = []
-    search = isolate._first_separating_prime
-
-    def spy(n, delta, pair_set, primes):
-        tested = []
-
-        def drawn():
-            for q in primes:
-                tested.append(q)
-                yield q
-
-        searches.append((len(pair_set.groups[0]), tested))
-        return search(n, delta, pair_set, drawn())
-
-    monkeypatch.setattr(isolate, "_first_separating_prime", spy)
-    return searches
-
-
-def _primes_from(m, count):
-    return list(itertools.islice(itertools.dropwhile(lambda q: q < m, iter_primes()), count))
-
-
-def test_separator_search_stays_within_its_prime_limit_and_budget(monkeypatch):
-    # primes run from the first one >= M, never past L, never more than
-    # n*R // M of them; on one-layer ties L ends the search
-    searches = _record_tested_primes(monkeypatch)
-    stopped_by_limit = 0
-    for r in _campaign_roabps(P31):
-        searches.clear()
-        rounds = _round_combined_count(r)
-        roabp_hitting_set(r, "whitebox")
-        top = (rounds - 2) // (r.n * max(1, r.delta))
-        for m, tested in searches:
-            assert tested == _primes_from(m, len(tested))
-            assert all(q <= top for q in tested)
-            assert len(tested) <= r.n * rounds // m
-            stopped_by_limit += _primes_from(m, len(tested) + 1)[-1] > top
-    assert stopped_by_limit
-
-
-def test_separator_search_stops_at_its_prime_budget(monkeypatch):
-    # a random half of the 6^5 monomials of degree <= 5 in 5 variables: no
-    # prime from M up to the largest naive weight 7,775 separates them, so
-    # with L = 7,775 the budget n*R // M ends the search first
-    n, delta = 5, 5
-    stream = DetStream("dense")
-    terms = {
-        e: ((1,),) for e in itertools.product(range(delta + 1), repeat=n)
-        if stream.randint(0, 1)
-    }
-    r = Roabp.with_constant_boundaries(F, n, [tuple(range(n))], [MatPoly(F, n, 1, terms)], (1,), (1,))
-    m, limit = len(terms), 7775 * n * delta + 2
-    budget = n * limit // m
-    assert budget < sum(q >= m for q in itertools.takewhile(lambda q: q <= 7775, iter_primes()))
-    searches = _record_tested_primes(monkeypatch)
-    assert _small_verified_separator(r, _embedded_factors(r), limit) is None
-    assert searches == [(m, _primes_from(m, budget))]
+    # no route multiplies factors or expands f, even past the ceiling
+    field = Field(P61)
+    full = two_full_layers(1)
+    assert math.prod(f.sparsity for f in _embedded_factors(full)) > EXPAND_CEILING
+    cases = [
+        (full, "constant"),
+        (cross_times_dense(24, field, zero=True), "constant"),
+        (cross_times_dense(24, field), "kronecker"),
+        (difference(field), "round-combined"),
+    ]
+    products = _count_calls(monkeypatch, MatPoly, "__mul__")
+    expansions = _count_calls(monkeypatch, Roabp, "expand")
+    for r, route in cases:
+        assert roabp_hitting_set(r, "whitebox").provenance["assignment"] == route
+    assert not products and not expansions

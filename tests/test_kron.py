@@ -147,7 +147,7 @@ def test_distinct_reductions_keep_each_vectors_first_prime():
         first: dict[tuple, int] = {}
         for p in itertools.takewhile(lambda p: p <= cutoff, iter_primes()):
             first.setdefault(weights_mod_prime(n, delta, p).weights, p)
-        assert distinct_reductions(n, delta, cutoff) == list(first.values()), (n, delta, cutoff)
+        assert list(distinct_reductions(n, delta, cutoff)) == list(first.values()), (n, delta, cutoff)
 
 
 def test_cutoff_matches_formula():

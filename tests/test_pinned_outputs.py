@@ -28,9 +28,10 @@ GENERATORS = {
     "width2-roabp": width2_hitting_set,
 }
 
-# roabp seeds 17 and 25..137 take the verified-separator fallback, and seeds
-# 0, 2-6, 10-12, 16, 18 and 19 the separator's strictly shorter sweep; the
-# width2 seeds skip the few envelope draws that take over a second each
+# every pinned roabp seed sweeps the constant map, whose image of f is
+# nonzero (seeds 17 and 25..137 are ones whose round-combined sweep does
+# not fit GF(10007)); the width2 seeds skip the few envelope draws that
+# take over a second each
 SEEDS = {
     "roabp": list(range(20)) + [25, 57, 71, 79, 93, 100, 101, 103, 120, 137],
     "invertible-roabp": list(range(30)),

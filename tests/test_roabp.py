@@ -1,15 +1,16 @@
-"""ROABP evaluation, the expansion oracle, and weighted substitution."""
+"""ROABP evaluation, the expansion oracle, the span-propagation zero test,
+and weighted substitution."""
 
 import itertools
 import random
 
 import pytest
 
-from pitkit.algebra import Field, MatPoly, mat_identity, mat_mul
+from pitkit.algebra import Field, MatPoly, ScalarPoly, UniPoly, mat_identity, mat_mul
 from pitkit.errors import CapabilityError, StructuralError
-from pitkit.kron import WeightFn
+from pitkit.kron import WeightFn, weights_mod_prime
 from pitkit.roabp import Roabp
-from pitkit.verify import InstanceSpec, generate_instance
+from pitkit.verify import DetStream, InstanceSpec, _case_overrides, generate_instance
 
 F7 = Field(7)
 F = Field(10007)
@@ -155,3 +156,104 @@ def test_zero_iff_zero_on_full_grid_tiny():
             for pt in itertools.product(range(degree + 1), repeat=2)
         )
         assert grid_zero == scalar.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the zero test and the image against the expansion oracle
+
+
+def image_by_expansion(r, wfn):
+    """The reference image: f expanded, each monomial sent to t^weight."""
+    _, scalar = r.expand()
+    image = {}
+    for e, c in scalar.terms.items():
+        k = wfn.monomial_weight(e)
+        image[k] = (image.get(k, 0) + c) % r.field.p
+    return UniPoly.from_dict(r.field, image)
+
+
+def campaign_instances(modulus, seeds):
+    """The three ROABP campaign classes at their per-seed parameters, with
+    zero instances allowed."""
+    for klass in ("roabp", "invertible-roabp", "width2-roabp"):
+        for seed in seeds:
+            yield generate_instance(InstanceSpec(
+                klass=klass, seed=seed, modulus=modulus, nonzero=False,
+                **_case_overrides(klass, seed, {}),
+            ))
+
+
+def boundary_instances(field):
+    """Hand-built instances over x1..x5: polynomial boundary vectors on x1
+    and x5 around seeded layers on x2 and (x3, x4); then the same with an
+    all-zero left boundary, and with the left boundary (x1, x1) against a
+    first layer whose rows cancel, both zero although their layers are not."""
+    n, stream = 5, DetStream("boundaries")
+
+    def poly(var, degree):
+        return ScalarPoly(field, n, {
+            tuple(k if v == var else 0 for v in range(n)): stream.residue(field)
+            for k in range(degree + 1)
+        })
+
+    def layer(block, degree):
+        terms = {}
+        for exps in itertools.product(range(degree + 1), repeat=len(block)):
+            e = [0] * n
+            for v, k in zip(block, exps):
+                e[v] = k
+            terms[tuple(e)] = tuple(
+                tuple(stream.residue(field) for _ in range(2)) for _ in range(2)
+            )
+        return MatPoly(field, n, 2, terms)
+
+    def roabp(left, first):
+        return Roabp(
+            field, n, 2, ((1,), (2, 3)), (first, layer((2, 3), 1)),
+            left, (poly(4, 1), poly(4, 2)), (0,), (4,),
+        )
+
+    for _ in range(6):
+        yield roabp((poly(0, 2), poly(0, 1)), layer((1,), 2))
+    zero = ScalarPoly.zero(field, n)
+    yield roabp((zero, zero), layer((1,), 2))
+    x1 = ScalarPoly.variable(field, n, 0)
+    rows_cancel = MatPoly(field, n, 2, {
+        e: (m[0], tuple(-x % field.p for x in m[0])) for e, m in layer((1,), 2).terms.items()
+    })
+    yield roabp((x1, x1), rows_cancel)
+
+
+@pytest.mark.parametrize("modulus", [5, 7, 10007])
+def test_is_zero_matches_the_expansion(modulus):
+    zeros = 0
+    field = Field(modulus)
+    for r in [*campaign_instances(modulus, range(100)), *boundary_instances(field)]:
+        zero = r.expand()[1].is_zero()
+        assert r.is_zero() == zero
+        zeros += zero
+    assert zeros >= 2
+
+
+@pytest.mark.parametrize("modulus", [7, 10007])
+def test_weighted_substitute_matches_the_expansion(modulus):
+    field = Field(modulus)
+    for r in [*campaign_instances(modulus, range(30)), *boundary_instances(field)]:
+        for wfn in (
+            WeightFn.constant(r.n),
+            weights_mod_prime(r.n, r.delta, 2),
+            weights_mod_prime(r.n, r.delta, 5),
+        ):
+            assert r.weighted_substitute(wfn) == image_by_expansion(r, wfn)
+
+
+def test_is_zero_and_the_image_expand_nothing(monkeypatch):
+    # layers of 32 x 32 monomials in x1, x2 and in x3, x4: the product has
+    # 1,048,576 monomials, past the expansion ceiling
+    from test_isolate import two_full_layers
+
+    r = two_full_layers(2)
+    monkeypatch.setattr(MatPoly, "__mul__", None)
+    assert not r.is_zero()
+    image = r.weighted_substitute(WeightFn.constant(4))
+    assert image.terms[-1][0] == 124 and not image.is_zero()

@@ -111,6 +111,14 @@ def test_witness_needs_no_oracle():
     assert (report.passed, report.vacuous, report.witness_index) == (True, False, 1)
 
 
+def test_roabp_draws_past_the_expansion_ceiling_are_generated():
+    # the nonzero check decides a draw by span propagation, so a draw whose
+    # expansion estimate passes the ceiling is still generated
+    spec = InstanceSpec(klass="roabp", seed=0, n=40, d=20, w=3, s=3, delta=2, mu=2)
+    inst = generate_instance(spec)
+    assert inst.expansion_estimate() > EXPAND_CEILING and not inst.is_zero()
+
+
 def test_unknown_class_rejected():
     with pytest.raises(StructuralError):
         generate_instance(InstanceSpec(klass="mystery", seed=0))
