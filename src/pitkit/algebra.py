@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import CapabilityError, StructuralError
 
@@ -105,24 +105,6 @@ def mono_support(e: Monomial) -> tuple[int, ...]:
 
 def mono_support_size(e: Monomial) -> int:
     return sum(1 for v in e if v)
-
-
-def monomials_up_to(n: int, delta: int, max_support: int | None = None) -> Iterator[Monomial]:
-    """All exponent vectors with individual degree <= delta, optionally with
-    bounded support size.  Enumeration order is deterministic."""
-    if max_support is None or max_support >= n:
-        yield from iter_product(range(delta + 1), repeat=n)
-        return
-    from itertools import combinations
-
-    yield mono_zero(n)
-    for size in range(1, max_support + 1):
-        for supp in combinations(range(n), size):
-            for exps in iter_product(range(1, delta + 1), repeat=size):
-                e = [0] * n
-                for i, v in zip(supp, exps):
-                    e[i] = v
-                yield tuple(e)
 
 
 # ---------------------------------------------------------------------------

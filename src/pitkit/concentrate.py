@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .algebra import (
     Field,
@@ -25,27 +25,23 @@ from .algebra import (
     det_poly,
     mat_det,
     mat_flatten,
-    monomials_up_to,
     mono_support_size,
     rank_over_field,
 )
 from .errors import (
-    CapabilityError,
     InternalInconsistencyError,
     ModulusTooSmallError,
     PreconditionError,
     StructuralError,
 )
 from .kron import (
-    PairSet,
     PointFamily,
     WeightFn,
     distinct_reductions,
     prime_cutoff,
-    separating_weights,
     weights_mod_prime,
 )
-from .roabp import EXPAND_CEILING, PointSet, Roabp
+from .roabp import PointSet, Roabp
 
 
 def support_parameter(w: int, s: int, mu: int | None) -> int:
@@ -122,21 +118,6 @@ def _low_support_count(n: int, delta: int, ell: int) -> int:
     return sum(math.comb(n, j) * delta**j for j in range(min(ell, n) + 1))
 
 
-def _shift_pair_set(r: Roabp, dets: Sequence[ScalarPoly], ell: int) -> tuple[PairSet, int]:
-    """Monomial groups a concentrating map must separate: each layer
-    determinant's monomials, and all low-support bounded-degree monomials."""
-    low_count = _low_support_count(r.n, r.delta, ell)
-    if low_count > EXPAND_CEILING:
-        raise CapabilityError(
-            f"shift search would separate {low_count} low-support monomials, "
-            f"past the ceiling {EXPAND_CEILING}"
-        )
-    delta = max([r.delta] + [det.individual_degree() for det in dets])
-    groups = [list(det.terms) for det in dets]
-    groups.append(list(monomials_up_to(r.n, r.delta, max_support=min(ell, r.n))))
-    return PairSet(r.n, delta, groups), delta
-
-
 def _t0_budget(d: int, det_degree: int, w: int, n: int, delta: int, max_a: int) -> int:
     """t0 values that clear every bad specialization of a shift with largest
     exponent max_a: the roots of the d layer determinants' sweeps plus those
@@ -144,72 +125,76 @@ def _t0_budget(d: int, det_degree: int, w: int, n: int, delta: int, max_a: int) 
     return 1 + (d * det_degree + w * w * n * max(1, delta)) * max_a
 
 
-def _shift_concentrates(
-    r: Roabp, offsets: Sequence[int], mats: Sequence, target: int
-) -> bool:
-    """Whether f(x + offsets) is target-support concentrated, given the
-    layer matrices `mats` at offsets.  Its coefficients span at most a
-    line, so the test holds outright when every monomial's support, at
-    most n, is below the target, or when the support-0 coefficient
-    f(offsets) is nonzero; only otherwise is the shift expanded."""
-    if target > r.n or r.contract(offsets, mats):
-        return True
-    _, scalar = r.shift(offsets).expand()
-    low_rank, full_rank = concentration_rank(scalar, target, "support")
-    return low_rank == full_rank
+def _shift_maps(
+    n: int, d: int, w: int, delta: int, s: int, mu: int
+) -> Iterator[tuple[int, WeightFn]]:
+    """(prime, map) for every candidate shift map of the invertible-factor
+    instances with the declared parameters, in increasing prime order: the
+    distinct reductions of the naive Kronecker map at delta_all =
+    max(delta, w*delta), up to the cutoff at which the counting argument
+    guarantees a map separating every layer determinant's s^w monomials
+    and all low-support monomials."""
+    ell = support_parameter(w, max(1, s), mu)
+    det_monomials = s**w
+    det_pairs = d * det_monomials * (det_monomials - 1) // 2
+    low_count = _low_support_count(n, max(1, delta), ell)
+    support_pairs = low_count * (low_count - 1) // 2
+    pair_bound = max(1, det_pairs + support_pairs)
+    delta_all = max(delta, w * delta)
+    cutoff = prime_cutoff(n, pair_bound, delta_all)
+    for p in distinct_reductions(n, delta_all, cutoff):
+        yield p, weights_mod_prime(n, delta_all, p)
+
+
+def _translate(grid, offsets: Sequence[int], p: int) -> Iterator[tuple[int, ...]]:
+    """The points of `grid` translated by `offsets`, mod p."""
+    return (tuple((h + o) % p for h, o in zip(pt, offsets)) for pt in grid)
+
+
+def _shift_hits(r: Roabp, grid, offsets: Sequence[int]) -> bool:
+    """Whether f(x + offsets) is l(w^2+2)-support concentrated, for `grid`
+    the low-support grid of that bound.
+
+    The coefficients of the scalar f(x + offsets) span at most a line, so
+    it concentrates exactly when it is zero or has a monomial supported on
+    at most l(w^2+2) - 1 variables.  On each such support set the grid
+    takes delta + 1 distinct values per variable, so by the Combinatorial
+    Nullstellensatz the translated grid hits f exactly in the second case;
+    nothing is shifted or expanded.  A zero f is caught after the first
+    point misses, before the rest of the grid is read."""
+    values = map(r.evaluate, _translate(grid, offsets, r.field.p))
+    return bool(next(values)) or r.is_zero() or any(values)
 
 
 def find_concentrating_shift(r: Roabp) -> tuple[WeightFn, int, int]:
     """A verified concentrating shift x_i -> x_i + t0^(a_i) for an
     invertible-factor instance, as (exponent map a, its prime, t0).
 
-    Enumerates prime-derived monomial maps separating every layer
-    determinant's monomials and all low-support monomials, picks t0 with
-    every shifted constant term invertible, and keeps the first (map, t0)
-    whose shifted, specialized polynomial verifies l(w^2+2)-support
-    concentration.  That test needs no expansion when l(w^2+2) > n or when
-    f(offsets), the shifted constant term, is nonzero; the shift is
-    expanded only for an f vanishing at the offsets.  A failed search is
-    ModulusTooSmallError when some candidate's t0 budget was cut at p - 1,
-    and InternalInconsistencyError only when every candidate ran its full
+    Tries the maps of the parameter family (`_shift_maps`, shared with the
+    blackbox set) in increasing prime order, each at t0 = 1, 2, ... within
+    its t0 budget, and keeps the first (map, t0) at whose offsets o = t0^a
+    every layer matrix is invertible and f(x + o) is l(w^2+2)-support
+    concentrated: f is zero, or the low-support grid translated by o, the
+    set the whitebox hitting set emits, hits f (`_shift_hits`).  A failed
+    search is ModulusTooSmallError when some map's t0 budget was cut at
+    p - 1, and InternalInconsistencyError only when every map ran its full
     budget.
     """
     dets = _interior_dets(r)
-    w = r.width
-    ell = support_parameter(w, max(1, r.layer_sparsity), r.layer_support)
-    target = ell * (w * w + 2)
-    pair_set, sep_delta = _shift_pair_set(r, dets, ell)
-
-    def candidate_maps():
-        if not pair_set:
-            yield WeightFn.constant(r.n), 0
-            return
-        search = separating_weights(r.n, sep_delta, pair_set)
-        yield search.verified, search.verified_prime
-        # equal exponents give equal offsets for every t0, so a repeated
-        # map would only repeat a failed sweep
-        for p in distinct_reductions(r.n, sep_delta, search.cutoff):
-            wfn = weights_mod_prime(r.n, sep_delta, p)
-            if wfn != search.verified and pair_set.separated_by(wfn):
-                yield wfn, p
-
+    w, s, p = r.width, max(1, r.layer_sparsity), r.field.p
+    ell = support_parameter(w, s, r.layer_support)
+    grid = low_support_hitting_set(r.n, r.delta, ell * (w * w + 2), r.field)
     det_degree = max((det.total_degree() for det in dets), default=0)
-    p = r.field.p
     clipped = False
-    for wfn, prime in candidate_maps():
+    for prime, wfn in _shift_maps(r.n, r.d, w, r.delta, s, r.layer_support):
         full_budget = _t0_budget(r.d, det_degree, w, r.n, r.delta, wfn.max_weight)
         t_budget = min(p - 1, full_budget)
         clipped = clipped or t_budget < full_budget
         for t0 in range(1, t_budget + 1):
             offsets = wfn.powers(t0, p)
-            mats = []
-            for layer in r.layers:
-                mats.append(layer.eval_at(offsets))
-                if mat_det(mats[-1], r.field) == 0:
-                    break
-            else:
-                if _shift_concentrates(r, offsets, mats, target):
-                    return wfn, prime, t0
+            invertible = all(mat_det(layer.eval_at(offsets), r.field) for layer in r.layers)
+            if invertible and _shift_hits(r, grid, offsets):
+                return wfn, prime, t0
     if clipped:
         # a bad-t0 count past p - 1 leaves no good t0 guaranteed: the field
         # is too small, not the construction wrong
@@ -222,11 +207,12 @@ def find_concentrating_shift(r: Roabp) -> tuple[WeightFn, int, int]:
     )
 
 
-def low_support_hitting_set(
-    n: int, delta: int, ell: int, field: Field
-) -> tuple[tuple[int, ...], ...]:
+def low_support_hitting_set(n: int, delta: int, ell: int, field: Field) -> PointFamily:
     """Points that vanish outside some (ell-1)-subset and take the nonzero
-    grid values 1..delta+1 inside it; size C(n, ell-1) (delta+1)^(ell-1)."""
+    grid values 1..delta+1 inside it (the whole of {1..delta+1}^n when
+    ell - 1 >= n): a family of C(n, m) (delta+1)^m points, m = min(ell-1, n).
+    Only the checks run here; the points are built each time the family is
+    iterated."""
     if ell < 1:
         raise StructuralError("ell must be at least 1")
     if field.p <= delta + 1:
@@ -234,14 +220,16 @@ def low_support_hitting_set(
             f"grid 1..{delta + 1} does not fit in GF({field.p})"
         )
     size = min(ell - 1, n)
-    points = []
-    for subset in itertools.combinations(range(n), size):
-        for values in itertools.product(range(1, delta + 2), repeat=size):
-            pt = [0] * n
-            for v, val in zip(subset, values):
-                pt[v] = val
-            points.append(tuple(pt))
-    return tuple(points)
+
+    def rows():
+        for subset in itertools.combinations(range(n), size):
+            for values in itertools.product(range(1, delta + 2), repeat=size):
+                pt = [0] * n
+                for v, val in zip(subset, values):
+                    pt[v] = val
+                yield tuple(pt)
+
+    return PointFamily(math.comb(n, size) * (delta + 1) ** size, rows)
 
 
 def _translated_grid(
@@ -250,18 +238,17 @@ def _translated_grid(
 ) -> PointSet:
     """The low-support grid translated by every offset vector of `shifts`
     (a sized, re-iterable family), in order, for the support bound l(w^2+2)
-    with l = support_parameter.  The grid is built here; the translated
-    points are built as the set is iterated."""
+    with l = support_parameter.  Only the grid's checks run here; its
+    points and their translates are built as the set is iterated."""
     ell = support_parameter(w, max(1, s), mu)
     target = ell * (w * w + 2)
     grid = low_support_hitting_set(n, delta, target, field)
-    p = field.p
 
     def rows():
-        return (
-            tuple((h + o) % p for h, o in zip(pt, offsets))
-            for offsets in shifts
-            for pt in grid
+        # several offsets read the grid from one tuple; one offset streams it
+        points = grid if len(shifts) == 1 else tuple(grid)
+        return itertools.chain.from_iterable(
+            _translate(points, offsets, field.p) for offsets in shifts
         )
 
     provenance = {
@@ -285,9 +272,10 @@ def invertible_hitting_set(r: Roabp, mode: str = "whitebox") -> PointSet:
     """Hitting set for an invertible-factor instance: the low-support grid
     translated by concentrating shifts.
 
-    Whitebox mode verifies one (map, t0) pair against the instance, so the
-    size is exactly |grid| * 1 * 1.  Blackbox mode reads only the declared
-    parameters and enumerates the whole candidate family.
+    Whitebox mode translates the grid by the one (map, t0) pair that
+    `find_concentrating_shift` accepts because this very set hits f (or f
+    is zero), so the size is exactly |grid| * 1 * 1.  Blackbox mode reads
+    only the declared parameters and enumerates the whole candidate family.
     """
     if r.n < 1:
         raise StructuralError("a hitting set needs at least one variable")
@@ -312,24 +300,14 @@ def invertible_hitting_set_params(
     """Parameter-only hitting set for every invertible-factor instance with
     the declared parameters.
 
-    Enumerates every distinct shift map of the candidate family (sized for
-    every layer determinant's s^w monomials plus all low-support
-    monomials), sweeps t0 far enough to clear every determinant and rank
-    minor, and translates the low-support grid by each specialization.
+    Enumerates every distinct shift map of the candidate family
+    (`_shift_maps`, sized for every layer determinant's s^w monomials plus
+    all low-support monomials), sweeps t0 far enough to clear every
+    determinant and rank minor, and translates the low-support grid by each
+    specialization.
     Size is exactly |grid| * |t-sweep| * |maps|.
     """
-    ell = support_parameter(w, max(1, s), mu)
-    det_monomials = s**w
-    det_pairs = d * det_monomials * (det_monomials - 1) // 2
-    low_count = _low_support_count(n, max(1, delta), ell)
-    support_pairs = low_count * (low_count - 1) // 2
-    pair_bound = max(1, det_pairs + support_pairs)
-    delta_all = max(delta, w * delta)
-    cutoff = prime_cutoff(n, pair_bound, delta_all)
-    maps = [
-        weights_mod_prime(n, delta_all, p)
-        for p in distinct_reductions(n, delta_all, cutoff)
-    ]
+    maps = [wfn for _, wfn in _shift_maps(n, d, w, delta, s, mu)]
     max_a = max(m.max_weight for m in maps)
     t_sweep = _t0_budget(d, w * delta * n, w, n, delta, max_a)
     # swept before the grid is built, so a sweep too long for the field is

@@ -268,8 +268,9 @@ def _whitebox_map(r: Roabp) -> tuple[WeightFn, dict]:
     univariate image under the map is nonzero, so each rung is checked by
     its image (`Roabp.weighted_substitute`):
 
-    1. the constant map, when f is zero (`Roabp.is_zero`; no set hits it)
-       or its image is nonzero;
+    1. the constant map, when its image is nonzero or f is zero
+       (`Roabp.is_zero`, asked only when the image vanishes; no set hits a
+       zero f);
     2. the prime-reduced Kronecker maps at primes up to
        (L - 2) // (n * max(1, delta)), L = min(R, p) for R the
        round-combined count, so each sweep is shorter than R and fits the
@@ -278,7 +279,7 @@ def _whitebox_map(r: Roabp) -> tuple[WeightFn, dict]:
        keeps every nonzero f nonzero.
     """
     constant = WeightFn.constant(r.n)
-    if r.is_zero() or not r.weighted_substitute(constant).is_zero():
+    if not r.weighted_substitute(constant).is_zero() or r.is_zero():
         return constant, {"assignment": "constant"}
     combined, _ = construct_isolating_weights(_embedded_factors(r))
     limit = min(_sweep_count(r, combined), r.field.p)

@@ -168,12 +168,6 @@ class PairSet:
     def __len__(self) -> int:
         return sum(len(g) * (len(g) - 1) // 2 for g in self.groups)
 
-    def separated_by(self, wfn: WeightFn) -> bool:
-        """Whether wfn gives distinct weights inside every group."""
-        return all(
-            len({wfn.monomial_weight(m) for m in g}) == len(g) for g in self.groups
-        )
-
 
 def naive_kronecker(n: int, delta: int) -> WeightFn:
     """w(x_i) = (delta+1)^(i-1): injective on degree-bounded monomials."""

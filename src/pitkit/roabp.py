@@ -187,14 +187,10 @@ class Roabp:
         """left(point)^T (prod layers(point)) right(point)."""
         if len(point) != self.n:
             raise StructuralError(f"point length {len(point)} != ambient {self.n}")
-        return self.contract(point, (layer.eval_at(point) for layer in self.layers))
-
-    def contract(self, point: Sequence[int], mats: Iterable) -> int:
-        """left(point)^T (prod mats) right(point), for `mats` the layer
-        matrices at point in layer order."""
         p = self.field.p
         vec = [poly.eval_at(point) for poly in self.left_boundary]
-        for mat in mats:
+        for layer in self.layers:
+            mat = layer.eval_at(point)
             vec = [
                 sum(vec[i] * mat[i][j] for i in range(self.width) if vec[i]) % p
                 for j in range(self.width)

@@ -17,7 +17,7 @@ from pitkit.algebra import (
     mat_flatten,
     rank_over_field,
 )
-from pitkit import concentrate
+from pitkit import concentrate, kron
 from pitkit.concentrate import (
     LagrangeCurve,
     block_support,
@@ -257,10 +257,12 @@ def test_shift_verified_on_random_invertible_instances():
             assert lo == fu
 
 
-def _always_expanded(r, offsets, mats, target):
-    # reference: shift, expand and compare the two concentration ranks
+def _always_expanded(r, grid, offsets):
+    # reference: shift, expand and compare the two concentration ranks at
+    # the support target l(w^2+2)
+    ell = support_parameter(r.width, max(1, r.layer_sparsity), r.layer_support)
     _, scalar = r.shift(offsets).expand()
-    low, full = concentration_rank(scalar, target, "support")
+    low, full = concentration_rank(scalar, ell * (r.width**2 + 2), "support")
     return low == full
 
 
@@ -272,10 +274,40 @@ def _shift_outcome(r):
     return wfn.weights, prime, t0
 
 
+def _spy_on_retired_steps(m) -> list:
+    """Record every call of the steps the shift search no longer takes:
+    expanding or shifting an instance, a separator search, a pair set."""
+    calls = []
+
+    def spy(name, owner, attr):
+        original = getattr(owner, attr)
+
+        def recorded(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        m.setattr(owner, attr, recorded)
+
+    spy("expand", Roabp, "expand")
+    spy("shift", Roabp, "shift")
+    spy("separating_weights", kron, "separating_weights")
+    spy("PairSet", kron.PairSet, "__post_init__")
+    return calls
+
+
 def _shift_outcomes_match_reference(monkeypatch, instances):
-    got = [_shift_outcome(r) for r in instances]
     with monkeypatch.context() as m:
-        m.setattr(concentrate, "_shift_concentrates", _always_expanded)
+        retired = _spy_on_retired_steps(m)
+        got = [_shift_outcome(r) for r in instances]
+    assert not retired
+    for r, outcome in zip(instances, got):
+        if len(outcome) == 3:
+            # every shifted constant term is invertible
+            weights, _, t0 = outcome
+            offsets = WeightFn(weights).powers(t0, r.field.p)
+            assert all(det_poly(layer.entry_grid()).eval_at(offsets) for layer in r.layers)
+    with monkeypatch.context() as m:
+        m.setattr(concentrate, "_shift_hits", _always_expanded)
         assert got == [_shift_outcome(r) for r in instances]
 
 
@@ -295,18 +327,6 @@ def test_shift_decided_without_expansion_matches_the_expanded_test(monkeypatch, 
     _shift_outcomes_match_reference(monkeypatch, pieces)
 
 
-def _count_expansions(monkeypatch) -> list:
-    calls = []
-    expand = Roabp.expand
-
-    def counted(self, *args, **kwargs):
-        calls.append(self)
-        return expand(self, *args, **kwargs)
-
-    monkeypatch.setattr(Roabp, "expand", counted)
-    return calls
-
-
 def _unit(n, i):
     return tuple(int(v == i) for v in range(n))
 
@@ -317,40 +337,91 @@ def _zero_left_boundary():
     return Roabp.with_constant_boundaries(F, 3, [(0,), (1,), (2,)], layers, (0,), (1,))
 
 
-def _left_boundary_x1_minus_1():
-    # s = 2, l = 3, support target 9 = n
-    n = 9
-    left = ScalarPoly(F, n, {_unit(n, 0): 1, (0,) * n: F.p - 1})
-    layers = [MatPoly(F, n, 1, {_unit(n, i): ((1,),)}) for i in range(1, n)]
+def _linear_factors(c):
+    """(x_0 - c_0) (x_1 - c_1) ... (x_{n-1} - c_{n-1}): a left boundary
+    x_0 - c_0 and width-1 layers x_i - c_i; s = 2, l = 3, so the support
+    target 9 is n for n = 9."""
+    n = len(c)
+    left = ScalarPoly(F, n, {_unit(n, 0): 1, (0,) * n: -c[0] % F.p})
+    layers = [MatPoly(F, n, 1, {_unit(n, i): ((1,),), (0,) * n: ((-c[i] % F.p,),)})
+              for i in range(1, n)]
     return Roabp(
         F, n, 1, [(i,) for i in range(1, n)], layers,
         (left,), (ScalarPoly.const(F, n, 1),), (0,), (),
     )
 
 
+def _left_boundary_x1_minus_1():
+    # x_0 - 1 times layers x_1, ..., x_8
+    return _linear_factors([1] + [0] * 8)
+
+
 @pytest.mark.parametrize("build", [_zero_left_boundary, _left_boundary_x1_minus_1])
-def test_shift_of_an_f_vanishing_at_the_offsets_is_expanded(monkeypatch, build):
+def test_f_zero_at_offsets_decided_without_expansion(monkeypatch, build):
     # width 1: every layer is invertible at the first offsets (t0 = 1, all
     # ones), where f vanishes, and the support target is at most n
     r = build()
-    expanded = _count_expansions(monkeypatch)
-    assert _shift_outcome(r)[2] == 1
-    assert expanded
+    assert r.evaluate((1,) * r.n) == 0
+    with monkeypatch.context() as m:
+        retired = _spy_on_retired_steps(m)
+        assert _shift_outcome(r)[2] == 1
+    assert not retired
     _shift_outcomes_match_reference(monkeypatch, [r])
 
 
-def test_shift_search_skips_primes_below_the_widest_group():
-    # the 301^2 = 90,601 low-support monomials form one group, and 90,617
-    # is the first prime at which their naive weights have distinct residues
+def test_zero_f_is_accepted_after_one_grid_point(monkeypatch):
+    # n = 20, s = 2, mu = 1: the grid has C(20, 17) * 2^17 = 149,422,080
+    # points and a zero f misses all of them; is_zero decides it after the
+    # first
+    inst = generate_instance(InstanceSpec(
+        klass="invertible-roabp", seed=0, modulus=2**31 - 1,
+        n=20, d=3, w=2, s=2, delta=1, mu=1,
+    ))
+    zero = replace(inst, left_boundary=(ScalarPoly.zero(inst.field, inst.n),) * 2)
+    evaluated = []
+    evaluate = Roabp.evaluate
+
+    def counted(self, point):
+        evaluated.append(point)
+        return evaluate(self, point)
+
+    monkeypatch.setattr(Roabp, "evaluate", counted)
+    assert find_concentrating_shift(zero)[1:] == (2, 1)
+    assert len(evaluated) == 1
+
+
+def test_grid_hit_is_the_concentration_test():
+    # f = prod (x_i - c_i) over n = 9 variables: f(x + o) has a monomial of
+    # support below the target 9 exactly when o differs from c somewhere
+    rnd = random.Random(9)
+    grid = low_support_hitting_set(9, 1, 9, F)
+    verdicts = []
+    for _ in range(2):
+        c = [rnd.randrange(1, F.p) for _ in range(9)]
+        r = _linear_factors(c)
+        moved = [()] + [(i,) for i in range(9)] + list(itertools.combinations(range(9), 2))
+        for coords in moved:
+            o = list(c)
+            for i in coords:
+                o[i] = (o[i] + rnd.randrange(1, F.p)) % F.p
+            hit = concentrate._shift_hits(r, grid, o)
+            assert hit == _always_expanded(r, grid, o) == bool(coords), (c, coords)
+            verdicts.append(hit)
+    assert verdicts.count(False) == 2 and len(verdicts) == 92
+
+
+def test_shift_search_is_fast_on_a_steep_layer():
+    # (x1^800, x2): the low-support monomials of individual degree <= 800
+    # need no separator, and t0 = 1 under the first map already hits
     layers = [
-        MatPoly(F, 2, 1, {(300, 0): ((3,),), (0, 0): ((1,),)}),
-        MatPoly(F, 2, 1, {(0, 1): ((5,),), (0, 0): ((2,),)}),
+        MatPoly(F, 2, 1, {(800, 0): ((1,),)}),
+        MatPoly(F, 2, 1, {(0, 1): ((1,),)}),
     ]
     r = Roabp.with_constant_boundaries(F, 2, [(0,), (1,)], layers, (1,), (1,))
     start = time.process_time()
     _, prime, t0 = find_concentrating_shift(r)
-    assert (prime, t0) == (90617, 1)
-    assert time.process_time() - start < 2
+    assert (prime, t0) == (2, 1)
+    assert time.process_time() - start < 1
 
 
 def _shifted_low_support_rows(layer, exponents, ell):
@@ -429,7 +500,7 @@ def test_specialized_rank_reaches_symbolic_rank():
 def test_low_support_sizes():
     assert len(low_support_hitting_set(3, 1, 2, F)) == 6
     ps = low_support_hitting_set(3, 1, 1, F)
-    assert len(ps) == 1 and ps[0] == (0, 0, 0)
+    assert len(ps) == 1 and next(iter(ps)) == (0, 0, 0)
     assert len(low_support_hitting_set(4, 2, 3, F)) == math.comb(4, 2) * 9
 
 

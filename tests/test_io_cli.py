@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pitkit
-from pitkit import depth3, io_cli
+from pitkit import concentrate, depth3, io_cli
 from pitkit.depth3 import SWEEP_CEILING, Depth3Circuit
 from pitkit.io_cli import (
     build_parser,
@@ -215,14 +215,14 @@ def test_cli_verify_campaign(capsys):
 
 
 def test_cli_campaign_records_capability_limited_cases(capsys):
-    # seed 1 needs more t0 values than GF(5) has; seeds 0 and 2 still run
+    # seed 187 needs more t0 values than GF(5) has; seeds 186 and 188 still run
     assert main(["verify", "--class", "invertible-roabp", "--modulus", "5",
-                 "--samples", "3", "--seed", "0"]) == 3
+                 "--samples", "3", "--seed", "186"]) == 3
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "campaign class=invertible-roabp samples=3 passed=2/3"
-    assert lines[1].startswith("seed=0: pass ")
-    assert lines[2].startswith("seed=1: LIMIT no concentrating shift verified")
-    assert lines[3].startswith("seed=2: pass ")
+    assert lines[1].startswith("seed=186: pass ")
+    assert lines[2].startswith("seed=187: LIMIT no concentrating shift verified")
+    assert lines[3].startswith("seed=188: pass ")
     assert json.loads(lines[4]) == {
         "all_passed": False, "class": "invertible-roabp", "passed": 2, "samples": 3,
     }
@@ -738,6 +738,25 @@ def test_cli_hs_refuses_a_set_past_the_point_ceiling(tmp_path):
     assert proc.stdout == "" and not out.exists()
 
 
+def test_cli_hs_invertible_refuses_a_grid_past_the_point_ceiling(tmp_path):
+    # n = 20, s = 2, mu = 1: support bound 18, so the low-support grid has
+    # C(20, 17) * 2^17 points.  The shift search and the emitted set share
+    # it without listing it, so the refusal comes before any point is built
+    inst = generate_instance(InstanceSpec(
+        klass="invertible-roabp", seed=0, modulus=2**31 - 1,
+        n=20, d=3, w=2, s=2, delta=1, mu=1,
+    ))
+    circuit_path = write_instance(tmp_path, "inv20.json", inst)
+    out = tmp_path / "pts.txt"
+    proc = run_cli("hs", "invertible", "--input", circuit_path, "--out", str(out),
+                   timeout=60, preexec_fn=capped(20))
+    assert (proc.returncode, proc.stderr, proc.stdout) == (3, (
+        "capability error: hitting set of 149422080 points exceeds the "
+        f"ceiling {io_cli.HS_POINT_CEILING}\n"
+    ), "")
+    assert not out.exists()
+
+
 def dense_width2(n: int, degree: int = 1) -> Roabp:
     """Over GF(2^61 - 1), n width-2 layers {1, x_i} with seeded nonzero
     matrices, x_1 raised to `degree`: the product has 2^n monomials."""
@@ -878,11 +897,12 @@ def test_cli_hs_too_small_a_field_leaves_no_file(tmp_path, capsys, family, klass
 
 
 def test_cli_small_field_invertible_is_a_capability_error(tmp_path):
-    # every t0 up to p - 1 = 6 makes some layer singular, and the t0 budget
-    # of every candidate map was cut at p - 1: exit 3, not a traceback
+    # under every map of the family, every t0 up to p - 1 = 4 makes some
+    # layer singular, and each map's t0 budget was cut at p - 1: exit 3,
+    # not a traceback
     inst = generate_instance(InstanceSpec(
-        klass="invertible-roabp", seed=33, modulus=7,
-        n=3, d=1, w=2, s=2, delta=1, mu=1,
+        klass="invertible-roabp", seed=195, modulus=5,
+        n=4, d=2, w=2, s=2, delta=2, mu=1, invertible_constant=True,
     ))
     circuit_path = write_instance(tmp_path, "inv.json", inst)
     proc = run_cli("hs", "invertible", "--input", circuit_path)
@@ -911,16 +931,21 @@ def test_cli_hs_refuses_an_instance_without_variables(tmp_path, capsys, shape, f
     assert capsys.readouterr().out == "terms: 1\n1\nzero: no\n"
 
 
-def test_cli_shift_search_counts_low_support_monomials_first(tmp_path, capsys):
-    # support parameter 1 and individual degree 10^6: 1 + 2 * 10^6 monomials
-    # of support <= 1, past the ceiling before any is enumerated
+def test_cli_shift_search_counts_low_support_monomials_first(tmp_path, capsys, monkeypatch):
+    # individual degree 10^6: the low-support grid takes the values
+    # 1..10^6 + 1, more than GF(10007) has, which is checked before any
+    # shift map is tried
     doc = json.loads(json.dumps(MINIMAL_ROABP))
     doc["layers"][0][0]["exponents"] = {"x1": 10**6}
     path = tmp_path / "steep.json"
     path.write_text(json.dumps(doc))
+    tried = []
+    monkeypatch.setattr(concentrate, "_shift_maps", lambda *a: tried.append(a) or iter(()))
     assert main(["hs", "invertible", "--input", str(path)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("capability error: ") and "2000001" in err
+    assert capsys.readouterr().err == (
+        "capability error: grid 1..1000001 does not fit in GF(10007)\n"
+    )
+    assert not tried
 
 
 def test_cli_hs_has_no_ceiling_option(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -123,6 +124,18 @@ def test_grouped_search_matches_pairwise_reference(case):
     res = separating_weights(n, delta, ps)
     assert res.cutoff == prime_cutoff(n, len(ps), delta)
     assert res.verified_prime == _brute_force_prime(n, delta, groups, res.cutoff)
+
+
+def test_separator_search_starts_at_the_widest_group():
+    # the 301^2 = 90,601 monomials of individual degree <= 300 in two
+    # variables form one group, and 90,617 is the first prime at which
+    # their naive weights have distinct residues; the 8,769 smaller primes
+    # are passed over untested
+    group = list(itertools.product(range(301), repeat=2))
+    start = time.process_time()
+    search = separating_weights(2, 300, PairSet(2, 300, [group]))
+    assert search.verified_prime == 90617
+    assert time.process_time() - start < 2
 
 
 def test_iter_primes_matches_sieve():

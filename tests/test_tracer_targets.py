@@ -27,11 +27,14 @@ from tracer import Tracer  # noqa: E402
 # more, or starts calling one of these, moves it here or out of here
 UNREACHED = {
     "algebra.MatPoly.__mul__",
+    "algebra.RowSpan.add",
     "algebra.mat_mul",
     "concentrate.LagrangeCurve.eval_at",
     "depth3.Depth3Circuit.eval_at",
     "isolate.construct_isolating_weights",
     "isolate.greedy_basis",
+    "kron.PairSet",
+    "kron.separating_weights",
     "roabp.Roabp.expand",
     "verify.oracle_is_zero",
 }
