@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as iter_product
 from typing import Mapping, Sequence
 
@@ -85,6 +85,17 @@ class Field:
         if a == 0:
             raise StructuralError("0 has no inverse")
         return pow(a, -1, self.p)
+
+
+def trusted(cls, **values):
+    """An instance of the frozen dataclass `cls` holding `values` as given,
+    without running its `__post_init__` checks and normalization.  Only for
+    values a caller has already checked and put in the canonical form that
+    `cls(...)` would build: a loader that validated its input in one pass,
+    or arithmetic whose results are canonical by construction."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(values)
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +291,7 @@ class ScalarPoly:
         """Wrap terms already in canonical form (length-n tuples of
         nonnegative exponents, nonzero residues mod p) without re-checking
         them: the arithmetic below builds only such dicts."""
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "field", field)
-        object.__setattr__(poly, "n", n)
-        object.__setattr__(poly, "terms", terms)
-        return poly
+        return trusted(cls, field=field, n=n, terms=terms)
 
     @classmethod
     def zero(cls, field: Field, n: int) -> "ScalarPoly":
@@ -385,20 +392,26 @@ class ScalarPoly:
             and self.terms == other.terms
         )
 
+    @cached_property
+    def _support(self) -> tuple[int, ...]:
+        """The variables some term uses, in index order; found on the first
+        evaluation, and small however many terms there are."""
+        return tuple(sorted(self.support_vars()))
+
     def eval_at(self, point: Sequence[int]) -> int:
-        """Exact evaluation by per-term power products."""
+        """Exact evaluation by per-term power products, reading only the
+        coordinates of the variables the polynomial uses."""
         if len(point) != self.n:
             raise StructuralError(f"point length {len(point)} != ambient {self.n}")
         p = self.field.p
-        pt = [v % p for v in point]
+        support = self._support
         total = 0
         for e, c in self.terms.items():
-            v = c
-            for i, exp in enumerate(e):
-                if exp:
-                    v = (v * pow(pt[i], exp, p)) % p
-            total = (total + v) % p
-        return total
+            for i in support:
+                if exp := e[i]:
+                    c = c * pow(point[i], exp, p) % p
+            total += c
+        return total % p
 
     def shift(self, offsets: Sequence[int]) -> "ScalarPoly":
         """Substitute x_i -> x_i + offsets[i] for every variable."""
@@ -469,6 +482,13 @@ class MatPoly:
         object.__setattr__(
             self, "terms", _canonical_mat_terms(self.terms, self.n, self.w, self.field)
         )
+
+    @classmethod
+    def _canonical(cls, field: Field, n: int, w: int, terms: dict) -> "MatPoly":
+        """Wrap terms already in canonical form (length-n exponent tuples,
+        nonzero w-by-w matrices of residues mod p) without re-checking them:
+        the arithmetic below builds only such dicts."""
+        return trusted(cls, field=field, n=n, w=w, terms=terms)
 
     @classmethod
     def zero(cls, field: Field, n: int, w: int) -> "MatPoly":
@@ -554,7 +574,7 @@ class MatPoly:
                     out[e] = s
             else:
                 out[e] = m
-        return MatPoly(self.field, self.n, self.w, out)
+        return MatPoly._canonical(self.field, self.n, self.w, out)
 
     def __mul__(self, other: "MatPoly") -> "MatPoly":
         self._check_compatible(other)
@@ -571,7 +591,7 @@ class MatPoly:
                         out[e] = s
                 elif not mat_is_zero(prod):
                     out[e] = prod
-        return MatPoly(self.field, self.n, self.w, out)
+        return MatPoly._canonical(self.field, self.n, self.w, out)
 
     def __neg__(self) -> "MatPoly":
         return self.scale(-1)
@@ -583,7 +603,7 @@ class MatPoly:
         c = self.field.normalize(c)
         if c == 0:
             return MatPoly.zero(self.field, self.n, self.w)
-        return MatPoly(
+        return MatPoly._canonical(
             self.field, self.n, self.w,
             {e: mat_scale(m, c, self.field) for e, m in self.terms.items()},
         )
@@ -597,23 +617,42 @@ class MatPoly:
             and self.terms == other.terms
         )
 
+    @cached_property
+    def _sparse_terms(self) -> list:
+        """(variables used, nonzero entries) per term: each variable as an
+        (index, exponent) pair, each entry as (row * w + column, value);
+        built on the first evaluation."""
+        w = self.w
+        return [
+            (
+                tuple((i, x) for i, x in enumerate(e) if x),
+                [(i * w + j, v) for i, row in enumerate(m) for j, v in enumerate(row) if v],
+            )
+            for e, m in self.terms.items()
+        ]
+
     def eval_at(self, point: Sequence[int]) -> Matrix:
+        """The matrix at `point`, reading only the coordinates each term
+        uses."""
         if len(point) != self.n:
             raise StructuralError(f"point length {len(point)} != ambient {self.n}")
-        p = self.field.p
-        pt = [v % p for v in point]
-        acc = [[0] * self.w for _ in range(self.w)]
-        for e, m in self.terms.items():
+        p, w = self.field.p, self.w
+        acc = [0] * (w * w)
+        for factors, entries in self._sparse_terms:
             v = 1
-            for i, exp in enumerate(e):
-                if exp:
-                    v = (v * pow(pt[i], exp, p)) % p
+            for i, exp in factors:
+                v = v * pow(point[i], exp, p) % p
             if v:
-                for i in range(self.w):
-                    for j in range(self.w):
-                        if m[i][j]:
-                            acc[i][j] = (acc[i][j] + v * m[i][j]) % p
-        return tuple(tuple(r) for r in acc)
+                for k, m in entries:
+                    acc[k] += v * m
+        # consecutive groups of w reduced entries are the rows
+        return tuple(zip(*[iter([x % p for x in acc])] * w))
+
+    @cached_property
+    def det(self) -> ScalarPoly:
+        """The symbolic determinant, `det_poly` of the entry grid, computed
+        once per matrix polynomial."""
+        return det_poly(self.entry_grid())
 
     def shift(self, offsets: Sequence[int]) -> "MatPoly":
         """Substitute x_i -> x_i + offsets[i] entrywise."""

@@ -22,7 +22,6 @@ from .algebra import (
     MatPoly,
     Monomial,
     ScalarPoly,
-    det_poly,
     mat_det,
     mat_flatten,
     mono_support_size,
@@ -102,7 +101,7 @@ def concentration_rank(
 def _interior_dets(r: Roabp) -> list[ScalarPoly]:
     dets = []
     for i, layer in enumerate(r.layers):
-        det = det_poly(layer.entry_grid())
+        det = layer.det
         if det.is_zero():
             raise PreconditionError(
                 f"layer {i} is symbolically singular; "
@@ -166,6 +165,17 @@ def _shift_hits(r: Roabp, grid, offsets: Sequence[int]) -> bool:
     return bool(next(values)) or r.is_zero() or any(values)
 
 
+def _image_vanishes(poly: ScalarPoly, wfn: WeightFn) -> bool:
+    """Whether poly(t^a_1, ..., t^a_n), for a the weights of wfn, is the
+    zero polynomial in t."""
+    image: dict[int, int] = {}
+    for e, c in poly.terms.items():
+        k = wfn.monomial_weight(e)
+        image[k] = image.get(k, 0) + c
+    p = poly.field.p
+    return not any(c % p for c in image.values())
+
+
 def find_concentrating_shift(r: Roabp) -> tuple[WeightFn, int, int]:
     """A verified concentrating shift x_i -> x_i + t0^(a_i) for an
     invertible-factor instance, as (exponent map a, its prime, t0).
@@ -175,7 +185,9 @@ def find_concentrating_shift(r: Roabp) -> tuple[WeightFn, int, int]:
     its t0 budget, and keeps the first (map, t0) at whose offsets o = t0^a
     every layer matrix is invertible and f(x + o) is l(w^2+2)-support
     concentrated: f is zero, or the low-support grid translated by o, the
-    set the whitebox hitting set emits, hits f (`_shift_hits`).  A failed
+    set the whitebox hitting set emits, hits f (`_shift_hits`).  A layer's
+    determinant at o is its univariate image under a at t0, so a map under
+    which some image vanishes is skipped before any t0.  A failed
     search is ModulusTooSmallError when some map's t0 budget was cut at
     p - 1, and InternalInconsistencyError only when every map ran its full
     budget.
@@ -190,6 +202,8 @@ def find_concentrating_shift(r: Roabp) -> tuple[WeightFn, int, int]:
         full_budget = _t0_budget(r.d, det_degree, w, r.n, r.delta, wfn.max_weight)
         t_budget = min(p - 1, full_budget)
         clipped = clipped or t_budget < full_budget
+        if any(_image_vanishes(det, wfn) for det in dets):
+            continue
         for t0 in range(1, t_budget + 1):
             offsets = wfn.powers(t0, p)
             invertible = all(mat_det(layer.eval_at(offsets), r.field) for layer in r.layers)
@@ -372,8 +386,7 @@ def factorize_width2(r: Roabp) -> Width2Factorization:
                 split_layers=(i,),
                 is_zero=True,
             )
-        det = det_poly(layer.entry_grid())
-        if det.is_zero():
+        if layer.det.is_zero():
             entry, col, row = _rank_one_split(layer)
             for rr in range(2):
                 for cc in range(2):

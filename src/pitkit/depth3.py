@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .algebra import Field, MatPoly, ScalarPoly, mono_zero
+from .algebra import Field, MatPoly, ScalarPoly, mono_zero, trusted
 from .errors import (
     CapabilityError,
     InternalInconsistencyError,
@@ -120,11 +120,14 @@ class Depth3Circuit:
 
     def gate_partition(self, i: int) -> "Partition":
         """The partition induced by gate i; variables the gate omits become
-        singleton colors so every partition covers [n]."""
-        colors = [f.support for f in self.gates[i].forms if f.support]
-        covered = set().union(*colors) if colors else set()
+        singleton colors so every partition covers [n].  The forms of a gate
+        use disjoint variables, so the colors are only sorted, not checked."""
+        colors = [f.support for f in self.gates[i].forms if f.coeffs]
+        covered = set().union(*colors)
         colors += [frozenset([v]) for v in range(self.n) if v not in covered]
-        return Partition(frozenset(range(self.n)), tuple(colors))
+        return trusted(
+            Partition, ground=frozenset(range(self.n)), colors=tuple(sorted(colors, key=min))
+        )
 
     def distinct_partitions(self) -> list["Partition"]:
         seen: dict[frozenset, Partition] = {}
@@ -241,11 +244,13 @@ class Partition:
         return frozenset(self.colors)
 
     def restrict(self, base: Iterable[int]) -> "Partition":
+        """The nonempty traces of the colors on base, a subset of the
+        ground set: disjoint and covering base, so only sorted."""
         base = frozenset(base)
         if not base <= self.ground:
             raise StructuralError("base set not contained in the ground set")
-        colors = tuple(c & base for c in self.colors if c & base)
-        return Partition(base, colors)
+        colors = [part for c in self.colors if (part := c & base)]
+        return trusted(Partition, ground=base, colors=tuple(sorted(colors, key=min)))
 
 
 class _DSU:

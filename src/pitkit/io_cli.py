@@ -21,7 +21,7 @@ from dataclasses import fields
 from itertools import chain, islice
 from typing import Sequence
 
-from .algebra import DEFAULT_MODULUS, Field, MatPoly, ScalarPoly
+from .algebra import DEFAULT_MODULUS, Field, MatPoly, ScalarPoly, trusted
 from .concentrate import invertible_hitting_set, width2_hitting_set
 from .depth3 import (
     SWEEP_CEILING,
@@ -95,15 +95,20 @@ def _obj(value, where: str) -> dict:
     return value
 
 
-def _obj_to_exponents(obj: dict, index: dict, n: int, where: str) -> tuple:
+def _obj_to_exponents(obj: dict, index: dict, n: int, where: str) -> tuple[tuple, list]:
+    """The exponent vector of a term's exponents object, and the indices of
+    the variables with a nonzero exponent."""
     e = [0] * n
+    support = []
     for name, v in _obj(obj, f"{where}: exponents").items():
         if name not in index:
             raise StructuralError(f"{where}: unknown variable {name!r}")
         if type(v) is not int or v < 0:
             raise StructuralError(f"{where}: bad exponent for {name!r}")
-        e[index[name]] = v
-    return tuple(e)
+        if v:
+            e[index[name]] = v
+            support.append(index[name])
+    return tuple(e), support
 
 
 def roabp_to_obj(r: Roabp) -> dict:
@@ -178,6 +183,8 @@ def _require(obj: dict, key: str, where: str):
 
 
 def obj_to_instance(obj: dict, modulus_override: int | None = None):
+    """The instance a parsed circuit file describes, checked and reduced mod
+    p in one pass (see `_roabp_from_obj` and `_depth3_from_obj`)."""
     where = "circuit file"
     if not isinstance(obj, dict):
         raise StructuralError(f"{where}: top level must be an object")
@@ -196,90 +203,128 @@ def obj_to_instance(obj: dict, modulus_override: int | None = None):
     if len(set(names)) != len(names):
         raise StructuralError(f"{where}: variables declared more than once")
     index = {name: i for i, name in enumerate(names)}
-    n = len(names)
     kind = _require(obj, "kind", where)
     if kind == "roabp":
-        width = _int(_require(obj, "width", where), f"{where}: width")
-        block_names = _list(_require(obj, "blocks", where), f"{where}: blocks")
-        seen: dict[str, int] = {}
-        all_blocks = [obj.get("left_block", [])] + block_names + [obj.get("right_block", [])]
-        for b_idx, blk in enumerate(all_blocks):
-            for name in _list(blk, f"{where}: block {b_idx}"):
-                if not isinstance(name, str) or name not in index:
-                    raise StructuralError(f"{where}: unknown variable {name!r} in blocks")
-                if name in seen:
-                    raise StructuralError(
-                        f"blocks not disjoint: {name} in blocks {seen[name]} and {b_idx}"
-                    )
-                seen[name] = b_idx
-        blocks = [tuple(index[name] for name in blk) for blk in block_names]
-        layer_objs = _list(_require(obj, "layers", where), f"{where}: layers")
-        if len(layer_objs) != len(blocks):
-            raise StructuralError(f"{where}: {len(layer_objs)} layers for {len(blocks)} blocks")
-        layers = []
-        for li, terms in enumerate(layer_objs):
-            term_map = {}
-            for t in _list(terms, f"layer {li}"):
-                e = _obj_to_exponents(
-                    _require(t, "exponents", f"layer {li}"), index, n, f"layer {li}"
-                )
-                if e in term_map:
-                    raise StructuralError(f"layer {li}: repeated exponents {t['exponents']}")
-                matrix = _list(_require(t, "matrix", f"layer {li}"), f"layer {li}: matrix")
-                rows = [_list(row, f"layer {li}: matrix row") for row in matrix]
-                if len(rows) != width or any(len(row) != width for row in rows):
-                    raise StructuralError(f"layer {li}: matrix is not {width}x{width}")
-                term_map[e] = tuple(
-                    tuple(_int(v, f"layer {li}: matrix entry") for v in row) for row in rows
-                )
-            layers.append(MatPoly(field, n, width, term_map))
-
-        def vec_from(key: str) -> tuple:
-            entries = _list(_require(obj, key, where), f"{where}: {key}")
-            if len(entries) != width:
-                raise StructuralError(f"{where}: {key} must have {width} entries")
-            out = []
-            for ei, poly_terms in enumerate(entries):
-                term_map = {}
-                for t in _list(poly_terms, f"{key} entry"):
-                    e = _obj_to_exponents(
-                        _require(t, "exponents", key), index, n, key
-                    )
-                    if e in term_map:
-                        raise StructuralError(
-                            f"{key} entry {ei}: repeated exponents {t['exponents']}"
-                        )
-                    term_map[e] = _int(_require(t, "value", key), f"{key}: value")
-                out.append(ScalarPoly(field, n, term_map))
-            return tuple(out)
-
-        return Roabp(
-            field,
-            n,
-            width,
-            tuple(blocks),
-            tuple(layers),
-            vec_from("left_boundary"),
-            vec_from("right_boundary"),
-            tuple(index[name] for name in obj.get("left_block", [])),
-            tuple(index[name] for name in obj.get("right_block", [])),
-        )
+        return _roabp_from_obj(obj, field, index, where)
     if kind == "depth3":
-        gates = []
-        for gi, g in enumerate(_list(_require(obj, "gates", where), f"{where}: gates")):
-            forms = []
-            for f in _list(_require(g, "forms", f"gate {gi}"), f"gate {gi}: forms"):
-                f = _obj(f, f"gate {gi}: form")
-                coeffs = {}
-                for name, coef in _obj(f.get("coeffs", {}), f"gate {gi}: coeffs").items():
-                    if name not in index:
-                        raise StructuralError(f"gate {gi}: unknown variable {name!r}")
-                    coeffs[index[name]] = _int(coef, f"gate {gi}: coefficient")
-                forms.append(LinearForm(_int(f.get("const", 0), f"gate {gi}: const"), coeffs))
-            scale = _int(_require(g, "scale", f"gate {gi}"), f"gate {gi}: scale")
-            gates.append(Gate(scale, tuple(forms)))
-        return Depth3Circuit(field, n, tuple(gates))
+        return _depth3_from_obj(obj, field, index, where)
     raise StructuralError(f"{where}: unknown kind {kind!r}")
+
+
+def _roabp_from_obj(obj: dict, field: Field, index: dict, where: str) -> Roabp:
+    """The ROABP of a circuit file, built as `Roabp(...)` would build it
+    from the file's values, with every check of the file and of `Roabp`
+    made once as the values are read and reduced mod p.  A term outside its
+    block is reported only after the whole file has parsed, as `Roabp`
+    reports it."""
+    n, p = len(index), field.p
+    width = _int(_require(obj, "width", where), f"{where}: width")
+    block_names = _list(_require(obj, "blocks", where), f"{where}: blocks")
+    seen: dict[str, int] = {}
+    all_blocks = [obj.get("left_block", [])] + block_names + [obj.get("right_block", [])]
+    for b_idx, blk in enumerate(all_blocks):
+        for name in _list(blk, f"{where}: block {b_idx}"):
+            if not isinstance(name, str) or name not in index:
+                raise StructuralError(f"{where}: unknown variable {name!r} in blocks")
+            if name in seen:
+                raise StructuralError(
+                    f"blocks not disjoint: {name} in blocks {seen[name]} and {b_idx}"
+                )
+            seen[name] = b_idx
+    left_block, *blocks, right_block = (
+        tuple(index[name] for name in blk) for blk in all_blocks
+    )
+    layer_objs = _list(_require(obj, "layers", where), f"{where}: layers")
+    if len(layer_objs) != len(blocks):
+        raise StructuralError(f"{where}: {len(layer_objs)} layers for {len(blocks)} blocks")
+    faults = []  # terms outside their block, in the order Roabp checks them
+    layers = []
+    for li, (terms, blk) in enumerate(zip(layer_objs, blocks)):
+        allowed, term_map, read = set(blk), {}, set()
+        for t in _list(terms, f"layer {li}"):
+            e, support = _obj_to_exponents(
+                _require(t, "exponents", f"layer {li}"), index, n, f"layer {li}"
+            )
+            if e in read:
+                raise StructuralError(f"layer {li}: repeated exponents {t['exponents']}")
+            read.add(e)
+            matrix = _list(_require(t, "matrix", f"layer {li}"), f"layer {li}: matrix")
+            rows = [_list(row, f"layer {li}: matrix row") for row in matrix]
+            if len(rows) != width or any(len(row) != width for row in rows):
+                raise StructuralError(f"layer {li}: matrix is not {width}x{width}")
+            m = tuple(
+                tuple(_int(v, f"layer {li}: matrix entry") % p for v in row) for row in rows
+            )
+            if any(map(any, m)):
+                term_map[e] = m
+                if not allowed.issuperset(support):
+                    faults.append(f"layer {li} uses variables outside its block")
+        layers.append(trusted(MatPoly, field=field, n=n, w=width, terms=term_map))
+
+    def vec_from(key: str, side: str, blk: tuple) -> tuple:
+        entries = _list(_require(obj, key, where), f"{where}: {key}")
+        if len(entries) != width:
+            raise StructuralError(f"{where}: {key} must have {width} entries")
+        allowed, out = set(blk), []
+        for ei, poly_terms in enumerate(entries):
+            term_map, read = {}, set()
+            for t in _list(poly_terms, f"{key} entry"):
+                e, support = _obj_to_exponents(_require(t, "exponents", key), index, n, key)
+                if e in read:
+                    raise StructuralError(
+                        f"{key} entry {ei}: repeated exponents {t['exponents']}"
+                    )
+                read.add(e)
+                c = _int(_require(t, "value", key), f"{key}: value") % p
+                if c:
+                    term_map[e] = c
+                    if not allowed.issuperset(support):
+                        faults.append(f"{side} boundary uses variables outside its block")
+            out.append(trusted(ScalarPoly, field=field, n=n, terms=term_map))
+        return tuple(out)
+
+    left = vec_from("left_boundary", "left", left_block)
+    right = vec_from("right_boundary", "right", right_block)
+    if faults:
+        raise StructuralError(faults[0])
+    return trusted(
+        Roabp, field=field, n=n, width=width, blocks=tuple(blocks), layers=tuple(layers),
+        left_boundary=left, right_boundary=right,
+        left_block=left_block, right_block=right_block,
+    )
+
+
+def _depth3_from_obj(obj: dict, field: Field, index: dict, where: str) -> Depth3Circuit:
+    """The depth-3 circuit of a circuit file, built as `Depth3Circuit(...)`
+    would build it, with every value checked and reduced mod p once as it
+    is read.  Multilinearity is checked on the reduced forms, and a repeated
+    variable is reported only after the whole file has parsed, naming the
+    variable `Depth3Circuit` names."""
+    p = field.p
+    faults, gates = [], []
+    for gi, g in enumerate(_list(_require(obj, "gates", where), f"{where}: gates")):
+        forms = []
+        used: set[int] = set()
+        for f in _list(_require(g, "forms", f"gate {gi}"), f"gate {gi}: forms"):
+            f = _obj(f, f"gate {gi}: form")
+            coeffs = {}
+            for name, coef in _obj(f.get("coeffs", {}), f"gate {gi}: coeffs").items():
+                if name not in index:
+                    raise StructuralError(f"gate {gi}: unknown variable {name!r}")
+                coef = _int(coef, f"gate {gi}: coefficient") % p
+                if coef:
+                    coeffs[index[name]] = coef
+            constant = _int(f.get("const", 0), f"gate {gi}: const") % p
+            if not used.isdisjoint(coeffs):
+                v = next(v for v in frozenset(coeffs) if v in used)
+                faults.append(f"gate {gi} is not multilinear: variable {v} repeats")
+            used.update(coeffs)
+            forms.append(trusted(LinearForm, constant=constant, coeffs=coeffs))
+        scale = _int(_require(g, "scale", f"gate {gi}"), f"gate {gi}: scale")
+        gates.append(trusted(Gate, scale=scale % p, forms=tuple(forms)))
+    if faults:
+        raise StructuralError(faults[0])
+    return trusted(Depth3Circuit, field=field, n=len(index), gates=tuple(gates))
 
 
 def dumps_canonical(obj: dict) -> str:

@@ -15,7 +15,7 @@ import hashlib
 from dataclasses import dataclass, replace
 from typing import Collection, Sequence
 
-from .algebra import DEFAULT_MODULUS, Field, MatPoly, ScalarPoly, det_poly, mat_det
+from .algebra import DEFAULT_MODULUS, Field, MatPoly, ScalarPoly, mat_det
 from .concentrate import invertible_hitting_set, width2_hitting_set
 from .depth3 import (
     Depth3Circuit,
@@ -208,7 +208,7 @@ def _generate_roabp(spec: InstanceSpec) -> Roabp:
             layer = _random_layer(stream, field, n, spec.w, block, spec)
             if spec.klass == "invertible-roabp" or spec.invertible_constant:
                 budget = REJECTION_BUDGET
-                while det_poly(layer.entry_grid()).is_zero() and budget:
+                while layer.det.is_zero() and budget:
                     layer = _random_layer(stream, field, n, spec.w, block, spec)
                     budget -= 1
                 if budget == 0:

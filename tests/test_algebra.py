@@ -305,6 +305,32 @@ def test_eval_matches_second_evaluator():
         assert f.eval_at(pt) == second_evaluator(f, pt)
 
 
+def test_matrix_eval_is_the_entrywise_scalar_eval():
+    # points past p and below 0 included; a block-local layer reads only its
+    # variables, and a width-0 polynomial evaluates to the empty matrix
+    rnd = random.Random(6)
+    for w in (1, 2, 3):
+        for variables in (None, [1, 3]):
+            f = random_mat_poly(rnd, F101, 5, w, 4, 3, variables)
+            pt = [rnd.randint(-300, 300) for _ in range(5)]
+            assert f.eval_at(pt) == tuple(
+                tuple(second_evaluator(f.entry(i, j), [v % 101 for v in pt]) for j in range(w))
+                for i in range(w)
+            )
+            assert ScalarPoly.eval_at(f.entry(0, 0), pt) == f.eval_at(pt)[0][0]
+    assert MatPoly.zero(F101, 2, 0).eval_at([1, 2]) == ()
+
+
+def test_evaluation_terms_are_built_on_the_first_evaluation_only():
+    rnd = random.Random(7)
+    polys = [random_scalar_poly(rnd, F101, 3, 4, 2), random_mat_poly(rnd, F101, 3, 2, 4, 2)]
+    for f, name in zip(polys, ["_support", "_sparse_terms"]):
+        assert name not in vars(f)
+        first = f.eval_at([1, 2, 3])
+        cached = vars(f)[name]
+        assert f.eval_at([1, 2, 3]) == first and vars(f)[name] is cached
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**30))
 def test_eval_distributes_over_mul(seed):

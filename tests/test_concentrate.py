@@ -17,7 +17,7 @@ from pitkit.algebra import (
     mat_flatten,
     rank_over_field,
 )
-from pitkit import concentrate, kron
+from pitkit import algebra, concentrate, kron
 from pitkit.concentrate import (
     LagrangeCurve,
     block_support,
@@ -422,6 +422,65 @@ def test_shift_search_is_fast_on_a_steep_layer():
     _, prime, t0 = find_concentrating_shift(r)
     assert (prime, t0) == (2, 1)
     assert time.process_time() - start < 1
+
+
+def _difference_layers(k: int) -> Roabp:
+    """k width-2 layers [[x_2j, x_2j+1], [1, 1]] over n = 2k variables, each
+    of determinant x_2j - x_2j+1."""
+    n = 2 * k
+
+    def var(i):
+        return tuple(int(v == i) for v in range(n))
+
+    layers = [
+        MatPoly(F, n, 2, {
+            var(2 * j): ((1, 0), (0, 0)),
+            var(2 * j + 1): ((0, 1), (0, 0)),
+            (0,) * n: ((0, 0), (1, 1)),
+        })
+        for j in range(k)
+    ]
+    blocks = [(2 * j, 2 * j + 1) for j in range(k)]
+    return Roabp.with_constant_boundaries(F, n, blocks, layers, (1, 0), (1, 1))
+
+
+def test_shift_search_skips_maps_whose_determinant_image_vanishes(monkeypatch):
+    # maps 2 and 3 give x_2j and x_2j+1 equal weights, so every layer
+    # determinant's univariate image is zero and no t0 can make the layers
+    # invertible: they are passed over before any t0, and the accepted
+    # (map, prime, t0) stays the one of trying every t0 under them
+    prime_of, tried = {}, []
+    shift_maps, powers = concentrate._shift_maps, WeightFn.powers
+
+    def maps(*args):
+        for prime, wfn in shift_maps(*args):
+            prime_of[wfn.weights] = prime
+            yield prime, wfn
+
+    def spy(wfn, t, p):
+        tried.append(prime_of.get(wfn.weights))
+        return powers(wfn, t, p)
+
+    monkeypatch.setattr(concentrate, "_shift_maps", maps)
+    monkeypatch.setattr(WeightFn, "powers", spy)
+    wfn, prime, t0 = find_concentrating_shift(_difference_layers(4))
+    assert (prime, t0) == (5, 2) and wfn.weights == (1, 3, 4, 2, 1, 3, 4, 2)
+    assert sorted(prime_of.values()) == [2, 3, 5]
+    assert set(tried) == {5}
+
+
+def test_width2_hitting_set_takes_one_determinant_per_layer(monkeypatch):
+    # factorize_width2 and each chain piece's shift search read the
+    # determinant a layer caches
+    r = generate_instance(InstanceSpec(
+        klass="width2-roabp", seed=4, n=4, d=3, w=2, s=2, delta=1, mu=1,
+        force_singular=True,
+    ))
+    calls = []
+    monkeypatch.setattr(algebra, "det_poly", lambda grid: calls.append(1) or det_poly(grid))
+    points = width2_hitting_set(r)
+    assert points.provenance["split_layers"] and points.provenance["factors"] > 1
+    assert len(calls) == r.d
 
 
 def _shifted_low_support_rows(layer, exponents, ell):

@@ -23,7 +23,7 @@ from pitkit.depth3 import (
     sum_sml_whitebox_test,
 )
 from pitkit.errors import CapabilityError, StructuralError
-from pitkit.verify import InstanceSpec, generate_instance, oracle_is_zero
+from pitkit.verify import InstanceSpec, _case_overrides, generate_instance, oracle_is_zero
 
 F = Field(10007)
 
@@ -288,6 +288,29 @@ def test_tightness_instances():
         assert root <= dec.m <= 2 * root
         # every distance-1 base set here has at most sqrt(n) variables
         assert all(len(b) <= root for b in dec.base_sets)
+
+
+def test_trusted_partitions_equal_the_validating_constructor(monkeypatch):
+    # gate_partition and restrict only sort their colors; over the sum-sml
+    # campaign, every partition they make is the one Partition(...) checks
+    # and sorts, colors in the same order
+    made = []
+
+    def checked(method):
+        def spy(*args):
+            part = method(*args)
+            assert part == Partition(part.ground, part.colors)
+            made.append(part)
+            return part
+        return spy
+
+    monkeypatch.setattr(Partition, "restrict", checked(Partition.restrict))
+    monkeypatch.setattr(Depth3Circuit, "gate_partition", checked(Depth3Circuit.gate_partition))
+    for seed in range(200):
+        spec = InstanceSpec(klass="sum-sml", seed=seed, **_case_overrides("sum-sml", seed, {}))
+        circuit = generate_instance(spec)
+        decompose_base_sets(circuit.distinct_partitions())
+    assert len(made) > 1000
 
 
 def random_partition(rnd, n, colors):

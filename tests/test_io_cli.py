@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import pitkit
 from pitkit import concentrate, depth3, io_cli
-from pitkit.depth3 import SWEEP_CEILING, Depth3Circuit
+from pitkit.depth3 import SWEEP_CEILING, Depth3Circuit, Gate, LinearForm
 from pitkit.io_cli import (
     build_parser,
     dumps_canonical,
@@ -25,11 +25,16 @@ from pitkit.io_cli import (
     save_instance,
     save_points,
 )
-from pitkit.algebra import Field, MatPoly
-from pitkit.errors import StructuralError
+from pitkit.algebra import Field, MatPoly, ScalarPoly
+from pitkit.errors import CapabilityError, StructuralError
 from pitkit.kron import PointFamily
 from pitkit.roabp import PointSet, Roabp
-from pitkit.verify import InstanceSpec, generate_instance, verify_hitting_property
+from pitkit.verify import (
+    InstanceSpec,
+    _case_overrides,
+    generate_instance,
+    verify_hitting_property,
+)
 from test_pinned_blackbox import CASES as PINNED_BLACKBOX, declared
 
 
@@ -150,6 +155,80 @@ def test_modulus_override_renormalizes():
     inst = obj_to_instance(obj, modulus_override=7)
     assert inst.field.p == 7
     assert inst.evaluate([2, 3]) == 6  # 8 = 1 mod 7
+
+
+def _validated(obj: dict, modulus: int):
+    """The instance of a well-formed circuit document, built from its raw
+    values by the validating constructors."""
+    field = Field(modulus)
+    index = {name: i for i, name in enumerate(obj["variables"])}
+    n = len(index)
+
+    def exponents(t):
+        e = [0] * n
+        for name, v in t["exponents"].items():
+            e[index[name]] = v
+        return tuple(e)
+
+    def block(names):
+        return tuple(index[name] for name in names)
+
+    if obj["kind"] == "depth3":
+        return Depth3Circuit(field, n, tuple(
+            Gate(g["scale"], tuple(
+                LinearForm(f["const"], {index[name]: c for name, c in f["coeffs"].items()})
+                for f in g["forms"]
+            ))
+            for g in obj["gates"]
+        ))
+
+    def vector(key):
+        return tuple(
+            ScalarPoly(field, n, {exponents(t): t["value"] for t in terms})
+            for terms in obj[key]
+        )
+
+    return Roabp(
+        field, n, obj["width"], tuple(block(b) for b in obj["blocks"]),
+        tuple(
+            MatPoly(field, n, obj["width"], {exponents(t): t["matrix"] for t in terms})
+            for terms in obj["layers"]
+        ),
+        vector("left_boundary"), vector("right_boundary"),
+        block(obj["left_block"]), block(obj["right_block"]),
+    )
+
+
+@pytest.mark.parametrize("modulus", [5, 10007, 2**31 - 1])
+@pytest.mark.parametrize(
+    "klass", ["roabp", "invertible-roabp", "width2-roabp", "depth3-distance", "sum-sml"]
+)
+def test_loaded_instances_equal_the_validating_constructors(tmp_path, klass, modulus):
+    # the one-pass loader builds through trusted constructors: what it
+    # builds is the saved instance, and what the validating constructors
+    # make of the file's values, also reduced under a smaller --modulus
+    loaded = 0
+    for seed in range(20):
+        spec = InstanceSpec(
+            klass=klass, seed=seed, modulus=modulus, **_case_overrides(klass, seed, {})
+        )
+        try:
+            inst = generate_instance(spec)
+        except CapabilityError:
+            continue
+        path = write_instance(tmp_path, "c.json", inst)
+        obj = json.loads(pathlib.Path(path).read_text())
+        assert load_instance(path) == inst == _validated(obj, modulus)
+        assert obj_to_instance(obj, 7) == _validated(obj, 7)
+        loaded += 1
+    assert loaded >= 10
+
+
+def test_loading_builds_no_evaluation_terms(tmp_path):
+    inst = generate_instance(InstanceSpec(klass="roabp", seed=2, n=4, d=3, w=2, s=2, delta=2))
+    loaded = load_instance(write_instance(tmp_path, "c.json", inst))
+    polys = [*loaded.layers, *loaded.left_boundary, *loaded.right_boundary]
+    assert not any({"_support", "_sparse_terms"} & vars(poly).keys() for poly in polys)
 
 
 # ---------------------------------------------------------------------------
