@@ -560,10 +560,11 @@ def width2_hitting_set(r: Roabp, mode: str = "whitebox") -> PointSet:
     included.
 
     Whitebox mode factorizes through singular layers, takes the union H of
-    the chain elements' invertible hitting sets, and sweeps the Lagrange
-    curve through H at exactly 1 + (d+2) * Delta * |H| parameter values,
-    where Delta = (d+2) * delta conservatively bounds each factor's total
-    degree.  Blackbox mode reads only the declared parameters.
+    the chain elements' invertible hitting sets -- their distinct points in
+    first-occurrence order, so |H| counts distinct points -- and sweeps the
+    Lagrange curve through H at exactly 1 + (d+2) * Delta * |H| parameter
+    values, where Delta = (d+2) * delta conservatively bounds each factor's
+    total degree.  Blackbox mode reads only the declared parameters.
     """
     if r.n < 1:
         raise StructuralError("a hitting set needs at least one variable")
@@ -586,11 +587,12 @@ def width2_hitting_set(r: Roabp, mode: str = "whitebox") -> PointSet:
                 "zero_layer": fact.split_layers[0],
             },
         )
-    anchor_points: list[tuple[int, ...]] = []
-    for piece in fact.chain:
-        anchor_points.extend(invertible_hitting_set(piece, "whitebox").points)
+    # a point shared by several pieces' sets is one anchor
+    anchors = list(dict.fromkeys(itertools.chain.from_iterable(
+        invertible_hitting_set(piece, "whitebox").points for piece in fact.chain
+    )))
     return _curve_sweep(
-        anchor_points,
+        anchors,
         r.n,
         r.d,
         r.delta,

@@ -14,6 +14,7 @@ layer by layer, without expanding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from operator import mul
 from typing import Collection, Iterable, Sequence
 
 from .algebra import (
@@ -191,10 +192,7 @@ class Roabp:
         vec = [poly.eval_at(point) for poly in self.left_boundary]
         for layer in self.layers:
             mat = layer.eval_at(point)
-            vec = [
-                sum(vec[i] * mat[i][j] for i in range(self.width) if vec[i]) % p
-                for j in range(self.width)
-            ]
+            vec = [sum(map(mul, vec, col)) % p for col in zip(*mat)]
         right = [poly.eval_at(point) for poly in self.right_boundary]
         return sum(a * b for a, b in zip(vec, right)) % p
 

@@ -921,6 +921,35 @@ def test_width2_hitting_campaign():
         assert report.passed and not report.vacuous
 
 
+@pytest.mark.parametrize("modulus", [10007, 2**31 - 1])
+@pytest.mark.parametrize("seed", [1, 2, 6, 10, 11, 12])
+def test_width2_curve_runs_through_distinct_anchors(modulus, seed):
+    # seed 2 is non-singular; 1, 6, 10, 11 and 12 force a singular layer,
+    # and their chain pieces' sets share points
+    r = _campaign_instance("width2-roabp", seed, modulus)
+    anchors = list(dict.fromkeys(itertools.chain.from_iterable(
+        invertible_hitting_set(piece).points for piece in factorize_width2(r).chain
+    )))
+    points = width2_hitting_set(r)
+    prov = points.provenance
+    full = tuple(points)
+    assert prov["anchor_count"] == len(anchors)
+    assert list(full[:len(anchors)]) == anchors
+    per_curve_degree = (r.d + 2) * prov["per_factor_degree"]
+    assert len(full) == prov["count"] == 1 + per_curve_degree * len(anchors)
+    report = verify_hitting_property(r, full)
+    assert report.passed and not report.vacuous
+    if len(full) > 1500:
+        return
+    # u -> f(curve(u)) has degree at most per_curve_degree * (|H| - 1): its
+    # forward differences of the next order vanish
+    p = r.field.p
+    values = [r.evaluate(pt) for pt in full]
+    for _ in range(per_curve_degree * (len(anchors) - 1) + 1):
+        values = [(b - a) % p for a, b in zip(values, values[1:])]
+    assert values and not any(values)
+
+
 def test_width2_all_invertible_curve_passes_through_anchor_witness():
     inst = invertible_constant_instance(9, n=3, d=2, s=2, delta=1)
     direct = invertible_hitting_set(inst)

@@ -32,8 +32,8 @@ def test_evaluate_point_length_checked():
 
 
 def test_evaluate_matches_expand_on_random_instances():
-    for seed in range(50):
-        spec = InstanceSpec(klass="roabp", seed=seed, n=3, d=2, w=2, s=2, delta=2, nonzero=False)
+    for w, seed in itertools.product((1, 2, 3), range(50)):
+        spec = InstanceSpec(klass="roabp", seed=seed, n=3, d=2, w=w, s=2, delta=2, nonzero=False)
         inst = generate_instance(spec)
         _, scalar = inst.expand()
         rnd = random.Random(seed)
