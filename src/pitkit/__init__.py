@@ -11,7 +11,6 @@ from .algebra import (
     Field,
     MatPoly,
     ScalarPoly,
-    UniPoly,
     det_poly,
     rank_over_field,
 )

@@ -717,29 +717,3 @@ def det_poly(grid: Sequence[Sequence[ScalarPoly]]) -> ScalarPoly:
 
     idx = list(range(w))
     return rec(idx, idx)
-
-
-# ---------------------------------------------------------------------------
-# univariate polynomials
-
-
-@dataclass(frozen=True)
-class UniPoly:
-    """Univariate polynomial in a formal variable t, stored sparsely as
-    sorted (exponent, coefficient) pairs with nonzero coefficients."""
-
-    field: Field
-    terms: tuple
-
-    def __post_init__(self) -> None:
-        clean = tuple(
-            sorted((int(e), self.field.normalize(c)) for e, c in self.terms if self.field.normalize(c))
-        )
-        object.__setattr__(self, "terms", clean)
-
-    @classmethod
-    def from_dict(cls, field: Field, terms: Mapping[int, int]) -> "UniPoly":
-        return cls(field, tuple(terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms

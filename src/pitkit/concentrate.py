@@ -38,7 +38,6 @@ from .kron import (
     WeightFn,
     distinct_reductions,
     prime_cutoff,
-    weights_mod_prime,
 )
 from .roabp import PointSet, Roabp
 
@@ -140,9 +139,7 @@ def _shift_maps(
     support_pairs = low_count * (low_count - 1) // 2
     pair_bound = max(1, det_pairs + support_pairs)
     delta_all = max(delta, w * delta)
-    cutoff = prime_cutoff(n, pair_bound, delta_all)
-    for p in distinct_reductions(n, delta_all, cutoff):
-        yield p, weights_mod_prime(n, delta_all, p)
+    return distinct_reductions(n, delta_all, prime_cutoff(n, pair_bound, delta_all))
 
 
 def _translate(grid, offsets: Sequence[int], p: int) -> Iterator[tuple[int, ...]]:
@@ -163,17 +160,6 @@ def _shift_hits(r: Roabp, grid, offsets: Sequence[int]) -> bool:
     point misses, before the rest of the grid is read."""
     values = map(r.evaluate, _translate(grid, offsets, r.field.p))
     return bool(next(values)) or r.is_zero() or any(values)
-
-
-def _image_vanishes(poly: ScalarPoly, wfn: WeightFn) -> bool:
-    """Whether poly(t^a_1, ..., t^a_n), for a the weights of wfn, is the
-    zero polynomial in t."""
-    image: dict[int, int] = {}
-    for e, c in poly.terms.items():
-        k = wfn.monomial_weight(e)
-        image[k] = image.get(k, 0) + c
-    p = poly.field.p
-    return not any(c % p for c in image.values())
 
 
 def find_concentrating_shift(r: Roabp) -> tuple[WeightFn, int, int]:
@@ -202,7 +188,7 @@ def find_concentrating_shift(r: Roabp) -> tuple[WeightFn, int, int]:
         full_budget = _t0_budget(r.d, det_degree, w, r.n, r.delta, wfn.max_weight)
         t_budget = min(p - 1, full_budget)
         clipped = clipped or t_budget < full_budget
-        if any(_image_vanishes(det, wfn) for det in dets):
+        if not all(wfn.image(det.terms.items(), p) for det in dets):
             continue
         for t0 in range(1, t_budget + 1):
             offsets = wfn.powers(t0, p)

@@ -22,7 +22,6 @@ from itertools import chain, islice
 from typing import Sequence
 
 from .algebra import DEFAULT_MODULUS, Field, MatPoly, ScalarPoly, trusted
-from .concentrate import invertible_hitting_set, width2_hitting_set
 from .depth3 import (
     SWEEP_CEILING,
     Depth3Circuit,
@@ -32,10 +31,9 @@ from .depth3 import (
     sum_sml_whitebox_test,
 )
 from .errors import CapabilityError, PreconditionError, StructuralError
-from .isolate import roabp_hitting_set
 from .kron import PointFamily
 from .roabp import EXPAND_CEILING, PointSet, Roabp
-from .verify import InstanceSpec, run_campaign, verify_hitting_property
+from .verify import HITTING_SETS, InstanceSpec, run_campaign, verify_hitting_property
 
 FORMAT_VERSION = 1
 
@@ -44,24 +42,16 @@ EXIT_VERDICT = 1
 EXIT_USAGE = 2
 EXIT_CAPABILITY = 3
 
-# the InstanceSpec fields `verify --param` may set; class, seed and modulus
-# have options of their own
-CAMPAIGN_PARAMS = tuple(
-    f.name for f in fields(InstanceSpec) if f.name not in ("klass", "seed", "modulus")
-)
+# the InstanceSpec fields `verify --param` may set, each with the type of
+# its default (int or bool); class, seed and modulus have options of their own
+CAMPAIGN_PARAMS = {
+    f.name: type(f.default) for f in fields(InstanceSpec)
+    if f.name not in ("klass", "seed", "modulus")
+}
 
 # the most points `hs` builds; the generators size a set before building it,
 # so a larger one is refused before any point or file is made
 HS_POINT_CEILING = 10**8
-
-# family -> generator(instance, mode); each entry looks its generator up
-# per call, so rebinding the module-level name (as the benchmark's tracer
-# does) reaches the CLI
-HITTING_SETS = {
-    "roabp": lambda *args: roabp_hitting_set(*args),
-    "invertible": lambda *args: invertible_hitting_set(*args),
-    "width2": lambda *args: width2_hitting_set(*args),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -609,25 +599,28 @@ def _cmd_expand(args) -> int:
     return EXIT_OK
 
 
+def _campaign_param(item: str) -> tuple[str, int | bool]:
+    """KEY=VALUE parsed by the type of the InstanceSpec field KEY: a flag
+    takes true or false, any other field an integer."""
+    key, _, value = item.partition("=")
+    if not value:
+        raise StructuralError(f"bad --param {item!r}; expected key=value")
+    if key not in CAMPAIGN_PARAMS:
+        raise StructuralError(
+            f"unknown --param {key!r}; expected one of {', '.join(CAMPAIGN_PARAMS)}"
+        )
+    if CAMPAIGN_PARAMS[key] is bool:
+        if value.lower() not in ("true", "false"):
+            raise StructuralError(f"bad --param {item!r}; expected true or false")
+        return key, value.lower() == "true"
+    try:
+        return key, int(value)
+    except ValueError:
+        raise StructuralError(f"bad --param {item!r}; expected an integer") from None
+
+
 def _cmd_verify(args) -> int:
-    overrides = {}
-    for item in args.param or []:
-        key, _, value = item.partition("=")
-        if not value:
-            raise StructuralError(f"bad --param {item!r}; expected key=value")
-        if key not in CAMPAIGN_PARAMS:
-            raise StructuralError(
-                f"unknown --param {key!r}; expected one of {', '.join(CAMPAIGN_PARAMS)}"
-            )
-        if value.lower() in ("true", "false"):
-            overrides[key] = value.lower() == "true"
-            continue
-        try:
-            overrides[key] = int(value)
-        except ValueError:
-            raise StructuralError(
-                f"bad --param {item!r}; expected an integer or true/false"
-            ) from None
+    overrides = dict(map(_campaign_param, args.param or []))
     result = run_campaign(
         args.klass, args.samples, seed=args.seed,
         modulus=DEFAULT_MODULUS if args.modulus is None else args.modulus,

@@ -47,7 +47,6 @@ from .kron import (
     distinct_reductions,
     prime_cutoff,
     separating_weights,
-    weights_mod_prime,
 )
 from .roabp import PointSet, Roabp
 
@@ -127,13 +126,7 @@ def construct_isolating_weights(
 
     def run_round(current: list[list[tuple[Monomial, Matrix]]]) -> list[list[tuple[Monomial, Matrix]]]:
         pair_set = PairSet(n, delta, [[m for m, _ in block] for block in current])
-        if not pair_set:
-            # nothing to separate: the first candidate prime keeps the
-            # constructed assignment inside the blackbox family
-            wfn = weights_mod_prime(n, delta, 2)
-        else:
-            wfn = separating_weights(n, delta, pair_set).verified
-        rounds.append(wfn)
+        rounds.append(separating_weights(n, delta, pair_set))
         survivors: list[list[tuple[Monomial, Matrix]]] = []
         for block in current:
             keyed = [
@@ -211,18 +204,19 @@ def enumerate_candidate_weights(
 
     Round 0 is sized for d*s^2 intra-factor pairs; later rounds for d*w^8
     pairs (paired survivor blocks have at most w^4 monomials each).  A
-    round's list holds one prime per distinct reduced weight vector up to
-    its cutoff, and each distinct combined assignment is yielded once, in
-    the order of its first occurrence over all primes.  The
-    whitebox-constructed assignment always appears among the members.
+    round's list holds the maps of `distinct_reductions` up to its cutoff,
+    one per distinct reduced weight vector, and each distinct combined
+    assignment is yielded once, in the order of its first occurrence over
+    all primes.  For constant boundaries the whitebox-constructed
+    assignment is a member: each of its rounds is a map of the same scan
+    (`separating_weights`) at a cutoff no larger than the round's here.
     """
     if min(n, d, s, w) < 1 or delta < 0:
         raise StructuralError("parameters must be positive (delta nonnegative)")
     round_count = 1 + (math.ceil(math.log2(d)) if d > 1 else 0)
     pair_bounds = [d * s * s] + [d * w**8] * (round_count - 1)
     round_lists = [
-        [weights_mod_prime(n, delta, p)
-         for p in distinct_reductions(n, delta, prime_cutoff(n, bound, delta))]
+        [wfn for _, wfn in distinct_reductions(n, delta, prime_cutoff(n, bound, delta))]
         for bound in pair_bounds
     ]
     # combinations with different bases B could still coincide
@@ -279,13 +273,12 @@ def _whitebox_map(r: Roabp) -> tuple[WeightFn, dict]:
        keeps every nonzero f nonzero.
     """
     constant = WeightFn.constant(r.n)
-    if not r.weighted_substitute(constant).is_zero() or r.is_zero():
+    if r.weighted_substitute(constant) or r.is_zero():
         return constant, {"assignment": "constant"}
     combined, _ = construct_isolating_weights(_embedded_factors(r))
     limit = min(_sweep_count(r, combined), r.field.p)
-    for q in distinct_reductions(r.n, r.delta, (limit - 2) // (r.n * max(1, r.delta))):
-        wfn = weights_mod_prime(r.n, r.delta, q)
-        if not r.weighted_substitute(wfn).is_zero():
+    for q, wfn in distinct_reductions(r.n, r.delta, (limit - 2) // (r.n * max(1, r.delta))):
+        if r.weighted_substitute(wfn):
             return wfn, {"assignment": "kronecker", "prime": q}
     return combined, {"assignment": "round-combined"}
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, compress, dropwhile, repeat, takewhile
+from itertools import accumulate, chain, compress, repeat, takewhile
+from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebra import Monomial
@@ -50,7 +51,17 @@ class WeightFn:
         return self.weights[var]
 
     def monomial_weight(self, e: Monomial) -> int:
-        return sum(exp * w for exp, w in zip(e, self.weights) if exp)
+        return sum(map(mul, e, self.weights))
+
+    def image(self, terms: Iterable[tuple[Monomial, int]], p: int) -> dict[int, int]:
+        """The univariate image of sum c * x^e over the (e, c) terms under
+        x_i -> t^w(x_i): t exponent -> coefficient mod p, nonzero ones only."""
+        out: dict[int, int] = {}
+        for e, c in terms:
+            if c:
+                k = self.monomial_weight(e)
+                out[k] = out.get(k, 0) + c
+        return {k: c % p for k, c in out.items() if c % p}
 
     def powers(self, t: int, p: int) -> tuple[int, ...]:
         """The point (t^w(x_1), ..., t^w(x_n)) mod p."""
@@ -219,10 +230,10 @@ def weights_mod_prime(n: int, delta: int, p: int) -> WeightFn:
     return WeightFn(tuple(ws))
 
 
-def distinct_reductions(n: int, delta: int, cutoff: int) -> Iterator[int]:
-    """The first prime of each distinct weights_mod_prime(n, delta, p)
-    vector over the primes p <= cutoff, in increasing order, yielded as
-    they are found.
+def distinct_reductions(n: int, delta: int, cutoff: int) -> Iterator[tuple[int, WeightFn]]:
+    """(p, weights_mod_prime(n, delta, p)) for the first prime p of each
+    distinct reduced vector over the primes p <= cutoff, in increasing
+    order, yielded as they are found.
 
     Every prime above (delta+1)^(n-1) leaves the naive weights unreduced,
     so the scan stops at the first such prime.
@@ -230,50 +241,34 @@ def distinct_reductions(n: int, delta: int, cutoff: int) -> Iterator[int]:
     top = (delta + 1) ** (n - 1)
     seen: set[tuple] = set()
     for p in takewhile(lambda q: q <= cutoff, iter_primes()):
-        weights = weights_mod_prime(n, delta, p).weights
-        if weights not in seen:
-            seen.add(weights)
-            yield p
+        wfn = weights_mod_prime(n, delta, p)
+        if wfn.weights not in seen:
+            seen.add(wfn.weights)
+            yield p, wfn
         if p > top:
             return
 
 
-@dataclass(frozen=True)
-class SeparatorSearch:
-    """Result of the separating-prime search for one pair set."""
+def separating_weights(n: int, delta: int, pair_set: PairSet) -> WeightFn:
+    """The first map of distinct_reductions(n, delta, cutoff) whose
+    monomial weights differ inside every group of the set, for the
+    counting argument's cutoff = prime_cutoff(n, |pairs|, delta).
 
-    cutoff: int
-    verified_prime: int
-    verified: WeightFn
-
-
-def separating_weights(n: int, delta: int, pair_set: PairSet) -> SeparatorSearch:
-    """Find the first prime whose reduced Kronecker weights separate every
-    pair inside every group of the set.
-
-    A pair (m, m') is separated when the naive weights differ mod p, which
-    forces the lifted integer weights to differ too; for a group that means
-    its naive weights have distinct residues mod p.  Each naive weight is
-    computed once, so a prime costs O(M) for M monomials.  The counting
-    argument guarantees success within the cutoff, so running past it is
+    A map whose weight range delta * sum(w) + 1 is narrower than the
+    widest group cannot separate it and is skipped untested.  Distinct
+    naive weights mod p force distinct lifted weights, so the counting
+    argument guarantees success within the cutoff, and running past it is
     reported as an internal inconsistency.
     """
     pair_count = len(pair_set)
-    if pair_count < 1:
-        raise StructuralError("pair set must be nonempty")
     cutoff = prime_cutoff(n, pair_count, delta)
-    naive = naive_kronecker(n, delta)
-    groups = [[naive.monomial_weight(m) for m in g] for g in pair_set.groups if len(g) > 1]
-    # no prime below the widest group's size gives it distinct residues
+    groups = [g for g in pair_set.groups if len(g) > 1]
     widest = max(map(len, groups), default=0)
-    primes = dropwhile(lambda q: q < widest, takewhile(lambda q: q <= cutoff, iter_primes()))
-    p = next(
-        (q for q in primes if all(len({x % q for x in g}) == len(g) for g in groups)), None
-    )
-    if p is None:
-        raise InternalInconsistencyError(
-            f"no separating prime up to {cutoff} for {pair_count} pairs"
-        )
-    return SeparatorSearch(
-        cutoff=cutoff, verified_prime=p, verified=weights_mod_prime(n, delta, p)
+    for _, wfn in distinct_reductions(n, delta, cutoff):
+        if delta * sum(wfn.weights) + 1 < widest:
+            continue
+        if all(len({wfn.monomial_weight(m) for m in g}) == len(g) for g in groups):
+            return wfn
+    raise InternalInconsistencyError(
+        f"no separating map up to {cutoff} for {pair_count} pairs"
     )

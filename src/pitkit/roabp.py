@@ -23,7 +23,6 @@ from .algebra import (
     Monomial,
     RowSpan,
     ScalarPoly,
-    UniPoly,
     mono_zero,
 )
 from .errors import CapabilityError, StructuralError
@@ -231,23 +230,16 @@ class Roabp:
                     scalar_part = scalar_part + li * entry * rj
         return matrix_part, scalar_part
 
-    def weighted_substitute(self, wfn: WeightFn) -> UniPoly:
+    def weighted_substitute(self, wfn: WeightFn) -> dict[int, int]:
         """The univariate image of the computed polynomial under
-        x_i -> t^(w(x_i)), computed layer by layer as a row of w sparse
-        univariates (t exponent -> coefficient).  Each layer costs
-        O(w^2 * s * min(D + 1, S)) products, for D the image's degree and S
-        the product of the sparsities so far; nothing is expanded."""
+        x_i -> t^(w(x_i)), as t exponent -> nonzero coefficient, computed
+        layer by layer as a row of w sparse images (`WeightFn.image`).
+        Each layer costs O(w^2 * s * min(D + 1, S)) products, for D the
+        image's degree and S the product of the sparsities so far; nothing
+        is expanded."""
         if wfn.n != self.n:
             raise StructuralError("weight function ambient mismatch")
         p, w = self.field.p, self.width
-
-        def image(terms) -> dict:
-            out: dict[int, int] = {}
-            for e, c in terms:
-                if c:
-                    k = wfn.monomial_weight(e)
-                    out[k] = out.get(k, 0) + c
-            return out
 
         def dot(row: Sequence[dict], col: Sequence[dict]) -> dict:
             out: dict[int, int] = {}
@@ -257,14 +249,14 @@ class Roabp:
                         out[e + f] = out.get(e + f, 0) + x * y
             return {e: c % p for e, c in out.items() if c % p}
 
-        row = [image(poly.terms.items()) for poly in self.left_boundary]
+        row = [wfn.image(poly.terms.items(), p) for poly in self.left_boundary]
         for layer in self.layers:
             row = [
-                dot(row, [image((e, m[i][j]) for e, m in layer.terms.items()) for i in range(w)])
+                dot(row, [wfn.image(((e, m[i][j]) for e, m in layer.terms.items()), p)
+                          for i in range(w)])
                 for j in range(w)
             ]
-        right = [image(poly.terms.items()) for poly in self.right_boundary]
-        return UniPoly.from_dict(self.field, dot(row, right))
+        return dot(row, [wfn.image(poly.terms.items(), p) for poly in self.right_boundary])
 
     def is_zero(self) -> bool:
         """Whether the computed polynomial is identically zero, by span

@@ -28,7 +28,7 @@ from pitkit.depth3 import (
     sum_sml_whitebox_test,
 )
 from pitkit.isolate import construct_isolating_weights, is_basis_isolating, roabp_hitting_set
-from pitkit.kron import PairSet, separating_weights
+from pitkit.kron import PairSet, distinct_reductions, prime_cutoff, separating_weights
 from pitkit.verify import (
     DetStream,
     InstanceSpec,
@@ -87,7 +87,7 @@ def test_criterion_2_basis_isolation_soundness():
         if not is_basis_isolating(wfn, product):
             continue
         substituted = inst.weighted_substitute(wfn)
-        if substituted.is_zero():
+        if not substituted:
             continue
         assert inst.has_constant_boundaries()
         left, right = (
@@ -113,7 +113,7 @@ def test_criterion_2_basis_isolation_soundness():
         if not surviving:
             continue
         expected_weight, expected_coeff = min(surviving)
-        if substituted.terms[0] == (expected_weight, expected_coeff):
+        if min(substituted.items()) == (expected_weight, expected_coeff):
             passed += 1
     report(
         2,
@@ -142,10 +142,11 @@ def test_criterion_3_kronecker_separator_within_cutoff():
             b = stream.choice(monos)
             if a != b:
                 pairs.append((a, b))
-        search = separating_weights(n, delta, PairSet(n, delta, tuple(pairs)))
-        if search.verified_prime <= search.cutoff and all(
-            search.verified.monomial_weight(a) != search.verified.monomial_weight(b)
-            for a, b in pairs
+        pair_set = PairSet(n, delta, tuple(pairs))
+        wfn = separating_weights(n, delta, pair_set)
+        family = distinct_reductions(n, delta, prime_cutoff(n, len(pair_set), delta))
+        if wfn in (m for _, m in family) and all(
+            wfn.monomial_weight(a) != wfn.monomial_weight(b) for a, b in pairs
         ):
             passed += 1
     report(

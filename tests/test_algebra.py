@@ -12,7 +12,6 @@ from pitkit.algebra import (
     Field,
     MatPoly,
     ScalarPoly,
-    UniPoly,
     det_poly,
     mat_det,
     mat_identity,
@@ -348,18 +347,6 @@ def test_shifted_constant_term_is_the_value_at_the_offsets():
         f = random_mat_poly(rnd, F101, 3, 2, 4, 2)
         offs = [rnd.randint(0, 100) for _ in range(3)]
         assert f.shift(offs).constant_term() == f.eval_at(offs)
-
-
-# ---------------------------------------------------------------------------
-# univariate helpers
-
-
-def test_unipoly_basics():
-    u = UniPoly.from_dict(F7, {2: 2, 0: 3, 5: 7})
-    assert u.terms == ((0, 3), (2, 2))
-    assert not u.is_zero()
-    assert UniPoly.from_dict(F7, {3: 14}).is_zero()
-    assert UniPoly.from_dict(F7, {}).is_zero()
 
 
 def test_shift_is_translation():

@@ -609,10 +609,11 @@ def test_invertible_params_sweep_each_distinct_map_once(monkeypatch):
     # reference: the family over every prime up to the cutoff, with each
     # repeated map's block of grid * t_sweep points dropped
     from pitkit import concentrate
-    from pitkit.kron import iter_primes
+    from pitkit.kron import iter_primes, weights_mod_prime
 
     def every_prime(n, delta, cutoff):
-        return list(itertools.takewhile(lambda p: p <= cutoff, iter_primes()))
+        return [(p, weights_mod_prime(n, delta, p))
+                for p in itertools.takewhile(lambda p: p <= cutoff, iter_primes())]
 
     for params in INVERTIBLE_PARAMS:
         got = concentrate.invertible_hitting_set_params(*params, F)

@@ -530,6 +530,10 @@ def test_cli_modulus_zero_is_not_replaced(tmp_path, command):
     ("roabp", ["--param", "s=0"], "s=0 must be at least 1"),
     ("roabp", ["--param", "delta=-1"], "delta=-1 must be nonnegative"),
     ("roabp", ["--samples", "-2"], "samples=-2 must be nonnegative"),
+    ("roabp", ["--param", "n=true"], "expected an integer"),
+    ("roabp", ["--param", "delta=false"], "expected an integer"),
+    ("width2-roabp", ["--param", "force_singular=7"], "expected true or false"),
+    ("sum-sml", ["--param", "engineered_zero=1"], "expected true or false"),
 ])
 def test_cli_verify_rejects_out_of_range_inputs(klass, args, message):
     proc = run_cli("verify", "--class", klass, "--samples", "1", *args)
@@ -600,6 +604,27 @@ CANONICAL_SETS = [(family, klass, "blackbox", params, modulus)
                             ("width2", "width2-roabp")]
       for modulus in (10007, 2**31 - 1, 2**61 - 1)),
 ]
+
+
+@pytest.mark.parametrize("family", ["roabp", "invertible", "width2"])
+def test_cli_and_campaigns_share_one_late_bound_registry(monkeypatch, tmp_path, family):
+    # `hs FAMILY` and campaign class `FAMILY-roabp` (or `roabp`) read the
+    # one registry in verify, whose entries look their generator up per
+    # call, so rebinding the generator's name there reaches both
+    from pitkit import verify
+
+    assert io_cli.HITTING_SETS is verify.HITTING_SETS
+    name = {"roabp": "roabp_hitting_set", "invertible": "invertible_hitting_set",
+            "width2": "width2_hitting_set"}[family]
+    original, calls = getattr(verify, name), []
+    monkeypatch.setattr(verify, name, lambda *args: calls.append(args) or original(*args))
+    klass = "roabp" if family == "roabp" else f"{family}-roabp"
+    assert verify.run_campaign(klass, 1, modulus=2**31 - 1).all_passed
+    inst = generate_instance(InstanceSpec(
+        klass=klass, seed=0, modulus=2**31 - 1, n=2, d=1, w=2, s=1, delta=1, mu=1,
+    ))
+    assert main(["hs", family, "--input", write_instance(tmp_path, "inst.json", inst)]) == 0
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("family, klass, mode, params, modulus", CANONICAL_SETS, ids=[

@@ -106,7 +106,7 @@ def test_construct_single_factor_single_round():
     wfn, isolated = construct_isolating_weights([factor])
     assert is_basis_isolating(wfn, factor)
     # one factor runs one round, and one round combines to itself
-    round0 = separating_weights(1, 1, PairSet(1, 1, [list(factor.terms)])).verified
+    round0 = separating_weights(1, 1, PairSet(1, 1, [list(factor.terms)]))
     assert combine_rounds([round0], 1, 1) == round0
     assert wfn == round0
     kept_monos = {m for m, _ in isolated}
@@ -151,7 +151,7 @@ def test_round_monotonicity_and_isolated_cap():
     n, delta = inst.n, inst.delta
     # round 0: the greedy pass keeps each factor's rank
     blocks = [sorted(layer.terms.items()) for layer in inst.layers]
-    round0 = separating_weights(n, delta, PairSet(n, delta, [[m for m, _ in b] for b in blocks])).verified
+    round0 = separating_weights(n, delta, PairSet(n, delta, [[m for m, _ in b] for b in blocks]))
     for block in blocks:
         keyed = [(round0.monomial_weight(m), m, c) for m, c in block]
         kept = greedy_basis(keyed, F)
@@ -327,6 +327,21 @@ def test_whitebox_assignment_appears_among_candidates():
         for wfn in enumerate_candidate_weights(n=2, d=2, s=2, w=2, delta=1)
     )
     assert found
+    # seeded constant-boundary instances: the constructed map is a member
+    # of the family their declared parameters enumerate
+    for seed in range(24):
+        stream = DetStream(f"membership:{seed}")
+        n = stream.randint(1, 4)
+        r = generate_instance(InstanceSpec(
+            klass="roabp", seed=seed, n=n, d=stream.randint(1, min(2, n)),
+            w=stream.randint(1, 3), s=stream.randint(1, 3), delta=stream.randint(1, 2),
+        ))
+        assert r.has_constant_boundaries()
+        target = construct_isolating_weights(list(r.layers))[0]
+        family = enumerate_candidate_weights(
+            r.n, r.d, max(1, r.layer_sparsity), r.width, r.delta
+        )
+        assert target in family, seed
 
 
 def test_whitebox_membership_with_empty_rounds():
@@ -523,13 +538,13 @@ def _first_rung(r):
     round-combined count, whose reduced map's image is nonzero; else the
     round-combined map."""
     constant = WeightFn.constant(r.n)
-    if r.expand()[1].is_zero() or not image_by_expansion(r, constant).is_zero():
+    if r.expand()[1].is_zero() or image_by_expansion(r, constant):
         return {"assignment": "constant"}, _sweep_count(r, constant)
     rounds = _round_combined_count(r)
     top = (min(rounds, r.field.p) - 2) // (r.n * max(1, r.delta))
     for q in itertools.takewhile(lambda q: q <= top, iter_primes()):
         wfn = weights_mod_prime(r.n, r.delta, q)
-        if not image_by_expansion(r, wfn).is_zero():
+        if image_by_expansion(r, wfn):
             return {"assignment": "kronecker", "prime": q}, _sweep_count(r, wfn)
     return {"assignment": "round-combined"}, rounds
 
@@ -541,7 +556,7 @@ def _separator_count(r):
     if product.sparsity < 2:
         return _sweep_count(r, WeightFn.constant(r.n))
     pair_set = PairSet(r.n, r.delta, [sorted(product.terms)])
-    return _sweep_count(r, separating_weights(r.n, r.delta, pair_set).verified)
+    return _sweep_count(r, separating_weights(r.n, r.delta, pair_set))
 
 
 @pytest.mark.parametrize("modulus", [10007, P31, P61])

@@ -55,11 +55,26 @@ def test_separating_weights_worked_example():
     # A = {(x1 x2, x3)}: naive weights (1,2,4) give 3 vs 4, and p=2 already
     # separates with lifted weights (1,2,2): 3 vs 2
     pairs = PairSet(3, 1, (((1, 1, 0), (0, 0, 1)),))
-    res = separating_weights(3, 1, pairs)
-    assert res.verified_prime == 2
-    assert res.verified.weights == (1, 2, 2)
-    assert res.verified.monomial_weight((1, 1, 0)) == 3
-    assert res.verified.monomial_weight((0, 0, 1)) == 2
+    wfn = separating_weights(3, 1, pairs)
+    assert wfn == weights_mod_prime(3, 1, 2)
+    assert wfn.weights == (1, 2, 2)
+    assert wfn.monomial_weight((1, 1, 0)) == 3
+    assert wfn.monomial_weight((0, 0, 1)) == 2
+
+
+def test_empty_pair_set_takes_the_first_reduction():
+    # nothing to separate: the p = 2 map, the first of the blackbox family
+    for groups in ([], [[(1, 0, 1)]], [[(0, 0, 0)], [(1, 1, 1)]]):
+        assert separating_weights(3, 1, PairSet(3, 1, groups)) == weights_mod_prime(3, 1, 2)
+
+
+def test_image_reduces_and_drops_zero_coefficients():
+    # under (1, 2): x2 and x1^2 both go to t^2, and x1 x2^2 to t^5
+    wfn = WeightFn((1, 2))
+    terms = {(0, 0): 3, (0, 1): 2, (2, 0): 4, (1, 2): 7, (1, 0): 0}
+    assert wfn.image(terms.items(), 7) == {0: 3, 2: 6}
+    assert wfn.image({(2, 0): 3, (0, 1): 4}.items(), 7) == {}
+    assert wfn.image([], 7) == {}
 
 
 def test_zero_residues_are_lifted():
@@ -83,25 +98,39 @@ def test_separator_found_for_random_pairsets():
             a, b = rnd.sample(monos, 2)
             pairs.append((a, b))
         ps = PairSet(n, delta, tuple(pairs))
-        res = separating_weights(n, delta, ps)
-        assert res.verified_prime <= res.cutoff
+        wfn = separating_weights(n, delta, ps)
+        family = distinct_reductions(n, delta, prime_cutoff(n, len(ps), delta))
+        assert wfn in (m for _, m in family)
         for a, b in pairs:
-            assert res.verified.monomial_weight(a) != res.verified.monomial_weight(b)
+            assert wfn.monomial_weight(a) != wfn.monomial_weight(b)
 
 
-def _brute_force_prime(n, delta, groups, cutoff):
+def _primes_up_to(cutoff):
+    """The primes up to cutoff by trial division, lazily."""
+    return (p for p in range(2, cutoff + 1) if all(p % q for q in range(2, math.isqrt(p) + 1)))
+
+
+def _brute_force_separator(n, delta, groups, cutoff):
+    """(p, map) for the first prime up to cutoff whose reduced map gives
+    every intra-group pair distinct weights, found by listing every pair."""
+    pairs = [pair for g in groups for pair in itertools.combinations(g, 2)]
+    for p in _primes_up_to(cutoff):
+        wfn = weights_mod_prime(n, delta, p)
+        if all(wfn.monomial_weight(a) != wfn.monomial_weight(b) for a, b in pairs):
+            return p, wfn
+    return None
+
+
+def _residue_prime(n, delta, groups, cutoff):
     """First prime up to cutoff dividing no naive weight difference of any
-    intra-group pair, found by listing every pair."""
+    intra-group pair: the separator's earlier criterion."""
     naive = naive_kronecker(n, delta)
     diffs = [
         naive.monomial_weight(a) - naive.monomial_weight(b)
         for g in groups
         for a, b in itertools.combinations(g, 2)
     ]
-    for p in range(2, cutoff + 1):
-        if all(p % q for q in range(2, math.isqrt(p) + 1)) and all(d % p for d in diffs):
-            return p
-    return None
+    return next((p for p in _primes_up_to(cutoff) if all(d % p for d in diffs)), None)
 
 
 @st.composite
@@ -119,22 +148,24 @@ def test_grouped_search_matches_pairwise_reference(case):
     n, delta, groups = case
     ps = PairSet(n, delta, groups)
     assert len(ps) == sum(math.comb(len(g), 2) for g in groups)
-    if not len(ps):
-        return
-    res = separating_weights(n, delta, ps)
-    assert res.cutoff == prime_cutoff(n, len(ps), delta)
-    assert res.verified_prime == _brute_force_prime(n, delta, groups, res.cutoff)
+    cutoff = prime_cutoff(n, len(ps), delta)
+    prime, wfn = _brute_force_separator(n, delta, groups, cutoff)
+    assert separating_weights(n, delta, ps) == wfn
+    # distinct residues force distinct lifted weights, so the map is never
+    # found later than the first prime of distinct residues
+    assert prime <= _residue_prime(n, delta, groups, cutoff)
 
 
 def test_separator_search_starts_at_the_widest_group():
     # the 301^2 = 90,601 monomials of individual degree <= 300 in two
-    # variables form one group, and 90,617 is the first prime at which
-    # their naive weights have distinct residues; the 8,769 smaller primes
-    # are passed over untested
+    # variables form one group; below 301 a reduced map (1, w) has w <= 293,
+    # so its weights take at most 300 * 294 + 1 = 88,201 values and the map
+    # is passed over untested, and the first prime above 301 leaves the
+    # naive map (1, 301), which separates the group
     group = list(itertools.product(range(301), repeat=2))
     start = time.process_time()
-    search = separating_weights(2, 300, PairSet(2, 300, [group]))
-    assert search.verified_prime == 90617
+    wfn = separating_weights(2, 300, PairSet(2, 300, [group]))
+    assert wfn.weights == (1, 301)
     assert time.process_time() - start < 2
 
 
@@ -157,10 +188,11 @@ def test_iter_primes_below_a_million():
 
 def test_distinct_reductions_keep_each_vectors_first_prime():
     for n, delta, cutoff in itertools.product([1, 2, 3, 5], [0, 1, 2, 3], [1, 2, 30, 2_000]):
-        first: dict[tuple, int] = {}
+        first: dict[WeightFn, int] = {}
         for p in itertools.takewhile(lambda p: p <= cutoff, iter_primes()):
-            first.setdefault(weights_mod_prime(n, delta, p).weights, p)
-        assert list(distinct_reductions(n, delta, cutoff)) == list(first.values()), (n, delta, cutoff)
+            first.setdefault(weights_mod_prime(n, delta, p), p)
+        expected = [(p, wfn) for wfn, p in first.items()]
+        assert list(distinct_reductions(n, delta, cutoff)) == expected, (n, delta, cutoff)
 
 
 def test_cutoff_matches_formula():

@@ -76,7 +76,7 @@ PUBLIC_NAMES = [
     "DetStream", "Field", "Gate", "InstanceSpec", "InternalInconsistencyError",
     "LagrangeCurve", "LinearForm", "MatPoly", "ModulusTooSmallError", "PairSet",
     "Partition", "PitError", "PointSet", "PreconditionError", "Roabp",
-    "ScalarPoly", "StructuralError", "SumSmlResult", "UniPoly", "WeightFn",
+    "ScalarPoly", "StructuralError", "SumSmlResult", "WeightFn",
     "Width2Factorization", "block_support", "circuit_to_roabp", "combine_rounds",
     "compute_distance", "concentration_rank", "construct_isolating_weights",
     "decompose_base_sets", "det_poly", "enumerate_candidate_weights",

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from pitkit.algebra import Field, MatPoly, ScalarPoly, UniPoly, mat_identity, mat_mul
+from pitkit.algebra import Field, MatPoly, ScalarPoly, mat_identity, mat_mul
 from pitkit.errors import CapabilityError, StructuralError
 from pitkit.kron import WeightFn, weights_mod_prime
 from pitkit.roabp import Roabp
@@ -133,14 +133,13 @@ def test_weighted_substitute_examples():
     )
     _, scalar = r.expand()
     assert scalar.terms == {(1, 0): 1, (0, 1): 1}
-    u = r.weighted_substitute(WeightFn((1, 2)))
-    assert u.terms == ((1, 1), (2, 1))
+    assert r.weighted_substitute(WeightFn((1, 2))) == {1: 1, 2: 1}
 
 
 def test_weighted_substitute_zero_instance():
     zero_layer = MatPoly.zero(F7, 1, 1)
     r = Roabp.with_constant_boundaries(F7, 1, [(0,)], [zero_layer], (1,), (1,))
-    assert r.weighted_substitute(WeightFn((3,))).is_zero()
+    assert r.weighted_substitute(WeightFn((3,))) == {}
 
 
 def test_zero_iff_zero_on_full_grid_tiny():
@@ -163,13 +162,14 @@ def test_zero_iff_zero_on_full_grid_tiny():
 
 
 def image_by_expansion(r, wfn):
-    """The reference image: f expanded, each monomial sent to t^weight."""
+    """The reference image: f expanded, each monomial sent to t^weight,
+    zero coefficients dropped."""
     _, scalar = r.expand()
     image = {}
     for e, c in scalar.terms.items():
         k = wfn.monomial_weight(e)
         image[k] = (image.get(k, 0) + c) % r.field.p
-    return UniPoly.from_dict(r.field, image)
+    return {k: c for k, c in image.items() if c}
 
 
 def campaign_instances(modulus, seeds):
@@ -256,4 +256,4 @@ def test_is_zero_and_the_image_expand_nothing(monkeypatch):
     monkeypatch.setattr(MatPoly, "__mul__", None)
     assert not r.is_zero()
     image = r.weighted_substitute(WeightFn.constant(4))
-    assert image.terms[-1][0] == 124 and not image.is_zero()
+    assert max(image) == 124
