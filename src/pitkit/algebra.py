@@ -548,7 +548,7 @@ class MatPoly:
 
     def entry(self, i: int, j: int) -> ScalarPoly:
         terms = {e: m[i][j] for e, m in self.terms.items() if m[i][j]}
-        return ScalarPoly(self.field, self.n, terms)
+        return ScalarPoly._canonical(self.field, self.n, terms)
 
     def entry_grid(self) -> list[list[ScalarPoly]]:
         return [[self.entry(i, j) for j in range(self.w)] for i in range(self.w)]

@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -142,23 +145,19 @@ def _shift_maps(
     return distinct_reductions(n, delta_all, prime_cutoff(n, pair_bound, delta_all))
 
 
-def _translate(grid, offsets: Sequence[int], p: int) -> Iterator[tuple[int, ...]]:
-    """The points of `grid` translated by `offsets`, mod p."""
-    return (tuple((h + o) % p for h, o in zip(pt, offsets)) for pt in grid)
-
-
-def _shift_hits(r: Roabp, grid, offsets: Sequence[int]) -> bool:
-    """Whether f(x + offsets) is l(w^2+2)-support concentrated, for `grid`
-    the low-support grid of that bound.
+def _shift_hits(r: Roabp, bound: int, offsets: Sequence[int]) -> bool:
+    """Whether f(x + offsets) is `bound`-support concentrated, for `bound`
+    = l(w^2+2).
 
     The coefficients of the scalar f(x + offsets) span at most a line, so
     it concentrates exactly when it is zero or has a monomial supported on
-    at most l(w^2+2) - 1 variables.  On each such support set the grid
-    takes delta + 1 distinct values per variable, so by the Combinatorial
-    Nullstellensatz the translated grid hits f exactly in the second case;
-    nothing is shifted or expanded.  A zero f is caught after the first
-    point misses, before the rest of the grid is read."""
-    values = map(r.evaluate, _translate(grid, offsets, r.field.p))
+    at most bound - 1 variables.  On each such support set the low-support
+    grid of that bound takes delta + 1 distinct values per variable, so by
+    the Combinatorial Nullstellensatz the grid translated by the offsets
+    hits f exactly in the second case; nothing is shifted or expanded.  A
+    zero f is caught after the first point misses, before the rest of the
+    grid is built."""
+    values = map(r.evaluate, _shifted_grid(r.n, r.delta, bound, offsets, r.field.p))
     return bool(next(values)) or r.is_zero() or any(values)
 
 
@@ -180,8 +179,9 @@ def find_concentrating_shift(r: Roabp) -> tuple[WeightFn, int, int]:
     """
     dets = _interior_dets(r)
     w, s, p = r.width, max(1, r.layer_sparsity), r.field.p
-    ell = support_parameter(w, s, r.layer_support)
-    grid = low_support_hitting_set(r.n, r.delta, ell * (w * w + 2), r.field)
+    bound = support_parameter(w, s, r.layer_support) * (w * w + 2)
+    # the grid's own checks, ahead of the search
+    low_support_hitting_set(r.n, r.delta, bound, r.field)
     det_degree = max((det.total_degree() for det in dets), default=0)
     clipped = False
     for prime, wfn in _shift_maps(r.n, r.d, w, r.delta, s, r.layer_support):
@@ -193,7 +193,7 @@ def find_concentrating_shift(r: Roabp) -> tuple[WeightFn, int, int]:
         for t0 in range(1, t_budget + 1):
             offsets = wfn.powers(t0, p)
             invertible = all(mat_det(layer.eval_at(offsets), r.field) for layer in r.layers)
-            if invertible and _shift_hits(r, grid, offsets):
+            if invertible and _shift_hits(r, bound, offsets):
                 return wfn, prime, t0
     if clipped:
         # a bad-t0 count past p - 1 leaves no good t0 guaranteed: the field
@@ -207,12 +207,35 @@ def find_concentrating_shift(r: Roabp) -> tuple[WeightFn, int, int]:
     )
 
 
+def _shifted_grid(
+    n: int, delta: int, ell: int, offsets: Sequence[int], p: int
+) -> Iterator[tuple[int, ...]]:
+    """The low-support grid of `low_support_hitting_set(n, delta, ell)`
+    translated by `offsets`, mod p, in the same order.
+
+    One `itertools.product` per (ell-1)-subset of the variables, in
+    `combinations` order, over per-variable residue columns: (o_v,) outside
+    the subset and o_v + 1 .. o_v + delta + 1 inside it, so the last
+    variable varies fastest and the points are built at C speed."""
+    outside = [(o % p,) for o in offsets]
+    inside = [tuple((v + o) % p for v in range(1, delta + 2)) for o in offsets]
+
+    def columns(subset):
+        cols = outside.copy()
+        for v in subset:
+            cols[v] = inside[v]
+        return itertools.product(*cols)
+
+    size = min(ell - 1, n)
+    return itertools.chain.from_iterable(map(columns, itertools.combinations(range(n), size)))
+
+
 def low_support_hitting_set(n: int, delta: int, ell: int, field: Field) -> PointFamily:
     """Points that vanish outside some (ell-1)-subset and take the nonzero
     grid values 1..delta+1 inside it (the whole of {1..delta+1}^n when
     ell - 1 >= n): a family of C(n, m) (delta+1)^m points, m = min(ell-1, n).
     Only the checks run here; the points are built each time the family is
-    iterated."""
+    iterated, by `_shifted_grid` at zero offsets."""
     if ell < 1:
         raise StructuralError("ell must be at least 1")
     if field.p <= delta + 1:
@@ -220,16 +243,10 @@ def low_support_hitting_set(n: int, delta: int, ell: int, field: Field) -> Point
             f"grid 1..{delta + 1} does not fit in GF({field.p})"
         )
     size = min(ell - 1, n)
-
-    def rows():
-        for subset in itertools.combinations(range(n), size):
-            for values in itertools.product(range(1, delta + 2), repeat=size):
-                pt = [0] * n
-                for v, val in zip(subset, values):
-                    pt[v] = val
-                yield tuple(pt)
-
-    return PointFamily(math.comb(n, size) * (delta + 1) ** size, rows)
+    return PointFamily(
+        math.comb(n, size) * (delta + 1) ** size,
+        lambda: _shifted_grid(n, delta, ell, (0,) * n, field.p),
+    )
 
 
 def _translated_grid(
@@ -238,17 +255,15 @@ def _translated_grid(
 ) -> PointSet:
     """The low-support grid translated by every offset vector of `shifts`
     (a sized, re-iterable family), in order, for the support bound l(w^2+2)
-    with l = support_parameter.  Only the grid's checks run here; its
-    points and their translates are built as the set is iterated."""
+    with l = support_parameter.  Only the grid's checks run here; the
+    translated points are built as the set is iterated (`_shifted_grid`)."""
     ell = support_parameter(w, max(1, s), mu)
     target = ell * (w * w + 2)
     grid = low_support_hitting_set(n, delta, target, field)
 
     def rows():
-        # several offsets read the grid from one tuple; one offset streams it
-        points = grid if len(shifts) == 1 else tuple(grid)
         return itertools.chain.from_iterable(
-            _translate(points, offsets, field.p) for offsets in shifts
+            _shifted_grid(n, delta, target, offsets, field.p) for offsets in shifts
         )
 
     provenance = {
@@ -395,6 +410,21 @@ def factorize_width2(r: Roabp) -> Width2Factorization:
     return Width2Factorization(alpha=alpha, chain=chain, split_layers=tuple(splits))
 
 
+def _factorials(count: int, p: int) -> tuple[list[int], list[int]]:
+    """(u! mod p, 1/u! mod p) for u < count, count <= p, from one inverse."""
+    acc = 1
+    fact = [1] + [acc := acc * u % p for u in range(1, count)]
+    acc = pow(acc, -1, p)
+    inv_fact = [acc] + [acc := acc * u % p for u in range(count - 1, 0, -1)]
+    inv_fact.reverse()
+    return fact, inv_fact
+
+
+def _modmul(xs, ys, p: int) -> map:
+    """x * y mod p for the pairs of xs and ys, up to the shorter."""
+    return map(operator.mod, map(operator.mul, xs, ys), itertools.repeat(p))
+
+
 @dataclass(frozen=True)
 class LagrangeCurve:
     """The degree-(h-1) vector curve through anchor points alpha_0..alpha_{h-1}
@@ -420,11 +450,9 @@ class LagrangeCurve:
         object.__setattr__(self, "anchors", anchors)
         # barycentric weights 1 / prod_{j != i} (i - j)
         #   = (-1)^(h-1-i) / (i! (h-1-i)!)
-        fact = [1] * h
-        for i in range(1, h):
-            fact[i] = fact[i - 1] * i % p
+        _, inv_fact = _factorials(h, p)
         weights = tuple(
-            self.field.inv((-1) ** (h - 1 - i) * fact[i] * fact[h - 1 - i])
+            (-1) ** (h - 1 - i) * inv_fact[i] * inv_fact[h - 1 - i] % p
             for i in range(h)
         )
         object.__setattr__(self, "_weights", weights)
@@ -460,8 +488,12 @@ class LagrangeCurve:
         For u >= h, curve(u) = l(u) * sum_i w_i alpha_i / (u - i) with
         l(u) = u! / (u-h)! and w_i the barycentric weights.  The sum is, per
         coordinate, the convolution of (w_i alpha_i) with (1/m), computed as
-        one big-int product of the two sequences packed into byte slots
-        wide enough that no slot overflows.
+        one big-int product of the two sequences packed into byte slots wide
+        enough that no slot overflows.  The product's slots are read back in
+        bulk: strided byte copies widen each to whole 64-bit words, one
+        array("Q") reads every word, and a slot of several words is joined
+        by shifts.  Past the factorial tables, every step maps C-level
+        operators over whole columns.
         """
         p = self.field.p
         if count > p:
@@ -471,32 +503,36 @@ class LagrangeCurve:
         h = len(self.anchors)
         if count <= h:
             return self.anchors[:max(count, 0)]
-        # u! and 1/u! for u < count from one inverse; 1/m = (m-1)! / m!
-        fact = [1] * count
-        for u in range(1, count):
-            fact[u] = fact[u - 1] * u % p
-        inv_fact = [1] * count
-        inv_fact[-1] = self.field.inv(fact[-1])
-        for u in range(count - 1, 0, -1):
-            inv_fact[u - 1] = inv_fact[u] * u % p
-        ell = [fact[u] * inv_fact[u - h] % p for u in range(h, count)]
-        # each slot sums at most h products of two residues
-        width = (2 * p.bit_length() + h.bit_length() + 7) // 8
+        fact, inv_fact = _factorials(count, p)
+        ell = list(_modmul(fact[h:], inv_fact, p))  # u! / (u-h)!, u = h .. count-1
+        # bytes per slot, which sums at most h products of two residues;
+        # read back, a slot is widened to whole 64-bit words
+        width = ((h * (p - 1) ** 2).bit_length() + 7) // 8
+        words = -(-width // 8)
 
         def pack(seq) -> int:
-            return int.from_bytes(
-                b"".join(x.to_bytes(width, "little") for x in seq), "little"
-            )
+            return int.from_bytes(b"".join(map(
+                int.to_bytes, seq, itertools.repeat(width), itertools.repeat("little")
+            )), "little")
 
-        recips = pack([0] + [fact[m - 1] * inv_fact[m] % p for m in range(1, count)])
+        # 1/m = (m-1)! / m! for m = 1 .. count-1, after a zero slot for m = 0
+        recips = pack(itertools.chain((0,), _modmul(fact, inv_fact[1:], p)))
+        wide = bytearray(8 * words * (count - h))
         columns = []
         for coords in zip(*self.anchors):
-            conv = pack(w * a % p for w, a in zip(self._weights, coords)) * recips
+            conv = pack(_modmul(self._weights, coords, p)) * recips
             buf = conv.to_bytes((h + count) * width, "little")
-            columns.append([
-                int.from_bytes(buf[u * width:(u + 1) * width], "little") * scale % p
-                for u, scale in zip(range(h, count), ell)
-            ])
+            # byte j of every slot u = h .. count-1, at byte j of its words
+            for j in range(width):
+                wide[j::8 * words] = buf[h * width + j:count * width:width]
+            limbs = array("Q", wide)
+            if sys.byteorder == "big":
+                limbs.byteswap()
+            slot = limbs[words - 1::words]
+            for k in range(words - 2, -1, -1):
+                slot = map(operator.add, map(operator.lshift, slot, itertools.repeat(64)),
+                           limbs[k::words])
+            columns.append(_modmul(slot, ell, p))
         tail = tuple(zip(*columns)) if columns else ((),) * (count - h)
         return self.anchors + tail
 
@@ -504,10 +540,10 @@ class LagrangeCurve:
 def _curve_sweep(
     anchors, n: int, d: int, delta: int, field: Field, extra: dict
 ) -> PointSet:
-    """The Lagrange curve through the sized, re-iterable family `anchors`,
-    swept at 1 + (d+2)^2 * delta * len(anchors) values.  Only the modulus
-    check runs here, from len(); the anchors and the curve are built each
-    time the set is iterated.  The curve's first h points are the anchors,
+    """The Lagrange curve through the sized, re-iterable family `anchors` of
+    reduced points, swept at 1 + (d+2)^2 * delta * len(anchors) values.
+    Only the modulus check runs here, from len(); the anchors and the curve
+    are built each time the set is iterated.  The curve's first h points are the anchors,
     so they are yielded as they are built, and the rest of the curve is
     swept only when iteration goes past them."""
     h = len(anchors)
@@ -519,15 +555,14 @@ def _curve_sweep(
             f"curve sweep needs {count} distinct values, modulus {p} too small"
         )
 
-    def rows():
+    def pieces():
+        # the anchors, kept as they are yielded, then the rest of the curve
         head = []
-        for anchor in itertools.islice(anchors, count):
-            head.append(tuple(a % p for a in anchor))
-            yield head[-1]
+        yield (head.append(anchor) or anchor for anchor in itertools.islice(anchors, count))
         if count > h:
-            yield from LagrangeCurve(field, tuple(head)).sweep(count)[h:]
+            yield LagrangeCurve(field, tuple(head)).sweep(count)[h:]
 
-    points = PointFamily(count, rows)
+    points = PointFamily(count, lambda: itertools.chain.from_iterable(pieces()))
     provenance = {
         "generator": "width2_hitting_set",
         "n": n,

@@ -14,6 +14,7 @@ layer by layer, without expanding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from operator import mul
 from typing import Collection, Iterable, Sequence
 
@@ -130,21 +131,21 @@ class Roabp:
     def d(self) -> int:
         return len(self.layers)
 
-    @property
+    @cached_property
     def delta(self) -> int:
         degs = [layer.individual_degree() for layer in self.layers]
         degs += [p.individual_degree() for p in self.left_boundary]
         degs += [p.individual_degree() for p in self.right_boundary]
         return max(degs, default=0)
 
-    @property
+    @cached_property
     def layer_sparsity(self) -> int:
         sps = [layer.sparsity for layer in self.layers]
         sps.append(sum(1 for _ in self._boundary_monomials(self.left_boundary)))
         sps.append(sum(1 for _ in self._boundary_monomials(self.right_boundary)))
         return max(sps, default=0)
 
-    @property
+    @cached_property
     def layer_support(self) -> int:
         mus = [layer.max_support() for layer in self.layers]
         mus += [p.max_support() for p in self.left_boundary]
@@ -233,7 +234,9 @@ class Roabp:
     def weighted_substitute(self, wfn: WeightFn) -> dict[int, int]:
         """The univariate image of the computed polynomial under
         x_i -> t^(w(x_i)), as t exponent -> nonzero coefficient, computed
-        layer by layer as a row of w sparse images (`WeightFn.image`).
+        layer by layer as a row of w sparse images.  The boundaries' images
+        come from `WeightFn.image`; each layer monomial is weighed once and
+        adds its coefficient matrix's share of the row times t^weight.
         Each layer costs O(w^2 * s * min(D + 1, S)) products, for D the
         image's degree and S the product of the sparsities so far; nothing
         is expanded."""
@@ -241,21 +244,31 @@ class Roabp:
             raise StructuralError("weight function ambient mismatch")
         p, w = self.field.p, self.width
 
+        def reduced(out: dict) -> dict:
+            return {e: c % p for e, c in out.items() if c % p}
+
+        def times(row: Sequence[dict], layer: MatPoly) -> list[dict]:
+            out: list[dict[int, int]] = [{} for _ in range(w)]
+            for e, m in layer.terms.items():
+                k = wfn.monomial_weight(e)
+                for a, m_row in zip(row, m):
+                    for acc, y in zip(out, m_row):
+                        if y:
+                            for f, x in a.items():
+                                acc[f + k] = acc.get(f + k, 0) + x * y
+            return [reduced(acc) for acc in out]
+
         def dot(row: Sequence[dict], col: Sequence[dict]) -> dict:
             out: dict[int, int] = {}
             for a, b in zip(row, col):
                 for e, x in a.items():
                     for f, y in b.items():
                         out[e + f] = out.get(e + f, 0) + x * y
-            return {e: c % p for e, c in out.items() if c % p}
+            return reduced(out)
 
         row = [wfn.image(poly.terms.items(), p) for poly in self.left_boundary]
         for layer in self.layers:
-            row = [
-                dot(row, [wfn.image(((e, m[i][j]) for e, m in layer.terms.items()), p)
-                          for i in range(w)])
-                for j in range(w)
-            ]
+            row = times(row, layer)
         return dot(row, [wfn.image(poly.terms.items(), p) for poly in self.right_boundary])
 
     def is_zero(self) -> bool:

@@ -257,9 +257,9 @@ def test_shift_verified_on_random_invertible_instances():
             assert lo == fu
 
 
-def _always_expanded(r, grid, offsets):
+def _always_expanded(r, bound, offsets):
     # reference: shift, expand and compare the two concentration ranks at
-    # the support target l(w^2+2)
+    # the support target l(w^2+2), which `bound` also names
     ell = support_parameter(r.width, max(1, r.layer_sparsity), r.layer_support)
     _, scalar = r.shift(offsets).expand()
     low, full = concentration_rank(scalar, ell * (r.width**2 + 2), "support")
@@ -394,7 +394,6 @@ def test_grid_hit_is_the_concentration_test():
     # f = prod (x_i - c_i) over n = 9 variables: f(x + o) has a monomial of
     # support below the target 9 exactly when o differs from c somewhere
     rnd = random.Random(9)
-    grid = low_support_hitting_set(9, 1, 9, F)
     verdicts = []
     for _ in range(2):
         c = [rnd.randrange(1, F.p) for _ in range(9)]
@@ -404,8 +403,8 @@ def test_grid_hit_is_the_concentration_test():
             o = list(c)
             for i in coords:
                 o[i] = (o[i] + rnd.randrange(1, F.p)) % F.p
-            hit = concentrate._shift_hits(r, grid, o)
-            assert hit == _always_expanded(r, grid, o) == bool(coords), (c, coords)
+            hit = concentrate._shift_hits(r, 9, o)
+            assert hit == _always_expanded(r, 9, o) == bool(coords), (c, coords)
             verdicts.append(hit)
     assert verdicts.count(False) == 2 and len(verdicts) == 92
 
@@ -580,6 +579,44 @@ def test_low_support_hits_low_support_witness():
         poly = ScalarPoly(F, n, terms)
         points = low_support_hitting_set(n, delta, ell, F)
         assert any(poly.eval_at(pt) for pt in points)
+
+
+def _nested_loop_grid(n, delta, ell, offsets, p):
+    """Reference for `_shifted_grid`: each (ell-1)-subset in combinations
+    order, each value tuple with the last variable fastest, one point at a
+    time."""
+    size = min(ell - 1, n)
+    points = []
+    for subset in itertools.combinations(range(n), size):
+        for values in itertools.product(range(1, delta + 2), repeat=size):
+            pt = [0] * n
+            for v, val in zip(subset, values):
+                pt[v] = val
+            points.append(tuple((x + o) % p for x, o in zip(pt, offsets)))
+    return points
+
+
+@pytest.mark.parametrize("n, delta, ell", [
+    (1, 1, 1), (4, 2, 1),  # support size 0: the offsets alone
+    (3, 1, 4), (3, 2, 9), (1, 3, 2),  # support size n: the whole box
+    (5, 1, 3), (5, 2, 4), (6, 1, 2),  # proper subsets
+])
+def test_shifted_grid_matches_the_nested_loops(n, delta, ell):
+    p = 11
+    rnd = random.Random(n * 100 + delta * 10 + ell)
+    offset_vectors = [
+        (0,) * n,
+        (p - 1,) * n,  # every inside value wraps past p
+        tuple(rnd.randrange(p) for _ in range(n)),
+        tuple(rnd.randrange(p, 5 * p) for _ in range(n)),  # offsets >= p
+        tuple(rnd.choice((p - 1, p, 2 * p - 1, 3)) for _ in range(n)),
+    ]
+    for offsets in offset_vectors:
+        expected = _nested_loop_grid(n, delta, ell, offsets, p)
+        assert list(concentrate._shifted_grid(n, delta, ell, offsets, p)) == expected
+    grid = low_support_hitting_set(n, delta, ell, Field(p))
+    assert list(grid) == _nested_loop_grid(n, delta, ell, (0,) * n, p)
+    assert len(grid) == len(list(grid))
 
 
 # ---------------------------------------------------------------------------
@@ -858,6 +895,29 @@ def test_curve_sweep_matches_eval_at(p):
                 assert curve.sweep(count) == expected, (h, n, count)
             with pytest.raises(ModulusTooSmallError):
                 curve.sweep(p + 1)
+
+
+@pytest.mark.parametrize("p, h", [
+    (p, h)
+    for p in (5, 10007, 2**31 - 1, 2**61 - 1, 1208925819614629174706111)
+    for h in (1, 2, 27)
+    if h < p
+])
+def test_curve_sweep_matches_eval_at_on_every_slot_layout(p, h):
+    # slots of one, two and three 64-bit words; the last anchor set makes
+    # every convolution term w_i * alpha_i the largest residue p - 1, so the
+    # slots come closest to overflowing
+    field = Field(p)
+    rnd = random.Random(p + h)
+    weights = LagrangeCurve(field, ((0,),) * h)._weights
+    anchor_sets = [
+        tuple(tuple(rnd.randrange(p) for _ in range(3)) for _ in range(h)),
+        tuple((0, (p - 1) * pow(wt, -1, p) % p) for wt in weights),
+    ]
+    for anchors in anchor_sets:
+        curve = LagrangeCurve(field, anchors)
+        for count in sorted({h, h + 1, min(p, 36 * h + 1)}):
+            assert curve.sweep(count) == tuple(curve.eval_at(u) for u in range(count)), count
 
 
 def test_curve_sweep_of_points_without_coordinates():

@@ -5,7 +5,9 @@ digests come from the geometric t-sweep (t = g^j).  A change of weight
 prime, shift prime, t0, t values or point order shows up here as a changed
 digest.  The sum-sml campaign report is pinned as well, from the base-set
 Kronecker sweep that preceded the cube sweep, so its verdict lines stay
-byte-identical.
+byte-identical.  `pinned_outputs_p61.json` pins the invertible-factor and
+width-2 sets of the first seeds at p = 2^61 - 1, where a residue outgrows
+one 64-bit word and the width-2 curve sweep reads multi-word slots.
 
 Regenerate with `PYTHONPATH=src python tests/test_pinned_outputs.py`.
 """
@@ -17,9 +19,11 @@ import pathlib
 from pitkit.concentrate import invertible_hitting_set, width2_hitting_set
 from pitkit.isolate import roabp_hitting_set
 from pitkit.io_cli import main
-from pitkit.verify import InstanceSpec, _case_overrides, generate_instance
+from pitkit.verify import DEFAULT_MODULUS, InstanceSpec, _case_overrides, generate_instance
 
 PINNED = pathlib.Path(__file__).with_name("pinned_outputs.json")
+PINNED_P61 = pathlib.Path(__file__).with_name("pinned_outputs_p61.json")
+P61 = 2**61 - 1
 
 # sha256 of the stdout of `pitkit verify --class sum-sml --samples 100 --seed 0`
 SUM_SML_REPORT = "96851e6c198081a4f31de57339e7a051090e89108f726a5b8042647d87b7f913"
@@ -40,8 +44,14 @@ SEEDS = {
 }
 
 
-def digest(klass: str, seed: int) -> str:
-    spec = InstanceSpec(klass=klass, seed=seed, **_case_overrides(klass, seed, {}))
+# the classes and seeds pinned at p = 2^61 - 1
+SEEDS_P61 = {"invertible-roabp": list(range(10)), "width2-roabp": list(range(10))}
+
+
+def digest(klass: str, seed: int, modulus: int = DEFAULT_MODULUS) -> str:
+    spec = InstanceSpec(
+        klass=klass, seed=seed, modulus=modulus, **_case_overrides(klass, seed, {})
+    )
     points = GENERATORS[klass](generate_instance(spec))
     h = hashlib.sha256(json.dumps(points.provenance, sort_keys=True).encode())
     for pt in points.points:
@@ -49,16 +59,21 @@ def digest(klass: str, seed: int) -> str:
     return h.hexdigest()
 
 
-def digests() -> dict[str, str]:
+def digests(seeds: dict = SEEDS, modulus: int = DEFAULT_MODULUS) -> dict[str, str]:
     return {
-        f"{klass}:{seed}": digest(klass, seed)
-        for klass, seeds in SEEDS.items()
-        for seed in seeds
+        f"{klass}:{seed}": digest(klass, seed, modulus)
+        for klass, class_seeds in seeds.items()
+        for seed in class_seeds
     }
 
 
 def test_outputs_match_pins():
     assert digests() == json.loads(PINNED.read_text(encoding="utf-8"))
+
+
+def test_outputs_at_a_61_bit_prime_match_pins():
+    pinned = json.loads(PINNED_P61.read_text(encoding="utf-8"))
+    assert digests(SEEDS_P61, P61) == pinned
 
 
 def test_sum_sml_campaign_report_matches_pin(capsys):
@@ -68,4 +83,5 @@ def test_sum_sml_campaign_report_matches_pin(capsys):
 
 
 if __name__ == "__main__":
-    PINNED.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    for path, pins in ((PINNED, digests()), (PINNED_P61, digests(SEEDS_P61, P61))):
+        path.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n", encoding="utf-8")

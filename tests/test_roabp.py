@@ -247,6 +247,26 @@ def test_weighted_substitute_matches_the_expansion(modulus):
             assert r.weighted_substitute(wfn) == image_by_expansion(r, wfn)
 
 
+def test_weighted_substitute_weighs_each_monomial_once(monkeypatch):
+    # every layer monomial once per layer, every boundary term once
+    weighed = []
+    monomial_weight = WeightFn.monomial_weight
+
+    def counted(self, e):
+        weighed.append(e)
+        return monomial_weight(self, e)
+
+    monkeypatch.setattr(WeightFn, "monomial_weight", counted)
+    for r in campaign_instances(10007, range(10)):
+        weighed.clear()
+        r.weighted_substitute(WeightFn.constant(r.n))
+        boundary = [*r.left_boundary, *r.right_boundary]
+        assert len(weighed) == (
+            sum(layer.sparsity for layer in r.layers)
+            + sum(len(poly.terms) for poly in boundary)
+        )
+
+
 def test_is_zero_and_the_image_expand_nothing(monkeypatch):
     # layers of 32 x 32 monomials in x1, x2 and in x3, x4: the product has
     # 1,048,576 monomials, past the expansion ceiling
