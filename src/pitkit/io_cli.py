@@ -15,8 +15,11 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import re
+import stat
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 from itertools import chain, islice
 from typing import Sequence
@@ -85,19 +88,25 @@ def _obj(value, where: str) -> dict:
     return value
 
 
-def _obj_to_exponents(obj: dict, index: dict, n: int, where: str) -> tuple[tuple, list]:
-    """The exponent vector of a term's exponents object, and the indices of
+def _term_exponents(t, index: dict, n: int, where: str) -> tuple[tuple, list]:
+    """The exponent vector of a term object's exponents, and the indices of
     the variables with a nonzero exponent."""
+    if not isinstance(t, dict) or "exponents" not in t:
+        _require(t, "exponents", where)
+    obj = t["exponents"]
+    if not isinstance(obj, dict):
+        _obj(obj, f"{where}: exponents")
     e = [0] * n
     support = []
-    for name, v in _obj(obj, f"{where}: exponents").items():
-        if name not in index:
+    for name, v in obj.items():
+        i = index.get(name)
+        if i is None:
             raise StructuralError(f"{where}: unknown variable {name!r}")
         if type(v) is not int or v < 0:
             raise StructuralError(f"{where}: bad exponent for {name!r}")
         if v:
-            e[index[name]] = v
-            support.append(index[name])
+            e[i] = v
+            support.append(i)
     return tuple(e), support
 
 
@@ -206,8 +215,10 @@ def _roabp_from_obj(obj: dict, field: Field, index: dict, where: str) -> Roabp:
     from the file's values, with every check of the file and of `Roabp`
     made once as the values are read and reduced mod p.  A term outside its
     block is reported only after the whole file has parsed, as `Roabp`
-    reports it."""
+    reports it.  Terms and their values are checked inline, and the message
+    of a value that fails is built only then."""
     n, p = len(index), field.p
+    mod = p.__rmod__  # v -> v % p
     width = _int(_require(obj, "width", where), f"{where}: width")
     block_names = _list(_require(obj, "blocks", where), f"{where}: blocks")
     seen: dict[str, int] = {}
@@ -222,7 +233,7 @@ def _roabp_from_obj(obj: dict, field: Field, index: dict, where: str) -> Roabp:
                 )
             seen[name] = b_idx
     left_block, *blocks, right_block = (
-        tuple(index[name] for name in blk) for blk in all_blocks
+        tuple(map(index.__getitem__, blk)) for blk in all_blocks
     )
     layer_objs = _list(_require(obj, "layers", where), f"{where}: layers")
     if len(layer_objs) != len(blocks):
@@ -230,25 +241,31 @@ def _roabp_from_obj(obj: dict, field: Field, index: dict, where: str) -> Roabp:
     faults = []  # terms outside their block, in the order Roabp checks them
     layers = []
     for li, (terms, blk) in enumerate(zip(layer_objs, blocks)):
+        at = f"layer {li}"
         allowed, term_map, read = set(blk), {}, set()
-        for t in _list(terms, f"layer {li}"):
-            e, support = _obj_to_exponents(
-                _require(t, "exponents", f"layer {li}"), index, n, f"layer {li}"
-            )
+        for t in _list(terms, at):
+            e, support = _term_exponents(t, index, n, at)
             if e in read:
-                raise StructuralError(f"layer {li}: repeated exponents {t['exponents']}")
+                raise StructuralError(f"{at}: repeated exponents {t['exponents']}")
             read.add(e)
-            matrix = _list(_require(t, "matrix", f"layer {li}"), f"layer {li}: matrix")
-            rows = [_list(row, f"layer {li}: matrix row") for row in matrix]
-            if len(rows) != width or any(len(row) != width for row in rows):
-                raise StructuralError(f"layer {li}: matrix is not {width}x{width}")
-            m = tuple(
-                tuple(_int(v, f"layer {li}: matrix entry") % p for v in row) for row in rows
-            )
+            rows = _require(t, "matrix", at)
+            if not isinstance(rows, list):
+                _list(rows, f"{at}: matrix")
+            if len(rows) != width or not all(
+                isinstance(row, list) and len(row) == width for row in rows
+            ):
+                for row in rows:
+                    _list(row, f"{at}: matrix row")
+                raise StructuralError(f"{at}: matrix is not {width}x{width}")
+            for row in rows:
+                for v in row:
+                    if type(v) is not int:
+                        _int(v, f"{at}: matrix entry")
+            m = tuple([tuple(map(mod, row)) for row in rows])
             if any(map(any, m)):
                 term_map[e] = m
                 if not allowed.issuperset(support):
-                    faults.append(f"layer {li} uses variables outside its block")
+                    faults.append(f"{at} uses variables outside its block")
         layers.append(trusted(MatPoly, field=field, n=n, w=width, terms=term_map))
 
     def vec_from(key: str, side: str, blk: tuple) -> tuple:
@@ -257,15 +274,20 @@ def _roabp_from_obj(obj: dict, field: Field, index: dict, where: str) -> Roabp:
             raise StructuralError(f"{where}: {key} must have {width} entries")
         allowed, out = set(blk), []
         for ei, poly_terms in enumerate(entries):
+            if not isinstance(poly_terms, list):
+                _list(poly_terms, f"{key} entry")
             term_map, read = {}, set()
-            for t in _list(poly_terms, f"{key} entry"):
-                e, support = _obj_to_exponents(_require(t, "exponents", key), index, n, key)
+            for t in poly_terms:
+                e, support = _term_exponents(t, index, n, key)
                 if e in read:
                     raise StructuralError(
                         f"{key} entry {ei}: repeated exponents {t['exponents']}"
                     )
                 read.add(e)
-                c = _int(_require(t, "value", key), f"{key}: value") % p
+                c = _require(t, "value", key)
+                if type(c) is not int:
+                    _int(c, f"{key}: value")
+                c %= p
                 if c:
                     term_map[e] = c
                     if not allowed.issuperset(support):
@@ -289,28 +311,39 @@ def _depth3_from_obj(obj: dict, field: Field, index: dict, where: str) -> Depth3
     would build it, with every value checked and reduced mod p once as it
     is read.  Multilinearity is checked on the reduced forms, and a repeated
     variable is reported only after the whole file has parsed, naming the
-    variable `Depth3Circuit` names."""
+    variable `Depth3Circuit` names.  Forms and their values are checked
+    inline, as in `_roabp_from_obj`."""
     p = field.p
     faults, gates = [], []
     for gi, g in enumerate(_list(_require(obj, "gates", where), f"{where}: gates")):
+        at = f"gate {gi}"
         forms = []
         used: set[int] = set()
-        for f in _list(_require(g, "forms", f"gate {gi}"), f"gate {gi}: forms"):
-            f = _obj(f, f"gate {gi}: form")
+        for f in _list(_require(g, "forms", at), f"{at}: forms"):
+            if not isinstance(f, dict):
+                _obj(f, f"{at}: form")
+            coeff_objs = f.get("coeffs", {})
+            if not isinstance(coeff_objs, dict):
+                _obj(coeff_objs, f"{at}: coeffs")
             coeffs = {}
-            for name, coef in _obj(f.get("coeffs", {}), f"gate {gi}: coeffs").items():
-                if name not in index:
-                    raise StructuralError(f"gate {gi}: unknown variable {name!r}")
-                coef = _int(coef, f"gate {gi}: coefficient") % p
+            for name, coef in coeff_objs.items():
+                v = index.get(name)
+                if v is None:
+                    raise StructuralError(f"{at}: unknown variable {name!r}")
+                if type(coef) is not int:
+                    _int(coef, f"{at}: coefficient")
+                coef %= p
                 if coef:
-                    coeffs[index[name]] = coef
-            constant = _int(f.get("const", 0), f"gate {gi}: const") % p
+                    coeffs[v] = coef
+            constant = f.get("const", 0)
+            if type(constant) is not int:
+                _int(constant, f"{at}: const")
             if not used.isdisjoint(coeffs):
                 v = next(v for v in frozenset(coeffs) if v in used)
-                faults.append(f"gate {gi} is not multilinear: variable {v} repeats")
+                faults.append(f"{at} is not multilinear: variable {v} repeats")
             used.update(coeffs)
-            forms.append(trusted(LinearForm, constant=constant, coeffs=coeffs))
-        scale = _int(_require(g, "scale", f"gate {gi}"), f"gate {gi}: scale")
+            forms.append(trusted(LinearForm, constant=constant % p, coeffs=coeffs))
+        scale = _int(_require(g, "scale", at), f"{at}: scale")
         gates.append(trusted(Gate, scale=scale % p, forms=tuple(forms)))
     if faults:
         raise StructuralError(faults[0])
@@ -321,8 +354,22 @@ def dumps_canonical(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+@contextmanager
+def _overwrite(path: str):
+    """open(path, "w") without truncating first, which costs more on an
+    existing file: a regular file is truncated at the final position, also
+    after a write that raised; a device or FIFO is written as it is."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        try:
+            yield fh
+        finally:
+            if regular:
+                fh.truncate()
+
+
 def save_instance(instance, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _overwrite(path) as fh:
         fh.write(dumps_canonical(instance_to_obj(instance)))
 
 
@@ -340,7 +387,8 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def load_instance(path: str, modulus_override: int | None = None):
-    """Parse and eagerly validate a circuit file."""
+    """Parse a circuit file and build its instance in one checking pass
+    (see `obj_to_instance`); the modulus is checked by `Field(modulus)`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh, object_pairs_hook=_unique_keys)
@@ -363,10 +411,11 @@ _POINTS_PER_WRITE = 1024
 def save_points(points: PointSet, path: str) -> None:
     """Provenance header, then one point per line as comma-separated
     residues.  The points are read from one iteration of the set, a block
-    at a time, so a lazy family is streamed to the file."""
+    at a time, so a lazy family is streamed to the file, over any file
+    already there (see `_overwrite`)."""
     rows = iter(points.points)
     line = ",".join(["%d"] * points.n) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
+    with _overwrite(path) as fh:
         fh.write(f"# pitkit points n={points.n} count={len(points)}\n")
         fh.write(f"# provenance: {json.dumps(points.provenance, sort_keys=True)}\n")
         while chunk := tuple(islice(rows, _POINTS_PER_WRITE)):
@@ -574,7 +623,7 @@ def _cmd_decompose(args) -> int:
     }
     text = dumps_canonical(payload)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _overwrite(args.out) as fh:
             fh.write(text)
         print(f"wrote {decomp.m} base sets to {args.out}")
     else:
@@ -687,6 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--modulus", type=int)
     ver.add_argument("--param", action="append", metavar="KEY=VALUE")
     ver.set_defaults(func=_cmd_verify)
+    parser.commands = sub.choices  # the parser of each subcommand, for main
     return parser
 
 
@@ -697,7 +747,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = _PARSER.commands.get(argv[0]) if argv else None
+    if command is None:  # no command, -h or an unknown one: the top parser reports it
+        args = _PARSER.parse_args(argv)
+    else:  # as the top parser would parse it, without walking argv twice
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:
+            _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except CapabilityError as exc:

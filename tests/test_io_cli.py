@@ -1,11 +1,14 @@
 """Circuit and point files, canonical round-trips, CLI exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import pathlib
 import resource
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -1112,3 +1115,135 @@ def test_cli_survives_mutated_documents(tmp_path, capsys, data):
     circuit.write_text(json.dumps(doc))
     assert main(["expand", "--input", str(circuit)]) in (0, 2, 3)
     capsys.readouterr()
+
+
+def _out_call(tmp_path, command):
+    """The argv of an `hs` or `decompose` call without its --out, and the
+    bytes it writes to a fresh --out file."""
+    if command == "hs":
+        inst = generate_instance(InstanceSpec(klass="roabp", seed=3, n=3, d=2, w=2, s=2, delta=1))
+        argv = ["hs", "roabp", "--input", write_instance(tmp_path, "c.json", inst)]
+    else:
+        inst = generate_instance(InstanceSpec(klass="sum-sml", seed=7, n=5, k=3, c=2))
+        argv = ["decompose", "--input", write_instance(tmp_path, "d.json", inst)]
+    fresh = tmp_path / "fresh.out"
+    assert main([*argv, "--out", str(fresh)]) == 0
+    data = fresh.read_bytes()
+    fresh.unlink()
+    return argv, data
+
+
+@pytest.mark.parametrize("command", ["hs", "decompose"])
+def test_cli_out_overwrites_a_longer_file_and_a_symlink(tmp_path, capsys, command):
+    argv, fresh = _out_call(tmp_path, command)
+    stale = b"9" * (3 * len(fresh)) + b"\n"
+    out, link = tmp_path / "out.txt", tmp_path / "link.txt"
+    out.write_bytes(stale)
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == fresh
+    out.write_bytes(stale)
+    link.symlink_to(out)
+    assert main([*argv, "--out", str(link)]) == 0
+    assert link.is_symlink() and out.read_bytes() == fresh
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["hs", "decompose"])
+def test_cli_out_writes_to_devices_and_fifos(tmp_path, capsys, command):
+    argv, fresh = _out_call(tmp_path, command)
+    assert main([*argv, "--out", os.devnull]) == 0
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        assert main([*argv, "--out", str(fifo)]) == 0
+    finally:
+        reader.join(timeout=10)
+    assert read == [fresh]
+    capsys.readouterr()
+
+
+def test_cli_hs_past_the_ceiling_leaves_an_existing_file_untouched(
+    tmp_path, capsys, monkeypatch
+):
+    argv, _ = _out_call(tmp_path, "hs")
+    out = tmp_path / "pts.txt"
+    out.write_bytes(b"an older file\n")
+    monkeypatch.setattr(io_cli, "HS_POINT_CEILING", 0)
+    assert main([*argv, "--out", str(out)]) == 3
+    assert out.read_bytes() == b"an older file\n"
+    capsys.readouterr()
+
+
+def test_save_points_that_raises_mid_stream_leaves_a_rejected_file(tmp_path):
+    count = 3 * io_cli._POINTS_PER_WRITE
+
+    def rows():
+        for i in range(count):
+            if i == io_cli._POINTS_PER_WRITE + 5:
+                raise RuntimeError("family failed")
+            yield (i, i + 1)
+
+    path = tmp_path / "pts.txt"
+    save_points(PointSet(2, tuple((i, i) for i in range(count)), {}), str(path))
+    with pytest.raises(RuntimeError, match="family failed"):
+        save_points(PointSet(2, PointFamily(count, rows), {}), str(path))
+    with pytest.raises(StructuralError, match=f"header count={count} but"):
+        tuple(load_points(str(path)).points)
+
+
+# argv the top parser reports itself, and argv each subcommand's parser
+# reports or accepts
+DISPATCH_ARGV = [
+    [], ["-h"], ["--help"], ["frob"], ["frob", "--input", "c.json"], ["hs"], ["hs", "-h"],
+    ["hs", "roabp"], ["hs", "roabp", "--inp", "c.json"], ["hs", "roabp", "--inp=c.json"],
+    ["hs", "roabp", "--input"], ["hs", "roabp", "--input", "c.json", "--mo", "blackbox"],
+    ["hs", "roabp", "--input", "c.json", "--mode", "grey"],
+    ["hs", "roabp", "--input", "c.json", "extra", "--bogus"],
+    ["hs", "--", "roabp", "--input", "c.json"], ["test", "--points", "p.txt"],
+    ["whitebox", "sum-sml", "--input", "c.json", "--ceiling", "x"],
+    ["decompose", "--input", "d.json", "--out", "o.json", "--he"],
+    ["verify", "--class", "trees", "--samples", "2"], ["verify", "--samples", "2"],
+    ["verify", "--class", "roabp", "--samples", "2", "--param", "n=3", "--param", "d=2"],
+]
+
+
+def _parsed(parse, argv):
+    """Exit code, stdout, stderr and, on success, the recorded parsed fields
+    of `parse(argv, recorded)`."""
+    recorded = []
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = parse(argv, recorded)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), recorded
+
+
+def _recording_parser(recorded):
+    """`build_parser()` whose subcommands record their parsed fields."""
+    parser = build_parser()
+    for command in parser.commands.values():
+        command.set_defaults(func=lambda args: recorded.append(
+            {k: v for k, v in vars(args).items() if k not in ("command", "func")}) or 0)
+    return parser
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGV, ids=" ".join)
+def test_cli_dispatch_parses_as_the_top_parser(monkeypatch, argv):
+    def reference(argv, recorded):
+        args = _recording_parser(recorded).parse_args(argv)
+        return args.func(args)
+
+    def dispatched(argv, recorded):
+        monkeypatch.setattr(io_cli, "_PARSER", _recording_parser(recorded))
+        return main(argv)
+
+    expected = _parsed(reference, argv)
+    assert _parsed(dispatched, argv) == expected
+    # sys.argv[1:] when main is given no argv
+    monkeypatch.setattr(sys, "argv", ["pitkit", *argv])
+    assert _parsed(lambda _, recorded: dispatched(None, recorded), argv) == expected

@@ -9,7 +9,8 @@ byte-identical.  `pinned_outputs_p61.json` pins the invertible-factor and
 width-2 sets of the first seeds at p = 2^61 - 1, where a residue outgrows
 one 64-bit word and the width-2 curve sweep reads multi-word slots.
 
-Regenerate with `PYTHONPATH=src python tests/test_pinned_outputs.py`.
+Regenerate with `PYTHONPATH=src python tests/test_pinned_outputs.py`, which
+writes the loader outcomes of `test_pinned_load_outcomes.py` as well.
 """
 
 import hashlib
@@ -83,5 +84,11 @@ def test_sum_sml_campaign_report_matches_pin(capsys):
 
 
 if __name__ == "__main__":
-    for path, pins in ((PINNED, digests()), (PINNED_P61, digests(SEEDS_P61, P61))):
+    from test_pinned_load_outcomes import PINNED_LOADS, outcomes
+
+    for path, pins in (
+        (PINNED, digests()),
+        (PINNED_P61, digests(SEEDS_P61, P61)),
+        (PINNED_LOADS, outcomes()),
+    ):
         path.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n", encoding="utf-8")
