@@ -497,11 +497,29 @@ def _decompose(partitions: Sequence[Partition], indices: list[int], ground: froz
     return out
 
 
+def _refines_in_order(color_maps: Sequence[dict], base: frozenset) -> bool:
+    """Whether the partitions, given as {variable: color index} maps and
+    restricted to base, have distance 1 in this order.
+
+    Distance 1 means every friendly neighborhood is a single color: no
+    upper color meets two colors below it, so each partition refines every
+    later one, and by transitivity that holds iff each refines the next,
+    that is, iff on base its color of a variable fixes the next one's."""
+    for upper, lower in zip(color_maps, color_maps[1:]):
+        image: dict[int, int] = {}
+        for v in base:
+            if image.setdefault(upper[v], lower[v]) != lower[v]:
+                return False
+    return True
+
+
 def decompose_base_sets(partitions: Sequence[Partition]) -> BaseSetDecomposition:
     """Split the ground set into base sets on which the partitions admit a
     distance-1 ordering; at most 2^(c-1) * n^(1-1/2^(c-1)) sets for c >= 2
     partitions (exactly one trivial set for c = 1, none for c = 0: a circuit
-    without gates has nothing to decompose)."""
+    without gates has nothing to decompose).  Each certificate's order is
+    checked as a refinement chain on its base set (`_refines_in_order`);
+    only a failed check computes the distance, for its message."""
     if not partitions:
         return BaseSetDecomposition(n=0, partition_count=0, certificates=())
     ground = partitions[0].ground
@@ -509,15 +527,15 @@ def decompose_base_sets(partitions: Sequence[Partition]) -> BaseSetDecomposition
         if part.ground != ground:
             raise StructuralError("partitions have inconsistent ground sets")
     raw = _decompose(list(partitions), list(range(len(partitions))), ground)
+    color_maps = [{v: i for i, c in enumerate(part.colors) for v in c} for part in partitions]
     certificates = []
     for base, perm in raw:
-        seq = [partitions[i].restrict(base) for i in perm]
-        dist = compute_distance(seq)
-        if dist != 1:
+        if not _refines_in_order([color_maps[i] for i in perm], base):
+            dist = compute_distance([partitions[i].restrict(base) for i in perm])
             raise InternalInconsistencyError(
                 f"certificate for base set {sorted(base)} has distance {dist}"
             )
-        certificates.append(BaseSetCertificate(base, perm, dist))
+        certificates.append(BaseSetCertificate(base, perm, 1))
     decomp = BaseSetDecomposition(
         n=len(ground),
         partition_count=len(partitions),

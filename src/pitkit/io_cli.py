@@ -188,7 +188,7 @@ def obj_to_instance(obj: dict, modulus_override: int | None = None):
     if not isinstance(obj, dict):
         raise StructuralError(f"{where}: top level must be an object")
     version = _require(obj, "format", where)
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise StructuralError(f"{where}: unsupported format version {version}")
     modulus = (
         modulus_override
@@ -350,8 +350,56 @@ def _depth3_from_obj(obj: dict, field: Field, index: dict, where: str) -> Depth3
     return trusted(Depth3Circuit, field=field, n=len(index), gates=tuple(gates))
 
 
+_json_str = json.encoder.encode_basestring_ascii
+
+
 def dumps_canonical(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """json.dumps(obj, sort_keys=True, indent=2) and a newline, byte for byte.
+
+    json runs its C encoder only without indent, so this writer lays out
+    the indented text itself, into one list; dict keys must be strings."""
+    out: list[str] = []
+    _dump_into(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _dump_into(value, newline: str, out: list) -> None:
+    """Append the JSON text of value, each of its lines after the first
+    starting with newline: strings through json's C string encoder, ints
+    through int.__repr__, dicts (keys sorted) and lists or tuples two
+    spaces deeper per level, and any other value as json.dumps(value), so
+    floats, bools and None are json's own text, and a type json cannot
+    encode raises its TypeError."""
+    cls = type(value)
+    if cls is str:
+        out.append(_json_str(value))
+    elif cls is int:
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _dump_into(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep + _json_str(key) + ": ")
+            _dump_into(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        out.append(json.dumps(value))
 
 
 @contextmanager
@@ -408,18 +456,21 @@ def load_instance(path: str, modulus_override: int | None = None):
 _POINTS_PER_WRITE = 1024
 
 
-def save_points(points: PointSet, path: str) -> None:
+def save_points(points: PointSet, path: str) -> str:
     """Provenance header, then one point per line as comma-separated
     residues.  The points are read from one iteration of the set, a block
     at a time, so a lazy family is streamed to the file, over any file
-    already there (see `_overwrite`)."""
+    already there (see `_overwrite`).  Returns the provenance JSON of the
+    header."""
     rows = iter(points.points)
     line = ",".join(["%d"] * points.n) + "\n"
+    provenance = json.dumps(points.provenance, sort_keys=True)
     with _overwrite(path) as fh:
         fh.write(f"# pitkit points n={points.n} count={len(points)}\n")
-        fh.write(f"# provenance: {json.dumps(points.provenance, sort_keys=True)}\n")
+        fh.write(f"# provenance: {provenance}\n")
         while chunk := tuple(islice(rows, _POINTS_PER_WRITE)):
             fh.write(line * len(chunk) % tuple(chain.from_iterable(chunk)))
+    return provenance
 
 
 class _Header:
@@ -561,11 +612,12 @@ def _cmd_hs(args) -> int:
             f"hitting set of {len(points)} points exceeds the ceiling {HS_POINT_CEILING}"
         )
     if args.out:
-        save_points(points, args.out)
+        provenance = save_points(points, args.out)
         print(f"wrote {len(points)} points to {args.out}")
     else:
+        provenance = json.dumps(points.provenance, sort_keys=True)
         print(f"generated {len(points)} points")
-    print(json.dumps(points.provenance, sort_keys=True))
+    print(provenance)
     return EXIT_OK
 
 

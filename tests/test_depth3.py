@@ -22,7 +22,7 @@ from pitkit.depth3 import (
     minimal_distance_order,
     sum_sml_whitebox_test,
 )
-from pitkit.errors import CapabilityError, StructuralError
+from pitkit.errors import CapabilityError, InternalInconsistencyError, StructuralError
 from pitkit.verify import InstanceSpec, _case_overrides, generate_instance, oracle_is_zero
 
 F = Field(10007)
@@ -293,7 +293,9 @@ def test_tightness_instances():
 def test_trusted_partitions_equal_the_validating_constructor(monkeypatch):
     # gate_partition and restrict only sort their colors; over the sum-sml
     # campaign, every partition they make is the one Partition(...) checks
-    # and sorts, colors in the same order
+    # and sorts, colors in the same order.  The decomposition checks its
+    # certificates without restricting, so each certificate's partitions
+    # are restricted to its base set here
     made = []
 
     def checked(method):
@@ -309,7 +311,10 @@ def test_trusted_partitions_equal_the_validating_constructor(monkeypatch):
     for seed in range(200):
         spec = InstanceSpec(klass="sum-sml", seed=seed, **_case_overrides("sum-sml", seed, {}))
         circuit = generate_instance(spec)
-        decompose_base_sets(circuit.distinct_partitions())
+        partitions = circuit.distinct_partitions()
+        for cert in decompose_base_sets(partitions).certificates:
+            for i in cert.order:
+                partitions[i].restrict(cert.base_set)
     assert len(made) > 1000
 
 
@@ -319,6 +324,66 @@ def random_partition(rnd, n, colors):
     for v, c in enumerate(assignment):
         buckets.setdefault(c, []).append(v)
     return Partition.of_lists(list(buckets.values()))
+
+
+def _refinement_chain(rnd, n, c):
+    """c partitions of range(n), each refining the next: the last is drawn,
+    and each earlier one splits every color of the one after it."""
+    chain = [random_partition(rnd, n, rnd.randint(1, 6))]
+    for _ in range(c - 1):
+        finer = []
+        for color in chain[0].colors:
+            members = sorted(color)
+            split = random_partition(rnd, len(members), rnd.randint(1, 3))
+            finer += [[members[i] for i in part] for part in split.colors]
+        chain.insert(0, Partition.of_lists(finer))
+    return chain
+
+
+def _agrees_with_distance(seq, base):
+    maps = [{v: i for i, c in enumerate(part.colors) for v in c} for part in seq]
+    walk = depth3._refines_in_order(maps, base)
+    assert walk == (compute_distance([part.restrict(base) for part in seq]) == 1)
+    return walk
+
+
+def test_refinement_walk_agrees_with_the_distance():
+    rnd = random.Random(29)
+    outcomes = []
+    for _ in range(400):
+        c = rnd.randint(1, 4)
+        n = rnd.randint(1, 64)
+        kind = rnd.choice(["chain", "reversed", "random", "singletons"])
+        if kind == "random":
+            seq = [random_partition(rnd, n, rnd.randint(1, n)) for _ in range(c)]
+        elif kind == "singletons":
+            seq = [Partition.of_lists([[v] for v in range(n)])] * c
+            seq[rnd.randrange(c)] = random_partition(rnd, n, rnd.randint(1, 4))
+        else:
+            seq = _refinement_chain(rnd, n, c)
+            if kind == "reversed":
+                seq.reverse()
+        bases = [frozenset(range(n)), frozenset(rnd.sample(range(n), rnd.randint(1, n)))]
+        outcomes += [(kind, _agrees_with_distance(seq, base)) for base in bases]
+    # refining chains hold on every base; the other kinds fail on some
+    assert all(ok for kind, ok in outcomes if kind == "chain")
+    for kind in ("reversed", "random", "singletons"):
+        assert {ok for k, ok in outcomes if k == kind} == {True, False}
+
+
+def test_a_non_refining_certificate_names_its_distance(monkeypatch):
+    side = 3
+    singletons = Partition.of_lists([[v] for v in range(side * side)])
+    parts = [rows_partition(side), residues_partition(side), singletons]
+    ground = singletons.ground
+    # singletons refine the rows, but every row meets all three residue classes
+    order = (2, 0, 1)
+    monkeypatch.setattr(depth3, "_decompose", lambda *args: [(ground, order)])
+    dist = compute_distance([parts[i] for i in order])
+    assert dist == side
+    with pytest.raises(InternalInconsistencyError) as err:
+        decompose_base_sets(parts)
+    assert str(err.value) == f"certificate for base set {sorted(ground)} has distance {dist}"
 
 
 def test_random_families_respect_cap():

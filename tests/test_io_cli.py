@@ -412,6 +412,91 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("doc", [MINIMAL_ROABP, MINIMAL_DEPTH3], ids=["roabp", "depth3"])
+@pytest.mark.parametrize("version", [1.0, True])
+def test_cli_format_version_must_be_the_integer_one(tmp_path, capsys, doc, version):
+    circuit = tmp_path / "c.json"
+    circuit.write_text(json.dumps(dict(doc, format=version)))
+    assert main(["expand", "--input", str(circuit)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: circuit file: unsupported format version {version}\n")
+
+
+CANONICAL_MODULI = [5, 10007, 2**61 - 1]
+CLASSES = ["roabp", "invertible-roabp", "width2-roabp", "depth3-distance", "sum-sml"]
+
+
+def _json_dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("modulus", CANONICAL_MODULI)
+@pytest.mark.parametrize("klass", CLASSES)
+def test_dumps_canonical_is_json_dumps_on_circuit_files(klass, modulus):
+    written = 0
+    for seed in range(12):
+        spec = InstanceSpec(
+            klass=klass, seed=seed, modulus=modulus, **_case_overrides(klass, seed, {})
+        )
+        try:
+            obj = io_cli.instance_to_obj(generate_instance(spec))
+        except CapabilityError:
+            continue
+        assert dumps_canonical(obj) == _json_dumps(obj)
+        written += 1
+    assert written >= 6
+
+
+@pytest.mark.parametrize("klass", ["depth3-distance", "sum-sml"])
+def test_dumps_canonical_is_json_dumps_on_decompose_payloads(tmp_path, capsys, klass):
+    for seed in range(12):
+        spec = InstanceSpec(klass=klass, seed=seed, **_case_overrides(klass, seed, {}))
+        path = write_instance(tmp_path, "d.json", generate_instance(spec))
+        assert main(["decompose", "--input", path]) == 0
+        text = capsys.readouterr().out
+        payload = json.loads(text)
+        assert isinstance(payload["cap"], float)
+        assert text == dumps_canonical(payload) == _json_dumps(payload)
+
+
+CANONICAL_HAND_CASES = [
+    {}, [], (), {"a": []}, {"a": {}, "b": [[], [{}], ()]}, (1, (2, (3,)), []),
+    [0.0, -0.0, 1e-07, 1e16, 1.5, float("inf"), float("-inf"), float("nan")],
+    [True, False, None], {"t": True, "f": False, "n": None},
+    "plain", "", "h\u00e9llo \u2603 \U0001f600", "\x00\x1f\x7f\"\\/\n\t",
+    {"\u00e9": "\u00ff", "a\nb": ["\x01"], "": 0},
+    {"z": 1, "a": {"y": [1, {"q": None}], "x": (2, 3.25)}},
+    0, -3, 10**30, 2**61 - 1, -(2**70),
+]
+
+
+@pytest.mark.parametrize("obj", CANONICAL_HAND_CASES, ids=repr)
+def test_dumps_canonical_is_json_dumps_on_hand_cases(obj):
+    assert dumps_canonical(obj) == _json_dumps(obj)
+
+
+@pytest.mark.parametrize("obj", [object(), {"a": [1, {2, 3}]}, [b"x"], {"a": 1j}])
+def test_dumps_canonical_refuses_what_json_refuses(obj):
+    with pytest.raises(TypeError) as expected:
+        _json_dumps(obj)
+    with pytest.raises(TypeError) as got:
+        dumps_canonical(obj)
+    assert str(got.value) == str(expected.value)
+
+
+def test_cli_hs_prints_the_provenance_of_the_point_file(tmp_path, capsys):
+    inst = generate_instance(InstanceSpec(klass="roabp", seed=3, n=3, d=2, w=2, s=2, delta=1))
+    circuit_path = write_instance(tmp_path, "c.json", inst)
+    points_path = tmp_path / "pts.txt"
+    assert main(["hs", "roabp", "--input", circuit_path]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert main(["hs", "roabp", "--input", circuit_path, "--out", str(points_path)]) == 0
+    written = capsys.readouterr().out.splitlines()
+    header = points_path.read_text().splitlines()[1]
+    assert printed[1] == written[1] == header.removeprefix("# provenance: ")
+    assert printed[1] == json.dumps(load_points(str(points_path)).provenance, sort_keys=True)
+
+
 def _set(doc, path, value):
     target = doc
     for key in path[:-1]:

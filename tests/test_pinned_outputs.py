@@ -8,22 +8,29 @@ Kronecker sweep that preceded the cube sweep, so its verdict lines stay
 byte-identical.  `pinned_outputs_p61.json` pins the invertible-factor and
 width-2 sets of the first seeds at p = 2^61 - 1, where a residue outgrows
 one 64-bit word and the width-2 curve sweep reads multi-word slots.
+`pinned_decompose.json` pins the `decompose` payload (stdout, and the same
+bytes written by `--out`) of the circuits of `test_pinned_sum_sml.py`.
 
 Regenerate with `PYTHONPATH=src python tests/test_pinned_outputs.py`, which
 writes the loader outcomes of `test_pinned_load_outcomes.py` as well.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import pathlib
+import tempfile
 
 from pitkit.concentrate import invertible_hitting_set, width2_hitting_set
 from pitkit.isolate import roabp_hitting_set
-from pitkit.io_cli import main
+from pitkit.io_cli import main, save_instance
 from pitkit.verify import DEFAULT_MODULUS, InstanceSpec, _case_overrides, generate_instance
+from test_pinned_sum_sml import circuits
 
 PINNED = pathlib.Path(__file__).with_name("pinned_outputs.json")
 PINNED_P61 = pathlib.Path(__file__).with_name("pinned_outputs_p61.json")
+PINNED_DECOMPOSE = pathlib.Path(__file__).with_name("pinned_decompose.json")
 P61 = 2**61 - 1
 
 # sha256 of the stdout of `pitkit verify --class sum-sml --samples 100 --seed 0`
@@ -68,6 +75,25 @@ def digests(seeds: dict = SEEDS, modulus: int = DEFAULT_MODULUS) -> dict[str, st
     }
 
 
+def decompose_digests() -> dict[str, str]:
+    """sha256 of the `decompose` stdout per sum-sml pin circuit, after
+    checking that `--out` writes the same bytes."""
+    got = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = f"{tmp}/circuit.json", f"{tmp}/decompose.json"
+        for key, circuit in circuits():
+            save_instance(circuit, path)
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                assert main(["decompose", "--input", path]) == 0
+                assert main(["decompose", "--input", path, "--out", out]) == 0
+            text = stdout.getvalue()
+            with open(out, encoding="utf-8") as fh:
+                payload = fh.read()
+            assert text == f"{payload}wrote {json.loads(payload)['m']} base sets to {out}\n"
+            got[key] = hashlib.sha256(payload.encode()).hexdigest()
+    return got
+
+
 def test_outputs_match_pins():
     assert digests() == json.loads(PINNED.read_text(encoding="utf-8"))
 
@@ -83,12 +109,17 @@ def test_sum_sml_campaign_report_matches_pin(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == SUM_SML_REPORT
 
 
+def test_decompose_payloads_match_pins():
+    assert decompose_digests() == json.loads(PINNED_DECOMPOSE.read_text(encoding="utf-8"))
+
+
 if __name__ == "__main__":
     from test_pinned_load_outcomes import PINNED_LOADS, outcomes
 
     for path, pins in (
         (PINNED, digests()),
         (PINNED_P61, digests(SEEDS_P61, P61)),
+        (PINNED_DECOMPOSE, decompose_digests()),
         (PINNED_LOADS, outcomes()),
     ):
         path.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n", encoding="utf-8")
