@@ -12,13 +12,10 @@ from .algebra import (
     MatPoly,
     ScalarPoly,
     det_poly,
-    rank_over_field,
 )
 from .concentrate import (
     LagrangeCurve,
     Width2Factorization,
-    block_support,
-    concentration_rank,
     factorize_width2,
     find_concentrating_shift,
     invertible_hitting_set,
@@ -55,10 +52,9 @@ from .isolate import (
     construct_isolating_weights,
     enumerate_candidate_weights,
     greedy_basis,
-    is_basis_isolating,
     roabp_hitting_set,
 )
-from .kron import PairSet, WeightFn, naive_kronecker, separating_weights
+from .kron import PairSet, WeightFn, separating_weights
 from .roabp import PointSet, Roabp
 from .verify import (
     DetStream,

@@ -8,10 +8,8 @@ coefficients.  Everything here is pure and safe to share across threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product as iter_product
 from typing import Mapping, Sequence
 
 from .errors import CapabilityError, StructuralError
@@ -195,7 +193,7 @@ def mat_det(a: Matrix, field: Field) -> int:
 
 
 # ---------------------------------------------------------------------------
-# row spans and rank
+# row spans
 
 
 class RowSpan:
@@ -214,9 +212,6 @@ class RowSpan:
                 v = [(x - c * y) % p for x, y in zip(v, row)]
         return v
 
-    def contains(self, vec: Sequence[int]) -> bool:
-        return not any(self._reduce(vec))
-
     def add(self, vec: Sequence[int]) -> bool:
         """Add vec to the span.  Returns True iff it was independent."""
         v = self._reduce(vec)
@@ -227,29 +222,6 @@ class RowSpan:
         p = self.field.p
         self.rows[pivot] = tuple((x * inv) % p for x in v)
         return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
-def rank_over_field(vectors: Sequence[Sequence[int]], field: Field) -> int:
-    """Dimension of the span of the given vectors over GF(p).
-
-    Deterministic, permutation-invariant; an empty list has rank 0.
-    """
-    if not vectors:
-        return 0
-    k = len(vectors[0])
-    for v in vectors:
-        if len(v) != k:
-            raise StructuralError(
-                f"ragged input: expected vectors of length {k}, got {len(v)}"
-            )
-    span = RowSpan(field)
-    for v in vectors:
-        span.add(v)
-    return span.rank
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +273,6 @@ class ScalarPoly:
     def const(cls, field: Field, n: int, value: int) -> "ScalarPoly":
         return cls(field, n, {mono_zero(n): value})
 
-    @classmethod
-    def variable(cls, field: Field, n: int, index: int) -> "ScalarPoly":
-        if not 0 <= index < n:
-            raise StructuralError(f"variable index {index} out of range for n={n}")
-        e = [0] * n
-        e[index] = 1
-        return cls(field, n, {tuple(e): 1})
-
     # queries --------------------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
@@ -358,9 +322,6 @@ class ScalarPoly:
             self.field, self.n, {e: (-c) % p for e, c in self.terms.items()}
         )
 
-    def __sub__(self, other: "ScalarPoly") -> "ScalarPoly":
-        return self + (-other)
-
     def __mul__(self, other: "ScalarPoly") -> "ScalarPoly":
         self._check_compatible(other)
         p = self.field.p
@@ -374,15 +335,6 @@ class ScalarPoly:
                 else:
                     out.pop(e, None)
         return ScalarPoly._canonical(self.field, self.n, out)
-
-    def scale(self, c: int) -> "ScalarPoly":
-        c = self.field.normalize(c)
-        if c == 0:
-            return ScalarPoly.zero(self.field, self.n)
-        p = self.field.p
-        return ScalarPoly._canonical(
-            self.field, self.n, {e: (v * c) % p for e, v in self.terms.items()}
-        )
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -412,39 +364,6 @@ class ScalarPoly:
                     c = c * pow(point[i], exp, p) % p
             total += c
         return total % p
-
-    def shift(self, offsets: Sequence[int]) -> "ScalarPoly":
-        """Substitute x_i -> x_i + offsets[i] for every variable."""
-        if len(offsets) != self.n:
-            raise StructuralError("offset length mismatch")
-        p = self.field.p
-        offs = [v % p for v in offsets]
-        out: dict[Monomial, int] = {}
-        for e, c in self.terms.items():
-            expansions: list[list[tuple[int, int]]] = []
-            for i, exp in enumerate(e):
-                if exp == 0:
-                    expansions.append([(0, 1)])
-                elif offs[i] == 0:
-                    expansions.append([(exp, 1)])
-                else:
-                    opts = []
-                    for f in range(exp + 1):
-                        coef = (math.comb(exp, f) * pow(offs[i], exp - f, p)) % p
-                        opts.append((f, coef))
-                    expansions.append(opts)
-            for combo in iter_product(*expansions):
-                new_e = tuple(f for f, _ in combo)
-                coef = c
-                for _, w in combo:
-                    coef = (coef * w) % p
-                if coef:
-                    s = (out.get(new_e, 0) + coef) % p
-                    if s:
-                        out[new_e] = s
-                    else:
-                        out.pop(new_e, None)
-        return ScalarPoly(self.field, self.n, out)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ScalarPoly(n={self.n}, terms={len(self.terms)})"
@@ -562,20 +481,6 @@ class MatPoly:
         if self.n != other.n:
             raise StructuralError("ambient variable count mismatch")
 
-    def __add__(self, other: "MatPoly") -> "MatPoly":
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for e, m in other.terms.items():
-            if e in out:
-                s = mat_add(out[e], m, self.field)
-                if mat_is_zero(s):
-                    del out[e]
-                else:
-                    out[e] = s
-            else:
-                out[e] = m
-        return MatPoly._canonical(self.field, self.n, self.w, out)
-
     def __mul__(self, other: "MatPoly") -> "MatPoly":
         self._check_compatible(other)
         out: dict[Monomial, Matrix] = {}
@@ -592,12 +497,6 @@ class MatPoly:
                 elif not mat_is_zero(prod):
                     out[e] = prod
         return MatPoly._canonical(self.field, self.n, self.w, out)
-
-    def __neg__(self) -> "MatPoly":
-        return self.scale(-1)
-
-    def __sub__(self, other: "MatPoly") -> "MatPoly":
-        return self + (-other)
 
     def scale(self, c: int) -> "MatPoly":
         c = self.field.normalize(c)
@@ -653,14 +552,6 @@ class MatPoly:
         """The symbolic determinant, `det_poly` of the entry grid, computed
         once per matrix polynomial."""
         return det_poly(self.entry_grid())
-
-    def shift(self, offsets: Sequence[int]) -> "MatPoly":
-        """Substitute x_i -> x_i + offsets[i] entrywise."""
-        grid = [
-            [self.entry(i, j).shift(offsets) for j in range(self.w)]
-            for i in range(self.w)
-        ]
-        return MatPoly.from_entries(grid)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MatPoly(n={self.n}, w={self.w}, terms={len(self.terms)})"

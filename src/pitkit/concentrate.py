@@ -20,16 +20,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .algebra import (
-    Field,
-    MatPoly,
-    Monomial,
-    ScalarPoly,
-    mat_det,
-    mat_flatten,
-    mono_support_size,
-    rank_over_field,
-)
+from .algebra import Field, MatPoly, ScalarPoly, mat_det
 from .errors import (
     InternalInconsistencyError,
     ModulusTooSmallError,
@@ -51,53 +42,6 @@ def support_parameter(w: int, s: int, mu: int | None) -> int:
     if mu is None:
         return 1 + 2 * log_term
     return 1 + 2 * min(log_term, mu)
-
-
-def block_support(e: Monomial, blocks: Sequence[Sequence[int]]) -> frozenset[int]:
-    """Indices of the blocks contributing a nonzero exponent to e."""
-    out = set()
-    for idx, blk in enumerate(blocks):
-        if any(e[v] for v in blk):
-            out.add(idx)
-    return frozenset(out)
-
-
-def _coeff_vectors(poly: MatPoly | ScalarPoly) -> dict[Monomial, tuple[int, ...]]:
-    if isinstance(poly, MatPoly):
-        return {e: mat_flatten(m) for e, m in poly.terms.items()}
-    return {e: (c,) for e, c in poly.terms.items()}
-
-
-def concentration_rank(
-    poly: MatPoly | ScalarPoly,
-    bound: int,
-    mode: str = "support",
-    blocks: Sequence[Sequence[int]] | None = None,
-) -> tuple[int, int]:
-    """(rank of the coefficients below the bound, rank of all coefficients).
-
-    "support" mode counts a monomial's variables; "block" mode counts the
-    blocks it touches and requires the block structure.  Concentration at
-    the bound holds iff the two ranks agree.
-    """
-    if mode not in ("support", "block"):
-        raise StructuralError(f"unknown mode {mode!r}")
-    if mode == "block" and blocks is None:
-        raise StructuralError("block mode requires a block structure")
-    vectors = _coeff_vectors(poly)
-    low = []
-    for e, vec in vectors.items():
-        measure = (
-            mono_support_size(e)
-            if mode == "support"
-            else len(block_support(e, blocks))
-        )
-        if measure < bound:
-            low.append(vec)
-    field = poly.field
-    full_rank = rank_over_field(list(vectors.values()), field) if vectors else 0
-    low_rank = rank_over_field(low, field) if low else 0
-    return low_rank, full_rank
 
 
 def _interior_dets(r: Roabp) -> list[ScalarPoly]:

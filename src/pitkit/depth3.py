@@ -457,10 +457,6 @@ class BaseSetDecomposition:
         return len(self.certificates)
 
     @property
-    def base_sets(self) -> list[frozenset]:
-        return [c.base_set for c in self.certificates]
-
-    @property
     def cap(self) -> float:
         c = self.partition_count
         if c == 0:
@@ -473,26 +469,31 @@ class BaseSetDecomposition:
         return self.m < self.cap
 
 
-def _decompose(partitions: Sequence[Partition], indices: list[int], ground: frozenset):
+def _decompose(color_maps: Sequence[dict], indices: list[int], ground: frozenset):
     """Recursive split: big colors of the first partition become base sets
     refined by the rest (first partition ordered last); small colors
-    contribute transversals (first partition ordered first)."""
+    contribute transversals (first partition ordered first).  Partitions
+    are {variable: color index} maps; the first one's colors on ground are
+    grouped by walking ground in sorted order, so they come ordered by
+    their minimum, each with its members sorted."""
     if len(indices) == 1:
         return [(ground, (indices[0],))]
-    head = partitions[indices[0]].restrict(ground)
+    head = color_maps[indices[0]]
+    traces: dict[int, list[int]] = {}
+    for v in sorted(ground):
+        traces.setdefault(head[v], []).append(v)
     size = len(ground)
-    big = [c for c in head.colors if len(c) * len(c) >= size]
-    small = [c for c in head.colors if len(c) * len(c) < size]
+    big = [c for c in traces.values() if len(c) * len(c) >= size]
+    small = [c for c in traces.values() if len(c) * len(c) < size]
     out = []
-    for color in sorted(big, key=min):
-        for base, perm in _decompose(partitions, indices[1:], color):
+    for color in big:
+        for base, perm in _decompose(color_maps, indices[1:], frozenset(color)):
             out.append((base, perm + (indices[0],)))
     if small:
-        small_sorted = [sorted(c) for c in sorted(small, key=min)]
-        depth = max(len(c) for c in small_sorted)
+        depth = max(len(c) for c in small)
         for a in range(depth):
-            transversal = frozenset(c[a] for c in small_sorted if len(c) > a)
-            for base, perm in _decompose(partitions, indices[1:], transversal):
+            transversal = frozenset(c[a] for c in small if len(c) > a)
+            for base, perm in _decompose(color_maps, indices[1:], transversal):
                 out.append((base, (indices[0],) + perm))
     return out
 
@@ -526,8 +527,8 @@ def decompose_base_sets(partitions: Sequence[Partition]) -> BaseSetDecomposition
     for part in partitions:
         if part.ground != ground:
             raise StructuralError("partitions have inconsistent ground sets")
-    raw = _decompose(list(partitions), list(range(len(partitions))), ground)
     color_maps = [{v: i for i, c in enumerate(part.colors) for v in c} for part in partitions]
+    raw = _decompose(color_maps, list(range(len(partitions))), ground)
     certificates = []
     for base, perm in raw:
         if not _refines_in_order([color_maps[i] for i in perm], base):

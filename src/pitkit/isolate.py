@@ -100,8 +100,7 @@ def construct_isolating_weights(
 
     Returns the round-combined assignment and the isolated basis, as
     (monomial, coefficient) pairs of the product, at most w^2 of them.
-    The product is never expanded; `is_basis_isolating` checks the
-    assignment against an expanded product.
+    The product is never expanded.
     """
     if not factors:
         raise PreconditionError("need at least one factor")
@@ -163,33 +162,6 @@ def construct_isolating_weights(
     if len(set(weights)) != len(weights):
         raise InternalInconsistencyError("isolated monomials got equal combined weights")
     return combined, isolated
-
-
-def is_basis_isolating(wfn: WeightFn, poly: MatPoly) -> bool:
-    """Decide whether a weight function is basis isolating for poly.
-
-    Scans weight classes in ascending order keeping a span of all strictly
-    lighter coefficients.  A monomial outside that span must belong to the
-    isolated set; two such monomials in one class would need equal weights,
-    which the definition forbids, so the check rejects.  Zero coefficients
-    are trivially spanned and never isolated.
-    """
-    if wfn.n != poly.n:
-        raise StructuralError("weight function ambient mismatch")
-    by_weight: dict[int, list[Monomial]] = {}
-    for e in poly.terms:
-        by_weight.setdefault(wfn.monomial_weight(e), []).append(e)
-    span = RowSpan(poly.field)
-    for weight in sorted(by_weight):
-        klass = by_weight[weight]
-        fresh = [
-            e for e in klass if not span.contains(mat_flatten(poly.coeff(e)))
-        ]
-        if len(fresh) > 1:
-            return False
-        for e in klass:
-            span.add(mat_flatten(poly.coeff(e)))
-    return True
 
 
 def enumerate_candidate_weights(

@@ -180,14 +180,6 @@ class PairSet:
         return sum(len(g) * (len(g) - 1) // 2 for g in self.groups)
 
 
-def naive_kronecker(n: int, delta: int) -> WeightFn:
-    """w(x_i) = (delta+1)^(i-1): injective on degree-bounded monomials."""
-    if n < 1 or delta < 0:
-        raise StructuralError("need n >= 1 and delta >= 0")
-    base = delta + 1
-    return WeightFn(tuple(base**i for i in range(n)))
-
-
 def iter_primes() -> Iterator[int]:
     """2, 3, 5, ...: a sieve of Eratosthenes over the segments [lo, 2*lo),
     doubling from [2, 4).  Every prime q with q*q < 2*lo is below lo, so

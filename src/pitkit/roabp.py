@@ -159,28 +159,10 @@ class Roabp:
             monos.update(poly.terms)
         return monos
 
-    def all_blocks(self) -> list[tuple[int, ...]]:
-        """Boundary and interior blocks in layer order (left first)."""
-        return [self.left_block, *self.blocks, self.right_block]
-
     def has_constant_boundaries(self) -> bool:
         return all(
             set(p.terms) <= {mono_zero(self.n)}
             for p in (*self.left_boundary, *self.right_boundary)
-        )
-
-    def shift(self, offsets: Sequence[int]) -> "Roabp":
-        """Substitute x_i -> x_i + offsets[i] in every layer and boundary."""
-        return Roabp(
-            self.field,
-            self.n,
-            self.width,
-            self.blocks,
-            tuple(layer.shift(offsets) for layer in self.layers),
-            tuple(p.shift(offsets) for p in self.left_boundary),
-            tuple(p.shift(offsets) for p in self.right_boundary),
-            self.left_block,
-            self.right_block,
         )
 
     # evaluation -----------------------------------------------------------

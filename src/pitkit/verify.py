@@ -5,8 +5,9 @@ All randomness comes from a counter-based stream: draw i of a stream seeded
 with s is derived from SHA-256(f"{s}:{i}".encode()), consumed 8 bytes at a
 time, each 64-bit chunk reduced modulo the requested range.  The algorithm
 is pinned here so campaigns are reproducible across implementations.
-Instances marked nonzero are rejection-sampled against the expansion
-oracle, so hitting campaigns never count vacuous passes.
+Instances marked nonzero are rejection-sampled against their zero oracle
+(`Roabp.is_zero` for an ROABP, expansion for a depth-3 circuit), so hitting
+campaigns never count vacuous passes.
 """
 
 from __future__ import annotations
@@ -66,9 +67,6 @@ class DetStream:
         if hi < lo:
             raise StructuralError("empty range")
         return lo + self._chunk() % (hi - lo + 1)
-
-    def choice(self, seq: Sequence):
-        return seq[self.randint(0, len(seq) - 1)]
 
     def shuffled(self, seq: Sequence) -> list:
         items = list(seq)

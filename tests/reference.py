@@ -1,0 +1,233 @@
+"""The paper's definitions, written out as exact oracles for the tests.
+
+pitkit never computes these on a production path: it builds hitting sets
+and zero tests that the definitions guarantee, and the tests check them
+here against the definitions themselves (basis isolation, support and
+block-support concentration, the naive Kronecker map, the shift
+x -> x + a).  A few conveniences the tests share sit at the end.
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import product as iter_product
+from typing import Sequence
+
+from pitkit.algebra import (
+    Field,
+    MatPoly,
+    Monomial,
+    RowSpan,
+    ScalarPoly,
+    mat_flatten,
+    mono_support_size,
+)
+from pitkit.errors import StructuralError
+from pitkit.kron import WeightFn
+from pitkit.roabp import Roabp
+
+# ---------------------------------------------------------------------------
+# rank
+
+
+def span_contains(span: RowSpan, vec: Sequence[int]) -> bool:
+    """Whether vec lies in the row span."""
+    return not any(span._reduce(vec))
+
+
+def rank_over_field(vectors: Sequence[Sequence[int]], field: Field) -> int:
+    """Dimension of the span of the given vectors over GF(p).
+
+    Deterministic, permutation-invariant; an empty list has rank 0.
+    """
+    if not vectors:
+        return 0
+    k = len(vectors[0])
+    for v in vectors:
+        if len(v) != k:
+            raise StructuralError(
+                f"ragged input: expected vectors of length {k}, got {len(v)}"
+            )
+    span = RowSpan(field)
+    for v in vectors:
+        span.add(v)
+    return len(span.rows)
+
+
+# ---------------------------------------------------------------------------
+# concentration
+
+
+def block_support(e: Monomial, blocks: Sequence[Sequence[int]]) -> frozenset[int]:
+    """Indices of the blocks contributing a nonzero exponent to e."""
+    out = set()
+    for idx, blk in enumerate(blocks):
+        if any(e[v] for v in blk):
+            out.add(idx)
+    return frozenset(out)
+
+
+def _coeff_vectors(poly: MatPoly | ScalarPoly) -> dict[Monomial, tuple[int, ...]]:
+    if isinstance(poly, MatPoly):
+        return {e: mat_flatten(m) for e, m in poly.terms.items()}
+    return {e: (c,) for e, c in poly.terms.items()}
+
+
+def concentration_rank(
+    poly: MatPoly | ScalarPoly,
+    bound: int,
+    mode: str = "support",
+    blocks: Sequence[Sequence[int]] | None = None,
+) -> tuple[int, int]:
+    """(rank of the coefficients below the bound, rank of all coefficients).
+
+    "support" mode counts a monomial's variables; "block" mode counts the
+    blocks it touches and requires the block structure.  Concentration at
+    the bound holds iff the two ranks agree.
+    """
+    if mode not in ("support", "block"):
+        raise StructuralError(f"unknown mode {mode!r}")
+    if mode == "block" and blocks is None:
+        raise StructuralError("block mode requires a block structure")
+    vectors = _coeff_vectors(poly)
+    low = []
+    for e, vec in vectors.items():
+        measure = (
+            mono_support_size(e)
+            if mode == "support"
+            else len(block_support(e, blocks))
+        )
+        if measure < bound:
+            low.append(vec)
+    field = poly.field
+    full_rank = rank_over_field(list(vectors.values()), field) if vectors else 0
+    low_rank = rank_over_field(low, field) if low else 0
+    return low_rank, full_rank
+
+
+# ---------------------------------------------------------------------------
+# isolation and Kronecker maps
+
+
+def is_basis_isolating(wfn: WeightFn, poly: MatPoly) -> bool:
+    """Decide whether a weight function is basis isolating for poly.
+
+    Scans weight classes in ascending order keeping a span of all strictly
+    lighter coefficients.  A monomial outside that span must belong to the
+    isolated set; two such monomials in one class would need equal weights,
+    which the definition forbids, so the check rejects.  Zero coefficients
+    are trivially spanned and never isolated.
+    """
+    if wfn.n != poly.n:
+        raise StructuralError("weight function ambient mismatch")
+    by_weight: dict[int, list[Monomial]] = {}
+    for e in poly.terms:
+        by_weight.setdefault(wfn.monomial_weight(e), []).append(e)
+    span = RowSpan(poly.field)
+    for weight in sorted(by_weight):
+        klass = by_weight[weight]
+        fresh = [
+            e for e in klass if not span_contains(span, mat_flatten(poly.coeff(e)))
+        ]
+        if len(fresh) > 1:
+            return False
+        for e in klass:
+            span.add(mat_flatten(poly.coeff(e)))
+    return True
+
+
+def naive_kronecker(n: int, delta: int) -> WeightFn:
+    """w(x_i) = (delta+1)^(i-1): injective on degree-bounded monomials."""
+    if n < 1 or delta < 0:
+        raise StructuralError("need n >= 1 and delta >= 0")
+    base = delta + 1
+    return WeightFn(tuple(base**i for i in range(n)))
+
+
+# ---------------------------------------------------------------------------
+# shifts
+
+
+def shift_scalar(poly: ScalarPoly, offsets: Sequence[int]) -> ScalarPoly:
+    """Substitute x_i -> x_i + offsets[i] for every variable."""
+    if len(offsets) != poly.n:
+        raise StructuralError("offset length mismatch")
+    p = poly.field.p
+    offs = [v % p for v in offsets]
+    out: dict[Monomial, int] = {}
+    for e, c in poly.terms.items():
+        expansions: list[list[tuple[int, int]]] = []
+        for i, exp in enumerate(e):
+            if exp == 0:
+                expansions.append([(0, 1)])
+            elif offs[i] == 0:
+                expansions.append([(exp, 1)])
+            else:
+                opts = []
+                for f in range(exp + 1):
+                    coef = (math.comb(exp, f) * pow(offs[i], exp - f, p)) % p
+                    opts.append((f, coef))
+                expansions.append(opts)
+        for combo in iter_product(*expansions):
+            new_e = tuple(f for f, _ in combo)
+            coef = c
+            for _, w in combo:
+                coef = (coef * w) % p
+            if coef:
+                s = (out.get(new_e, 0) + coef) % p
+                if s:
+                    out[new_e] = s
+                else:
+                    out.pop(new_e, None)
+    return ScalarPoly(poly.field, poly.n, out)
+
+
+def shift_mat(poly: MatPoly, offsets: Sequence[int]) -> MatPoly:
+    """Substitute x_i -> x_i + offsets[i] entrywise."""
+    return MatPoly.from_entries([
+        [shift_scalar(poly.entry(i, j), offsets) for j in range(poly.w)]
+        for i in range(poly.w)
+    ])
+
+
+def shift_roabp(r: Roabp, offsets: Sequence[int]) -> Roabp:
+    """Substitute x_i -> x_i + offsets[i] in every layer and boundary."""
+    return Roabp(
+        r.field,
+        r.n,
+        r.width,
+        r.blocks,
+        tuple(shift_mat(layer, offsets) for layer in r.layers),
+        tuple(shift_scalar(p, offsets) for p in r.left_boundary),
+        tuple(shift_scalar(p, offsets) for p in r.right_boundary),
+        r.left_block,
+        r.right_block,
+    )
+
+
+# ---------------------------------------------------------------------------
+# conveniences
+
+
+def variable(field: Field, n: int, index: int) -> ScalarPoly:
+    """The polynomial x_index in n variables."""
+    if not 0 <= index < n:
+        raise StructuralError(f"variable index {index} out of range for n={n}")
+    e = [0] * n
+    e[index] = 1
+    return ScalarPoly(field, n, {tuple(e): 1})
+
+
+def all_blocks(r: Roabp) -> list[tuple[int, ...]]:
+    """Boundary and interior blocks in layer order (left first)."""
+    return [r.left_block, *r.blocks, r.right_block]
+
+
+def choice(stream, seq: Sequence):
+    """One element of seq, drawn from a `verify.DetStream`."""
+    return seq[stream.randint(0, len(seq) - 1)]
+
+
+def base_sets(decomposition) -> list[frozenset]:
+    """The base sets of a `depth3.BaseSetDecomposition`, in order."""
+    return [cert.base_set for cert in decomposition.certificates]

@@ -8,11 +8,9 @@ tolerance is exact; campaigns are fully seeded.
 import math
 import random
 
-from pitkit.algebra import Field, mat_flatten, mono_zero, rank_over_field
+from pitkit.algebra import Field, mat_flatten, mono_zero
 from pitkit.concentrate import (
     LagrangeCurve,
-    block_support,
-    concentration_rank,
     factorize_width2,
     find_concentrating_shift,
     invertible_hitting_set,
@@ -27,7 +25,7 @@ from pitkit.depth3 import (
     minimal_distance_order,
     sum_sml_whitebox_test,
 )
-from pitkit.isolate import construct_isolating_weights, is_basis_isolating, roabp_hitting_set
+from pitkit.isolate import construct_isolating_weights, roabp_hitting_set
 from pitkit.kron import PairSet, distinct_reductions, prime_cutoff, separating_weights
 from pitkit.verify import (
     DetStream,
@@ -36,6 +34,14 @@ from pitkit.verify import (
     oracle_is_zero,
     run_campaign,
     verify_hitting_property,
+)
+from reference import (
+    all_blocks,
+    block_support,
+    choice,
+    concentration_rank,
+    is_basis_isolating,
+    rank_over_field,
 )
 
 FIELD = Field(10007)
@@ -138,8 +144,8 @@ def test_criterion_3_kronecker_separator_within_cutoff():
         pair_count = stream.randint(1, 50)
         pairs = []
         while len(pairs) < pair_count:
-            a = stream.choice(monos)
-            b = stream.choice(monos)
+            a = choice(stream, monos)
+            b = choice(stream, monos)
             if a != b:
                 pairs.append((a, b))
         pair_set = PairSet(n, delta, tuple(pairs))
@@ -199,8 +205,8 @@ def test_criterion_5_base_set_caps():
     total = 100
     for i in range(total):
         stream = DetStream(f"c5:{i}")
-        c = stream.choice([2, 3])
-        n = stream.choice([16, 36, 64])
+        c = choice(stream, [2, 3])
+        n = choice(stream, [16, 36, 64])
         parts = [_random_partition(stream, n, stream.randint(2, 6)) for _ in range(c)]
         decomp = decompose_base_sets(parts)
         cap = 2 ** (c - 1) * n ** (1 - 1 / 2 ** (c - 1))
@@ -277,7 +283,7 @@ def test_criterion_7_block_concentration():
         product, scalar = inst.expand()
         blocks = list(inst.blocks)
         low, full = concentration_rank(product, 4, "block", blocks=blocks)
-        low_c, full_c = concentration_rank(scalar, 6, "block", blocks=inst.all_blocks())
+        low_c, full_c = concentration_rank(scalar, 6, "block", blocks=all_blocks(inst))
         ok = low == full and low_c == full_c
         vectors = {e: mat_flatten(m) for e, m in product.terms.items()}
         for e, vec in vectors.items():

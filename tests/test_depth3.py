@@ -24,6 +24,7 @@ from pitkit.depth3 import (
 )
 from pitkit.errors import CapabilityError, InternalInconsistencyError, StructuralError
 from pitkit.verify import InstanceSpec, _case_overrides, generate_instance, oracle_is_zero
+from reference import base_sets, variable
 
 F = Field(10007)
 
@@ -135,14 +136,14 @@ def test_inconsistent_grounds_rejected():
 
 def _reference_expand(c):
     """The gates multiplied out as products and sums of `ScalarPoly`s, each
-    form built from `ScalarPoly.const` and `ScalarPoly.variable`."""
+    form built from `ScalarPoly.const` and `reference.variable`."""
     total = ScalarPoly.zero(c.field, c.n)
     for gate in c.gates:
         prod = ScalarPoly.const(c.field, c.n, gate.scale)
         for form in gate.forms:
             poly = ScalarPoly.const(c.field, c.n, form.constant)
             for v, a in form.coeffs.items():
-                var = ScalarPoly.variable(c.field, c.n, v)
+                var = variable(c.field, c.n, v)
                 poly = poly + var * ScalarPoly.const(c.field, c.n, a)
             prod = prod * poly
         total = total + prod
@@ -276,7 +277,7 @@ def test_rows_residues_decomposition():
     dec = decompose_base_sets([rows_partition(side), residues_partition(side)])
     assert dec.m == 3
     assert dec.m <= 2 * math.isqrt(9)
-    assert all(len(b) == 3 for b in dec.base_sets)
+    assert all(len(b) == 3 for b in base_sets(dec))
     assert dec.within_cap()
 
 
@@ -287,7 +288,7 @@ def test_tightness_instances():
         root = math.isqrt(n)
         assert root <= dec.m <= 2 * root
         # every distance-1 base set here has at most sqrt(n) variables
-        assert all(len(b) <= root for b in dec.base_sets)
+        assert all(len(b) <= root for b in base_sets(dec))
 
 
 def test_trusted_partitions_equal_the_validating_constructor(monkeypatch):

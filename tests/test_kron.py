@@ -15,12 +15,12 @@ from pitkit.kron import (
     WeightFn,
     distinct_reductions,
     iter_primes,
-    naive_kronecker,
     prime_cutoff,
     separating_weights,
     sweep_generator,
     weights_mod_prime,
 )
+from reference import naive_kronecker
 
 
 def test_naive_map_formula():

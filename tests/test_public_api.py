@@ -77,14 +77,14 @@ PUBLIC_NAMES = [
     "LagrangeCurve", "LinearForm", "MatPoly", "ModulusTooSmallError", "PairSet",
     "Partition", "PitError", "PointSet", "PreconditionError", "Roabp",
     "ScalarPoly", "StructuralError", "SumSmlResult", "WeightFn",
-    "Width2Factorization", "block_support", "circuit_to_roabp", "combine_rounds",
-    "compute_distance", "concentration_rank", "construct_isolating_weights",
+    "Width2Factorization", "circuit_to_roabp", "combine_rounds",
+    "compute_distance", "construct_isolating_weights",
     "decompose_base_sets", "det_poly", "enumerate_candidate_weights",
     "factorize_width2", "find_concentrating_shift", "friendly_neighborhoods",
     "generate_instance", "greedy_basis", "invertible_hitting_set",
-    "invertible_hitting_set_params", "is_basis_isolating",
-    "low_support_hitting_set", "minimal_distance_order", "naive_kronecker",
-    "oracle_is_zero", "rank_over_field", "roabp_hitting_set", "run_campaign",
+    "invertible_hitting_set_params",
+    "low_support_hitting_set", "minimal_distance_order",
+    "oracle_is_zero", "roabp_hitting_set", "run_campaign",
     "separating_weights", "sum_sml_whitebox_test", "support_parameter",
     "verify_hitting_property", "width2_hitting_set", "width2_hitting_set_params",
 ]

@@ -11,6 +11,7 @@ from pitkit.errors import CapabilityError, StructuralError
 from pitkit.kron import WeightFn, weights_mod_prime
 from pitkit.roabp import Roabp
 from pitkit.verify import DetStream, InstanceSpec, _case_overrides, generate_instance
+from reference import variable
 
 F7 = Field(7)
 F = Field(10007)
@@ -217,7 +218,7 @@ def boundary_instances(field):
         yield roabp((poly(0, 2), poly(0, 1)), layer((1,), 2))
     zero = ScalarPoly.zero(field, n)
     yield roabp((zero, zero), layer((1,), 2))
-    x1 = ScalarPoly.variable(field, n, 0)
+    x1 = variable(field, n, 0)
     rows_cancel = MatPoly(field, n, 2, {
         e: (m[0], tuple(-x % field.p for x in m[0])) for e, m in layer((1,), 2).terms.items()
     })
