@@ -15,7 +15,8 @@ the gates multiply out to fewer terms than the cube has points (and within
 EXPAND_CEILING), it reads that point off the coefficients, the all-zeros
 value first; otherwise it sweeps the cube, a block of 2^CUBE_BLOCK points at
 a time.  One bit-mask multiply-out, `_multiply_out`, gives the terms of
-`Depth3Circuit.expand`, of that coefficient route and of the ROABP reduction.
+`Depth3Circuit.expand` and `Depth3Circuit.is_zero`, of that coefficient route
+and of the ROABP reduction.
 """
 
 from __future__ import annotations
@@ -167,16 +168,29 @@ class Depth3Circuit:
             for gate in self.gates
         )
 
-    def expand(self, ceiling: int = EXPAND_CEILING) -> ScalarPoly:
-        """Brute-force oracle: the gates multiplied out, after checking that
-        `term_count` is within the ceiling."""
+    def _check_ceiling(self, ceiling: int) -> None:
         count = self.term_count
         if count > ceiling:
             raise CapabilityError(
                 f"depth-3 expansion of {count} terms exceeds the ceiling {ceiling}"
             )
-        terms = _summed_terms(self).items()
-        return ScalarPoly(self.field, self.n, {_bits(m, self.n): x for m, x in terms})
+
+    def is_zero(self, ceiling: int = EXPAND_CEILING) -> bool:
+        """Oracle verdict: whether every summed coefficient of `expand` is 0
+        mod p, read off the bit masks, after the same ceiling check."""
+        self._check_ceiling(ceiling)
+        p = self.field.p
+        return not any(x % p for x in _summed_terms(self).values())
+
+    def expand(self, ceiling: int = EXPAND_CEILING) -> ScalarPoly:
+        """Brute-force oracle: the gates multiplied out, after checking that
+        `term_count` is within the ceiling.  Coefficients are reduced on the
+        bit masks, so only the masks of nonzero terms become exponents."""
+        self._check_ceiling(ceiling)
+        p, n = self.field.p, self.n
+        reduced = ((m, x % p) for m, x in _summed_terms(self).items())
+        terms = {_bits(m, n): x for m, x in reduced if x}
+        return ScalarPoly._canonical(self.field, n, terms)
 
 
 def _multiply_out(scale: int, forms: Iterable[LinearForm], n: int, p: int) -> dict[int, int]:
@@ -202,9 +216,17 @@ def _summed_terms(c: Depth3Circuit) -> Counter[int]:
     return coeffs
 
 
+# the 0/1 vector of each byte, most significant bit first
+_BYTE_BITS = [tuple(b >> k & 1 for k in range(7, -1, -1)) for b in range(256)]
+
+
 def _bits(mask: int, n: int) -> tuple:
-    """The 0/1 vector of an n-bit mask, x_0 from the most significant bit."""
-    return tuple(map(int, bin(mask | 1 << n)[3:]))
+    """The 0/1 vector of an n-bit mask, x_0 from the most significant bit,
+    joined from `_BYTE_BITS` a byte at a time, the lowest byte last."""
+    out = _BYTE_BITS[mask & 255]
+    for shift in range(8, n, 8):
+        out = _BYTE_BITS[mask >> shift & 255] + out
+    return out[len(out) - n:]
 
 
 # ---------------------------------------------------------------------------

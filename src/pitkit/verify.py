@@ -6,8 +6,8 @@ with s is derived from SHA-256(f"{s}:{i}".encode()), consumed 8 bytes at a
 time, each 64-bit chunk reduced modulo the requested range.  The algorithm
 is pinned here so campaigns are reproducible across implementations.
 Instances marked nonzero are rejection-sampled against their zero oracle
-(`Roabp.is_zero` for an ROABP, expansion for a depth-3 circuit), so hitting
-campaigns never count vacuous passes.
+(`Roabp.is_zero` for an ROABP, `Depth3Circuit.is_zero` for a depth-3
+circuit), so hitting campaigns never count vacuous passes.
 """
 
 from __future__ import annotations
@@ -301,7 +301,7 @@ def _generate_depth3_distance(spec: InstanceSpec) -> Depth3Circuit:
         circuit = Depth3Circuit(field, n, gates)
         if circuit.distance_order[1] > spec.delta:
             continue
-        if spec.nonzero and circuit.expand().is_zero():
+        if spec.nonzero and circuit.is_zero():
             continue
         return circuit
     raise CapabilityError(f"rejection budget exhausted for {spec}")
@@ -354,7 +354,7 @@ def _generate_sum_sml(spec: InstanceSpec) -> Depth3Circuit:
         circuit = Depth3Circuit(field, n, gates)
         if len(circuit.distinct_partitions()) > c:
             continue
-        if spec.nonzero and circuit.expand().is_zero():
+        if spec.nonzero and circuit.is_zero():
             continue
         return circuit
     raise CapabilityError(f"rejection budget exhausted for {spec}")
@@ -380,11 +380,10 @@ def generate_instance(spec: InstanceSpec):
 
 def oracle_is_zero(instance) -> bool:
     """Ground truth: an ROABP by span propagation (`Roabp.is_zero`), a
-    depth-3 circuit by exhaustive expansion."""
-    if isinstance(instance, Roabp):
+    depth-3 circuit by its summed bit-mask coefficients, within
+    `EXPAND_CEILING` (`Depth3Circuit.is_zero`)."""
+    if isinstance(instance, (Roabp, Depth3Circuit)):
         return instance.is_zero()
-    if isinstance(instance, Depth3Circuit):
-        return instance.expand().is_zero()
     raise StructuralError(f"cannot expand {type(instance).__name__}")
 
 

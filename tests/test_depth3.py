@@ -23,7 +23,14 @@ from pitkit.depth3 import (
     sum_sml_whitebox_test,
 )
 from pitkit.errors import CapabilityError, InternalInconsistencyError, StructuralError
-from pitkit.verify import InstanceSpec, _case_overrides, generate_instance, oracle_is_zero
+from pitkit.verify import (
+    HittingReport,
+    InstanceSpec,
+    _case_overrides,
+    generate_instance,
+    oracle_is_zero,
+    verify_hitting_property,
+)
 from reference import base_sets, variable
 
 F = Field(10007)
@@ -150,49 +157,129 @@ def _reference_expand(c):
     return total
 
 
-@pytest.mark.parametrize("modulus", [3, 10007, 2**61 - 1])
-@pytest.mark.parametrize("klass", ["sum-sml", "depth3-distance"])
-def test_expand_matches_the_reference_on_seeded_circuits(klass, modulus):
+def _seeded_circuits(klass, modulus):
+    """Eight generated circuits of the class, half of them engineered zeros
+    for sum-sml, each followed by its gates minus themselves, a zero."""
     for seed in range(8):
         spec = InstanceSpec(klass=klass, seed=seed, modulus=modulus, n=3 + seed % 5,
                             k=1 + seed % 3, c=1 + seed % 3, delta=1 + seed % 3,
                             engineered_zero=(seed % 2 == 0))
         circuit = generate_instance(spec)
+        negated = tuple(Gate(-g.scale, g.forms) for g in circuit.gates)
+        yield circuit
+        yield Depth3Circuit(circuit.field, circuit.n, circuit.gates + negated)
+
+
+@pytest.mark.parametrize("modulus", [3, 10007, 2**61 - 1])
+@pytest.mark.parametrize("klass", ["sum-sml", "depth3-distance"])
+def test_expand_matches_the_reference_on_seeded_circuits(klass, modulus):
+    for circuit in _seeded_circuits(klass, modulus):
         assert circuit.expand() == _reference_expand(circuit)
 
 
-def test_expand_matches_the_reference_on_edge_cases():
+@pytest.mark.parametrize("modulus", [3, 10007, 2**61 - 1])
+@pytest.mark.parametrize("klass", ["sum-sml", "depth3-distance"])
+def test_is_zero_matches_the_reference_on_seeded_circuits(klass, modulus):
+    verdicts = []
+    for circuit in _seeded_circuits(klass, modulus):
+        verdicts.append(circuit.is_zero())
+        assert verdicts[-1] == _reference_expand(circuit).is_zero()
+    assert True in verdicts and False in verdicts
+
+
+def _edge_cases():
+    """(circuit, its expansion's terms): a zero scale, a constant-only form,
+    a zero form, no gates, n = 0, gates cancelling mod p, and a coefficient
+    divisible by p."""
     form = LinearForm(2, {0: 1, 2: 3})
-    cases = [
-        Depth3Circuit(F, 3, (Gate(0, (form,)), Gate(4, (LinearForm(0, {1: 5}),)))),
-        Depth3Circuit(F, 3, (Gate(2, (LinearForm(7, {}), form)),)),
-        Depth3Circuit(F, 3, (Gate(2, (LinearForm(0, {}), form)), Gate(1, (form,)))),
-        Depth3Circuit(F, 3, ()),
-        Depth3Circuit(F, 0, (Gate(3, ()), Gate(2, (LinearForm(5, {}),)))),
-        Depth3Circuit(F, 0, (Gate(3, ()), Gate(-3, ()))),
+    return [
+        (Depth3Circuit(F, 3, (Gate(0, (form,)), Gate(4, (LinearForm(0, {1: 5}),)))),
+         {(0, 1, 0): 20}),
+        (Depth3Circuit(F, 3, (Gate(2, (LinearForm(7, {}), form)),)),
+         {(0, 0, 0): 28, (1, 0, 0): 14, (0, 0, 1): 42}),
+        (Depth3Circuit(F, 3, (Gate(2, (LinearForm(0, {}), form)), Gate(1, (form,)))),
+         {(0, 0, 0): 2, (1, 0, 0): 1, (0, 0, 1): 3}),
+        (Depth3Circuit(F, 3, ()), {}),
+        (Depth3Circuit(F, 0, (Gate(3, ()), Gate(2, (LinearForm(5, {}),)))), {(): 13}),
+        (Depth3Circuit(F, 0, (Gate(3, ()), Gate(-3, ()))), {}),
+        (Depth3Circuit(F, 3, (Gate(F.p - 1, (form,)), Gate(1, (form,)))), {}),
+        (Depth3Circuit(F, 3, (Gate(1, (LinearForm(1, {0: F.p, 1: 2}),)),)),
+         {(0, 0, 0): 1, (0, 1, 0): 2}),
     ]
-    expected = [
-        {(0, 1, 0): 20},
-        {(0, 0, 0): 28, (1, 0, 0): 14, (0, 0, 1): 42},
-        {(0, 0, 0): 2, (1, 0, 0): 1, (0, 0, 1): 3},
-        {},
-        {(): 13},
-        {},
-    ]
-    for c, terms in zip(cases, expected):
+
+
+def test_expand_matches_the_reference_on_edge_cases():
+    for c, terms in _edge_cases():
         assert c.expand() == _reference_expand(c)
         assert c.expand().terms == terms
 
 
-def test_expand_checks_the_ceiling_before_multiplying(monkeypatch):
+def test_is_zero_matches_the_reference_on_edge_cases():
+    for c, terms in _edge_cases():
+        assert c.is_zero() == _reference_expand(c).is_zero() == (not terms)
+
+
+def _six_terms_without_multiplying(monkeypatch):
+    """A circuit of 6 terms, with `_multiply_out` failing if it is called."""
     def no_multiplication(*args):
         raise AssertionError("the ceiling is checked first")
 
     monkeypatch.setattr(depth3, "_multiply_out", no_multiplication)
     form = LinearForm(1, {0: 1, 1: 1})
-    c = Depth3Circuit(F, 2, (Gate(1, (form,)), Gate(2, (form,))))
+    return Depth3Circuit(F, 2, (Gate(1, (form,)), Gate(2, (form,))))
+
+
+def test_expand_checks_the_ceiling_before_multiplying(monkeypatch):
+    c = _six_terms_without_multiplying(monkeypatch)
     with pytest.raises(CapabilityError, match="expansion of 6 terms exceeds the ceiling 5"):
         c.expand(5)
+
+
+def test_is_zero_checks_the_ceiling_before_multiplying(monkeypatch):
+    c = _six_terms_without_multiplying(monkeypatch)
+    with pytest.raises(CapabilityError) as err:
+        c.is_zero(5)
+    assert str(err.value) == "depth-3 expansion of 6 terms exceeds the ceiling 5"
+
+
+def test_a_verdict_builds_no_exponent_tuple(monkeypatch):
+    def no_bits(*args):
+        raise AssertionError("a verdict builds no exponent tuple")
+
+    monkeypatch.setattr(depth3, "_bits", no_bits)
+    for klass in ("sum-sml", "depth3-distance"):
+        circuit = generate_instance(InstanceSpec(klass=klass, seed=3, n=6, k=3, c=2))
+        assert not oracle_is_zero(circuit)
+    zero = generate_instance(InstanceSpec(klass="sum-sml", seed=3, n=6, k=3, c=2,
+                                          engineered_zero=True))
+    misses = list(itertools.product((0, 1), repeat=6))
+    assert verify_hitting_property(zero, misses) == HittingReport(True, True, None, 64)
+
+
+def test_expand_converts_only_the_masks_that_survive(monkeypatch):
+    converted = []
+    bits = depth3._bits
+
+    def counting_bits(mask, n):
+        converted.append(mask)
+        return bits(mask, n)
+
+    monkeypatch.setattr(depth3, "_bits", counting_bits)
+    zero = generate_instance(InstanceSpec(klass="sum-sml", seed=3, n=6, k=3, c=2,
+                                          engineered_zero=True))
+    assert zero.expand().terms == {} and converted == []
+    # 2 + x_0 + 3 x_2 minus 2 + x_0: three summed masks, one survives
+    c = Depth3Circuit(F, 3, (Gate(1, (LinearForm(2, {0: 1, 2: 3}),)),
+                             Gate(-1, (LinearForm(2, {0: 1}),))))
+    assert c.expand().terms == {(0, 0, 1): 3} and converted == [0b001]
+
+
+def test_bits_matches_binary_parsing():
+    rnd = random.Random(31)
+    for n in range(71):
+        masks = {0, 2**n - 1} | {rnd.getrandbits(n) for _ in range(20)}
+        for m in masks:
+            assert depth3._bits(m, n) == tuple(map(int, bin(m | 1 << n)[3:]))
 
 
 # ---------------------------------------------------------------------------

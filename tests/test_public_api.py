@@ -40,6 +40,7 @@ def params(fn) -> list[str]:
     (find_concentrating_shift, ["r"]),
     (Depth3Circuit.expand, ["self", "ceiling"]),
     (LagrangeCurve.sweep, ["self", "count"]),
+    (Depth3Circuit.is_zero, ["self", "ceiling"]),
 ])
 def test_parameter_names(fn, names):
     assert params(fn) == names
