@@ -8,8 +8,8 @@ coefficients.  Everything here is pure and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 from .errors import CapabilityError, StructuralError
@@ -62,17 +62,58 @@ def is_prime(m: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Field:
+class Frozen:
+    """Base of pitkit's immutable value types.
+
+    A subclass names its fields, in order, in `__match_args__`, and its
+    `__init__` stores them in the instance `__dict__`.  Instances of one
+    class are equal when their field tuples are, hash as that tuple, show
+    as `Name(field=value, ...)` and refuse attribute assignment; a
+    `cached_property` still caches, as it writes `__dict__` directly."""
+
+    __match_args__: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        get = attrgetter(*cls.__match_args__)
+        # the field tuple, also of a class with one field
+        one = len(cls.__match_args__) == 1
+        cls._values = property((lambda self: (get(self),)) if one else get)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def replace(self, **changes):
+        """A new instance with `changes` over this one's fields, built and
+        checked by the class's own constructor."""
+        return type(self)(**dict(zip(self.__match_args__, self._values), **changes))
+
+
+class Field(Frozen):
     """The prime field GF(p).  Requires p prime and p > 2."""
 
-    p: int
+    __match_args__ = ("p",)
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise StructuralError(f"modulus {self.p} is not prime")
-        if self.p <= 2:
-            raise StructuralError(f"modulus {self.p} too small; need p > 2")
+    def __init__(self, p: int) -> None:
+        if not is_prime(p):
+            raise StructuralError(f"modulus {p} is not prime")
+        if p <= 2:
+            raise StructuralError(f"modulus {p} too small; need p > 2")
+        self.__dict__["p"] = p
 
     def normalize(self, a: int) -> int:
         return a % self.p
@@ -86,8 +127,8 @@ class Field:
 
 
 def trusted(cls, **values):
-    """An instance of the frozen dataclass `cls` holding `values` as given,
-    without running its `__post_init__` checks and normalization.  Only for
+    """An instance of the value type `cls` holding `values` as given,
+    without running the checks and normalization of its `__init__`.  Only for
     values a caller has already checked and put in the canonical form that
     `cls(...)` would build: a loader that validated its input in one pass,
     or arithmetic whose results are canonical by construction."""
@@ -243,19 +284,16 @@ def _canonical_terms(
     return out
 
 
-@dataclass(frozen=True)
-class ScalarPoly:
+class ScalarPoly(Frozen):
     """Sparse polynomial in n variables with GF(p) coefficients.
 
     No zero coefficients are stored; treat instances as immutable.
     """
 
-    field: Field
-    n: int
-    terms: dict
+    __match_args__ = ("field", "n", "terms")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", _canonical_terms(self.terms, self.n, self.field))
+    def __init__(self, field: Field, n: int, terms: dict) -> None:
+        self.__dict__.update(field=field, n=n, terms=_canonical_terms(terms, n, field))
 
     # constructors ---------------------------------------------------------
     @classmethod
@@ -336,14 +374,6 @@ class ScalarPoly:
                     out.pop(e, None)
         return ScalarPoly._canonical(self.field, self.n, out)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ScalarPoly)
-            and self.field == other.field
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
     @cached_property
     def _support(self) -> tuple[int, ...]:
         """The variables some term uses, in index order; found on the first
@@ -388,19 +418,13 @@ def _canonical_mat_terms(
     return out
 
 
-@dataclass(frozen=True)
-class MatPoly:
+class MatPoly(Frozen):
     """Sparse polynomial in n variables with w-by-w matrix coefficients."""
 
-    field: Field
-    n: int
-    w: int
-    terms: dict
+    __match_args__ = ("field", "n", "w", "terms")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "terms", _canonical_mat_terms(self.terms, self.n, self.w, self.field)
-        )
+    def __init__(self, field: Field, n: int, w: int, terms: dict) -> None:
+        self.__dict__.update(field=field, n=n, w=w, terms=_canonical_mat_terms(terms, n, w, field))
 
     @classmethod
     def _canonical(cls, field: Field, n: int, w: int, terms: dict) -> "MatPoly":
@@ -505,15 +529,6 @@ class MatPoly:
         return MatPoly._canonical(
             self.field, self.n, self.w,
             {e: mat_scale(m, c, self.field) for e, m in self.terms.items()},
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, MatPoly)
-            and self.field == other.field
-            and self.n == other.n
-            and self.w == other.w
-            and self.terms == other.terms
         )
 
     @cached_property

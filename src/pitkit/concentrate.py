@@ -17,10 +17,9 @@ import math
 import operator
 import sys
 from array import array
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .algebra import Field, MatPoly, ScalarPoly, mat_det
+from .algebra import Field, Frozen, MatPoly, ScalarPoly, mat_det
 from .errors import (
     InternalInconsistencyError,
     ModulusTooSmallError,
@@ -282,16 +281,19 @@ def invertible_hitting_set_params(
 # width 2
 
 
-@dataclass(frozen=True)
-class Width2Factorization:
+class Width2Factorization(Frozen):
     """alpha(x) C(x) = product of the chain polynomials, every chain element
     an invertible-factor width-2 instance; is_zero marks the degenerate
     all-zero-layer certificate."""
 
-    alpha: ScalarPoly
-    chain: tuple
-    split_layers: tuple
-    is_zero: bool = False
+    __match_args__ = ("alpha", "chain", "split_layers", "is_zero")
+
+    def __init__(
+        self, alpha: ScalarPoly, chain: tuple, split_layers: tuple, is_zero: bool = False
+    ) -> None:
+        self.__dict__.update(
+            alpha=alpha, chain=chain, split_layers=split_layers, is_zero=is_zero
+        )
 
 
 def _rank_one_split(
@@ -369,8 +371,7 @@ def _modmul(xs, ys, p: int) -> map:
     return map(operator.mod, map(operator.mul, xs, ys), itertools.repeat(p))
 
 
-@dataclass(frozen=True)
-class LagrangeCurve:
+class LagrangeCurve(Frozen):
     """The degree-(h-1) vector curve through anchor points alpha_0..alpha_{h-1}
     at nodes 0..h-1, so curve(i) = alpha_i exactly.
 
@@ -378,12 +379,11 @@ class LagrangeCurve:
     curve(count-1) in O(count) products per coordinate.
     """
 
-    field: Field
-    anchors: tuple
+    __match_args__ = ("field", "anchors")
 
-    def __post_init__(self) -> None:
-        p = self.field.p
-        anchors = tuple(tuple(a % p for a in anchor) for anchor in self.anchors)
+    def __init__(self, field: Field, anchors: tuple) -> None:
+        p = field.p
+        anchors = tuple(tuple(a % p for a in anchor) for anchor in anchors)
         if not anchors:
             raise StructuralError("need at least one anchor")
         if len({len(a) for a in anchors}) > 1:
@@ -391,7 +391,6 @@ class LagrangeCurve:
         h = len(anchors)
         if p <= h:
             raise ModulusTooSmallError(f"modulus {p} too small for {h} nodes")
-        object.__setattr__(self, "anchors", anchors)
         # barycentric weights 1 / prod_{j != i} (i - j)
         #   = (-1)^(h-1-i) / (i! (h-1-i)!)
         _, inv_fact = _factorials(h, p)
@@ -399,7 +398,7 @@ class LagrangeCurve:
             (-1) ** (h - 1 - i) * inv_fact[i] * inv_fact[h - 1 - i] % p
             for i in range(h)
         )
-        object.__setattr__(self, "_weights", weights)
+        self.__dict__.update(field=field, anchors=anchors, _weights=weights)
 
     def eval_at(self, u: int) -> tuple[int, ...]:
         p = self.field.p

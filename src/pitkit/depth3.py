@@ -24,11 +24,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .algebra import Field, MatPoly, ScalarPoly, mono_zero, trusted
+from .algebra import Field, Frozen, MatPoly, ScalarPoly, mono_zero, trusted
 from .errors import (
     CapabilityError,
     InternalInconsistencyError,
@@ -49,16 +48,14 @@ CUBE_BLOCK = 6
 # circuits
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(Frozen):
     """b0 + sum of b_r x_r, stored sparsely (residues, nonzero only)."""
 
-    constant: int
-    coeffs: dict
+    __match_args__ = ("constant", "coeffs")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "coeffs", {int(v): int(c) for v, c in self.coeffs.items() if int(c)}
+    def __init__(self, constant: int, coeffs: dict) -> None:
+        self.__dict__.update(
+            constant=constant, coeffs={int(v): int(c) for v, c in coeffs.items() if int(c)}
         )
 
     @property
@@ -72,38 +69,33 @@ class LinearForm:
         return total % field.p
 
 
-@dataclass(frozen=True)
-class Gate:
-    scale: int
-    forms: tuple
+class Gate(Frozen):
+    __match_args__ = ("scale", "forms")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "forms", tuple(self.forms))
+    def __init__(self, scale: int, forms: tuple) -> None:
+        self.__dict__.update(scale=scale, forms=tuple(forms))
 
 
-@dataclass(frozen=True)
-class Depth3Circuit:
+class Depth3Circuit(Frozen):
     """Sum of product gates of linear forms; forms inside a gate must use
     pairwise disjoint variables (multilinearity)."""
 
-    field: Field
-    n: int
-    gates: tuple
+    __match_args__ = ("field", "n", "gates")
 
-    def __post_init__(self) -> None:
-        gates = []
-        for g_idx, gate in enumerate(self.gates):
+    def __init__(self, field: Field, n: int, gates: tuple) -> None:
+        clean = []
+        for g_idx, gate in enumerate(gates):
             forms = []
             seen: set[int] = set()
             for f in gate.forms:
                 for v in f.support:
-                    if not 0 <= v < self.n:
+                    if not 0 <= v < n:
                         raise StructuralError(f"variable {v} out of range in gate {g_idx}")
                 # multilinearity is a property of the reduced forms: a
                 # coefficient divisible by p leaves the support
                 form = LinearForm(
-                    self.field.normalize(f.constant),
-                    {v: self.field.normalize(c) for v, c in f.coeffs.items()},
+                    field.normalize(f.constant),
+                    {v: field.normalize(c) for v, c in f.coeffs.items()},
                 )
                 for v in form.support:
                     if v in seen:
@@ -112,8 +104,8 @@ class Depth3Circuit:
                         )
                     seen.add(v)
                 forms.append(form)
-            gates.append(Gate(self.field.normalize(gate.scale), tuple(forms)))
-        object.__setattr__(self, "gates", tuple(gates))
+            clean.append(Gate(field.normalize(gate.scale), tuple(forms)))
+        self.__dict__.update(field=field, n=n, gates=tuple(clean))
 
     @property
     def k(self) -> int:
@@ -233,19 +225,16 @@ def _bits(mask: int, n: int) -> tuple:
 # partitions and distance
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Frozen):
     """Disjoint nonempty colors exactly covering a ground set."""
 
-    ground: frozenset
-    colors: tuple
+    __match_args__ = ("ground", "colors")
 
-    def __post_init__(self) -> None:
+    def __init__(self, ground: frozenset, colors: tuple) -> None:
         colors = tuple(
-            sorted((frozenset(c) for c in self.colors), key=lambda c: min(c))
+            sorted((frozenset(c) for c in colors), key=lambda c: min(c))
         )
-        object.__setattr__(self, "ground", frozenset(self.ground))
-        object.__setattr__(self, "colors", colors)
+        self.__dict__.update(ground=frozenset(ground), colors=colors)
         seen: set[int] = set()
         for c in colors:
             if not c:
@@ -458,21 +447,22 @@ def circuit_to_roabp(c: Depth3Circuit) -> Roabp:
 # base-set decomposition
 
 
-@dataclass(frozen=True)
-class BaseSetCertificate:
-    base_set: frozenset
-    order: tuple  # permutation of the original partition indices
-    distance: int
+class BaseSetCertificate(Frozen):
+    # order is a permutation of the original partition indices
+    __match_args__ = ("base_set", "order", "distance")
+
+    def __init__(self, base_set: frozenset, order: tuple, distance: int) -> None:
+        self.__dict__.update(base_set=base_set, order=order, distance=distance)
 
 
-@dataclass(frozen=True)
-class BaseSetDecomposition:
+class BaseSetDecomposition(Frozen):
     """Disjoint base sets with per-set distance-1 orderings of the input
     partitions, and the proven cap on the number of sets."""
 
-    n: int
-    partition_count: int
-    certificates: tuple
+    __match_args__ = ("n", "partition_count", "certificates")
+
+    def __init__(self, n: int, partition_count: int, certificates: tuple) -> None:
+        self.__dict__.update(n=n, partition_count=partition_count, certificates=certificates)
 
     @property
     def m(self) -> int:
@@ -582,14 +572,14 @@ def decompose_base_sets(partitions: Sequence[Partition]) -> BaseSetDecomposition
 # whitebox test for sums of set-multilinear circuits
 
 
-@dataclass(frozen=True)
-class SumSmlResult:
+class SumSmlResult(Frozen):
     """A sum-sml verdict ("zero" or "nonzero", with the witness point when
     nonzero) and the size 2^n of the cube it is decided over."""
 
-    verdict: str
-    witness: tuple | None
-    sweep: int
+    __match_args__ = ("verdict", "witness", "sweep")
+
+    def __init__(self, verdict: str, witness: tuple | None, sweep: int) -> None:
+        self.__dict__.update(verdict=verdict, witness=witness, sweep=sweep)
 
 
 def _low_table(constant: int, coeffs: dict, low_vars: range) -> list[int]:

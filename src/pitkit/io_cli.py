@@ -20,7 +20,6 @@ import re
 import stat
 import sys
 from contextlib import contextmanager
-from dataclasses import fields
 from itertools import chain, islice
 from typing import Sequence
 
@@ -46,11 +45,11 @@ EXIT_USAGE = 2
 EXIT_CAPABILITY = 3
 
 # the InstanceSpec fields `verify --param` may set, each with the type of
-# its default (int or bool); class, seed and modulus have options of their own
-CAMPAIGN_PARAMS = {
-    f.name: type(f.default) for f in fields(InstanceSpec)
-    if f.name not in ("klass", "seed", "modulus")
-}
+# its default (int or bool): every field after class, seed and modulus,
+# which have options of their own; modulus is the first with a default
+CAMPAIGN_PARAMS = dict(zip(
+    InstanceSpec.__match_args__[3:], map(type, InstanceSpec.__init__.__defaults__[1:])
+))
 
 # the most points `hs` builds; the generators size a set before building it,
 # so a larger one is refused before any point or file is made
@@ -370,7 +369,8 @@ def _dump_into(value, newline: str, out: list) -> None:
     through int.__repr__, dicts (keys sorted) and lists or tuples two
     spaces deeper per level, and any other value as json.dumps(value), so
     floats, bools and None are json's own text, and a type json cannot
-    encode raises its TypeError."""
+    encode raises its TypeError.  The str and int items of a dict or list
+    are written in its loop, without a call each."""
     cls = type(value)
     if cls is str:
         out.append(_json_str(value))
@@ -383,8 +383,14 @@ def _dump_into(value, newline: str, out: list) -> None:
         inner = newline + "  "
         sep = "[" + inner
         for item in value:
-            out.append(sep)
-            _dump_into(item, inner, out)
+            kind = type(item)
+            if kind is int:
+                out.append(sep + int.__repr__(item))
+            elif kind is str:
+                out.append(sep + _json_str(item))
+            else:
+                out.append(sep)
+                _dump_into(item, inner, out)
             sep = "," + inner
         out.append(newline + "]")
     elif isinstance(value, dict):
@@ -394,8 +400,16 @@ def _dump_into(value, newline: str, out: list) -> None:
         inner = newline + "  "
         sep = "{" + inner
         for key in sorted(value):
-            out.append(sep + _json_str(key) + ": ")
-            _dump_into(value[key], inner, out)
+            item = value[key]
+            kind = type(item)
+            head = sep + _json_str(key) + ": "
+            if kind is int:
+                out.append(head + int.__repr__(item))
+            elif kind is str:
+                out.append(head + _json_str(item))
+            else:
+                out.append(head)
+                _dump_into(item, inner, out)
             sep = "," + inner
         out.append(newline + "}")
     else:
@@ -434,12 +448,21 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
+# one decoder for every circuit file; json.load would build a decoder and
+# its C scanner per call
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def load_instance(path: str, modulus_override: int | None = None):
     """Parse a circuit file and build its instance in one checking pass
-    (see `obj_to_instance`); the modulus is checked by `Field(modulus)`."""
+    (see `obj_to_instance`); the modulus is checked by `Field(modulus)`.
+    A leading byte-order mark is refused, as json.loads refuses it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh, object_pairs_hook=_unique_keys)
+            text = fh.read()
+        if text.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        obj = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise StructuralError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"

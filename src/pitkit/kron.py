@@ -9,30 +9,28 @@ functions, at least one of which separates any fixed set of monomial pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, compress, repeat, takewhile
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .algebra import Monomial
+from .algebra import Frozen, Monomial
 from .errors import InternalInconsistencyError, ModulusTooSmallError, StructuralError
 
 CUTOFF_CONSTANT = 4  # the counting argument's c0; see prime_cutoff
 
 
-@dataclass(frozen=True)
-class WeightFn:
+class WeightFn(Frozen):
     """Positive integer weight per variable; a monomial weighs the
     exponent-weighted sum of its variables' weights."""
 
-    weights: tuple
+    __match_args__ = ("weights",)
 
-    def __post_init__(self) -> None:
-        ws = tuple(int(w) for w in self.weights)
+    def __init__(self, weights: tuple) -> None:
+        ws = tuple(int(w) for w in weights)
         if any(w < 1 for w in ws):
             raise StructuralError("weights must be positive")
-        object.__setattr__(self, "weights", ws)
+        self.__dict__["weights"] = ws
 
     @classmethod
     def constant(cls, n: int) -> "WeightFn":
@@ -150,31 +148,28 @@ def _sweep_blocks(weights: tuple, count: int, p: int) -> Iterator[zip]:
         yield zip(*(block[w] for w in weights))
 
 
-@dataclass(frozen=True)
-class PairSet:
+class PairSet(Frozen):
     """Groups of distinct monomials with individual degree <= delta.
 
     The pairs to separate are the unordered pairs inside each group; they
     are never listed, and len() counts them as the sum of C(|g|, 2).
     """
 
-    n: int
-    delta: int
-    groups: tuple
+    __match_args__ = ("n", "delta", "groups")
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, delta: int, groups: tuple) -> None:
         clean = []
-        for group in self.groups:
+        for group in groups:
             g = tuple(tuple(m) for m in group)
             for m in g:
-                if len(m) != self.n:
+                if len(m) != n:
                     raise StructuralError("group monomial has wrong ambient length")
-                if max(m, default=0) > self.delta:
+                if max(m, default=0) > delta:
                     raise StructuralError("group monomial exceeds the degree bound")
             if len(set(g)) != len(g):
                 raise StructuralError(f"group {g} repeats a monomial")
             clean.append(g)
-        object.__setattr__(self, "groups", tuple(clean))
+        self.__dict__.update(n=n, delta=delta, groups=tuple(clean))
 
     def __len__(self) -> int:
         return sum(len(g) * (len(g) - 1) // 2 for g in self.groups)

@@ -13,13 +13,13 @@ layer by layer, without expanding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from operator import mul
 from typing import Collection, Iterable, Sequence
 
 from .algebra import (
     Field,
+    Frozen,
     MatPoly,
     Monomial,
     RowSpan,
@@ -32,8 +32,7 @@ from .kron import WeightFn
 EXPAND_CEILING = 10**6
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(Frozen):
     """Evaluation points plus a provenance record (generator and parameters).
 
     `points` is any sized, re-iterable family of n-tuples: a tuple, or a
@@ -45,9 +44,12 @@ class PointSet:
     of their contracts.
     """
 
-    n: int
-    points: Collection[tuple]
-    provenance: dict = dc_field(default_factory=dict)
+    __match_args__ = ("n", "points", "provenance")
+
+    def __init__(self, n: int, points: Collection[tuple], provenance: dict | None = None) -> None:
+        self.__dict__.update(
+            n=n, points=points, provenance={} if provenance is None else provenance
+        )
 
     def __len__(self) -> int:
         return len(self.points)
@@ -56,32 +58,42 @@ class PointSet:
         return iter(self.points)
 
 
-@dataclass(frozen=True)
-class Roabp:
+class Roabp(Frozen):
     """Width-w layered matrix product over ordered disjoint variable blocks.
 
     `left_block`/`right_block` are the (possibly empty) boundary blocks; the
     boundary vectors are scalar polynomials supported only on them.
     """
 
-    field: Field
-    n: int
-    width: int
-    blocks: tuple
-    layers: tuple
-    left_boundary: tuple
-    right_boundary: tuple
-    left_block: tuple = ()
-    right_block: tuple = ()
+    __match_args__ = (
+        "field", "n", "width", "blocks", "layers",
+        "left_boundary", "right_boundary", "left_block", "right_block",
+    )
 
-    def __post_init__(self) -> None:
-        blocks = tuple(tuple(b) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "left_block", tuple(self.left_block))
-        object.__setattr__(self, "right_block", tuple(self.right_block))
-        object.__setattr__(self, "layers", tuple(self.layers))
-        object.__setattr__(self, "left_boundary", tuple(self.left_boundary))
-        object.__setattr__(self, "right_boundary", tuple(self.right_boundary))
+    def __init__(
+        self,
+        field: Field,
+        n: int,
+        width: int,
+        blocks: tuple,
+        layers: tuple,
+        left_boundary: tuple,
+        right_boundary: tuple,
+        left_block: tuple = (),
+        right_block: tuple = (),
+    ) -> None:
+        blocks = tuple(tuple(b) for b in blocks)
+        self.__dict__.update(
+            field=field,
+            n=n,
+            width=width,
+            blocks=blocks,
+            layers=tuple(layers),
+            left_boundary=tuple(left_boundary),
+            right_boundary=tuple(right_boundary),
+            left_block=tuple(left_block),
+            right_block=tuple(right_block),
+        )
         if len(self.layers) != len(blocks):
             raise StructuralError("one layer per block required")
         seen: dict[int, int] = {}

@@ -13,10 +13,9 @@ circuit), so hitting campaigns never count vacuous passes.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
 from typing import Collection, Sequence
 
-from .algebra import DEFAULT_MODULUS, Field, MatPoly, ScalarPoly, mat_det
+from .algebra import DEFAULT_MODULUS, Field, Frozen, MatPoly, ScalarPoly, mat_det
 from .concentrate import invertible_hitting_set, width2_hitting_set
 from .depth3 import (
     Depth3Circuit,
@@ -82,36 +81,42 @@ class DetStream:
         return self.randint(0, field.p - 1)
 
 
-@dataclass(frozen=True)
-class InstanceSpec:
+class InstanceSpec(Frozen):
     """Deterministic description of one generated instance."""
 
-    klass: str  # roabp | invertible-roabp | width2-roabp | depth3-distance | sum-sml
-    seed: int
-    modulus: int = DEFAULT_MODULUS
-    n: int = 4
-    d: int = 3
-    w: int = 2
-    delta: int = 2
-    s: int = 3
-    mu: int = 2
-    k: int = 2
-    c: int = 2
-    nonzero: bool = True
-    force_singular: bool = False
-    invertible_constant: bool = False
-    engineered_zero: bool = False
+    __match_args__ = (
+        "klass", "seed", "modulus", "n", "d", "w", "delta", "s", "mu", "k", "c",
+        "nonzero", "force_singular", "invertible_constant", "engineered_zero",
+    )
 
-    def __post_init__(self) -> None:
-        for name in ("n", "d", "w", "s", "k", "c"):
-            if getattr(self, name) < 1:
-                raise StructuralError(
-                    f"instance parameter {name}={getattr(self, name)} must be at least 1"
-                )
-        if self.delta < 0:
-            raise StructuralError(
-                f"instance parameter delta={self.delta} must be nonnegative"
-            )
+    def __init__(
+        self,
+        klass: str,  # roabp | invertible-roabp | width2-roabp | depth3-distance | sum-sml
+        seed: int,
+        modulus: int = DEFAULT_MODULUS,
+        n: int = 4,
+        d: int = 3,
+        w: int = 2,
+        delta: int = 2,
+        s: int = 3,
+        mu: int = 2,
+        k: int = 2,
+        c: int = 2,
+        nonzero: bool = True,
+        force_singular: bool = False,
+        invertible_constant: bool = False,
+        engineered_zero: bool = False,
+    ) -> None:
+        for name, value in (("n", n), ("d", d), ("w", w), ("s", s), ("k", k), ("c", c)):
+            if value < 1:
+                raise StructuralError(f"instance parameter {name}={value} must be at least 1")
+        if delta < 0:
+            raise StructuralError(f"instance parameter delta={delta} must be nonnegative")
+        self.__dict__.update(
+            klass=klass, seed=seed, modulus=modulus, n=n, d=d, w=w, delta=delta, s=s,
+            mu=mu, k=k, c=c, nonzero=nonzero, force_singular=force_singular,
+            invertible_constant=invertible_constant, engineered_zero=engineered_zero,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +371,7 @@ def generate_instance(spec: InstanceSpec):
     if spec.klass in ("roabp", "invertible-roabp"):
         return _generate_roabp(spec)
     if spec.klass == "width2-roabp":
-        return _generate_roabp(replace(spec, w=2))
+        return _generate_roabp(spec.replace(w=2))
     if spec.klass == "depth3-distance":
         return _generate_depth3_distance(spec)
     if spec.klass == "sum-sml":
@@ -393,12 +398,15 @@ def _evaluate(instance, point) -> int:
     return instance.eval_at(point)
 
 
-@dataclass(frozen=True)
-class HittingReport:
-    vacuous: bool
-    passed: bool
-    witness_index: int | None
-    point_count: int
+class HittingReport(Frozen):
+    __match_args__ = ("vacuous", "passed", "witness_index", "point_count")
+
+    def __init__(
+        self, vacuous: bool, passed: bool, witness_index: int | None, point_count: int
+    ) -> None:
+        self.__dict__.update(
+            vacuous=vacuous, passed=passed, witness_index=witness_index, point_count=point_count
+        )
 
     def line(self, label: str) -> str:
         if self.vacuous:
@@ -427,16 +435,18 @@ def verify_hitting_property(instance, points: Collection[tuple]) -> HittingRepor
 # campaigns
 
 
-@dataclass
-class CampaignResult:
+class CampaignResult(Frozen):
     """Per-case lines and counts.  A case that hits a capability limit
     (a `LIMIT` line) neither passes nor fails."""
 
-    klass: str
-    samples: int
-    passed: int
-    lines: list
-    limited: int = 0
+    __match_args__ = ("klass", "samples", "passed", "lines", "limited")
+
+    def __init__(
+        self, klass: str, samples: int, passed: int, lines: list, limited: int = 0
+    ) -> None:
+        self.__dict__.update(
+            klass=klass, samples=samples, passed=passed, lines=lines, limited=limited
+        )
 
     @property
     def all_passed(self) -> bool:

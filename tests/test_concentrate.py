@@ -5,7 +5,6 @@ import itertools
 import math
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -247,7 +246,7 @@ def test_shift_verified_on_random_invertible_instances():
             klass="invertible-roabp", seed=seed, n=2 + seed % 4,
             d=1 + seed % 3, w=2, s=1 + seed % 3, delta=1 + seed % 2, mu=1,
         )
-        spec = replace(spec, d=min(spec.d, spec.n))
+        spec = spec.replace(d=min(spec.d, spec.n))
         inst = generate_instance(spec)
         wfn, _, t0 = find_concentrating_shift(inst)
         offsets = wfn.powers(t0, inst.field.p)
@@ -295,7 +294,7 @@ def _spy_on_retired_steps(m) -> list:
 
     spy("expand", Roabp, "expand")
     spy("separating_weights", kron, "separating_weights")
-    spy("PairSet", kron.PairSet, "__post_init__")
+    spy("PairSet", kron.PairSet, "__init__")
     return calls
 
 
@@ -381,7 +380,7 @@ def test_zero_f_is_accepted_after_one_grid_point(monkeypatch):
         klass="invertible-roabp", seed=0, modulus=2**31 - 1,
         n=20, d=3, w=2, s=2, delta=1, mu=1,
     ))
-    zero = replace(inst, left_boundary=(ScalarPoly.zero(inst.field, inst.n),) * 2)
+    zero = inst.replace(left_boundary=(ScalarPoly.zero(inst.field, inst.n),) * 2)
     evaluated = []
     evaluate = Roabp.evaluate
 
@@ -761,7 +760,7 @@ def test_invertible_hitting_set_campaign():
             klass="invertible-roabp", seed=seed, n=2 + seed % 4,
             d=1 + seed % 3, w=2, s=1 + seed % 3, delta=1 + seed % 2, mu=1,
         )
-        spec = replace(spec, d=min(spec.d, spec.n))
+        spec = spec.replace(d=min(spec.d, spec.n))
         inst = generate_instance(spec)
         points = invertible_hitting_set(inst)
         prov = points.provenance
@@ -976,7 +975,7 @@ def test_width2_hitting_campaign():
             klass="width2-roabp", seed=seed, n=2 + seed % 3, d=1 + seed % 3,
             w=2, s=2, delta=1, mu=1, force_singular=(seed % 2 == 0),
         )
-        spec = replace(spec, d=min(spec.d, spec.n))
+        spec = spec.replace(d=min(spec.d, spec.n))
         inst = generate_instance(spec)
         points = width2_hitting_set(inst)
         prov = points.provenance

@@ -99,6 +99,17 @@ def test_parse_error_carries_location(tmp_path):
         load_instance(str(path))
 
 
+def test_byte_order_mark_is_refused_as_json_loads_refuses_it(tmp_path):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + dumps_canonical(MINIMAL_ROABP).encode())
+    with pytest.raises(StructuralError) as info:
+        load_instance(str(path))
+    assert str(info.value) == (
+        f"{path}: parse error at line 1, column 1: "
+        "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+    )
+
+
 def test_roabp_roundtrip_is_byte_identical(tmp_path):
     inst = generate_instance(
         InstanceSpec(klass="roabp", seed=12, n=4, d=3, w=2, s=2, delta=2)
@@ -467,6 +478,8 @@ CANONICAL_HAND_CASES = [
     {"\u00e9": "\u00ff", "a\nb": ["\x01"], "": 0},
     {"z": 1, "a": {"y": [1, {"q": None}], "x": (2, 3.25)}},
     0, -3, 10**30, 2**61 - 1, -(2**70),
+    [1, "\u00e9", 2.5, True, None, [], {}, {"k": "v", "i": -1, "f": 0.5, "b": False}],
+    {"ints": [1, -2, 10**20], "strs": ["a", "\u2603"], "deep": [[1, ["x"]], {"n": [None]}]},
 ]
 
 

@@ -6,7 +6,6 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -375,7 +374,7 @@ def test_hitting_set_finds_witnesses():
             klass="roabp", seed=seed, n=2 + seed % 4, d=1 + seed % 4,
             w=1 + seed % 3, s=1 + seed % 3, delta=1 + seed % 2,
         )
-        spec = replace(spec, d=min(spec.d, spec.n))
+        spec = spec.replace(d=min(spec.d, spec.n))
         inst = generate_instance(spec)
         points = roabp_hitting_set(inst, "whitebox")
         report = verify_hitting_property(inst, points)
@@ -453,8 +452,7 @@ def test_hitting_set_order_oblivious():
     inst = generate_instance(spec)
     for order in itertools.permutations(range(3)):
         # replace() re-runs the Roabp validation on the re-ordered blocks
-        permuted = replace(
-            inst,
+        permuted = inst.replace(
             blocks=tuple(inst.blocks[i] for i in order),
             layers=tuple(inst.layers[i] for i in order),
         )

@@ -14,7 +14,6 @@ import hashlib
 import json
 import pathlib
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -100,7 +99,7 @@ def with_rank_one_layer(inst, seed: int):
     u, v = ([rnd.randint(1, inst.field.p - 1) for _ in range(2)] for _ in range(2))
     matrix = tuple(tuple(a * b % inst.field.p for b in v) for a in u)
     layer = MatPoly(inst.field, inst.n, 2, {e: matrix})
-    return replace(inst, layers=inst.layers[:j] + (layer,) + inst.layers[j + 1:])
+    return inst.replace(layers=inst.layers[:j] + (layer,) + inst.layers[j + 1:])
 
 
 @pytest.mark.parametrize("family, klass, params, size", [

@@ -11,7 +11,6 @@ so both routes are held to its stdout byte for byte.
 import hashlib
 import json
 import pathlib
-from dataclasses import replace
 
 from pitkit.depth3 import Depth3Circuit, Gate
 from pitkit.io_cli import main, save_instance
@@ -24,7 +23,7 @@ MODULI = (3, 10007, 2**61 - 1)
 
 def _without_constants(c: Depth3Circuit) -> Depth3Circuit:
     gates = tuple(
-        Gate(g.scale, tuple(replace(f, constant=0) for f in g.forms)) for g in c.gates
+        Gate(g.scale, tuple(f.replace(constant=0) for f in g.forms)) for g in c.gates
     )
     return Depth3Circuit(c.field, c.n, gates)
 

@@ -4,7 +4,6 @@ These callables take an instance and its declared parameters, plus only the
 settings some caller varies.  A change that adds a parameter back, or that
 deletes or re-adds a public name, must edit this file."""
 
-import dataclasses
 import inspect
 import types
 
@@ -21,7 +20,7 @@ from pitkit.concentrate import (
 from pitkit.depth3 import Depth3Circuit, circuit_to_roabp
 from pitkit.isolate import construct_isolating_weights, greedy_basis, roabp_hitting_set
 from pitkit.kron import WeightFn
-from pitkit.verify import HittingReport, InstanceSpec, generate_instance, oracle_is_zero
+from pitkit.verify import InstanceSpec, generate_instance, oracle_is_zero
 
 
 def params(fn) -> list[str]:
@@ -44,14 +43,6 @@ def params(fn) -> list[str]:
 ])
 def test_parameter_names(fn, names):
     assert params(fn) == names
-
-
-@pytest.mark.parametrize("cls, names", [
-    (LagrangeCurve, ["field", "anchors"]),
-    (HittingReport, ["vacuous", "passed", "witness_index", "point_count"]),
-])
-def test_dataclass_fields(cls, names):
-    assert [f.name for f in dataclasses.fields(cls)] == names
 
 
 @pytest.mark.parametrize(
