@@ -266,7 +266,41 @@ class RowSpan:
 
 
 # ---------------------------------------------------------------------------
-# sparse scalar polynomials
+# sparse polynomials
+
+
+def _check_exponent(e: Monomial, n: int) -> None:
+    if len(e) != n:
+        raise StructuralError(f"exponent {e} has length {len(e)}, ambient is {n}")
+    if any(v < 0 for v in e):
+        raise StructuralError(f"negative exponent in {e}")
+
+
+class TermMap(Frozen):
+    """Base of the sparse polynomial types: `terms` maps each length-n
+    exponent tuple of nonnegative entries to a nonzero coefficient, and the
+    queries here read only its keys."""
+
+    __match_args__ = ("field", "n", "terms")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    @property
+    def sparsity(self) -> int:
+        return len(self.terms)
+
+    def individual_degree(self) -> int:
+        return max((max(e) for e in self.terms), default=0)
+
+    def max_support(self) -> int:
+        return max((mono_support_size(e) for e in self.terms), default=0)
+
+    def support_vars(self) -> frozenset[int]:
+        out: set[int] = set()
+        for e in self.terms:
+            out.update(mono_support(e))
+        return frozenset(out)
 
 
 def _canonical_terms(
@@ -274,23 +308,18 @@ def _canonical_terms(
 ) -> dict[Monomial, int]:
     out: dict[Monomial, int] = {}
     for e, c in terms.items():
-        if len(e) != n:
-            raise StructuralError(f"exponent {e} has length {len(e)}, ambient is {n}")
-        if any(v < 0 for v in e):
-            raise StructuralError(f"negative exponent in {e}")
+        _check_exponent(e, n)
         c = field.normalize(c)
         if c:
             out[tuple(e)] = c
     return out
 
 
-class ScalarPoly(Frozen):
+class ScalarPoly(TermMap):
     """Sparse polynomial in n variables with GF(p) coefficients.
 
     No zero coefficients are stored; treat instances as immutable.
     """
-
-    __match_args__ = ("field", "n", "terms")
 
     def __init__(self, field: Field, n: int, terms: dict) -> None:
         self.__dict__.update(field=field, n=n, terms=_canonical_terms(terms, n, field))
@@ -312,27 +341,8 @@ class ScalarPoly(Frozen):
         return cls(field, n, {mono_zero(n): value})
 
     # queries --------------------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
-    def sparsity(self) -> int:
-        return len(self.terms)
-
-    def individual_degree(self) -> int:
-        return max((max(e) for e in self.terms), default=0)
-
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
-
-    def max_support(self) -> int:
-        return max((mono_support_size(e) for e in self.terms), default=0)
-
-    def support_vars(self) -> frozenset[int]:
-        out: set[int] = set()
-        for e in self.terms:
-            out.update(mono_support(e))
-        return frozenset(out)
 
     def coeff(self, e: Monomial) -> int:
         return self.terms.get(tuple(e), 0)
@@ -408,8 +418,7 @@ def _canonical_mat_terms(
 ) -> dict[Monomial, Matrix]:
     out: dict[Monomial, Matrix] = {}
     for e, m in terms.items():
-        if len(e) != n:
-            raise StructuralError(f"exponent {e} has length {len(e)}, ambient is {n}")
+        _check_exponent(e, n)
         if len(m) != w or any(len(row) != w for row in m):
             raise StructuralError(f"coefficient of {e} is not {w}x{w}")
         mm = mat_normalize(m, field)
@@ -418,7 +427,7 @@ def _canonical_mat_terms(
     return out
 
 
-class MatPoly(Frozen):
+class MatPoly(TermMap):
     """Sparse polynomial in n variables with w-by-w matrix coefficients."""
 
     __match_args__ = ("field", "n", "w", "terms")
@@ -464,25 +473,6 @@ class MatPoly(Frozen):
         return cls(field, n, w, {e: tuple(tuple(r) for r in m) for e, m in terms.items()})
 
     # queries --------------------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
-    def sparsity(self) -> int:
-        return len(self.terms)
-
-    def individual_degree(self) -> int:
-        return max((max(e) for e in self.terms), default=0)
-
-    def max_support(self) -> int:
-        return max((mono_support_size(e) for e in self.terms), default=0)
-
-    def support_vars(self) -> frozenset[int]:
-        out: set[int] = set()
-        for e in self.terms:
-            out.update(mono_support(e))
-        return frozenset(out)
-
     def coeff(self, e: Monomial) -> Matrix:
         return self.terms.get(tuple(e), mat_zero(self.w))
 

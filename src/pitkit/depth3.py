@@ -123,11 +123,10 @@ class Depth3Circuit(Frozen):
         )
 
     def distinct_partitions(self) -> list["Partition"]:
-        seen: dict[frozenset, Partition] = {}
-        for i in range(self.k):
-            part = self.gate_partition(i)
-            seen.setdefault(part.canonical_key(), part)
-        return list(seen.values())
+        """The gate partitions without repeats, in order of first occurrence;
+        colors are sorted by their minimum, so equal partitions are equal
+        values."""
+        return list(dict.fromkeys(self.gate_partition(i) for i in range(self.k)))
 
     @cached_property
     def distance_order(self) -> tuple[tuple[int, ...], int]:
@@ -250,9 +249,6 @@ class Partition(Frozen):
         cs = [frozenset(c) for c in colors]
         ground = frozenset().union(*cs) if cs else frozenset()
         return cls(ground, tuple(cs))
-
-    def canonical_key(self) -> frozenset:
-        return frozenset(self.colors)
 
     def restrict(self, base: Iterable[int]) -> "Partition":
         """The nonempty traces of the colors on base, a subset of the

@@ -35,7 +35,7 @@ from .depth3 import (
 from .errors import CapabilityError, PreconditionError, StructuralError
 from .kron import PointFamily
 from .roabp import EXPAND_CEILING, PointSet, Roabp
-from .verify import HITTING_SETS, InstanceSpec, run_campaign, verify_hitting_property
+from .verify import CLASS_PARAMS, HITTING_SETS, InstanceSpec, run_campaign, verify_hitting_property
 
 FORMAT_VERSION = 1
 
@@ -44,9 +44,9 @@ EXIT_VERDICT = 1
 EXIT_USAGE = 2
 EXIT_CAPABILITY = 3
 
-# the InstanceSpec fields `verify --param` may set, each with the type of
-# its default (int or bool): every field after class, seed and modulus,
-# which have options of their own; modulus is the first with a default
+# the type of each InstanceSpec field's default (int or bool), for the
+# fields after class, seed and modulus, which have options of their own;
+# modulus is the first with a default
 CAMPAIGN_PARAMS = dict(zip(
     InstanceSpec.__match_args__[3:], map(type, InstanceSpec.__init__.__defaults__[1:])
 ))
@@ -625,10 +625,20 @@ def _read_point_lines(path: str, data: bytes) -> PointSet:
 # CLI
 
 
-def _cmd_hs(args) -> int:
+# each instance type a command may require, named as in its message
+_KINDS = {Roabp: "an roabp", Depth3Circuit: "a depth3"}
+
+
+def _load(args, kind: type, command: str):
+    """The instance of --input (mod --modulus, if given), which must be a `kind`."""
     instance = load_instance(args.input, args.modulus)
-    if not isinstance(instance, Roabp):
-        raise PreconditionError("hs expects an roabp circuit file")
+    if not isinstance(instance, kind):
+        raise PreconditionError(f"{command} expects {_KINDS[kind]} circuit file")
+    return instance
+
+
+def _cmd_hs(args) -> int:
+    instance = _load(args, Roabp, "hs")
     points = HITTING_SETS[args.family](instance, args.mode)
     if len(points) > HS_POINT_CEILING:
         raise CapabilityError(
@@ -652,9 +662,7 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_whitebox(args) -> int:
-    instance = load_instance(args.input, args.modulus)
-    if not isinstance(instance, Depth3Circuit):
-        raise PreconditionError("whitebox sum-sml expects a depth3 circuit file")
+    instance = _load(args, Depth3Circuit, "whitebox sum-sml")
     result = sum_sml_whitebox_test(instance, sweep_ceiling=args.ceiling)
     decomp = decompose_base_sets(instance.distinct_partitions())
     print(
@@ -669,9 +677,7 @@ def _cmd_whitebox(args) -> int:
 
 
 def _cmd_distance(args) -> int:
-    instance = load_instance(args.input, args.modulus)
-    if not isinstance(instance, Depth3Circuit):
-        raise PreconditionError("distance expects a depth3 circuit file")
+    instance = _load(args, Depth3Circuit, "distance")
     order, dist = instance.distance_order
     print(f"distance: {dist}")
     print(f"gate order: {' '.join(str(i) for i in order)}")
@@ -679,9 +685,7 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    instance = load_instance(args.input, args.modulus)
-    if not isinstance(instance, Depth3Circuit):
-        raise PreconditionError("decompose expects a depth3 circuit file")
+    instance = _load(args, Depth3Circuit, "decompose")
     decomp = decompose_base_sets(instance.distinct_partitions())
     names = _var_names(instance.n)
     payload = {
@@ -723,15 +727,17 @@ def _cmd_expand(args) -> int:
     return EXIT_OK
 
 
-def _campaign_param(item: str) -> tuple[str, int | bool]:
-    """KEY=VALUE parsed by the type of the InstanceSpec field KEY: a flag
-    takes true or false, any other field an integer."""
+def _campaign_param(klass: str, item: str) -> tuple[str, int | bool]:
+    """KEY=VALUE for a KEY the generator of `klass` reads (see
+    `verify.CLASS_PARAMS`), parsed by the type of the InstanceSpec field
+    KEY: a flag takes true or false, any other field an integer."""
     key, _, value = item.partition("=")
     if not value:
         raise StructuralError(f"bad --param {item!r}; expected key=value")
-    if key not in CAMPAIGN_PARAMS:
+    if key not in CLASS_PARAMS[klass]:
         raise StructuralError(
-            f"unknown --param {key!r}; expected one of {', '.join(CAMPAIGN_PARAMS)}"
+            f"unknown --param {key!r} for class {klass}; "
+            f"expected one of {', '.join(CLASS_PARAMS[klass])}"
         )
     if CAMPAIGN_PARAMS[key] is bool:
         if value.lower() not in ("true", "false"):
@@ -744,7 +750,7 @@ def _campaign_param(item: str) -> tuple[str, int | bool]:
 
 
 def _cmd_verify(args) -> int:
-    overrides = dict(map(_campaign_param, args.param or []))
+    overrides = dict(_campaign_param(args.klass, item) for item in args.param or [])
     result = run_campaign(
         args.klass, args.samples, seed=args.seed,
         modulus=DEFAULT_MODULUS if args.modulus is None else args.modulus,
@@ -763,49 +769,41 @@ def build_parser() -> argparse.ArgumentParser:
         description="Deterministic polynomial identity testing over prime fields.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options of every command that reads a circuit file
+    circuit = argparse.ArgumentParser(add_help=False)
+    circuit.add_argument("--input", required=True)
+    circuit.add_argument("--modulus", type=int)
 
-    hs = sub.add_parser("hs", help="generate a hitting set for an ROABP file")
+    hs = sub.add_parser("hs", parents=[circuit], help="generate a hitting set for an ROABP file")
     hs.add_argument("family", choices=list(HITTING_SETS))
-    hs.add_argument("--input", required=True)
     hs.add_argument("--mode", choices=["whitebox", "blackbox"], default="whitebox")
     hs.add_argument("--out")
-    hs.add_argument("--modulus", type=int)
     hs.set_defaults(func=_cmd_hs)
 
-    test = sub.add_parser("test", help="check a point set against an instance")
-    test.add_argument("--input", required=True)
+    test = sub.add_parser("test", parents=[circuit], help="check a point set against an instance")
     test.add_argument("--points", required=True)
-    test.add_argument("--modulus", type=int)
     test.set_defaults(func=_cmd_test)
 
-    wb = sub.add_parser("whitebox", help="whitebox zero tests")
+    wb = sub.add_parser("whitebox", parents=[circuit], help="whitebox zero tests")
     wb.add_argument("family", choices=["sum-sml"])
-    wb.add_argument("--input", required=True)
-    wb.add_argument("--modulus", type=int)
     wb.add_argument("--ceiling", type=int, default=SWEEP_CEILING)
     wb.set_defaults(func=_cmd_whitebox)
 
-    dist = sub.add_parser("distance", help="partition distance of a depth3 file")
-    dist.add_argument("--input", required=True)
-    dist.add_argument("--modulus", type=int)
+    dist = sub.add_parser("distance", parents=[circuit],
+                          help="partition distance of a depth3 file")
     dist.set_defaults(func=_cmd_distance)
 
-    dec = sub.add_parser("decompose", help="base-set decomposition of a depth3 file")
-    dec.add_argument("--input", required=True)
+    dec = sub.add_parser("decompose", parents=[circuit],
+                         help="base-set decomposition of a depth3 file")
     dec.add_argument("--out")
-    dec.add_argument("--modulus", type=int)
     dec.set_defaults(func=_cmd_decompose)
 
-    exp = sub.add_parser("expand", help="expand an instance (oracle)")
-    exp.add_argument("--input", required=True)
-    exp.add_argument("--modulus", type=int)
+    exp = sub.add_parser("expand", parents=[circuit], help="expand an instance (oracle)")
     exp.add_argument("--ceiling", type=int, default=EXPAND_CEILING)
     exp.set_defaults(func=_cmd_expand)
 
     ver = sub.add_parser("verify", help="run a seeded campaign")
-    ver.add_argument("--class", dest="klass", required=True,
-                     choices=["roabp", "invertible-roabp", "width2-roabp",
-                              "depth3-distance", "sum-sml"])
+    ver.add_argument("--class", dest="klass", required=True, choices=list(CLASS_PARAMS))
     ver.add_argument("--samples", type=int, required=True)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--modulus", type=int)

@@ -145,10 +145,8 @@ class Roabp(Frozen):
 
     @cached_property
     def delta(self) -> int:
-        degs = [layer.individual_degree() for layer in self.layers]
-        degs += [p.individual_degree() for p in self.left_boundary]
-        degs += [p.individual_degree() for p in self.right_boundary]
-        return max(degs, default=0)
+        parts = (*self.layers, *self.left_boundary, *self.right_boundary)
+        return max((part.individual_degree() for part in parts), default=0)
 
     @cached_property
     def layer_sparsity(self) -> int:
@@ -159,10 +157,8 @@ class Roabp(Frozen):
 
     @cached_property
     def layer_support(self) -> int:
-        mus = [layer.max_support() for layer in self.layers]
-        mus += [p.max_support() for p in self.left_boundary]
-        mus += [p.max_support() for p in self.right_boundary]
-        return max(mus, default=0)
+        parts = (*self.layers, *self.left_boundary, *self.right_boundary)
+        return max((part.max_support() for part in parts), default=0)
 
     @staticmethod
     def _boundary_monomials(vec: Sequence[ScalarPoly]):

@@ -31,6 +31,17 @@ from .roabp import Roabp
 
 REJECTION_BUDGET = 400
 
+# the InstanceSpec fields the generator of each campaign class reads, the
+# ones `verify --param` may set: width2-roabp is drawn at w = 2, and a
+# forced singular layer is outside the invertible-roabp class
+CLASS_PARAMS = {
+    "roabp": "n d w delta s mu nonzero force_singular invertible_constant".split(),
+    "invertible-roabp": "n d w delta s mu nonzero invertible_constant".split(),
+    "width2-roabp": "n d delta s mu nonzero force_singular invertible_constant".split(),
+    "depth3-distance": "n k delta nonzero".split(),
+    "sum-sml": "n k c nonzero engineered_zero".split(),
+}
+
 # family -> generator(instance, mode); each entry looks its generator up
 # per call, so rebinding the module-level name (as the benchmark's tracer
 # does) reaches the CLI and the campaigns.  Campaign class `F-roabp` (or
@@ -107,7 +118,8 @@ class InstanceSpec(Frozen):
         invertible_constant: bool = False,
         engineered_zero: bool = False,
     ) -> None:
-        for name, value in (("n", n), ("d", d), ("w", w), ("s", s), ("k", k), ("c", c)):
+        positive = (("n", n), ("d", d), ("w", w), ("s", s), ("mu", mu), ("k", k), ("c", c))
+        for name, value in positive:
             if value < 1:
                 raise StructuralError(f"instance parameter {name}={value} must be at least 1")
         if delta < 0:
@@ -141,7 +153,7 @@ def _random_exponent(
     e = [0] * n
     if delta == 0 or not block:
         return tuple(e)
-    support_size = stream.randint(1, max(1, min(mu, len(block))))
+    support_size = stream.randint(1, min(mu, len(block)))
     vars_ = stream.shuffled(block)[:support_size]
     for v in vars_:
         e[v] = stream.randint(1, delta)
@@ -196,12 +208,23 @@ def _split_blocks(stream: DetStream, n: int, d: int) -> list[tuple[int, ...]]:
     return blocks
 
 
+def _rejection_sample(spec: InstanceSpec, draw):
+    """The first instance `draw(stream)` returns, trying the streams
+    f"{klass}:{seed}:{attempt}" in turn: an attempt is rejected when draw
+    returns None or, for a nonzero spec, a zero instance."""
+    for attempt in range(REJECTION_BUDGET):
+        instance = draw(DetStream(f"{spec.klass}:{spec.seed}:{attempt}"))
+        if instance is not None and not (spec.nonzero and instance.is_zero()):
+            return instance
+    raise CapabilityError(f"rejection budget exhausted for {spec}")
+
+
 def _generate_roabp(spec: InstanceSpec) -> Roabp:
     field = Field(spec.modulus)
-    for attempt in range(REJECTION_BUDGET):
-        stream = DetStream(f"{spec.klass}:{spec.seed}:{attempt}")
-        n = spec.n
-        d = min(spec.d, n)
+    n = spec.n
+    d = min(spec.d, n)
+
+    def draw(stream: DetStream) -> Roabp | None:
         blocks = _split_blocks(stream, n, d)
         layers = []
         singular_at = set()
@@ -219,21 +242,17 @@ def _generate_roabp(spec: InstanceSpec) -> Roabp:
                     layer = _random_layer(stream, field, n, spec.w, block, spec)
                     budget -= 1
                 if budget == 0:
-                    break
+                    return None
             layers.append(layer)
-        if len(layers) != d:
-            continue
         left = tuple(stream.residue(field) for _ in range(spec.w))
         right = tuple(stream.residue(field) for _ in range(spec.w))
         if all(v == 0 for v in left):
             left = (1,) + left[1:]
         if all(v == 0 for v in right):
             right = (1,) + right[1:]
-        inst = Roabp.with_constant_boundaries(field, n, blocks, layers, left, right)
-        if spec.nonzero and inst.is_zero():
-            continue
-        return inst
-    raise CapabilityError(f"rejection budget exhausted for {spec}")
+        return Roabp.with_constant_boundaries(field, n, blocks, layers, left, right)
+
+    return _rejection_sample(spec, draw)
 
 
 def _random_partition(stream: DetStream, variables: Sequence[int], max_colors: int) -> Partition:
@@ -292,9 +311,9 @@ def _gates_from_partitions(
 
 def _generate_depth3_distance(spec: InstanceSpec) -> Depth3Circuit:
     field = Field(spec.modulus)
-    for attempt in range(REJECTION_BUDGET):
-        stream = DetStream(f"{spec.klass}:{spec.seed}:{attempt}")
-        n, k = spec.n, spec.k
+    n, k = spec.n, spec.k
+
+    def draw(stream: DetStream) -> Depth3Circuit | None:
         if stream.randint(0, 1):
             parts = _refinement_chain(stream, n, k)
         else:
@@ -302,14 +321,10 @@ def _generate_depth3_distance(spec: InstanceSpec) -> Depth3Circuit:
                 _random_partition(stream, range(n), max_colors=max(2, n // 2))
                 for _ in range(k)
             ]
-        gates = _gates_from_partitions(stream, field, n, parts)
-        circuit = Depth3Circuit(field, n, gates)
-        if circuit.distance_order[1] > spec.delta:
-            continue
-        if spec.nonzero and circuit.is_zero():
-            continue
-        return circuit
-    raise CapabilityError(f"rejection budget exhausted for {spec}")
+        circuit = Depth3Circuit(field, n, _gates_from_partitions(stream, field, n, parts))
+        return circuit if circuit.distance_order[1] <= spec.delta else None
+
+    return _rejection_sample(spec, draw)
 
 
 def _engineered_zero_sum_sml(stream: DetStream, field: Field, n: int, c: int) -> Depth3Circuit:
@@ -344,25 +359,21 @@ def _engineered_zero_sum_sml(stream: DetStream, field: Field, n: int, c: int) ->
 
 def _generate_sum_sml(spec: InstanceSpec) -> Depth3Circuit:
     field = Field(spec.modulus)
+    n, k, c = spec.n, spec.k, spec.c
     if spec.engineered_zero:
         stream = DetStream(f"{spec.klass}:{spec.seed}:zero")
-        return _engineered_zero_sum_sml(stream, field, spec.n, spec.c)
-    for attempt in range(REJECTION_BUDGET):
-        stream = DetStream(f"{spec.klass}:{spec.seed}:{attempt}")
-        n, k, c = spec.n, spec.k, spec.c
+        return _engineered_zero_sum_sml(stream, field, n, c)
+
+    def draw(stream: DetStream) -> Depth3Circuit | None:
         pool = [
             _random_partition(stream, range(n), max_colors=max(2, n // 2))
             for _ in range(c)
         ]
         assignments = [pool[i % c] for i in range(k)]
-        gates = _gates_from_partitions(stream, field, n, assignments)
-        circuit = Depth3Circuit(field, n, gates)
-        if len(circuit.distinct_partitions()) > c:
-            continue
-        if spec.nonzero and circuit.is_zero():
-            continue
-        return circuit
-    raise CapabilityError(f"rejection budget exhausted for {spec}")
+        circuit = Depth3Circuit(field, n, _gates_from_partitions(stream, field, n, assignments))
+        return circuit if len(circuit.distinct_partitions()) <= c else None
+
+    return _rejection_sample(spec, draw)
 
 
 def generate_instance(spec: InstanceSpec):

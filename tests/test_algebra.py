@@ -158,6 +158,21 @@ def test_poly_mul_mismatch_errors():
         a * MatPoly.identity(Field(11), 2, 2)
 
 
+@pytest.mark.parametrize("build", [
+    lambda e: ScalarPoly(F7, 2, {e: 1}),
+    lambda e: MatPoly(F7, 2, 1, {e: ((1,),)}),
+], ids=["scalar", "matrix"])
+@pytest.mark.parametrize("e, message", [
+    ((-1, 0), "negative exponent in (-1, 0)"),
+    ((1,), "exponent (1,) has length 1, ambient is 2"),
+])
+def test_both_polynomial_types_refuse_the_same_exponents(build, e, message):
+    # a negative exponent would make x^-1 evaluate as a modular inverse
+    with pytest.raises(StructuralError) as exc:
+        build(e)
+    assert str(exc.value) == message
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**30))
 def test_ring_laws_on_random_triples(seed):

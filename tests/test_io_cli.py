@@ -635,6 +635,13 @@ def test_cli_modulus_zero_is_not_replaced(tmp_path, command):
     ("roabp", ["--param", "delta=false"], "expected an integer"),
     ("width2-roabp", ["--param", "force_singular=7"], "expected true or false"),
     ("sum-sml", ["--param", "engineered_zero=1"], "expected true or false"),
+    ("roabp", ["--param", "mu=0"], "mu=0 must be at least 1"),
+    # a key the class's generator does not read
+    ("width2-roabp", ["--param", "w=3"], "unknown --param 'w' for class width2-roabp"),
+    ("sum-sml", ["--param", "s=2"], "unknown --param 's' for class sum-sml"),
+    ("depth3-distance", ["--param", "c=2"], "unknown --param 'c' for class depth3-distance"),
+    ("invertible-roabp", ["--param", "force_singular=true", "--param", "n=4", "--param", "d=3"],
+     "unknown --param 'force_singular' for class invertible-roabp"),
 ])
 def test_cli_verify_rejects_out_of_range_inputs(klass, args, message):
     proc = run_cli("verify", "--class", klass, "--samples", "1", *args)
