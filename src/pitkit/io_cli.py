@@ -35,7 +35,7 @@ from .depth3 import (
 from .errors import CapabilityError, PreconditionError, StructuralError
 from .kron import PointFamily
 from .roabp import EXPAND_CEILING, PointSet, Roabp
-from .verify import CLASS_PARAMS, HITTING_SETS, InstanceSpec, run_campaign, verify_hitting_property
+from .verify import CAMPAIGN_CLASSES, HITTING_SETS, InstanceSpec, run_campaign, verify_hitting_property
 
 FORMAT_VERSION = 1
 
@@ -43,13 +43,6 @@ EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_USAGE = 2
 EXIT_CAPABILITY = 3
-
-# the type of each InstanceSpec field's default (int or bool), for the
-# fields after class, seed and modulus, which have options of their own;
-# modulus is the first with a default
-CAMPAIGN_PARAMS = dict(zip(
-    InstanceSpec.__match_args__[3:], map(type, InstanceSpec.__init__.__defaults__[1:])
-))
 
 # the most points `hs` builds; the generators size a set before building it,
 # so a larger one is refused before any point or file is made
@@ -219,6 +212,8 @@ def _roabp_from_obj(obj: dict, field: Field, index: dict, where: str) -> Roabp:
     n, p = len(index), field.p
     mod = p.__rmod__  # v -> v % p
     width = _int(_require(obj, "width", where), f"{where}: width")
+    if width < 1:
+        raise StructuralError(f"{where}: width must be at least 1")
     block_names = _list(_require(obj, "blocks", where), f"{where}: blocks")
     seen: dict[str, int] = {}
     all_blocks = [obj.get("left_block", [])] + block_names + [obj.get("right_block", [])]
@@ -729,17 +724,17 @@ def _cmd_expand(args) -> int:
 
 def _campaign_param(klass: str, item: str) -> tuple[str, int | bool]:
     """KEY=VALUE for a KEY the generator of `klass` reads (see
-    `verify.CLASS_PARAMS`), parsed by the type of the InstanceSpec field
-    KEY: a flag takes true or false, any other field an integer."""
+    `verify.CAMPAIGN_CLASSES`), parsed by the type of KEY's InstanceSpec
+    default: a flag takes true or false, any other field an integer."""
     key, _, value = item.partition("=")
     if not value:
         raise StructuralError(f"bad --param {item!r}; expected key=value")
-    if key not in CLASS_PARAMS[klass]:
+    _, keys = CAMPAIGN_CLASSES[klass]
+    if key not in keys:
         raise StructuralError(
-            f"unknown --param {key!r} for class {klass}; "
-            f"expected one of {', '.join(CLASS_PARAMS[klass])}"
+            f"unknown --param {key!r} for class {klass}; expected one of {', '.join(keys)}"
         )
-    if CAMPAIGN_PARAMS[key] is bool:
+    if type(getattr(InstanceSpec(klass, 0), key)) is bool:
         if value.lower() not in ("true", "false"):
             raise StructuralError(f"bad --param {item!r}; expected true or false")
         return key, value.lower() == "true"
@@ -750,7 +745,12 @@ def _campaign_param(klass: str, item: str) -> tuple[str, int | bool]:
 
 
 def _cmd_verify(args) -> int:
-    overrides = dict(_campaign_param(args.klass, item) for item in args.param or [])
+    overrides = {}
+    for item in args.param or []:
+        key, value = _campaign_param(args.klass, item)
+        if key in overrides:
+            raise StructuralError(f"repeated --param {key!r}")
+        overrides[key] = value
     result = run_campaign(
         args.klass, args.samples, seed=args.seed,
         modulus=DEFAULT_MODULUS if args.modulus is None else args.modulus,
@@ -803,7 +803,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.set_defaults(func=_cmd_expand)
 
     ver = sub.add_parser("verify", help="run a seeded campaign")
-    ver.add_argument("--class", dest="klass", required=True, choices=list(CLASS_PARAMS))
+    ver.add_argument("--class", dest="klass", required=True, choices=list(CAMPAIGN_CLASSES))
     ver.add_argument("--samples", type=int, required=True)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--modulus", type=int)

@@ -202,8 +202,6 @@ class Roabp(Frozen):
             raise CapabilityError(
                 f"expansion estimate {est} exceeds the ceiling {ceiling}"
             )
-        if self.width == 0:
-            return MatPoly.zero(self.field, self.n, 0), ScalarPoly.zero(self.field, self.n)
         matrix_part = MatPoly.identity(self.field, self.n, self.width)
         for layer in self.layers:
             matrix_part = matrix_part * layer

@@ -31,17 +31,6 @@ from .roabp import Roabp
 
 REJECTION_BUDGET = 400
 
-# the InstanceSpec fields the generator of each campaign class reads, the
-# ones `verify --param` may set: width2-roabp is drawn at w = 2, and a
-# forced singular layer is outside the invertible-roabp class
-CLASS_PARAMS = {
-    "roabp": "n d w delta s mu nonzero force_singular invertible_constant".split(),
-    "invertible-roabp": "n d w delta s mu nonzero invertible_constant".split(),
-    "width2-roabp": "n d delta s mu nonzero force_singular invertible_constant".split(),
-    "depth3-distance": "n k delta nonzero".split(),
-    "sum-sml": "n k c nonzero engineered_zero".split(),
-}
-
 # family -> generator(instance, mode); each entry looks its generator up
 # per call, so rebinding the module-level name (as the benchmark's tracer
 # does) reaches the CLI and the campaigns.  Campaign class `F-roabp` (or
@@ -102,7 +91,7 @@ class InstanceSpec(Frozen):
 
     def __init__(
         self,
-        klass: str,  # roabp | invertible-roabp | width2-roabp | depth3-distance | sum-sml
+        klass: str,  # a key of CAMPAIGN_CLASSES
         seed: int,
         modulus: int = DEFAULT_MODULUS,
         n: int = 4,
@@ -219,7 +208,11 @@ def _rejection_sample(spec: InstanceSpec, draw):
     raise CapabilityError(f"rejection budget exhausted for {spec}")
 
 
-def _generate_roabp(spec: InstanceSpec) -> Roabp:
+def _generate_roabp(spec: InstanceSpec, nonsingular: bool = False) -> Roabp:
+    """An ROABP of the spec; with `nonsingular`, every layer's determinant
+    is a nonzero polynomial."""
+    if spec.force_singular and spec.w != 2:
+        raise StructuralError(f"force_singular=True needs w=2, got w={spec.w}")
     field = Field(spec.modulus)
     n = spec.n
     d = min(spec.d, n)
@@ -228,7 +221,7 @@ def _generate_roabp(spec: InstanceSpec) -> Roabp:
         blocks = _split_blocks(stream, n, d)
         layers = []
         singular_at = set()
-        if spec.force_singular and spec.w == 2 and d >= 1:
+        if spec.force_singular:
             count = stream.randint(1, max(1, d // 2))
             singular_at = set(stream.shuffled(range(d))[:count])
         for i, block in enumerate(blocks):
@@ -236,7 +229,7 @@ def _generate_roabp(spec: InstanceSpec) -> Roabp:
                 layers.append(_random_singular_layer(stream, field, n, block, spec))
                 continue
             layer = _random_layer(stream, field, n, spec.w, block, spec)
-            if spec.klass == "invertible-roabp" or spec.invertible_constant:
+            if nonsingular or spec.invertible_constant:
                 budget = REJECTION_BUDGET
                 while layer.det.is_zero() and budget:
                     layer = _random_layer(stream, field, n, spec.w, block, spec)
@@ -376,18 +369,41 @@ def _generate_sum_sml(spec: InstanceSpec) -> Depth3Circuit:
     return _rejection_sample(spec, draw)
 
 
+# one entry per campaign class: its generator, and the InstanceSpec keys
+# `verify --param` may set, in the order its per-seed envelope draws them.
+# A key's envelope is a (lo, hi) range drawn per seed (d's upper end is
+# min(hi, n), and a flag is drawn as 0 or 1), a fixed value, or None, which
+# leaves the InstanceSpec default.  width2-roabp fixes w = 2, and a forced
+# singular layer is outside invertible-roabp, so neither takes that key
+CAMPAIGN_CLASSES = {
+    "roabp": (_generate_roabp, dict(
+        n=(2, 5), d=(1, 4), w=(1, 3), s=(1, 3), delta=(1, 2), mu=2,
+        nonzero=None, force_singular=None, invertible_constant=None)),
+    "invertible-roabp": (lambda spec: _generate_roabp(spec, nonsingular=True), dict(
+        n=(2, 5), d=(1, 3), w=2, s=(1, 3), delta=(1, 2), mu=1,
+        invertible_constant=(0, 1), nonzero=None)),
+    "width2-roabp": (lambda spec: _generate_roabp(spec.replace(w=2)), dict(
+        n=(2, 4), d=(1, 3), s=2, delta=1, mu=1, force_singular=(0, 1),
+        nonzero=None, invertible_constant=None)),
+    "depth3-distance": (_generate_depth3_distance, dict(
+        n=(3, 8), k=(1, 3), delta=2, nonzero=None)),
+    "sum-sml": (_generate_sum_sml, dict(
+        n=(3, 9), k=(1, 3), c=(1, 3), engineered_zero=(0, 1), nonzero=None)),
+}
+
+
+def _campaign_class(klass: str) -> tuple:
+    """The CAMPAIGN_CLASSES entry of `klass`."""
+    if klass not in CAMPAIGN_CLASSES:
+        raise StructuralError(f"unknown campaign class {klass!r}")
+    return CAMPAIGN_CLASSES[klass]
+
+
 def generate_instance(spec: InstanceSpec):
     """Deterministic instance for the spec; identical specs give identical
     instances."""
-    if spec.klass in ("roabp", "invertible-roabp"):
-        return _generate_roabp(spec)
-    if spec.klass == "width2-roabp":
-        return _generate_roabp(spec.replace(w=2))
-    if spec.klass == "depth3-distance":
-        return _generate_depth3_distance(spec)
-    if spec.klass == "sum-sml":
-        return _generate_sum_sml(spec)
-    raise StructuralError(f"unknown instance class {spec.klass!r}")
+    generate, _ = _campaign_class(spec.klass)
+    return generate(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -485,33 +501,29 @@ class CampaignResult(Frozen):
 
 def _campaign_case(spec: InstanceSpec) -> tuple[bool, str]:
     label = f"seed={spec.seed}"
-    family = spec.klass.removesuffix("-roabp")
-    if family in HITTING_SETS:
-        inst = generate_instance(spec)
-        report = verify_hitting_property(inst, HITTING_SETS[family](inst))
-        return report.passed, report.line(label)
+    inst = generate_instance(spec)
     if spec.klass == "depth3-distance":
-        circuit = generate_instance(spec)
-        reduced = circuit_to_roabp(circuit)
+        reduced = circuit_to_roabp(inst)
         _, scalar = reduced.expand()
-        ok = scalar == circuit.expand()
-        _, dist = circuit.distance_order
-        bound = circuit.k * (circuit.n + 1) ** dist
+        ok = scalar == inst.expand()
+        _, dist = inst.distance_order
+        bound = inst.k * (inst.n + 1) ** dist
         ok = ok and reduced.width <= bound
         status = "pass" if ok else "FAIL"
         return ok, (
             f"{label}: {status} distance={dist} width={reduced.width} bound={bound}"
         )
     if spec.klass == "sum-sml":
-        circuit = generate_instance(spec)
-        result = sum_sml_whitebox_test(circuit)
-        truth = "zero" if oracle_is_zero(circuit) else "nonzero"
+        result = sum_sml_whitebox_test(inst)
+        truth = "zero" if oracle_is_zero(inst) else "nonzero"
         ok = result.verdict == truth
         if result.verdict == "nonzero":
-            ok = ok and result.witness is not None and circuit.eval_at(result.witness) != 0
+            ok = ok and result.witness is not None and inst.eval_at(result.witness) != 0
         status = "pass" if ok else "FAIL"
         return ok, f"{label}: {status} verdict={result.verdict} truth={truth}"
-    raise StructuralError(f"unknown campaign class {spec.klass!r}")
+    family = spec.klass.removesuffix("-roabp")
+    report = verify_hitting_property(inst, HITTING_SETS[family](inst))
+    return report.passed, report.line(label)
 
 
 def run_campaign(
@@ -525,6 +537,7 @@ def run_campaign(
     functions of (class, samples, seed, parameters).  A case that raises a
     capability error is recorded as `seed=S: LIMIT <message>` and the
     campaign goes on."""
+    _campaign_class(klass)
     if samples < 0:
         raise StructuralError(f"samples={samples} must be nonnegative")
     lines = []
@@ -547,35 +560,20 @@ def run_campaign(
 
 
 def _case_overrides(klass: str, seed: int, overrides: dict) -> dict:
-    """Per-seed parameter draws within the class's desk-scale envelope."""
+    """Per-seed parameter draws within the class's desk-scale envelope (see
+    CAMPAIGN_CLASSES); any override replaces the whole envelope.  A draw is
+    stored with the type of the key's InstanceSpec default."""
+    if overrides:
+        return dict(overrides)
+    _, envelope = _campaign_class(klass)
     stream = DetStream(f"params:{klass}:{seed}")
-    params = dict(overrides)
-    if klass == "roabp" and not overrides:
-        n = stream.randint(2, 5)
-        params = dict(
-            n=n, d=stream.randint(1, min(4, n)), w=stream.randint(1, 3),
-            s=stream.randint(1, 3), delta=stream.randint(1, 2), mu=2,
-        )
-    elif klass == "invertible-roabp" and not overrides:
-        n = stream.randint(2, 5)
-        params = dict(
-            n=n, d=stream.randint(1, min(3, n)), w=2,
-            s=stream.randint(1, 3), delta=stream.randint(1, 2), mu=1,
-            invertible_constant=bool(stream.randint(0, 1)),
-        )
-    elif klass == "width2-roabp" and not overrides:
-        n = stream.randint(2, 4)
-        params = dict(
-            n=n, d=stream.randint(1, min(3, n)), w=2,
-            s=2, delta=1, mu=1, force_singular=bool(stream.randint(0, 1)),
-        )
-    elif klass == "depth3-distance" and not overrides:
-        params = dict(
-            n=stream.randint(3, 8), k=stream.randint(1, 3), delta=2,
-        )
-    elif klass == "sum-sml" and not overrides:
-        params = dict(
-            n=stream.randint(3, 9), k=stream.randint(1, 3),
-            c=stream.randint(1, 3), engineered_zero=bool(stream.randint(0, 1)),
-        )
+    defaults = InstanceSpec(klass, seed)
+    params = {}
+    for key, value in envelope.items():
+        if type(value) is tuple:
+            lo, hi = value
+            hi = min(hi, params["n"]) if key == "d" else hi
+            value = type(getattr(defaults, key))(stream.randint(lo, hi))
+        if value is not None:
+            params[key] = value
     return params

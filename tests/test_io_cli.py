@@ -307,6 +307,16 @@ def test_cli_verify_campaign(capsys):
     assert "passed=40/40" in capsys.readouterr().out
 
 
+def test_cli_verify_forces_singular_layers_at_the_default_width(capsys):
+    # w defaults to 2, the one width at which a singular layer is forced
+    argv = ["verify", "--class", "roabp", "--samples", "3", "--param", "n=4"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main([*argv, "--param", "force_singular=true"]) == 0
+    forced = capsys.readouterr().out
+    assert "passed=3/3" in forced and forced != plain
+
+
 def test_cli_campaign_records_capability_limited_cases(capsys):
     # seed 187 needs more t0 values than GF(5) has; seeds 186 and 188 still run
     assert main(["verify", "--class", "invertible-roabp", "--modulus", "5",
@@ -569,6 +579,20 @@ def test_cli_rejects_non_integer_values(tmp_path, doc, path, value, messages):
     assert any(message in proc.stderr for message in messages)
 
 
+@pytest.mark.parametrize("width, empty", [(0, True), (-1, True), (-3, False)])
+@pytest.mark.parametrize("family", ["roabp", "invertible"])
+def test_cli_rejects_a_width_below_one(tmp_path, family, width, empty):
+    doc = json.loads(json.dumps(MINIMAL_ROABP))
+    doc["width"] = width
+    if empty:  # no matrix entry and no boundary entry to measure the width by
+        doc.update(layers=[[], []], left_boundary=[], right_boundary=[])
+    circuit = tmp_path / "narrow.json"
+    circuit.write_text(json.dumps(doc))
+    proc = run_cli("hs", family, "--input", str(circuit))
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stderr == "error: circuit file: width must be at least 1\n"
+
+
 @pytest.mark.parametrize("key, message", [
     ("layers", "layer 0: repeated exponents"),
     ("left_boundary", "left_boundary entry 0: repeated exponents"),
@@ -642,6 +666,14 @@ def test_cli_modulus_zero_is_not_replaced(tmp_path, command):
     ("depth3-distance", ["--param", "c=2"], "unknown --param 'c' for class depth3-distance"),
     ("invertible-roabp", ["--param", "force_singular=true", "--param", "n=4", "--param", "d=3"],
      "unknown --param 'force_singular' for class invertible-roabp"),
+    # a singular layer is forced only at width 2
+    ("roabp", ["--param", "w=3", "--param", "force_singular=true"],
+     "force_singular=True needs w=2, got w=3"),
+    ("roabp", ["--param", "force_singular=true", "--param", "w=1"],
+     "force_singular=True needs w=2, got w=1"),
+    ("roabp", ["--param", "n=3", "--param", "n=5"], "repeated --param 'n'"),
+    ("sum-sml", ["--param", "engineered_zero=true", "--param", "engineered_zero=false"],
+     "repeated --param 'engineered_zero'"),
 ])
 def test_cli_verify_rejects_out_of_range_inputs(klass, args, message):
     proc = run_cli("verify", "--class", klass, "--samples", "1", *args)

@@ -8,6 +8,8 @@ Kronecker sweep that preceded the cube sweep, so its verdict lines stay
 byte-identical.  `pinned_outputs_p61.json` pins the invertible-factor and
 width-2 sets of the first seeds at p = 2^61 - 1, where a residue outgrows
 one 64-bit word and the width-2 curve sweep reads multi-word slots.
+The 200-seed report of every campaign class is pinned at p = 10007 and at
+p = 5, where some cases reach a capability limit.
 `pinned_decompose.json` pins the `decompose` payload (stdout, and the same
 bytes written by `--out`) of the circuits of `test_pinned_sum_sml.py`.
 
@@ -22,10 +24,18 @@ import json
 import pathlib
 import tempfile
 
+import pytest
+
 from pitkit.concentrate import invertible_hitting_set, width2_hitting_set
 from pitkit.isolate import roabp_hitting_set
 from pitkit.io_cli import main, save_instance
-from pitkit.verify import DEFAULT_MODULUS, InstanceSpec, _case_overrides, generate_instance
+from pitkit.verify import (
+    DEFAULT_MODULUS,
+    InstanceSpec,
+    _case_overrides,
+    generate_instance,
+    run_campaign,
+)
 from test_pinned_sum_sml import circuits
 
 PINNED = pathlib.Path(__file__).with_name("pinned_outputs.json")
@@ -35,6 +45,21 @@ P61 = 2**61 - 1
 
 # sha256 of the stdout of `pitkit verify --class sum-sml --samples 100 --seed 0`
 SUM_SML_REPORT = "96851e6c198081a4f31de57339e7a051090e89108f726a5b8042647d87b7f913"
+
+# sha256 of the stdout of `pitkit verify --class CLASS --samples 200 --seed 0
+# --modulus P`: the report and its summary line
+CAMPAIGN_REPORTS = {
+    ("roabp", 10007): "0f0373ef2379bd912f20cf97b150d2e6495e8c0de401fd8b807371f7befd6738",
+    ("roabp", 5): "6470509514ebd71c2fd95e3bd71feb44af99d0da1a1e7c90612d4cfdba4d490c",
+    ("invertible-roabp", 10007): "4920e70f4cb5cc87f2f97c7f14e125fd3e71571c67465dacdd64861fc40565a1",
+    ("invertible-roabp", 5): "c603c9b3d329301151e21b05b3c424f72b9fadb97f5f3e3b71e34f689e36a893",
+    ("width2-roabp", 10007): "baad87767183157c4100cde025478e85809b55af25a671c479b4176cd6380660",
+    ("width2-roabp", 5): "ab5ddac7da13124be9a3d07936e9572643d7779127f004f70e2b26c2b736d995",
+    ("depth3-distance", 10007): "c01442fa4dd05ab127751e4adb453d1b9f12259ff021ee562fb5b2b5a3428a36",
+    ("depth3-distance", 5): "40579b0e66d4a675ad38d55057fbd6c0f23a056f4e9f2bbc8a261f3a0bc78099",
+    ("sum-sml", 10007): "d41fb43cf9db6286d1c23e466a93ee99be344f1ed590297149bfd8ecf52084ea",
+    ("sum-sml", 5): "d41fb43cf9db6286d1c23e466a93ee99be344f1ed590297149bfd8ecf52084ea",
+}
 
 GENERATORS = {
     "roabp": lambda inst: roabp_hitting_set(inst, "whitebox"),
@@ -107,6 +132,13 @@ def test_sum_sml_campaign_report_matches_pin(capsys):
     assert main(["verify", "--class", "sum-sml", "--samples", "100", "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == SUM_SML_REPORT
+
+
+@pytest.mark.parametrize("klass, modulus", list(CAMPAIGN_REPORTS))
+def test_campaign_reports_match_pins(klass, modulus):
+    result = run_campaign(klass, 200, seed=0, modulus=modulus)
+    report = result.render() + json.dumps(result.summary(), sort_keys=True) + "\n"
+    assert hashlib.sha256(report.encode()).hexdigest() == CAMPAIGN_REPORTS[klass, modulus]
 
 
 def test_decompose_payloads_match_pins():

@@ -124,6 +124,23 @@ def test_unknown_class_rejected():
         generate_instance(InstanceSpec(klass="mystery", seed=0))
 
 
+@pytest.mark.parametrize("samples", [0, 3])
+def test_campaign_refuses_an_unknown_class_before_any_case(samples):
+    with pytest.raises(StructuralError, match="unknown campaign class 'bogus'"):
+        run_campaign("bogus", samples)
+
+
+@pytest.mark.parametrize("w", [1, 3])
+def test_roabp_refuses_force_singular_off_width_two(w):
+    spec = InstanceSpec(klass="roabp", seed=0, w=w, force_singular=True)
+    with pytest.raises(StructuralError, match=f"force_singular=True needs w=2, got w={w}"):
+        generate_instance(spec)
+    # width2-roabp draws at w = 2 whatever the spec's w
+    forced = generate_instance(spec.replace(klass="width2-roabp"))
+    assert forced.width == 2
+    assert forced != generate_instance(spec.replace(klass="width2-roabp", force_singular=False))
+
+
 def test_campaign_reports_are_deterministic():
     a = run_campaign("roabp", 6, seed=0)
     b = run_campaign("roabp", 6, seed=0)
