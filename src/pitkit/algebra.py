@@ -8,8 +8,9 @@ coefficients.  Everything here is pure and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property, lru_cache
-from operator import attrgetter
+from operator import add, attrgetter
 from typing import Mapping, Sequence
 
 from .errors import CapabilityError, StructuralError
@@ -80,6 +81,8 @@ class Frozen:
         cls._values = property((lambda self: (get(self),)) if one else get)
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if other.__class__ is self.__class__:
             return self._values == other._values
         return NotImplemented
@@ -146,7 +149,7 @@ def mono_zero(n: int) -> Monomial:
 
 
 def mono_mul(e1: Monomial, e2: Monomial) -> Monomial:
-    return tuple(a + b for a, b in zip(e1, e2))
+    return tuple(map(add, e1, e2))
 
 
 def mono_support(e: Monomial) -> tuple[int, ...]:
@@ -154,7 +157,7 @@ def mono_support(e: Monomial) -> tuple[int, ...]:
 
 
 def mono_support_size(e: Monomial) -> int:
-    return sum(1 for v in e if v)
+    return len(e) - e.count(0)
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +294,10 @@ class TermMap(Frozen):
         return len(self.terms)
 
     def individual_degree(self) -> int:
-        return max((max(e) for e in self.terms), default=0)
+        return max(map(max, self.terms), default=0)
 
     def max_support(self) -> int:
-        return max((mono_support_size(e) for e in self.terms), default=0)
+        return max(map(mono_support_size, self.terms), default=0)
 
     def support_vars(self) -> frozenset[int]:
         out: set[int] = set()
@@ -313,6 +316,22 @@ def _canonical_terms(
         if c:
             out[tuple(e)] = c
     return out
+
+
+def _add_product(
+    acc: dict[Monomial, int], t1: Mapping[Monomial, int], t2: Mapping[Monomial, int], sign: int = 1
+) -> None:
+    """Add sign * t1 * t2 to the term map acc, whose sums are left unreduced."""
+    for e1, c1 in t1.items():
+        c1 *= sign
+        for e2, c2 in t2.items():
+            e = tuple(map(add, e1, e2))  # mono_mul, inlined
+            acc[e] = acc.get(e, 0) + c1 * c2
+
+
+def _reduced(acc: dict[Monomial, int], p: int) -> dict[Monomial, int]:
+    """The nonzero residues of acc's sums, each reduced once."""
+    return {e: r for e, c in acc.items() if (r := c % p)}
 
 
 class ScalarPoly(TermMap):
@@ -372,17 +391,9 @@ class ScalarPoly(TermMap):
 
     def __mul__(self, other: "ScalarPoly") -> "ScalarPoly":
         self._check_compatible(other)
-        p = self.field.p
         out: dict[Monomial, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = mono_mul(e1, e2)
-                s = (out.get(e, 0) + c1 * c2) % p
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return ScalarPoly._canonical(self.field, self.n, out)
+        _add_product(out, self.terms, other.terms)
+        return ScalarPoly._canonical(self.field, self.n, _reduced(out, self.field.p))
 
     @cached_property
     def _support(self) -> tuple[int, ...]:
@@ -433,6 +444,8 @@ class MatPoly(TermMap):
     __match_args__ = ("field", "n", "w", "terms")
 
     def __init__(self, field: Field, n: int, w: int, terms: dict) -> None:
+        if w < 1:
+            raise StructuralError("width must be at least 1")
         self.__dict__.update(field=field, n=n, w=w, terms=_canonical_mat_terms(terms, n, w, field))
 
     @classmethod
@@ -569,10 +582,19 @@ class MatPoly(TermMap):
 def det_poly(grid: Sequence[Sequence[ScalarPoly]]) -> ScalarPoly:
     """Symbolic determinant of a square grid of scalar polynomials.
 
-    Uses cofactor expansion, so the width is capped at DET_WIDTH_LIMIT and
-    the expansion at DET_TERM_CEILING terms.  When the grid comes from a
-    matrix polynomial with s monomials, the result's monomials are products
-    of w of them, so its sparsity is at most s^w.
+    Each of the determinant's terms takes one monomial from every row, so
+    it has at most the product of the rows' monomial counts (distinct
+    monomials over a row's entries) terms; past DET_TERM_CEILING a grid of
+    width 2 or more is refused before any product, as is a width past
+    DET_WIDTH_LIMIT.  For a matrix polynomial with s monomials the count
+    is at most s^w.
+
+    The expansion runs row by row.  The minors on the first k rows are kept
+    per set of columns they use (a bit mask), each a map from exponent tuple
+    to int coefficient, so each minor is built once; row k + 1 extends them
+    by its monomials.  Taking column j adds as many inversions as there are
+    used columns right of j, which sets the sign.  Coefficients are reduced
+    mod p once per row.
     """
     w = len(grid)
     if w == 0:
@@ -589,27 +611,23 @@ def det_poly(grid: Sequence[Sequence[ScalarPoly]]) -> ScalarPoly:
         for entry in row:
             if entry.field != field or entry.n != n:
                 raise StructuralError("grid mixes fields or ambients")
-
-    def rec(rows: list[int], cols: list[int]) -> ScalarPoly:
-        if len(rows) == 1:
-            return grid[rows[0]][cols[0]]
-        acc = ScalarPoly.zero(field, n)
-        r = rows[0]
-        rest = rows[1:]
-        for k, c in enumerate(cols):
-            entry = grid[r][c]
-            if entry.is_zero():
-                continue
-            minor = rec(rest, cols[:k] + cols[k + 1:])
-            term = entry * minor
-            if k % 2:
-                term = -term
-            acc = acc + term
-            if acc.sparsity > DET_TERM_CEILING:
-                raise CapabilityError(
-                    f"determinant expansion exceeded {DET_TERM_CEILING} terms"
-                )
-        return acc
-
-    idx = list(range(w))
-    return rec(idx, idx)
+    if w == 1:
+        return grid[0][0]
+    count = math.prod(len({e for entry in row for e in entry.terms}) for row in grid)
+    if count > DET_TERM_CEILING:
+        raise CapabilityError(
+            f"determinant of up to {count} terms exceeds the ceiling {DET_TERM_CEILING}"
+        )
+    p = field.p
+    # the first row's minors are its entries, all of sign +1
+    minors = {1 << j: entry.terms for j, entry in enumerate(grid[0]) if entry.terms}
+    for row in grid[1:]:
+        wider: dict[int, dict[Monomial, int]] = {}
+        for used, minor in minors.items():
+            for j, entry in enumerate(row):
+                if used >> j & 1 or not entry.terms:
+                    continue
+                sign = -1 if (used >> j).bit_count() & 1 else 1
+                _add_product(wider.setdefault(used | 1 << j, {}), entry.terms, minor, sign)
+        minors = {used: _reduced(acc, p) for used, acc in wider.items()}
+    return ScalarPoly._canonical(field, n, minors.get((1 << w) - 1, {}))

@@ -17,9 +17,10 @@ import math
 import operator
 import sys
 from array import array
+from functools import cached_property
 from typing import Iterator, Sequence
 
-from .algebra import Field, Frozen, MatPoly, ScalarPoly, mat_det
+from .algebra import Field, Frozen, ScalarPoly, trusted
 from .errors import (
     InternalInconsistencyError,
     ModulusTooSmallError,
@@ -135,7 +136,8 @@ def find_concentrating_shift(r: Roabp) -> tuple[WeightFn, int, int]:
             continue
         for t0 in range(1, t_budget + 1):
             offsets = wfn.powers(t0, p)
-            invertible = all(mat_det(layer.eval_at(offsets), r.field) for layer in r.layers)
+            # det(layer(o)) = det(o): each layer's cached determinant, evaluated
+            invertible = all(det.eval_at(offsets) for det in dets)
             if invertible and _shift_hits(r, bound, offsets):
                 return wfn, prime, t0
     if clipped:
@@ -297,13 +299,12 @@ class Width2Factorization(Frozen):
 
 
 def _rank_one_split(
-    layer: MatPoly,
+    grid: list[list[ScalarPoly]],
 ) -> tuple[ScalarPoly, tuple[ScalarPoly, ScalarPoly], tuple[ScalarPoly, ScalarPoly]]:
-    """Split a symbolically singular nonzero 2x2 layer as
-    alpha * layer = column * row, picking the first nonzero entry in the
-    order (0,0), (0,1), (1,0), (1,1)."""
-    a, b = layer.entry(0, 0), layer.entry(0, 1)
-    c, d = layer.entry(1, 0), layer.entry(1, 1)
+    """Split a symbolically singular nonzero 2x2 layer, given by its entry
+    grid, as alpha * layer = column * row, picking the first nonzero entry
+    in the order (0,0), (0,1), (1,0), (1,1)."""
+    (a, b), (c, d) = grid
     if not a.is_zero():
         return a, (a, c), (a, b)
     if not b.is_zero():
@@ -334,23 +335,30 @@ def factorize_width2(r: Roabp) -> Width2Factorization:
                 is_zero=True,
             )
         if layer.det.is_zero():
-            entry, col, row = _rank_one_split(layer)
+            grid = layer.entry_grid()
+            entry, col, row = _rank_one_split(grid)
             for rr in range(2):
                 for cc in range(2):
-                    if not (col[rr] * row[cc] == layer.entry(rr, cc) * entry):
+                    if not (col[rr] * row[cc] == grid[rr][cc] * entry):
                         raise InternalInconsistencyError("rank-1 split failed")
             splits[i] = (col, row)
             alpha = alpha * entry
     if not splits:
-        return Width2Factorization(alpha=ScalarPoly.const(field, n, 1), chain=(r,), split_layers=())
+        return Width2Factorization(alpha=alpha, chain=(r,), split_layers=())
     # a piece starts at the left boundary or a singular layer's row, and
-    # ends at the next singular layer's column or the right boundary
+    # ends at the next singular layer's column or the right boundary; a
+    # row or column lives on its layer's block, the piece's boundary block,
+    # so every piece is valid by construction and is not checked again
     starts = [(0, r.left_boundary, r.left_block)]
     starts += [(i + 1, row, r.blocks[i]) for i, (_, row) in splits.items()]
     ends = [(i, col, r.blocks[i]) for i, (col, _) in splits.items()]
     ends.append((r.d, r.right_boundary, r.right_block))
     chain = tuple(
-        Roabp(field, n, 2, r.blocks[a:b], r.layers[a:b], left, right, left_block, right_block)
+        trusted(
+            Roabp, field=field, n=n, width=2, blocks=r.blocks[a:b], layers=r.layers[a:b],
+            left_boundary=left, right_boundary=right, left_block=left_block,
+            right_block=right_block,
+        )
         for (a, left, left_block), (b, right, right_block) in zip(starts, ends)
     )
     return Width2Factorization(alpha=alpha, chain=chain, split_layers=tuple(splits))
@@ -391,14 +399,18 @@ class LagrangeCurve(Frozen):
         h = len(anchors)
         if p <= h:
             raise ModulusTooSmallError(f"modulus {p} too small for {h} nodes")
-        # barycentric weights 1 / prod_{j != i} (i - j)
-        #   = (-1)^(h-1-i) / (i! (h-1-i)!)
+        self.__dict__.update(field=field, anchors=anchors)
+
+    @cached_property
+    def _weights(self) -> tuple[int, ...]:
+        """The barycentric weights 1 / prod_{j != i} (i - j)
+        = (-1)^(h-1-i) / (i! (h-1-i)!)."""
+        p, h = self.field.p, len(self.anchors)
         _, inv_fact = _factorials(h, p)
-        weights = tuple(
+        return tuple(
             (-1) ** (h - 1 - i) * inv_fact[i] * inv_fact[h - 1 - i] % p
             for i in range(h)
         )
-        self.__dict__.update(field=field, anchors=anchors, _weights=weights)
 
     def eval_at(self, u: int) -> tuple[int, ...]:
         p = self.field.p
@@ -432,11 +444,13 @@ class LagrangeCurve(Frozen):
         l(u) = u! / (u-h)! and w_i the barycentric weights.  The sum is, per
         coordinate, the convolution of (w_i alpha_i) with (1/m), computed as
         one big-int product of the two sequences packed into byte slots wide
-        enough that no slot overflows.  The product's slots are read back in
-        bulk: strided byte copies widen each to whole 64-bit words, one
-        array("Q") reads every word, and a slot of several words is joined
-        by shifts.  Past the factorial tables, every step maps C-level
-        operators over whole columns.
+        enough that no slot overflows.  Strided byte copies move the bytes
+        of one array("Q") of residues into the slots (for p >= 2^64, whose
+        residues span several words, `int.to_bytes` writes each), and
+        widen the product's slots back to whole 64-bit words, which one
+        array("Q") reads; a slot of several words is joined by shifts.  Past
+        the factorial tables, every step maps C-level operators over whole
+        columns.
         """
         p = self.field.p
         if count > p:
@@ -454,9 +468,19 @@ class LagrangeCurve(Frozen):
         words = -(-width // 8)
 
         def pack(seq) -> int:
-            return int.from_bytes(b"".join(map(
-                int.to_bytes, seq, itertools.repeat(width), itertools.repeat("little")
-            )), "little")
+            if p >> 64:
+                return int.from_bytes(b"".join(map(
+                    int.to_bytes, seq, itertools.repeat(width), itertools.repeat("little")
+                )), "little")
+            values = array("Q", seq)
+            if sys.byteorder == "big":
+                values.byteswap()
+            raw = values.tobytes()
+            # byte j of every value, at byte j of its slot; the rest stay 0
+            buf = bytearray(len(values) * width)
+            for j in range(min(width, 8)):
+                buf[j::width] = raw[j::8]
+            return int.from_bytes(buf, "little")
 
         # 1/m = (m-1)! / m! for m = 1 .. count-1, after a zero slot for m = 0
         recips = pack(itertools.chain((0,), _modmul(fact, inv_fact[1:], p)))
@@ -503,7 +527,9 @@ def _curve_sweep(
         head = []
         yield (head.append(anchor) or anchor for anchor in itertools.islice(anchors, count))
         if count > h:
-            yield LagrangeCurve(field, tuple(head)).sweep(count)[h:]
+            # the anchors are reduced points of one length: only the
+            # constructor's modulus check applies, and it ran above
+            yield trusted(LagrangeCurve, field=field, anchors=tuple(head)).sweep(count)[h:]
 
     points = PointFamily(count, lambda: itertools.chain.from_iterable(pieces()))
     provenance = {

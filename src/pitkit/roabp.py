@@ -94,6 +94,8 @@ class Roabp(Frozen):
             left_block=tuple(left_block),
             right_block=tuple(right_block),
         )
+        if width < 1:
+            raise StructuralError("width must be at least 1")
         if len(self.layers) != len(blocks):
             raise StructuralError("one layer per block required")
         seen: dict[int, int] = {}

@@ -13,6 +13,7 @@ circuit), so hitting campaigns never count vacuous passes.
 from __future__ import annotations
 
 import hashlib
+import struct
 from typing import Collection, Sequence
 
 from .algebra import DEFAULT_MODULUS, Field, Frozen, MatPoly, ScalarPoly, mat_det
@@ -48,18 +49,19 @@ class DetStream:
     def __init__(self, seed: int | str):
         self._seed = str(seed)
         self._counter = 0
-        self._buffer = b""
+        self._words: list[int] = []  # the current digest's unread words, last one next
 
     def _chunk(self) -> int:
-        if len(self._buffer) < 8:
+        """The next 64-bit word: each SHA-256 digest of "seed:counter" gives
+        four, read big-endian in order."""
+        if not self._words:
             digest = hashlib.sha256(
                 f"{self._seed}:{self._counter}".encode()
             ).digest()
             self._counter += 1
-            self._buffer += digest
-        value = int.from_bytes(self._buffer[:8], "big")
-        self._buffer = self._buffer[8:]
-        return value
+            self._words = list(struct.unpack(">4Q", digest))
+            self._words.reverse()
+        return self._words.pop()
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform-ish integer in [lo, hi] (64-bit reduction)."""

@@ -206,6 +206,35 @@ def shift_roabp(r: Roabp, offsets: Sequence[int]) -> Roabp:
 
 
 # ---------------------------------------------------------------------------
+# determinants
+
+
+def det_cofactor(grid: Sequence[Sequence[ScalarPoly]]) -> ScalarPoly:
+    """Symbolic determinant of a square grid of scalar polynomials by
+    cofactor expansion along the first row, with polynomial arithmetic
+    throughout: the definition `algebra.det_poly` must agree with."""
+    w = len(grid)
+    if w == 0 or any(len(row) != w for row in grid):
+        raise StructuralError("grid is not square")
+
+    def rec(rows: list[int], cols: list[int]) -> ScalarPoly:
+        if len(rows) == 1:
+            return grid[rows[0]][cols[0]]
+        first = grid[rows[0]][0]
+        acc = ScalarPoly.zero(first.field, first.n)
+        for k, c in enumerate(cols):
+            entry = grid[rows[0]][c]
+            if entry.is_zero():
+                continue
+            term = entry * rec(rows[1:], cols[:k] + cols[k + 1:])
+            acc = acc + (-term if k % 2 else term)
+        return acc
+
+    idx = list(range(w))
+    return rec(idx, idx)
+
+
+# ---------------------------------------------------------------------------
 # conveniences
 
 

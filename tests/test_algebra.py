@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pitkit import algebra
 from pitkit.algebra import (
     Field,
     MatPoly,
@@ -20,7 +21,7 @@ from pitkit.algebra import (
     MR_EXACT_BELOW,
 )
 from pitkit.errors import CapabilityError, StructuralError
-from reference import rank_over_field, shift_mat, shift_scalar, variable
+from reference import det_cofactor, rank_over_field, shift_mat, shift_scalar, variable
 
 F7 = Field(7)
 F101 = Field(101)
@@ -286,6 +287,79 @@ def test_det_poly_matches_numeric_on_general_grids():
             assert det.eval_at(pt) == mat_det(numeric, F101)
 
 
+DET_PRIMES = [3, 5, 10007, 2**31 - 1, 2**61 - 1]
+
+
+@pytest.mark.parametrize("p", DET_PRIMES)
+def test_det_poly_matches_the_cofactor_expansion(p):
+    # entries of a matrix polynomial with s monomials, and independent
+    # entries of up to s terms each; p = 3 and 5 make many sums cancel
+    field = Field(p)
+    rnd = random.Random(p)
+    for w in range(1, 5):
+        for s in range(1, 6):
+            grids = [
+                random_mat_poly(rnd, field, 3, w, s, 2).entry_grid(),
+                [
+                    [random_scalar_poly(rnd, field, 3, rnd.randint(0, s), 2) for _ in range(w)]
+                    for _ in range(w)
+                ],
+            ]
+            for grid in grids:
+                assert det_poly(grid) == det_cofactor(grid), (w, s)
+
+
+@pytest.mark.parametrize("p", DET_PRIMES)
+def test_det_poly_of_zero_singular_and_single_term_grids(p):
+    field = Field(p)
+    rnd = random.Random(p + 1)
+    zero = ScalarPoly.zero(field, 3)
+    for w in range(1, 5):
+        assert det_poly([[zero] * w for _ in range(w)]).is_zero()
+        # a single term e with matrix M has determinant det(M) x^(w e)
+        e = tuple(rnd.randint(0, 2) for _ in range(3))
+        m = tuple(tuple(rnd.randrange(p) for _ in range(w)) for _ in range(w))
+        value = mat_det(m, field)
+        single = det_poly(MatPoly(field, 3, w, {e: m}).entry_grid())
+        assert single.terms == ({tuple(w * v for v in e): value} if value else {})
+        if w == 1:
+            continue
+        # a repeated row, and the rank-one grid column * row
+        rows = [[random_scalar_poly(rnd, field, 3, 3, 2) for _ in range(w)] for _ in range(w)]
+        assert det_poly(rows[:-1] + rows[:1]).is_zero()
+        col, row = rows[0], rows[1]
+        assert det_poly([[c * r for r in row] for c in col]).is_zero()
+
+
+def test_det_poly_refuses_past_its_limits_before_any_product(monkeypatch):
+    one = ScalarPoly.const(F7, 1, 1)
+    with pytest.raises(CapabilityError, match="determinant width 5 exceeds the configured limit 4"):
+        det_poly([[one] * 5 for _ in range(5)])
+    # 32 distinct monomials over each row of a width-4 grid: up to 32^4 terms
+    wide = ScalarPoly(F7, 5, {e: 1 for e in itertools.product(range(2), repeat=5)})
+    zero = ScalarPoly.zero(F7, 5)
+    grid = [[wide if i == j else zero for j in range(4)] for i in range(4)]
+
+    def no_product(*args):
+        raise AssertionError("the ceiling is checked before any product")
+
+    monkeypatch.setattr(ScalarPoly, "__mul__", no_product)
+    with pytest.raises(
+        CapabilityError, match="determinant of up to 1048576 terms exceeds the ceiling 1000000"
+    ):
+        det_poly(grid)
+    monkeypatch.undo()
+    # the count is the product of the rows' distinct monomials, wherever
+    # in the row they sit: here 2 * 2, at and past the ceiling
+    x, y, c = variable(F7, 2, 0), variable(F7, 2, 1), ScalarPoly.const(F7, 2, 1)
+    grid = [[x, y], [c, x + c]]
+    monkeypatch.setattr(algebra, "DET_TERM_CEILING", 4)
+    assert det_poly(grid) == det_cofactor(grid)
+    monkeypatch.setattr(algebra, "DET_TERM_CEILING", 3)
+    with pytest.raises(CapabilityError, match="determinant of up to 4 terms exceeds the ceiling 3"):
+        det_poly(grid)
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -320,7 +394,7 @@ def test_eval_matches_second_evaluator():
 
 def test_matrix_eval_is_the_entrywise_scalar_eval():
     # points past p and below 0 included; a block-local layer reads only its
-    # variables, and a width-0 polynomial evaluates to the empty matrix
+    # variables, and a width-0 polynomial is refused before any evaluation
     rnd = random.Random(6)
     for w in (1, 2, 3):
         for variables in (None, [1, 3]):
@@ -331,7 +405,8 @@ def test_matrix_eval_is_the_entrywise_scalar_eval():
                 for i in range(w)
             )
             assert ScalarPoly.eval_at(f.entry(0, 0), pt) == f.eval_at(pt)[0][0]
-    assert MatPoly.zero(F101, 2, 0).eval_at([1, 2]) == ()
+    with pytest.raises(StructuralError, match="width must be at least 1"):
+        MatPoly.zero(F101, 2, 0)
 
 
 def test_evaluation_terms_are_built_on_the_first_evaluation_only():

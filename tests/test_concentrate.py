@@ -13,6 +13,7 @@ from pitkit.algebra import (
     MatPoly,
     ScalarPoly,
     det_poly,
+    is_prime,
     mat_flatten,
 )
 from pitkit import algebra, concentrate, kron
@@ -38,6 +39,7 @@ from reference import (
     all_blocks,
     block_support,
     concentration_rank,
+    det_cofactor,
     rank_over_field,
     shift_mat,
     shift_roabp,
@@ -485,6 +487,39 @@ def test_width2_hitting_set_takes_one_determinant_per_layer(monkeypatch):
     assert len(calls) == r.d
 
 
+def test_determinants_and_width2_factors_sum_no_polynomials(monkeypatch):
+    # the determinant and factorize_width2 (rank-one check and alpha
+    # products included) run on ints and dicts: no ScalarPoly is added or
+    # negated, on width-2 instances with singular layers and width-3 layers
+    def fresh(r):
+        # the same instance, its layers' determinants not yet cached
+        return r.replace(layers=tuple(MatPoly(m.field, m.n, m.w, m.terms) for m in r.layers))
+
+    specs = [
+        InstanceSpec(klass="width2-roabp", seed=seed, n=4, d=3, w=2, s=2, delta=1, mu=1,
+                     force_singular=True)
+        for seed in range(6)
+    ] + [
+        InstanceSpec(klass="roabp", seed=seed, n=4, d=2, w=3, s=3, delta=2, mu=2)
+        for seed in range(6)
+    ]
+    instances = [generate_instance(spec) for spec in specs]
+    dets = [[det_cofactor(m.entry_grid()) for m in r.layers] for r in instances]
+    factors = [factorize_width2(fresh(r)) for r in instances if r.width == 2]
+    assert any(f.split_layers for f in factors)
+    # each piece is what the checking constructor builds from its fields
+    assert all(piece.replace() == piece for f in factors for piece in f.chain)
+
+    def no_sum(*args):
+        raise AssertionError("a polynomial was added or negated")
+
+    monkeypatch.setattr(ScalarPoly, "__add__", no_sum)
+    monkeypatch.setattr(ScalarPoly, "__neg__", no_sum)
+    for r, expected in zip(instances, dets):
+        assert [m.det for m in fresh(r).layers] == expected
+    assert [factorize_width2(fresh(r)) for r in instances if r.width == 2] == factors
+
+
 def _shifted_low_support_rows(layer, exponents, ell):
     """Coefficient vectors of the shifted layer's low-support x-monomials,
     each entry a polynomial in t (built symbolically)."""
@@ -921,6 +956,40 @@ def test_curve_sweep_matches_eval_at_on_every_slot_layout(p, h):
         curve = LagrangeCurve(field, anchors)
         for count in sorted({h, h + 1, min(p, 36 * h + 1)}):
             assert curve.sweep(count) == tuple(curve.eval_at(u) for u in range(count)), count
+
+
+def _slot_layouts() -> dict[int, tuple[int, int]]:
+    """A (p, h) per byte width of the sweep's packed slots, which hold sums
+    of h products of two residues: the largest prime below 2^bits for bits
+    up to 62, with h among 1, 2, 5, 17 and 40."""
+    layouts = {}
+    for bits in range(2, 63):
+        p = next(q for q in range(2**bits - 1, 1, -1) if is_prime(q))
+        for h in (1, 2, 5, 17, 40):
+            if h < p:
+                layouts.setdefault(((h * (p - 1) ** 2).bit_length() + 7) // 8, (p, h))
+    return layouts
+
+
+SLOT_LAYOUTS = _slot_layouts()
+
+
+@pytest.mark.parametrize("width", range(1, 18))
+def test_curve_sweep_packs_every_slot_width(width):
+    # every residue is packed into the low bytes of its slot, which for
+    # widths past 8 spans more than one 64-bit word
+    p, h = SLOT_LAYOUTS[width]
+    field = Field(p)
+    rnd = random.Random(width)
+    weights = LagrangeCurve(field, ((0,),) * h)._weights
+    anchor_sets = [
+        tuple(tuple(rnd.randrange(p) for _ in range(2)) for _ in range(h)),
+        tuple(((p - 1) * pow(wt, -1, p) % p, 0) for wt in weights),
+    ]
+    for anchors in anchor_sets:
+        curve = LagrangeCurve(field, anchors)
+        count = min(p, 3 * h + 20)
+        assert curve.sweep(count) == tuple(curve.eval_at(u) for u in range(count))
 
 
 def test_curve_sweep_of_points_without_coordinates():

@@ -23,6 +23,18 @@ def width1_chain():
     return Roabp.with_constant_boundaries(F7, 2, [(0,), (1,)], [l1, l2], (1,), (1,))
 
 
+@pytest.mark.parametrize("width", [0, -1])
+def test_constructors_refuse_a_width_below_one(width):
+    # the circuit loader's wording; a width-0 instance once gave a one-point
+    # hitting set, or an empty determinant grid
+    with pytest.raises(StructuralError, match="^width must be at least 1$"):
+        MatPoly(F7, 2, width, {})
+    with pytest.raises(StructuralError, match="^width must be at least 1$"):
+        Roabp(F7, 2, width, [(0,), (1,)], (), (), ())
+    with pytest.raises(StructuralError, match="^width must be at least 1$"):
+        Roabp(F7, 2, width, (), (), (), ())
+
+
 def test_evaluate_width1_example():
     assert width1_chain().evaluate([2, 3]) == 6
 

@@ -1,5 +1,6 @@
 """Generators, oracles, and campaign determinism."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -28,6 +29,16 @@ def test_stream_is_deterministic_and_keyed():
     b = [DetStream(42).randint(0, 10**6) for _ in range(5)]
     assert a == b
     assert DetStream(1).randint(0, 10**6) != DetStream(2).randint(0, 10**6)
+
+
+def test_stream_reads_each_digest_as_four_big_endian_words():
+    # the definition: word k of digest c is bytes 8k..8k+7 of
+    # sha256("seed:c"), big-endian, read in order
+    stream = DetStream("s")
+    top = 2**64 - 1
+    words = [stream.randint(0, top) for _ in range(11)]
+    digests = b"".join(hashlib.sha256(f"s:{c}".encode()).digest() for c in range(3))
+    assert words == [int.from_bytes(digests[8 * k:8 * k + 8], "big") for k in range(11)]
 
 
 def test_identical_spec_identical_instance():
