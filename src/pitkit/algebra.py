@@ -395,24 +395,16 @@ class ScalarPoly(TermMap):
         _add_product(out, self.terms, other.terms)
         return ScalarPoly._canonical(self.field, self.n, _reduced(out, self.field.p))
 
-    @cached_property
-    def _support(self) -> tuple[int, ...]:
-        """The variables some term uses, in index order; found on the first
-        evaluation, and small however many terms there are."""
-        return tuple(sorted(self.support_vars()))
-
     def eval_at(self, point: Sequence[int]) -> int:
-        """Exact evaluation by per-term power products, reading only the
-        coordinates of the variables the polynomial uses."""
+        """Exact evaluation by per-term power products."""
         if len(point) != self.n:
             raise StructuralError(f"point length {len(point)} != ambient {self.n}")
         p = self.field.p
-        support = self._support
         total = 0
         for e, c in self.terms.items():
-            for i in support:
-                if exp := e[i]:
-                    c = c * pow(point[i], exp, p) % p
+            for x, exp in zip(point, e):
+                if exp:
+                    c = c * pow(x, exp, p) % p
             total += c
         return total % p
 
@@ -533,37 +525,6 @@ class MatPoly(TermMap):
             self.field, self.n, self.w,
             {e: mat_scale(m, c, self.field) for e, m in self.terms.items()},
         )
-
-    @cached_property
-    def _sparse_terms(self) -> list:
-        """(variables used, nonzero entries) per term: each variable as an
-        (index, exponent) pair, each entry as (row * w + column, value);
-        built on the first evaluation."""
-        w = self.w
-        return [
-            (
-                tuple((i, x) for i, x in enumerate(e) if x),
-                [(i * w + j, v) for i, row in enumerate(m) for j, v in enumerate(row) if v],
-            )
-            for e, m in self.terms.items()
-        ]
-
-    def eval_at(self, point: Sequence[int]) -> Matrix:
-        """The matrix at `point`, reading only the coordinates each term
-        uses."""
-        if len(point) != self.n:
-            raise StructuralError(f"point length {len(point)} != ambient {self.n}")
-        p, w = self.field.p, self.w
-        acc = [0] * (w * w)
-        for factors, entries in self._sparse_terms:
-            v = 1
-            for i, exp in factors:
-                v = v * pow(point[i], exp, p) % p
-            if v:
-                for k, m in entries:
-                    acc[k] += v * m
-        # consecutive groups of w reduced entries are the rows
-        return tuple(zip(*[iter([x % p for x in acc])] * w))
 
     @cached_property
     def det(self) -> ScalarPoly:

@@ -284,25 +284,21 @@ def invertible_hitting_set_params(
 
 
 class Width2Factorization(Frozen):
-    """alpha(x) C(x) = product of the chain polynomials, every chain element
-    an invertible-factor width-2 instance; is_zero marks the degenerate
-    all-zero-layer certificate."""
+    """The invertible-factor width-2 instances a width-2 instance is cut
+    into at its singular layers (see `factorize_width2`); is_zero marks the
+    degenerate all-zero-layer certificate."""
 
-    __match_args__ = ("alpha", "chain", "split_layers", "is_zero")
+    __match_args__ = ("chain", "split_layers", "is_zero")
 
-    def __init__(
-        self, alpha: ScalarPoly, chain: tuple, split_layers: tuple, is_zero: bool = False
-    ) -> None:
-        self.__dict__.update(
-            alpha=alpha, chain=chain, split_layers=split_layers, is_zero=is_zero
-        )
+    def __init__(self, chain: tuple, split_layers: tuple, is_zero: bool = False) -> None:
+        self.__dict__.update(chain=chain, split_layers=split_layers, is_zero=is_zero)
 
 
 def _rank_one_split(
     grid: list[list[ScalarPoly]],
 ) -> tuple[ScalarPoly, tuple[ScalarPoly, ScalarPoly], tuple[ScalarPoly, ScalarPoly]]:
     """Split a symbolically singular nonzero 2x2 layer, given by its entry
-    grid, as alpha * layer = column * row, picking the first nonzero entry
+    grid, as entry * layer = column * row, picking the first nonzero entry
     in the order (0,0), (0,1), (1,0), (1,1)."""
     (a, b), (c, d) = grid
     if not a.is_zero():
@@ -319,21 +315,15 @@ def factorize_width2(r: Roabp) -> Width2Factorization:
 
     Each singular nonzero layer is a rank-1 product (column)(row)/entry;
     cutting there yields a chain of invertible-factor instances whose
-    product is alpha times the original polynomial.
+    product is the original polynomial times the entries divided by.
     """
     if r.width != 2:
         raise PreconditionError(f"width-2 only; got width {r.width}")
     field, n = r.field, r.n
     splits: dict[int, tuple] = {}  # singular layer -> (column, row)
-    alpha = ScalarPoly.const(field, n, 1)
     for i, layer in enumerate(r.layers):
         if layer.is_zero():
-            return Width2Factorization(
-                alpha=ScalarPoly.const(field, n, 1),
-                chain=(),
-                split_layers=(i,),
-                is_zero=True,
-            )
+            return Width2Factorization(chain=(), split_layers=(i,), is_zero=True)
         if layer.det.is_zero():
             grid = layer.entry_grid()
             entry, col, row = _rank_one_split(grid)
@@ -342,9 +332,8 @@ def factorize_width2(r: Roabp) -> Width2Factorization:
                     if not (col[rr] * row[cc] == grid[rr][cc] * entry):
                         raise InternalInconsistencyError("rank-1 split failed")
             splits[i] = (col, row)
-            alpha = alpha * entry
     if not splits:
-        return Width2Factorization(alpha=alpha, chain=(r,), split_layers=())
+        return Width2Factorization(chain=(r,), split_layers=())
     # a piece starts at the left boundary or a singular layer's row, and
     # ends at the next singular layer's column or the right boundary; a
     # row or column lives on its layer's block, the piece's boundary block,
@@ -361,7 +350,7 @@ def factorize_width2(r: Roabp) -> Width2Factorization:
         )
         for (a, left, left_block), (b, right, right_block) in zip(starts, ends)
     )
-    return Width2Factorization(alpha=alpha, chain=chain, split_layers=tuple(splits))
+    return Width2Factorization(chain=chain, split_layers=tuple(splits))
 
 
 def _factorials(count: int, p: int) -> tuple[list[int], list[int]]:

@@ -177,16 +177,43 @@ class Roabp(Frozen):
 
     # evaluation -----------------------------------------------------------
     def evaluate(self, point: Sequence[int]) -> int:
-        """left(point)^T (prod layers(point)) right(point)."""
+        """left(point)^T (prod layers(point)) right(point), in one pass.
+
+        Each part reads only the coordinates of its own block, as the
+        constructor and the loader refuse a term outside it.  Each layer
+        term's power product scales the row vector times its matrix, which
+        is added straight into the next row, so no matrix is built."""
         if len(point) != self.n:
             raise StructuralError(f"point length {len(point)} != ambient {self.n}")
-        p = self.field.p
-        vec = [poly.eval_at(point) for poly in self.left_boundary]
-        for layer in self.layers:
-            mat = layer.eval_at(point)
-            vec = [sum(map(mul, vec, col)) % p for col in zip(*mat)]
-        right = [poly.eval_at(point) for poly in self.right_boundary]
-        return sum(a * b for a, b in zip(vec, right)) % p
+        p, w = self.field.p, self.width
+        columns = range(w)
+
+        def value(poly: ScalarPoly, block: tuple) -> int:
+            total = 0
+            for e, c in poly.terms.items():
+                for i in block:
+                    if exp := e[i]:
+                        c = c * pow(point[i], exp, p) % p
+                total += c
+            return total % p
+
+        row = [value(poly, self.left_block) for poly in self.left_boundary]
+        for block, layer in zip(self.blocks, self.layers):
+            nxt = [0] * w
+            for e, m in layer.terms.items():
+                v = 1
+                for i in block:
+                    if exp := e[i]:
+                        v = v * pow(point[i], exp, p) % p
+                if v:
+                    for a, m_row in zip(row, m):
+                        if a:
+                            a *= v
+                            for j in columns:
+                                nxt[j] += a * m_row[j]
+            row = [x % p for x in nxt]
+        right = [value(poly, self.right_block) for poly in self.right_boundary]
+        return sum(map(mul, row, right)) % p
 
     def expansion_estimate(self) -> int:
         est = 1

@@ -4,7 +4,8 @@ pitkit never computes these on a production path: it builds hitting sets
 and zero tests that the definitions guarantee, and the tests check them
 here against the definitions themselves (basis isolation, support and
 block-support concentration, the naive Kronecker map, the shift
-x -> x + a).  A few conveniences the tests share sit at the end.
+x -> x + a, evaluation by whole power products).  A few conveniences the
+tests share sit at the end.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Sequence
 from pitkit.algebra import (
     Field,
     MatPoly,
+    Matrix,
     Monomial,
     RowSpan,
     ScalarPoly,
@@ -203,6 +205,59 @@ def shift_roabp(r: Roabp, offsets: Sequence[int]) -> Roabp:
         r.left_block,
         r.right_block,
     )
+
+
+# ---------------------------------------------------------------------------
+# evaluation
+
+
+def _value(poly: ScalarPoly, point: Sequence[int]) -> int:
+    """poly at point, the sum of its terms' power products, each with one
+    factor per coordinate."""
+    p = poly.field.p
+    total = 0
+    for e, c in poly.terms.items():
+        for x, exp in zip(point, e):
+            c = c * pow(x, exp, p) % p
+        total += c
+    return total % p
+
+
+def mat_eval_at(poly: MatPoly, point: Sequence[int]) -> Matrix:
+    """The matrix polynomial at point, entry by entry, reading every
+    coordinate."""
+    if len(point) != poly.n:
+        raise StructuralError(f"point length {len(point)} != ambient {poly.n}")
+    return tuple(
+        tuple(_value(poly.entry(i, j), point) for j in range(poly.w)) for i in range(poly.w)
+    )
+
+
+def evaluate_reference(r: Roabp, point: Sequence[int]) -> int:
+    """left^T (prod layers) right at point, every boundary entry and layer
+    matrix evaluated whole, reading every coordinate: the value
+    `Roabp.evaluate` must give."""
+    if len(point) != r.n:
+        raise StructuralError(f"point length {len(point)} != ambient {r.n}")
+    p, w = r.field.p, r.width
+    row = [_value(poly, point) for poly in r.left_boundary]
+    for layer in r.layers:
+        m = mat_eval_at(layer, point)
+        row = [sum(row[i] * m[i][j] for i in range(w)) % p for j in range(w)]
+    return sum(a * _value(poly, point) for a, poly in zip(row, r.right_boundary)) % p
+
+
+def width2_alpha(r: Roabp, fact) -> ScalarPoly:
+    """alpha of a `concentrate.Width2Factorization` of r: the product, over
+    its split layers, of each layer's first nonzero entry in the order
+    (0,0), (0,1), (1,0), (1,1), so that alpha * r = the chain's product."""
+    alpha = ScalarPoly.const(r.field, r.n, 1)
+    if fact.is_zero:
+        return alpha
+    for i in fact.split_layers:
+        (a, b), (c, d) = r.layers[i].entry_grid()
+        alpha = alpha * next(e for e in (a, b, c, d) if not e.is_zero())
+    return alpha
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from reference import (
     concentration_rank,
     is_basis_isolating,
     rank_over_field,
+    width2_alpha,
 )
 
 FIELD = Field(10007)
@@ -378,9 +379,10 @@ def test_criterion_9_width2():
             _, scalar = inst.expand()
             ok = scalar.is_zero()
         else:
+            alpha = width2_alpha(inst, fact)
             for _ in range(100):
                 pt = [rnd.randint(0, FIELD.p - 1) for _ in range(3)]
-                lhs = (fact.alpha.eval_at(pt) * inst.evaluate(pt)) % FIELD.p
+                lhs = (alpha.eval_at(pt) * inst.evaluate(pt)) % FIELD.p
                 rhs = 1
                 for piece in fact.chain:
                     rhs = (rhs * piece.evaluate(pt)) % FIELD.p

@@ -43,6 +43,7 @@ from reference import (
     rank_over_field,
     shift_mat,
     shift_roabp,
+    width2_alpha,
 )
 
 F7 = Field(7)
@@ -488,9 +489,9 @@ def test_width2_hitting_set_takes_one_determinant_per_layer(monkeypatch):
 
 
 def test_determinants_and_width2_factors_sum_no_polynomials(monkeypatch):
-    # the determinant and factorize_width2 (rank-one check and alpha
-    # products included) run on ints and dicts: no ScalarPoly is added or
-    # negated, on width-2 instances with singular layers and width-3 layers
+    # the determinant and factorize_width2 (rank-one check included) run
+    # on ints and dicts: no ScalarPoly is added or negated, on width-2
+    # instances with singular layers and width-3 layers
     def fresh(r):
         # the same instance, its layers' determinants not yet cached
         return r.replace(layers=tuple(MatPoly(m.field, m.n, m.w, m.terms) for m in r.layers))
@@ -817,7 +818,7 @@ def test_rank_one_split_worked_example():
     fact = factorize_width2(r)
     assert not fact.is_zero
     assert fact.split_layers == (0,)
-    assert fact.alpha.terms == {(0, 0): 1}
+    assert width2_alpha(r, fact).terms == {(0, 0): 1}
     assert len(fact.chain) == 2
     left = fact.chain[0]
     col = [p.terms.get((0, 0), 0) for p in left.right_boundary]
@@ -829,7 +830,7 @@ def test_all_invertible_chain_is_identity_factorization():
     fact = factorize_width2(inst)
     assert fact.split_layers == ()
     assert len(fact.chain) == 1 and fact.chain[0] is inst
-    assert fact.alpha.terms == {(0, 0, 0): 1}
+    assert width2_alpha(inst, fact).terms == {(0, 0, 0): 1}
 
 
 def test_zero_layer_gives_zero_certificate():
@@ -853,9 +854,10 @@ def test_factorization_identity_at_random_points():
         fact = factorize_width2(inst)
         if fact.is_zero:
             continue
+        alpha = width2_alpha(inst, fact)
         for _ in range(100):
             pt = [rnd.randint(0, 10006) for _ in range(3)]
-            lhs = (fact.alpha.eval_at(pt) * inst.evaluate(pt)) % F.p
+            lhs = (alpha.eval_at(pt) * inst.evaluate(pt)) % F.p
             rhs = 1
             for piece in fact.chain:
                 rhs = (rhs * piece.evaluate(pt)) % F.p
@@ -1127,9 +1129,10 @@ def test_width2_adjacent_singular_layers():
     fact = factorize_width2(r)
     assert fact.split_layers == (1, 2)
     assert fact.chain[1].d == 0
+    alpha = width2_alpha(r, fact)
     for _ in range(50):
         pt = [rnd.randint(0, big.p - 1) for _ in range(n)]
-        lhs = (fact.alpha.eval_at(pt) * r.evaluate(pt)) % big.p
+        lhs = (alpha.eval_at(pt) * r.evaluate(pt)) % big.p
         rhs = 1
         for piece in fact.chain:
             rhs = (rhs * piece.evaluate(pt)) % big.p

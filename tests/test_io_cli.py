@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import resource
 import subprocess
 import sys
@@ -38,7 +39,9 @@ from pitkit.verify import (
     generate_instance,
     verify_hitting_property,
 )
+from reference import evaluate_reference
 from test_pinned_blackbox import CASES as PINNED_BLACKBOX, declared
+from test_roabp import evaluation_instances
 
 
 MINIMAL_ROABP = {
@@ -238,11 +241,17 @@ def test_loaded_instances_equal_the_validating_constructors(tmp_path, klass, mod
     assert loaded >= 10
 
 
-def test_loading_builds_no_evaluation_terms(tmp_path):
-    inst = generate_instance(InstanceSpec(klass="roabp", seed=2, n=4, d=3, w=2, s=2, delta=2))
-    loaded = load_instance(write_instance(tmp_path, "c.json", inst))
-    polys = [*loaded.layers, *loaded.left_boundary, *loaded.right_boundary]
-    assert not any({"_support", "_sparse_terms"} & vars(poly).keys() for poly in polys)
+@pytest.mark.parametrize("modulus", [5, 10007, 2**61 - 1])
+def test_loaded_instances_evaluate_as_the_reference(tmp_path, modulus):
+    # the one-pass loader builds through trusted constructors, and
+    # evaluation reads each part's block only: a loaded instance, polynomial
+    # boundaries on end blocks included, evaluates as the saved one does
+    rnd = random.Random(modulus)
+    for i, inst in enumerate(evaluation_instances(modulus)[::3]):
+        loaded = load_instance(write_instance(tmp_path, f"c{i}.json", inst))
+        for _ in range(3):
+            pt = tuple(rnd.randint(-3 * modulus, 3 * modulus) for _ in range(inst.n))
+            assert loaded.evaluate(pt) == evaluate_reference(inst, pt)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,13 @@ import random
 import pytest
 
 from pitkit.algebra import Field, MatPoly, ScalarPoly, mat_identity, mat_mul
+from pitkit.concentrate import factorize_width2
+from pitkit.depth3 import circuit_to_roabp
 from pitkit.errors import CapabilityError, StructuralError
 from pitkit.kron import WeightFn, weights_mod_prime
 from pitkit.roabp import Roabp
 from pitkit.verify import DetStream, InstanceSpec, _case_overrides, generate_instance
-from reference import variable
+from reference import evaluate_reference, variable
 
 F7 = Field(7)
 F = Field(10007)
@@ -40,8 +42,93 @@ def test_evaluate_width1_example():
 
 
 def test_evaluate_point_length_checked():
-    with pytest.raises(StructuralError):
+    with pytest.raises(StructuralError, match=r"^point length 1 != ambient 2$"):
         width1_chain().evaluate([1])
+
+
+def boundary_instance(rnd, field, w, n=7):
+    """A width-w instance on a shuffled split of n variables: end blocks of
+    one or two variables carrying polynomial boundary entries (some zero),
+    and up to three layers, an empty block's layer constant."""
+    order = rnd.sample(range(n), n)
+    left_block, right_block = order[:rnd.randint(1, 2)], order[-rnd.randint(1, 2):]
+    inner = order[len(left_block):n - len(right_block)]
+    cuts = sorted(rnd.randint(0, len(inner)) for _ in range(rnd.randint(0, 2)))
+    blocks = [inner[a:b] for a, b in zip([0, *cuts], [*cuts, len(inner)])]
+
+    def exponents(block):
+        e = [0] * n
+        for v in block:
+            e[v] = rnd.randint(0, 2)
+        return tuple(e)
+
+    def entry():
+        return rnd.choice([0, 1, field.p - 1, rnd.randrange(field.p)])
+
+    def boundary(block):
+        return tuple(
+            ScalarPoly(field, n, {exponents(block): entry() for _ in range(rnd.randint(0, 2))})
+            for _ in range(w)
+        )
+
+    layers = [
+        MatPoly(field, n, w, {
+            exponents(block): tuple(tuple(entry() for _ in range(w)) for _ in range(w))
+            for _ in range(rnd.randint(1, 3))
+        })
+        for block in blocks
+    ]
+    return Roabp(field, n, w, blocks, layers, boundary(left_block), boundary(right_block),
+                 left_block, right_block)
+
+
+def evaluation_instances(p):
+    """Seeded instances of the three ROABP classes (and roabp at width 4),
+    the chain pieces of the width-2 ones, `circuit_to_roabp` reductions of
+    depth3-distance circuits, and `boundary_instance`s of widths 1-4."""
+    out = []
+
+    def seeded(klass, seed, **params):
+        try:
+            return generate_instance(InstanceSpec(
+                klass=klass, seed=seed, modulus=p,
+                **(params or _case_overrides(klass, seed, {})),
+            ))
+        except CapabilityError:  # rejection budget spent at a small p
+            return None
+
+    for seed in range(10):
+        for klass in ("roabp", "invertible-roabp", "width2-roabp"):
+            if inst := seeded(klass, seed):
+                out.append(inst)
+                if klass == "width2-roabp":
+                    out += factorize_width2(inst).chain
+        if inst := seeded("roabp", seed, n=4, d=3, w=4, s=2, delta=2):
+            out.append(inst)
+        if circuit := seeded("depth3-distance", seed):
+            out.append(circuit_to_roabp(circuit))
+    rnd = random.Random(p)
+    out += [boundary_instance(rnd, Field(p), w) for w in (1, 2, 3, 4) for _ in range(8)]
+    return out
+
+
+@pytest.mark.parametrize("p", [5, 10007, 2**61 - 1])
+def test_evaluate_is_the_reference_value(p):
+    # the one block-restricted pass against whole power products of every
+    # coordinate, at the zero point and at coordinates in [-3p, 3p]
+    instances = evaluation_instances(p)
+    assert {r.width for r in instances} >= {1, 2, 3, 4}
+    assert any(r.left_block and r.right_block and not r.has_constant_boundaries()
+               for r in instances)
+    rnd = random.Random(p)
+    values = []
+    for r in instances:
+        for pt in [(0,) * r.n] + [
+            tuple(rnd.randint(-3 * p, 3 * p) for _ in range(r.n)) for _ in range(4)
+        ]:
+            values.append(r.evaluate(pt))
+            assert values[-1] == evaluate_reference(r, pt)
+    assert sum(map(bool, values)) > len(values) // 4
 
 
 def test_evaluate_matches_expand_on_random_instances():

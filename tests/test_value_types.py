@@ -125,10 +125,9 @@ CASES = {
         "SumSmlResult(verdict='nonzero', witness=(0, 1), sweep=4)", {"witness": None},
     ),
     Width2Factorization: (
-        ("alpha", "chain", "split_layers", "is_zero"),
-        lambda: Width2Factorization(ONE, (), (0,), True),
-        "Width2Factorization(alpha=ScalarPoly(n=1, terms=1), chain=(), split_layers=(0,), "
-        "is_zero=True)",
+        ("chain", "split_layers", "is_zero"),
+        lambda: Width2Factorization((), (0,), True),
+        "Width2Factorization(chain=(), split_layers=(0,), is_zero=True)",
         {"is_zero": False},
     ),
     LagrangeCurve: (
@@ -224,7 +223,7 @@ def test_defaults():
     assert a.provenance == {} and a.provenance is not b.provenance
     r = Roabp(F, 1, 1, ((0,),), (X,), (ONE,), (ONE,))
     assert r.left_block == () and r.right_block == ()
-    assert Width2Factorization(ONE, (), ()).is_zero is False
+    assert Width2Factorization((), ()).is_zero is False
     assert CampaignResult("roabp", 0, 0, []).limited == 0
     spec = InstanceSpec("sum-sml", 3)
     assert field_values(spec)[2:] == (
