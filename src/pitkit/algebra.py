@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from functools import cached_property, lru_cache
 from operator import add, attrgetter
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import CapabilityError, StructuralError
 
@@ -529,8 +529,29 @@ class MatPoly(TermMap):
     @cached_property
     def det(self) -> ScalarPoly:
         """The symbolic determinant, `det_poly` of the entry grid, computed
-        once per matrix polynomial."""
+        once per matrix polynomial.  Whether it is nonzero is mostly decided
+        without it: see `is_singular`."""
         return det_poly(self.entry_grid())
+
+    def invertible_at_ones(self) -> bool:
+        """Whether the matrix at the all-ones point, the sum of the
+        coefficient matrices, is invertible.  If it is, the determinant is a
+        nonzero polynomial, as its value there is nonzero.  The
+        determinant's up-front refusals (`_det_refusals`, on the rows'
+        monomial counts) run first, so a layer `det_poly` would refuse is
+        refused here before any certificate."""
+        w = self.w
+        _det_refusals(w, (sum(1 for m in self.terms.values() if any(m[i])) for i in range(w)))
+        p = self.field.p
+        ones = [[sum(col) % p for col in zip(*rows)] for rows in zip(*self.terms.values())]
+        return bool(ones) and mat_det(ones, self.field) != 0
+
+    def is_singular(self) -> bool:
+        """Whether the determinant is the zero polynomial: no when the
+        matrix is invertible at the all-ones point, which one numeric
+        determinant decides; only when it is not is the symbolic `det`
+        expanded."""
+        return not self.invertible_at_ones() and self.det.is_zero()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MatPoly(n={self.n}, w={self.w}, terms={len(self.terms)})"
@@ -538,6 +559,23 @@ class MatPoly(TermMap):
 
 # ---------------------------------------------------------------------------
 # symbolic determinant
+
+
+def _det_refusals(w: int, row_counts: Iterable[int]) -> None:
+    """The determinant's up-front refusals for a width-w grid whose rows
+    have `row_counts` distinct monomials: a width past DET_WIDTH_LIMIT, and,
+    from width 2, a term bound (the counts' product) past DET_TERM_CEILING.
+    The counts are read only when the width check passes."""
+    if w > DET_WIDTH_LIMIT:
+        raise CapabilityError(
+            f"determinant width {w} exceeds the configured limit {DET_WIDTH_LIMIT}"
+        )
+    if w > 1:
+        count = math.prod(row_counts)
+        if count > DET_TERM_CEILING:
+            raise CapabilityError(
+                f"determinant of up to {count} terms exceeds the ceiling {DET_TERM_CEILING}"
+            )
 
 
 def det_poly(grid: Sequence[Sequence[ScalarPoly]]) -> ScalarPoly:
@@ -562,10 +600,7 @@ def det_poly(grid: Sequence[Sequence[ScalarPoly]]) -> ScalarPoly:
         raise StructuralError("empty grid")
     if any(len(row) != w for row in grid):
         raise StructuralError("grid is not square")
-    if w > DET_WIDTH_LIMIT:
-        raise CapabilityError(
-            f"determinant width {w} exceeds the configured limit {DET_WIDTH_LIMIT}"
-        )
+    _det_refusals(w, (len({e for entry in row for e in entry.terms}) for row in grid))
     field = grid[0][0].field
     n = grid[0][0].n
     for row in grid:
@@ -574,11 +609,6 @@ def det_poly(grid: Sequence[Sequence[ScalarPoly]]) -> ScalarPoly:
                 raise StructuralError("grid mixes fields or ambients")
     if w == 1:
         return grid[0][0]
-    count = math.prod(len({e for entry in row for e in entry.terms}) for row in grid)
-    if count > DET_TERM_CEILING:
-        raise CapabilityError(
-            f"determinant of up to {count} terms exceeds the ceiling {DET_TERM_CEILING}"
-        )
     p = field.p
     # the first row's minors are its entries, all of sign +1
     minors = {1 << j: entry.terms for j, entry in enumerate(grid[0]) if entry.terms}

@@ -44,17 +44,21 @@ def support_parameter(w: int, s: int, mu: int | None) -> int:
     return 1 + 2 * min(log_term, mu)
 
 
-def _interior_dets(r: Roabp) -> list[ScalarPoly]:
-    dets = []
+def _invertible_at_ones(r: Roabp) -> bool:
+    """Whether every layer is invertible at the all-ones point, after each
+    layer's determinant refusals, in layer order.  A layer that is not is
+    asked for its symbolic determinant, and a zero one is refused."""
+    at_ones = True
     for i, layer in enumerate(r.layers):
-        det = layer.det
-        if det.is_zero():
+        if layer.invertible_at_ones():
+            continue
+        at_ones = False
+        if layer.det.is_zero():
             raise PreconditionError(
                 f"layer {i} is symbolically singular; "
                 "use factorize_width2 for width-2 instances"
             )
-        dets.append(det)
-    return dets
+    return at_ones
 
 
 def _low_support_count(n: int, delta: int, ell: int) -> int:
@@ -120,21 +124,37 @@ def find_concentrating_shift(r: Roabp) -> tuple[WeightFn, int, int]:
     search is ModulusTooSmallError when some map's t0 budget was cut at
     p - 1, and InternalInconsistencyError only when every map ran its full
     budget.
+
+    The first candidate, the first map at t0 = 1, has the all-ones
+    offsets.  When every layer is invertible there, every determinant's
+    image is nonzero (its value at t = 1) and so is its value at t0 = 1,
+    so that candidate is decided by `_shift_hits` alone.  The symbolic
+    determinants, their degree (the t0 budget) and their images are
+    computed only when some layer is singular at ones or that candidate
+    fails; the search then goes on as above, past a candidate already
+    rejected.
     """
-    dets = _interior_dets(r)
+    at_ones = _invertible_at_ones(r)
     w, s, p = r.width, max(1, r.layer_sparsity), r.field.p
     bound = support_parameter(w, s, r.layer_support) * (w * w + 2)
     # the grid's own checks, ahead of the search
     low_support_hitting_set(r.n, r.delta, bound, r.field)
+    family = (r.n, r.d, w, r.delta, s, r.layer_support)
+    first = next(_shift_maps(*family), None) if at_ones else None
+    if first and _shift_hits(r, bound, first[1].powers(1, p)):
+        prime, wfn = first
+        return wfn, prime, 1
+    dets = [layer.det for layer in r.layers]
     det_degree = max((det.total_degree() for det in dets), default=0)
     clipped = False
-    for prime, wfn in _shift_maps(r.n, r.d, w, r.delta, s, r.layer_support):
+    for prime, wfn in _shift_maps(*family):
         full_budget = _t0_budget(r.d, det_degree, w, r.n, r.delta, wfn.max_weight)
         t_budget = min(p - 1, full_budget)
         clipped = clipped or t_budget < full_budget
         if not all(wfn.image(det.terms.items(), p) for det in dets):
             continue
-        for t0 in range(1, t_budget + 1):
+        # the first candidate, when tried above, is not tried again
+        for t0 in range(2 if (prime, wfn) == first else 1, t_budget + 1):
             offsets = wfn.powers(t0, p)
             # det(layer(o)) = det(o): each layer's cached determinant, evaluated
             invertible = all(det.eval_at(offsets) for det in dets)
@@ -315,7 +335,9 @@ def factorize_width2(r: Roabp) -> Width2Factorization:
 
     Each singular nonzero layer is a rank-1 product (column)(row)/entry;
     cutting there yields a chain of invertible-factor instances whose
-    product is the original polynomial times the entries divided by.
+    product is the original polynomial times the entries divided by.  A
+    layer invertible at the all-ones point is not singular; only the
+    others expand their determinant (`MatPoly.is_singular`).
     """
     if r.width != 2:
         raise PreconditionError(f"width-2 only; got width {r.width}")
@@ -324,7 +346,7 @@ def factorize_width2(r: Roabp) -> Width2Factorization:
     for i, layer in enumerate(r.layers):
         if layer.is_zero():
             return Width2Factorization(chain=(), split_layers=(i,), is_zero=True)
-        if layer.det.is_zero():
+        if layer.is_singular():
             grid = layer.entry_grid()
             entry, col, row = _rank_one_split(grid)
             for rr in range(2):

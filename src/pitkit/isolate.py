@@ -236,7 +236,9 @@ def _whitebox_map(r: Roabp) -> tuple[WeightFn, dict]:
 
     1. the constant map, when its image is nonzero or f is zero
        (`Roabp.is_zero`, asked only when the image vanishes; no set hits a
-       zero f);
+       zero f).  f(1, ..., 1) is that image's value at t = 1, so a nonzero
+       value decides this rung with one evaluation, and the image is
+       computed only when it is 0;
     2. the prime-reduced Kronecker maps at primes up to
        (L - 2) // (n * max(1, delta)), L = min(R, p) for R the
        round-combined count, so each sweep is shorter than R and fits the
@@ -245,7 +247,7 @@ def _whitebox_map(r: Roabp) -> tuple[WeightFn, dict]:
        keeps every nonzero f nonzero.
     """
     constant = WeightFn.constant(r.n)
-    if r.weighted_substitute(constant) or r.is_zero():
+    if r.evaluate((1,) * r.n) or r.weighted_substitute(constant) or r.is_zero():
         return constant, {"assignment": "constant"}
     combined, _ = construct_isolating_weights(_embedded_factors(r))
     limit = min(_sweep_count(r, combined), r.field.p)

@@ -233,7 +233,7 @@ def _generate_roabp(spec: InstanceSpec, nonsingular: bool = False) -> Roabp:
             layer = _random_layer(stream, field, n, spec.w, block, spec)
             if nonsingular or spec.invertible_constant:
                 budget = REJECTION_BUDGET
-                while layer.det.is_zero() and budget:
+                while layer.is_singular() and budget:
                     layer = _random_layer(stream, field, n, spec.w, block, spec)
                     budget -= 1
                 if budget == 0:

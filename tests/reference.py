@@ -21,6 +21,7 @@ from pitkit.algebra import (
     Monomial,
     RowSpan,
     ScalarPoly,
+    mat_det,
     mat_flatten,
     mono_support_size,
 )
@@ -231,6 +232,18 @@ def mat_eval_at(poly: MatPoly, point: Sequence[int]) -> Matrix:
     return tuple(
         tuple(_value(poly.entry(i, j), point) for j in range(poly.w)) for i in range(poly.w)
     )
+
+
+def det_at_ones(layer: MatPoly) -> int:
+    """The layer's determinant at the all-ones point, from the matrix
+    evaluated there."""
+    return mat_det(mat_eval_at(layer, (1,) * layer.n), layer.field)
+
+
+def uncached(r: Roabp) -> Roabp:
+    """The same instance on new layer objects, none of whose determinants
+    is cached yet."""
+    return r.replace(layers=tuple(MatPoly(m.field, m.n, m.w, m.terms) for m in r.layers))
 
 
 def evaluate_reference(r: Roabp, point: Sequence[int]) -> int:

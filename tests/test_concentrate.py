@@ -39,12 +39,15 @@ from reference import (
     all_blocks,
     block_support,
     concentration_rank,
+    det_at_ones,
     det_cofactor,
     rank_over_field,
     shift_mat,
     shift_roabp,
+    uncached,
     width2_alpha,
 )
+from test_all_ones_certificate import split_and_singular_at_ones
 
 F7 = Field(7)
 F = Field(10007)
@@ -474,28 +477,54 @@ def test_shift_search_skips_maps_whose_determinant_image_vanishes(monkeypatch):
     assert set(tried) == {5}
 
 
-def test_width2_hitting_set_takes_one_determinant_per_layer(monkeypatch):
-    # factorize_width2 and each chain piece's shift search read the
-    # determinant a layer caches
-    r = generate_instance(InstanceSpec(
+def _grid_key(grid) -> tuple:
+    return tuple(tuple(tuple(sorted(entry.terms.items())) for entry in row) for row in grid)
+
+
+def test_width2_hitting_set_expands_only_layers_singular_at_ones(monkeypatch):
+    # det_poly runs once for each layer singular at the all-ones point (a
+    # split layer is one) and never twice for one layer.  A chain piece
+    # holding such a layer runs the symbolic shift search, which reads the
+    # determinant of each of its layers, once each.
+    def expected(r, fact):
+        cuts = [-1, *fact.split_layers, r.d]
+        pieces = [r.layers[a + 1:b] for a, b in zip(cuts, cuts[1:])]
+        return sorted(
+            [_grid_key(r.layers[i].entry_grid()) for i in fact.split_layers]
+            + [_grid_key(layer.entry_grid()) for piece in pieces
+               if not all(map(det_at_ones, piece)) for layer in piece]
+        )
+
+    seed4 = generate_instance(InstanceSpec(
         klass="width2-roabp", seed=4, n=4, d=3, w=2, s=2, delta=1, mu=1,
         force_singular=True,
     ))
-    calls = []
-    monkeypatch.setattr(algebra, "det_poly", lambda grid: calls.append(1) or det_poly(grid))
-    points = width2_hitting_set(r)
-    assert points.provenance["split_layers"] and points.provenance["factors"] > 1
-    assert len(calls) == r.d
+    instances = [seed4, split_and_singular_at_ones(10007)] + [
+        generate_instance(InstanceSpec(
+            klass="width2-roabp", seed=seed, **_case_overrides("width2-roabp", seed, {})
+        ))
+        for seed in range(200)
+    ]
+    facts = [factorize_width2(r) for r in instances]
+    grids = []
+    monkeypatch.setattr(
+        algebra, "det_poly", lambda grid: grids.append(_grid_key(grid)) or det_poly(grid)
+    )
+    counts = []
+    for r, fact in zip(instances, facts):
+        grids.clear()
+        width2_hitting_set(uncached(r))
+        assert sorted(grids) == expected(r, fact)
+        counts.append(len(grids))
+    # seed 4 expands its one split layer of 3; the hand-built instance its
+    # split layer and the piece after it, whose first layer is singular at ones
+    assert counts[:2] == [1, 3] and sum(counts) == 2 + sum(len(f.split_layers) for f in facts)
 
 
 def test_determinants_and_width2_factors_sum_no_polynomials(monkeypatch):
     # the determinant and factorize_width2 (rank-one check included) run
     # on ints and dicts: no ScalarPoly is added or negated, on width-2
     # instances with singular layers and width-3 layers
-    def fresh(r):
-        # the same instance, its layers' determinants not yet cached
-        return r.replace(layers=tuple(MatPoly(m.field, m.n, m.w, m.terms) for m in r.layers))
-
     specs = [
         InstanceSpec(klass="width2-roabp", seed=seed, n=4, d=3, w=2, s=2, delta=1, mu=1,
                      force_singular=True)
@@ -506,7 +535,7 @@ def test_determinants_and_width2_factors_sum_no_polynomials(monkeypatch):
     ]
     instances = [generate_instance(spec) for spec in specs]
     dets = [[det_cofactor(m.entry_grid()) for m in r.layers] for r in instances]
-    factors = [factorize_width2(fresh(r)) for r in instances if r.width == 2]
+    factors = [factorize_width2(uncached(r)) for r in instances if r.width == 2]
     assert any(f.split_layers for f in factors)
     # each piece is what the checking constructor builds from its fields
     assert all(piece.replace() == piece for f in factors for piece in f.chain)
@@ -517,8 +546,8 @@ def test_determinants_and_width2_factors_sum_no_polynomials(monkeypatch):
     monkeypatch.setattr(ScalarPoly, "__add__", no_sum)
     monkeypatch.setattr(ScalarPoly, "__neg__", no_sum)
     for r, expected in zip(instances, dets):
-        assert [m.det for m in fresh(r).layers] == expected
-    assert [factorize_width2(fresh(r)) for r in instances if r.width == 2] == factors
+        assert [m.det for m in uncached(r).layers] == expected
+    assert [factorize_width2(uncached(r)) for r in instances if r.width == 2] == factors
 
 
 def _shifted_low_support_rows(layer, exponents, ell):

@@ -61,6 +61,21 @@ CAMPAIGN_REPORTS = {
     ("sum-sml", 5): "d41fb43cf9db6286d1c23e466a93ee99be344f1ed590297149bfd8ecf52084ea",
 }
 
+# sha256 of the stdout of `pitkit verify --class invertible-roabp --samples
+# 20 --param w=W`.  Every case passes at w = 3 and 4 (the report shows no
+# width, so their reports match), and w = 5 is refused by the determinant's
+# width limit.  The whitebox sets of the 20 cases are pinned as well, as one
+# sha256 per width over their provenance and points.
+WIDE_INVERTIBLE_REPORTS = {
+    3: "dcf9da1e3256a96d9fad3d7d5483638b228b370e3cd7ac7c18a3bfbd96ebe4c9",
+    4: "dcf9da1e3256a96d9fad3d7d5483638b228b370e3cd7ac7c18a3bfbd96ebe4c9",
+    5: "40ef340c4993f7a1694dff9efe17e7b81dae5c209db9adf88c6bb78ad7c0e561",
+}
+WIDE_INVERTIBLE_SETS = {
+    3: "4a8ceab957df08c1e0ff16910456a38da1e9ca3e16f9b5896ca41e499954c9cd",
+    4: "45180132eb63568fb5e68e58f5b16771acefb66b985543dd51947907e2b549dc",
+}
+
 GENERATORS = {
     "roabp": lambda inst: roabp_hitting_set(inst, "whitebox"),
     "invertible-roabp": invertible_hitting_set,
@@ -81,14 +96,19 @@ SEEDS = {
 SEEDS_P61 = {"invertible-roabp": list(range(10)), "width2-roabp": list(range(10))}
 
 
+def update(h, points) -> None:
+    """Feed a set's provenance and points to the hash h."""
+    h.update(json.dumps(points.provenance, sort_keys=True).encode())
+    for pt in points.points:
+        h.update((",".join(map(str, pt)) + "\n").encode())
+
+
 def digest(klass: str, seed: int, modulus: int = DEFAULT_MODULUS) -> str:
     spec = InstanceSpec(
         klass=klass, seed=seed, modulus=modulus, **_case_overrides(klass, seed, {})
     )
-    points = GENERATORS[klass](generate_instance(spec))
-    h = hashlib.sha256(json.dumps(points.provenance, sort_keys=True).encode())
-    for pt in points.points:
-        h.update((",".join(map(str, pt)) + "\n").encode())
+    h = hashlib.sha256()
+    update(h, GENERATORS[klass](generate_instance(spec)))
     return h.hexdigest()
 
 
@@ -139,6 +159,20 @@ def test_campaign_reports_match_pins(klass, modulus):
     result = run_campaign(klass, 200, seed=0, modulus=modulus)
     report = result.render() + json.dumps(result.summary(), sort_keys=True) + "\n"
     assert hashlib.sha256(report.encode()).hexdigest() == CAMPAIGN_REPORTS[klass, modulus]
+
+
+@pytest.mark.parametrize("w", list(WIDE_INVERTIBLE_REPORTS))
+def test_wide_invertible_campaigns_match_pins(w, capsys):
+    argv = ["verify", "--class", "invertible-roabp", "--samples", "20", "--param", f"w={w}"]
+    assert main(argv) == (0 if w < 5 else 3)
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == WIDE_INVERTIBLE_REPORTS[w]
+    if w in WIDE_INVERTIBLE_SETS:
+        h = hashlib.sha256()
+        for seed in range(20):
+            spec = InstanceSpec(klass="invertible-roabp", seed=seed, w=w)
+            update(h, invertible_hitting_set(generate_instance(spec)))
+        assert h.hexdigest() == WIDE_INVERTIBLE_SETS[w]
 
 
 def test_decompose_payloads_match_pins():
