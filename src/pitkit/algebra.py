@@ -533,18 +533,20 @@ class MatPoly(TermMap):
         without it: see `is_singular`."""
         return det_poly(self.entry_grid())
 
-    def invertible_at_ones(self) -> bool:
-        """Whether the matrix at the all-ones point, the sum of the
-        coefficient matrices, is invertible.  If it is, the determinant is a
-        nonzero polynomial, as its value there is nonzero.  The
-        determinant's up-front refusals (`_det_refusals`, on the rows'
-        monomial counts) run first, so a layer `det_poly` would refuse is
-        refused here before any certificate."""
-        w = self.w
-        _det_refusals(w, (sum(1 for m in self.terms.values() if any(m[i])) for i in range(w)))
+    @cached_property
+    def _det_at_ones(self) -> int:
+        """The determinant at the all-ones point, of the sum of the
+        coefficient matrices, computed once per matrix polynomial."""
         p = self.field.p
         ones = [[sum(col) % p for col in zip(*rows)] for rows in zip(*self.terms.values())]
-        return bool(ones) and mat_det(ones, self.field) != 0
+        return mat_det(ones, self.field) if ones else 0
+
+    def invertible_at_ones(self) -> bool:
+        """Whether the matrix at the all-ones point is invertible, after
+        the determinant's refusals (`_det_refusals`), asked on every call."""
+        w = self.w
+        _det_refusals(w, (sum(1 for m in self.terms.values() if any(m[i])) for i in range(w)))
+        return self._det_at_ones != 0
 
     def is_singular(self) -> bool:
         """Whether the determinant is the zero polynomial: no when the

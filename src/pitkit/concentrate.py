@@ -44,23 +44,6 @@ def support_parameter(w: int, s: int, mu: int | None) -> int:
     return 1 + 2 * min(log_term, mu)
 
 
-def _invertible_at_ones(r: Roabp) -> bool:
-    """Whether every layer is invertible at the all-ones point, after each
-    layer's determinant refusals, in layer order.  A layer that is not is
-    asked for its symbolic determinant, and a zero one is refused."""
-    at_ones = True
-    for i, layer in enumerate(r.layers):
-        if layer.invertible_at_ones():
-            continue
-        at_ones = False
-        if layer.det.is_zero():
-            raise PreconditionError(
-                f"layer {i} is symbolically singular; "
-                "use factorize_width2 for width-2 instances"
-            )
-    return at_ones
-
-
 def _low_support_count(n: int, delta: int, ell: int) -> int:
     """Monomials in n variables of individual degree <= delta and support
     <= min(ell, n)."""
@@ -125,25 +108,27 @@ def find_concentrating_shift(r: Roabp) -> tuple[WeightFn, int, int]:
     p - 1, and InternalInconsistencyError only when every map ran its full
     budget.
 
-    The first candidate, the first map at t0 = 1, has the all-ones
-    offsets.  When every layer is invertible there, every determinant's
-    image is nonzero (its value at t = 1) and so is its value at t0 = 1,
-    so that candidate is decided by `_shift_hits` alone.  The symbolic
-    determinants, their degree (the t0 budget) and their images are
-    computed only when some layer is singular at ones or that candidate
-    fails; the search then goes on as above, past a candidate already
-    rejected.
+    Every map sends t0 = 1 to the all-ones offsets, so that candidate is
+    tried once, under the first map, and only when every layer is
+    invertible there (`MatPoly.invertible_at_ones`); the symbolic
+    determinants are read only when it misses, and each map starts at 2.
     """
-    at_ones = _invertible_at_ones(r)
+    for i, layer in enumerate(r.layers):
+        if layer.is_singular():
+            raise PreconditionError(
+                f"layer {i} is symbolically singular; "
+                "use factorize_width2 for width-2 instances"
+            )
     w, s, p = r.width, max(1, r.layer_sparsity), r.field.p
     bound = support_parameter(w, s, r.layer_support) * (w * w + 2)
     # the grid's own checks, ahead of the search
     low_support_hitting_set(r.n, r.delta, bound, r.field)
     family = (r.n, r.d, w, r.delta, s, r.layer_support)
-    first = next(_shift_maps(*family), None) if at_ones else None
-    if first and _shift_hits(r, bound, first[1].powers(1, p)):
-        prime, wfn = first
-        return wfn, prime, 1
+    if all(layer.invertible_at_ones() for layer in r.layers):
+        # the first map is prime 2's: prime_cutoff is at least 13
+        prime, wfn = next(_shift_maps(*family))
+        if _shift_hits(r, bound, wfn.powers(1, p)):
+            return wfn, prime, 1
     dets = [layer.det for layer in r.layers]
     det_degree = max((det.total_degree() for det in dets), default=0)
     clipped = False
@@ -153,8 +138,7 @@ def find_concentrating_shift(r: Roabp) -> tuple[WeightFn, int, int]:
         clipped = clipped or t_budget < full_budget
         if not all(wfn.image(det.terms.items(), p) for det in dets):
             continue
-        # the first candidate, when tried above, is not tried again
-        for t0 in range(2 if (prime, wfn) == first else 1, t_budget + 1):
+        for t0 in range(2, t_budget + 1):
             offsets = wfn.powers(t0, p)
             # det(layer(o)) = det(o): each layer's cached determinant, evaluated
             invertible = all(det.eval_at(offsets) for det in dets)

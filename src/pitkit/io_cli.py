@@ -651,7 +651,11 @@ def _cmd_hs(args) -> int:
 
 def _cmd_test(args) -> int:
     instance = load_instance(args.input, args.modulus)
-    report = verify_hitting_property(instance, load_points(args.points))
+    points = load_points(args.points)
+    # refused as the first point's evaluation would be, also with no point
+    if points.n != instance.n:
+        raise StructuralError(f"point length {points.n} != ambient {instance.n}")
+    report = verify_hitting_property(instance, points)
     print(report.line("test"))
     return EXIT_OK if report.passed else EXIT_VERDICT
 

@@ -25,7 +25,19 @@ from pitkit.algebra import (
     mat_flatten,
     mono_support_size,
 )
-from pitkit.errors import StructuralError
+from pitkit.concentrate import (
+    _shift_hits,
+    _shift_maps,
+    _t0_budget,
+    low_support_hitting_set,
+    support_parameter,
+)
+from pitkit.errors import (
+    InternalInconsistencyError,
+    ModulusTooSmallError,
+    PreconditionError,
+    StructuralError,
+)
 from pitkit.kron import WeightFn
 from pitkit.roabp import Roabp
 
@@ -205,6 +217,45 @@ def shift_roabp(r: Roabp, offsets: Sequence[int]) -> Roabp:
         tuple(shift_scalar(p, offsets) for p in r.right_boundary),
         r.left_block,
         r.right_block,
+    )
+
+
+def shift_search_reference(r: Roabp) -> tuple[WeightFn, int, int]:
+    """The concentrating-shift search that `concentrate.find_concentrating_shift`
+    must agree with, written without its all-ones shortcut: every (map, t0)
+    of the family in order, t0 = 1 included, each layer's invertibility at
+    the offsets read from its symbolic determinant, a map skipped when some
+    determinant's image vanishes, under the same t0 budget, checks and
+    messages."""
+    dets = [layer.det for layer in r.layers]
+    for i, det in enumerate(dets):
+        if det.is_zero():
+            raise PreconditionError(
+                f"layer {i} is symbolically singular; "
+                "use factorize_width2 for width-2 instances"
+            )
+    w, s, p = r.width, max(1, r.layer_sparsity), r.field.p
+    bound = support_parameter(w, s, r.layer_support) * (w * w + 2)
+    low_support_hitting_set(r.n, r.delta, bound, r.field)
+    det_degree = max((det.total_degree() for det in dets), default=0)
+    clipped = False
+    for prime, wfn in _shift_maps(r.n, r.d, w, r.delta, s, r.layer_support):
+        full_budget = _t0_budget(r.d, det_degree, w, r.n, r.delta, wfn.max_weight)
+        t_budget = min(p - 1, full_budget)
+        clipped = clipped or t_budget < full_budget
+        if not all(wfn.image(det.terms.items(), p) for det in dets):
+            continue
+        for t0 in range(1, t_budget + 1):
+            offsets = wfn.powers(t0, p)
+            if all(det.eval_at(offsets) for det in dets) and _shift_hits(r, bound, offsets):
+                return wfn, prime, t0
+    if clipped:
+        raise ModulusTooSmallError(
+            f"no concentrating shift verified; some candidate needs more t0 "
+            f"values than the {p - 1} nonzero residues of GF({p})"
+        )
+    raise InternalInconsistencyError(
+        "no concentrating shift verified within the candidate family"
     )
 
 

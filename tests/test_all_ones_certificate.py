@@ -6,11 +6,14 @@ a layer's singularity and the first shift candidate.  The symbolic image
 (`Roabp.weighted_substitute`) and determinant (`det_poly`) run only when
 that value is 0.  These tests pin that the certified path emits exactly the
 points and provenance of the symbolic path, that it does no symbolic work,
-and that every refusal it meets is unchanged.
+that it takes each layer's value at ones once and tries the all-ones shift
+once, and that every refusal it meets is unchanged.
 
-The symbolic path is forced by making the certificate read 0: `Roabp.evaluate`
-for the ladder (whitebox `hs roabp` evaluates nothing else), and
-`MatPoly.invertible_at_ones`, still after its refusals, for the layers.
+The symbolic path is the ladder with its certificate read as 0
+(`Roabp.evaluate`: whitebox `hs roabp` evaluates nothing else), each
+layer's singularity read from its determinant, and the reference shift
+search (`reference.shift_search_reference`), which tries every (map, t0)
+in order and reads invertibility from the determinants.
 """
 
 import contextlib
@@ -19,7 +22,7 @@ import json
 
 import pytest
 
-from pitkit import algebra
+from pitkit import algebra, concentrate
 from pitkit.algebra import Field, MatPoly, ScalarPoly, det_poly
 from pitkit.concentrate import (
     factorize_width2,
@@ -32,7 +35,7 @@ from pitkit.io_cli import main, save_instance
 from pitkit.isolate import roabp_hitting_set
 from pitkit.roabp import Roabp
 from pitkit.verify import InstanceSpec, _case_overrides, generate_instance
-from reference import det_at_ones, uncached, variable
+from reference import det_at_ones, shift_search_reference, uncached, variable
 from test_isolate import _route_instances
 
 GENERATORS = {
@@ -62,24 +65,32 @@ def outcome(generate, r) -> tuple:
 
 @contextlib.contextmanager
 def symbolic_path(monkeypatch, ladder: bool = True):
-    """Every all-ones certificate reads 0, so each nonzero test runs
-    symbolically: each layer's determinant, after its refusals, and with
-    `ladder` the constant image.  Only the ladder reads `Roabp.evaluate` as
-    its certificate; the shift search evaluates f to test its grid."""
-    certificate = MatPoly.invertible_at_ones
+    """Every nonzero test runs symbolically: a layer is singular when its
+    determinant is zero, after the determinant's refusals, the shift search
+    is the reference one, and with `ladder` f(1, ..., 1) reads 0, so the
+    ladder computes the constant image.  Only the ladder reads
+    `Roabp.evaluate` as its certificate; the shift search evaluates f to
+    test its grid."""
     with monkeypatch.context() as patch:
-        patch.setattr(MatPoly, "invertible_at_ones", lambda self: certificate(self) and False)
+        patch.setattr(MatPoly, "is_singular", lambda self: self.det.is_zero())
+        patch.setattr(concentrate, "find_concentrating_shift", shift_search_reference)
         if ladder:
             patch.setattr(Roabp, "evaluate", lambda self, point: 0)
         yield
 
 
-@pytest.mark.parametrize("modulus", [10007, 5])
-@pytest.mark.parametrize("klass", list(GENERATORS))
+P31 = 2**31 - 1
+
+
+@pytest.mark.parametrize("klass, modulus", [
+    *((klass, modulus) for klass in GENERATORS for modulus in (10007, 5)),
+    ("invertible-roabp", P31), ("width2-roabp", P31),
+])
 def test_generators_agree_with_the_symbolic_path(monkeypatch, klass, modulus):
-    # the 200 campaign seeds: the same instance and the same set, or the
-    # same refusal, whether the certificates or the expansions decide
-    for seed in range(200):
+    # the campaign seeds (100 at 2^31 - 1): the same instance and the same
+    # set, or the same refusal, whether the certificates or the expansions
+    # and the reference search decide
+    for seed in range(100 if modulus == P31 else 200):
         spec = spec_of(klass, seed, modulus)
         r = generate_instance(spec)
         expected = outcome(GENERATORS[klass], r)
@@ -88,7 +99,7 @@ def test_generators_agree_with_the_symbolic_path(monkeypatch, klass, modulus):
             assert (symbolic, outcome(GENERATORS[klass], symbolic)) == (r, expected), seed
 
 
-@pytest.mark.parametrize("modulus", [10007, 2**31 - 1])
+@pytest.mark.parametrize("modulus", [10007, P31])
 def test_the_ladder_agrees_with_the_symbolic_path(monkeypatch, modulus):
     # the campaign roabps, the depth3 reductions at 2^31 - 1, and the
     # cross-times-dense instances whose value at ones is 0, so the image
@@ -221,6 +232,70 @@ def test_the_certified_path_expands_nothing(monkeypatch, modulus):
     monkeypatch.setattr(algebra, "det_poly", refused)
     for klass, r, expected in cases:
         assert outcome(GENERATORS[klass], r) == expected
+
+
+@contextlib.contextmanager
+def certificates_asked(monkeypatch):
+    """(the layers whose all-ones certificate is asked, in order, the
+    number of numeric determinants taken) while the context is open."""
+    asked, dets = [], []
+    certificate, det = MatPoly.invertible_at_ones, algebra.mat_det
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            MatPoly, "invertible_at_ones", lambda self: asked.append(self) or certificate(self)
+        )
+        patch.setattr(algebra, "mat_det", lambda m, field: dets.append(1) or det(m, field))
+        yield asked, dets
+
+
+@pytest.mark.parametrize("modulus", [10007, 5])
+def test_each_layer_takes_one_determinant_at_ones(monkeypatch, modulus):
+    # one mat_det per layer object asked, however often it is asked: the
+    # generator's redraws, factorize_width2 and every chain piece's search,
+    # or the invertible set's search, share the layer objects
+    totals = []
+    for klass in ("width2-roabp", "invertible-roabp"):
+        asked_total = dets_total = 0
+        for seed in range(200):
+            with certificates_asked(monkeypatch) as (asked, dets):
+                outcome(GENERATORS[klass], generate_instance(spec_of(klass, seed, modulus)))
+            assert len(dets) == len({id(layer) for layer in asked}), (klass, seed)
+            asked_total += len(asked)
+            dets_total += len(dets)
+        assert asked_total > dets_total
+        totals.append(dets_total)
+    assert totals == {10007: [380, 372], 5: [380, 453]}[modulus]
+
+
+@pytest.mark.parametrize("case", ["invertible-at-ones", "singular-at-ones"])
+def test_the_all_ones_candidate_is_tried_once(monkeypatch, case):
+    # every candidate of the first map is rejected, so the search reaches
+    # the second map; the all-ones offsets, which every map gives at
+    # t0 = 1, reach the grid test once, and never when a layer is singular
+    # there
+    if case == "invertible-at-ones":
+        r = generate_instance(spec_of("invertible-roabp", 0, 10007))
+        assert all(map(det_at_ones, r.layers))
+    else:
+        r = singular_at_ones(10007, 2)
+    maps, hits = concentrate._shift_maps, concentrate._shift_hits
+    primes, tried = [], []
+
+    def recorded(*family):
+        for prime, wfn in maps(*family):
+            primes.append(prime)
+            yield prime, wfn
+
+    def rejecting(r, bound, offsets):
+        tried.append(tuple(offsets))
+        return len(set(primes)) > 1 and hits(r, bound, offsets)
+
+    monkeypatch.setattr(concentrate, "_shift_maps", recorded)
+    monkeypatch.setattr(concentrate, "_shift_hits", rejecting)
+    _, prime, t0 = find_concentrating_shift(r)
+    assert (prime, t0) == (3, 2)
+    assert tried.count((1,) * r.n) == (case == "invertible-at-ones")
+    assert len(tried) == len(set(tried))
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,23 @@ def test_cli_test_reports_miss(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("klass", ["roabp", "sum-sml"])
+@pytest.mark.parametrize(
+    "points", [(), ((1, 2),), ((0, 0), (1, 2))], ids=["empty", "one", "two"]
+)
+def test_cli_test_refuses_points_of_another_ambient(tmp_path, capsys, klass, points):
+    # 2-variable points against a 3-variable circuit: exit 2 with the
+    # message the first point's evaluation gives, and no verdict, also
+    # when the file holds no point
+    spec = {"roabp": dict(n=3, d=2, w=2, s=2, delta=1), "sum-sml": dict(n=3, k=2, c=2)}
+    circuit = generate_instance(InstanceSpec(klass=klass, seed=3, **spec[klass]))
+    circuit_path = write_instance(tmp_path, "c.json", circuit)
+    points_path = str(tmp_path / "pts.txt")
+    save_points(PointSet(2, points), points_path)
+    assert main(["test", "--input", circuit_path, "--points", points_path]) == 2
+    assert capsys.readouterr() == ("", "error: point length 2 != ambient 3\n")
+
+
 def test_cli_whitebox_distance_decompose_expand(tmp_path, capsys):
     circuit = generate_instance(InstanceSpec(klass="sum-sml", seed=7, n=5, k=3, c=2))
     path = write_instance(tmp_path, "d.json", circuit)
