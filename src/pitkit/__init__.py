@@ -48,13 +48,12 @@ from .errors import (
     StructuralError,
 )
 from .isolate import (
-    combine_rounds,
     construct_isolating_weights,
     enumerate_candidate_weights,
     greedy_basis,
     roabp_hitting_set,
 )
-from .kron import PairSet, WeightFn, separating_weights
+from .kron import PairSet, RoundMap, WeightFn, separating_weights
 from .roabp import PointSet, Roabp
 from .verify import (
     DetStream,

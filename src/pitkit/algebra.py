@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from functools import cached_property, lru_cache
 from operator import add, attrgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import CapabilityError, StructuralError
 
@@ -541,11 +541,17 @@ class MatPoly(TermMap):
         ones = [[sum(col) % p for col in zip(*rows)] for rows in zip(*self.terms.values())]
         return mat_det(ones, self.field) if ones else 0
 
+    @cached_property
+    def _det_term_bound(self) -> int:
+        """The product of the rows' monomial counts, the determinant's term
+        bound, counted once per matrix polynomial."""
+        return math.prod(sum(1 for m in self.terms.values() if any(m[i])) for i in range(self.w))
+
     def invertible_at_ones(self) -> bool:
         """Whether the matrix at the all-ones point is invertible, after
-        the determinant's refusals (`_det_refusals`), asked on every call."""
-        w = self.w
-        _det_refusals(w, (sum(1 for m in self.terms.values() if any(m[i])) for i in range(w)))
+        the determinant's refusals (`_det_refusals`), asked on every call
+        against the limits as they stand."""
+        _det_refusals(self.w, lambda: self._det_term_bound)
         return self._det_at_ones != 0
 
     def is_singular(self) -> bool:
@@ -563,17 +569,17 @@ class MatPoly(TermMap):
 # symbolic determinant
 
 
-def _det_refusals(w: int, row_counts: Iterable[int]) -> None:
-    """The determinant's up-front refusals for a width-w grid whose rows
-    have `row_counts` distinct monomials: a width past DET_WIDTH_LIMIT, and,
-    from width 2, a term bound (the counts' product) past DET_TERM_CEILING.
-    The counts are read only when the width check passes."""
+def _det_refusals(w: int, term_bound: Callable[[], int]) -> None:
+    """The determinant's up-front refusals for a width-w grid: a width past
+    DET_WIDTH_LIMIT, and, from width 2, a term bound (the product of the
+    rows' distinct monomial counts) past DET_TERM_CEILING.  The bound is
+    asked for only when the width check passes."""
     if w > DET_WIDTH_LIMIT:
         raise CapabilityError(
             f"determinant width {w} exceeds the configured limit {DET_WIDTH_LIMIT}"
         )
     if w > 1:
-        count = math.prod(row_counts)
+        count = term_bound()
         if count > DET_TERM_CEILING:
             raise CapabilityError(
                 f"determinant of up to {count} terms exceeds the ceiling {DET_TERM_CEILING}"
@@ -602,7 +608,9 @@ def det_poly(grid: Sequence[Sequence[ScalarPoly]]) -> ScalarPoly:
         raise StructuralError("empty grid")
     if any(len(row) != w for row in grid):
         raise StructuralError("grid is not square")
-    _det_refusals(w, (len({e for entry in row for e in entry.terms}) for row in grid))
+    _det_refusals(
+        w, lambda: math.prod(len({e for entry in row for e in entry.terms}) for row in grid)
+    )
     field = grid[0][0].field
     n = grid[0][0].n
     for row in grid:

@@ -9,18 +9,31 @@ left^T D right nonzero, so sweeping t over enough field values hits it.
 The constructor builds the assignment in ceil(log2 d)+1 rounds: separate the
 monomials inside every factor, keep a greedy minimum-weight basis of each
 factor's coefficients, pair adjacent factors (odd counts pass through, which
-is multiplication by the identity of the algebra), and repeat.  The rounds
-are combined positionally with a base B exceeding any achievable monomial
-weight, so earlier rounds take precedence.
+is multiplication by the identity of the algebra), and repeat.  A monomial
+weighs its tuple of round weights (w_1, ..., w_R), compared
+lexicographically, so earlier rounds take precedence.
 
-The paper's map is the guarantee, not the only option: a t-sweep hits f
-under any map whose univariate image of f is nonzero, so the whitebox
-generator tries shorter maps first, each checked by its image.
+The paper packs the tuple into one integer sum_r w_r * B^(R-r), with B above
+every round's weights.  Integer order on those is the lexicographic order of
+the tuples, and two monomials share a packed weight exactly when they share
+a tuple.  So the image of f under one variable per round,
+x_v -> prod_r t_r^(w_r(v)), is the packed univariate image with its
+exponents unpacked, and it is nonzero whenever that one is.  Its degree in
+t_r is at most delta * S_r, for S_r = sum_v w_r(v), so a grid of
+1 + delta * S_r distinct nonzero t_r per round hits it (Combinatorial
+Nullstellensatz).  The grid has prod_r (1 + delta*S_r) points, never more
+than the packed sweep's 1 + delta * sum_r S_r * B^(R-r), and needs p above
+its largest side only.
+
+The paper's map is the guarantee, not the only option: a sweep hits f under
+any map whose image of f is nonzero, so the whitebox generator tries shorter
+maps first, each checked by its image.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from itertools import product as iter_product
 from typing import Iterator, Sequence
 
@@ -43,30 +56,14 @@ from .errors import (
 from .kron import (
     PairSet,
     PointFamily,
+    RoundMap,
     WeightFn,
+    check_sweep,
     distinct_reductions,
     prime_cutoff,
     separating_weights,
 )
 from .roabp import PointSet, Roabp
-
-
-def combine_rounds(rounds: Sequence[WeightFn], n: int, delta: int) -> WeightFn:
-    """The rounds w0..w_R combined positionally with base B:
-    combined(x) = sum_r rounds[r](x) * B^(R-r).
-
-    B exceeds any monomial's weight in a single round, so round weights
-    never interfere and the combined order is lexicographic on round tuples.
-    """
-    max_single = max(w.max_weight for w in rounds)
-    base = max(2, 1 + n * delta * max_single)
-    count = len(rounds)
-    return WeightFn(
-        tuple(
-            sum(rounds[r].of(v) * base ** (count - 1 - r) for r in range(count))
-            for v in range(n)
-        )
-    )
 
 
 def greedy_basis(
@@ -94,11 +91,11 @@ def greedy_basis(
 
 def construct_isolating_weights(
     factors: Sequence[MatPoly],
-) -> tuple[WeightFn, list[tuple[Monomial, Matrix]]]:
+) -> tuple[RoundMap, list[tuple[Monomial, Matrix]]]:
     """Whitebox construction of a basis-isolating weight assignment for the
     product of variable-disjoint matrix-polynomial factors.
 
-    Returns the round-combined assignment and the isolated basis, as
+    Returns the assignment as its rounds and the isolated basis, as
     (monomial, coefficient) pairs of the product, at most w^2 of them.
     The product is never expanded.
     """
@@ -126,12 +123,10 @@ def construct_isolating_weights(
     def run_round(current: list[list[tuple[Monomial, Matrix]]]) -> list[list[tuple[Monomial, Matrix]]]:
         pair_set = PairSet(n, delta, [[m for m, _ in block] for block in current])
         rounds.append(separating_weights(n, delta, pair_set))
+        so_far = RoundMap(rounds)
         survivors: list[list[tuple[Monomial, Matrix]]] = []
         for block in current:
-            keyed = [
-                (tuple(r.monomial_weight(m) for r in rounds), m, coeff)
-                for m, coeff in block
-            ]
+            keyed = [(so_far.monomial_weight(m), m, coeff) for m, coeff in block]
             survivors.append([block[i] for i in greedy_basis(keyed, field)])
         return survivors
 
@@ -152,16 +147,34 @@ def construct_isolating_weights(
                 paired.append(blocks[j])
         blocks = run_round(paired)
 
-    combined = combine_rounds(rounds, n, delta)
+    rmap = RoundMap(rounds)
     isolated = blocks[0]
     if len(isolated) > w * w:
         raise InternalInconsistencyError(
             f"isolated set has {len(isolated)} > w^2 = {w * w} monomials"
         )
-    weights = [combined.monomial_weight(m) for m, _ in isolated]
+    weights = [rmap.monomial_weight(m) for m, _ in isolated]
     if len(set(weights)) != len(weights):
-        raise InternalInconsistencyError("isolated monomials got equal combined weights")
-    return combined, isolated
+        raise InternalInconsistencyError("isolated monomials got equal round weights")
+    return rmap, isolated
+
+
+def _round_lists(n: int, d: int, s: int, w: int, delta: int) -> tuple[tuple[WeightFn, ...], ...]:
+    """The blackbox family's candidate maps, one tuple per round.
+
+    Round 0 is sized for d*s^2 intra-factor pairs; later rounds for d*w^8
+    pairs (paired survivor blocks have at most w^4 monomials each).  A
+    round's list holds the maps of `distinct_reductions` up to its cutoff,
+    one per distinct reduced weight vector, in increasing prime order.
+    """
+    if min(n, d, s, w) < 1 or delta < 0:
+        raise StructuralError("parameters must be positive (delta nonnegative)")
+    round_count = 1 + (math.ceil(math.log2(d)) if d > 1 else 0)
+    pair_bounds = [d * s * s] + [d * w**8] * (round_count - 1)
+    return tuple(
+        tuple(wfn for _, wfn in distinct_reductions(n, delta, prime_cutoff(n, bound, delta)))
+        for bound in pair_bounds
+    )
 
 
 def enumerate_candidate_weights(
@@ -170,34 +183,16 @@ def enumerate_candidate_weights(
     s: int,
     w: int,
     delta: int,
-) -> Iterator[WeightFn]:
-    """Blackbox candidate family: the cartesian product of per-round
-    candidate lists, each combination combined positionally with its base B.
-
-    Round 0 is sized for d*s^2 intra-factor pairs; later rounds for d*w^8
-    pairs (paired survivor blocks have at most w^4 monomials each).  A
-    round's list holds the maps of `distinct_reductions` up to its cutoff,
-    one per distinct reduced weight vector, and each distinct combined
-    assignment is yielded once, in the order of its first occurrence over
-    all primes.  For constant boundaries the whitebox-constructed
-    assignment is a member: each of its rounds is a map of the same scan
-    (`separating_weights`) at a cutoff no larger than the round's here.
+) -> Iterator[RoundMap]:
+    """Blackbox candidate family: every round map that takes one map from
+    each round's list (`_round_lists`), in `itertools.product` order.  The
+    maps of a list are distinct, so each round map is yielded once.  For
+    constant boundaries the whitebox-constructed round map is a member:
+    each of its rounds is a map of the same scan (`separating_weights`) at
+    a cutoff no larger than the round's here.
     """
-    if min(n, d, s, w) < 1 or delta < 0:
-        raise StructuralError("parameters must be positive (delta nonnegative)")
-    round_count = 1 + (math.ceil(math.log2(d)) if d > 1 else 0)
-    pair_bounds = [d * s * s] + [d * w**8] * (round_count - 1)
-    round_lists = [
-        [wfn for _, wfn in distinct_reductions(n, delta, prime_cutoff(n, bound, delta))]
-        for bound in pair_bounds
-    ]
-    # combinations with different bases B could still coincide
-    seen: set[tuple] = set()
-    for rounds in iter_product(*round_lists):
-        combined = combine_rounds(rounds, n, delta)
-        if combined.weights not in seen:
-            seen.add(combined.weights)
-            yield combined
+    for rounds in iter_product(*_round_lists(n, d, s, w, delta)):
+        yield RoundMap(rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -220,83 +215,100 @@ def _embedded_factors(r: Roabp) -> list[MatPoly]:
     return [left, *factors, right]
 
 
-def _sweep_count(r: Roabp, wfn: WeightFn) -> int:
-    """t values that hit f(t^w(x_1), ..., t^w(x_n)): more than its degree,
-    at most n * delta * max_weight."""
-    return 1 + r.n * r.delta * wfn.max_weight
-
-
-def _whitebox_map(r: Roabp) -> tuple[WeightFn, dict]:
+def _whitebox_map(r: Roabp) -> tuple[RoundMap, dict]:
     """The first map on the ladder whose sweep is sure to hit f, and its
     provenance route.
 
-    A sweep of 1 + n*delta*max_weight points hits f exactly when f's
-    univariate image under the map is nonzero, so each rung is checked by
-    its image (`Roabp.weighted_substitute`):
+    A map's sweep (`RoundMap.sweep`) hits f exactly when f's image under
+    the map is nonzero, so each rung is checked by its image
+    (`Roabp.weighted_substitute`):
 
     1. the constant map, when its image is nonzero or f is zero
        (`Roabp.is_zero`, asked only when the image vanishes; no set hits a
        zero f).  f(1, ..., 1) is that image's value at t = 1, so a nonzero
        value decides this rung with one evaluation, and the image is
        computed only when it is 0;
-    2. the prime-reduced Kronecker maps at primes up to
-       (L - 2) // (n * max(1, delta)), L = min(R, p) for R the
-       round-combined count, so each sweep is shorter than R and fits the
-       field; the first with a nonzero image;
-    3. the paper's round-combined map, which is basis isolating and so
-       keeps every nonzero f nonzero.
+    2. the prime-reduced Kronecker maps in increasing prime order: the
+       first whose image is nonzero and whose sweep fits the field and is
+       shorter than the paper's round grid.  Every round's side is at least
+       1 + n*delta, so that grid has at least (1 + n*delta)^R points, for
+       R = 1 + ceil(log2 F) rounds over F factors; the grid is built only
+       when a map's sweep is not below that floor.  Here f is nonconstant,
+       so delta >= 1, and the map at prime q has a weight of at least
+       q / (delta + 1) (the largest unreduced power (delta+1)^k below q), so
+       its sweep has more than q/2 points: the scan stops at q >= 2L, for L
+       the smaller of p and the grid's size;
+    3. the paper's round map (`construct_isolating_weights`), whose grid
+       hits every nonzero f.
     """
     constant = WeightFn.constant(r.n)
     if r.evaluate((1,) * r.n) or r.weighted_substitute(constant) or r.is_zero():
-        return constant, {"assignment": "constant"}
-    combined, _ = construct_isolating_weights(_embedded_factors(r))
-    limit = min(_sweep_count(r, combined), r.field.p)
-    for q, wfn in distinct_reductions(r.n, r.delta, (limit - 2) // (r.n * max(1, r.delta))):
-        if r.weighted_substitute(wfn):
-            return wfn, {"assignment": "kronecker", "prime": q}
-    return combined, {"assignment": "round-combined"}
+        return RoundMap((constant,)), {"assignment": "constant"}
+    p, delta = r.field.p, r.delta
+    factors = _embedded_factors(r)
+    floor = (1 + r.n * delta) ** (1 + math.ceil(math.log2(len(factors))))
+    grid = None
+    for q, wfn in distinct_reductions(r.n, delta, 2 * p):
+        count = wfn.side(delta)
+        if grid is None and floor <= count < p:
+            grid, _ = construct_isolating_weights(factors)
+        limit = p if grid is None else min(p, math.prod(grid.sides(delta)))
+        if q >= 2 * limit:
+            break
+        if count < limit and r.weighted_substitute(wfn):
+            return RoundMap((wfn,)), {"assignment": "kronecker", "prime": q}
+    if grid is None:
+        grid, _ = construct_isolating_weights(factors)
+    return grid, {"assignment": "round-combined", "sides": list(grid.sides(delta))}
 
 
 def roabp_hitting_set(r: Roabp, mode: str = "whitebox") -> PointSet:
     """Hitting set for the polynomial computed by the instance.
 
-    Each weight assignment w swept adds the t-sweep
-    (t^w(x_1), ..., t^w(x_n)) for 1 + n*delta*max_weight distinct nonzero t.
-    Whitebox mode sweeps the first map on the ladder of `_whitebox_map`
-    (constant, prime-reduced Kronecker, round-combined) whose univariate
-    image of f is nonzero, or the constant map for a zero f; nothing is
-    expanded.
-    Blackbox mode sweeps every enumerated candidate assignment, using only
-    the instance's declared parameters.  Every sweep's modulus check runs
-    here; its points are built as the set is iterated.
+    Each round map swept adds its grid (`RoundMap.sweep`): 1 + delta *
+    sum_v w(v) distinct nonzero t per round, so a one-round map adds a
+    t-sweep (t^w(x_1), ..., t^w(x_n)).  Whitebox mode sweeps the first map
+    on the ladder of `_whitebox_map` (constant, prime-reduced Kronecker,
+    the paper's round map) whose image of f is nonzero, or the constant map
+    for a zero f; nothing is expanded.
+    Blackbox mode sweeps every enumerated candidate round map, using only
+    the instance's declared parameters.  Its size is the product over
+    rounds of the sum of the round's sides, read from the per-round lists,
+    and every sweep's modulus check runs here; the candidates are
+    enumerated only as the set is iterated, and its provenance, one
+    `per_assignment` size per candidate, only when it is read.
     """
     if r.n < 1:
         raise StructuralError("a hitting set needs at least one variable")
+    p, delta = r.field.p, r.delta
     provenance = {
         "generator": "roabp_hitting_set",
         "mode": mode,
         "n": r.n,
         "d": r.d,
         "w": r.width,
-        "delta": r.delta,
+        "delta": delta,
     }
     if mode == "whitebox":
-        wfn, route = _whitebox_map(r)
-        points = wfn.sweep(_sweep_count(r, wfn), r.field.p)
+        rmap, route = _whitebox_map(r)
+        points = rmap.sweep(delta, p)
         provenance.update(
-            s=r.layer_sparsity, t_count=len(points), max_weight=wfn.max_weight, **route
+            s=r.layer_sparsity, t_count=len(points), max_weight=rmap.max_weight, **route
         )
-    elif mode == "blackbox":
+        return PointSet(r.n, points, provenance)
+    if mode == "blackbox":
         s = max(1, r.layer_sparsity)
-        sweeps = [
-            wfn.sweep(_sweep_count(r, wfn), r.field.p)
-            for wfn in enumerate_candidate_weights(r.n, max(1, r.d), s, r.width, r.delta)
-        ]
-        points = PointFamily.concat(sweeps)
-        per_assignment = [len(sweep) for sweep in sweeps]
-        provenance.update(
-            s=s, assignments=len(per_assignment), per_assignment=per_assignment
-        )
-    else:
-        raise StructuralError(f"unknown mode {mode!r}")
-    return PointSet(r.n, points, provenance)
+        family = (r.n, max(1, r.d), s, r.width, delta)
+        sides = [[wfn.side(delta) for wfn in maps] for maps in _round_lists(*family)]
+        check_sweep(max(map(max, sides)), p)
+        points = PointFamily(math.prod(map(sum, sides)), lambda: chain.from_iterable(
+            rmap.sweep(delta, p) for rmap in enumerate_candidate_weights(*family)
+        ))
+
+        def record() -> dict:
+            per_assignment = [math.prod(choice) for choice in iter_product(*sides)]
+            return dict(provenance, s=s, assignments=len(per_assignment),
+                        per_assignment=per_assignment)
+
+        return PointSet(r.n, points, record)
+    raise StructuralError(f"unknown mode {mode!r}")

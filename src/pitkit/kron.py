@@ -4,6 +4,8 @@ The naive map x_i -> (delta+1)^(i-1) gives distinct weights to all monomials
 with individual degree <= delta, at the price of exponentially large weights.
 Reducing it modulo small primes yields a candidate family of cheap weight
 functions, at least one of which separates any fixed set of monomial pairs.
+A `RoundMap` takes one such function per round, each with its own variable,
+and sweeps the grid of its round values.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import math
 from functools import partial
 from itertools import accumulate, chain, compress, repeat, takewhile
+from itertools import product as iter_product
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -45,11 +48,14 @@ class WeightFn(Frozen):
     def max_weight(self) -> int:
         return max(self.weights)
 
-    def of(self, var: int) -> int:
-        return self.weights[var]
-
     def monomial_weight(self, e: Monomial) -> int:
         return sum(map(mul, e, self.weights))
+
+    def side(self, delta: int) -> int:
+        """1 + delta * sum(w): more than the degree of the image of any
+        polynomial of individual degree <= delta, so a sweep of that many
+        distinct t hits every nonzero image."""
+        return 1 + delta * sum(self.weights)
 
     def image(self, terms: Iterable[tuple[Monomial, int]], p: int) -> dict[int, int]:
         """The univariate image of sum c * x^e over the (e, c) terms under
@@ -72,14 +78,66 @@ class WeightFn(Frozen):
         Only the modulus check runs here; g and the points are found each
         time the family is iterated (see _sweep_blocks).
         """
-        if count + 1 > p:
-            raise ModulusTooSmallError(
-                f"hitting set needs {count} distinct nonzero t values, "
-                f"modulus {p} is too small"
-            )
+        check_sweep(count, p)
         return PointFamily(
             count, lambda: chain.from_iterable(_sweep_blocks(self.weights, count, p))
         )
+
+
+def check_sweep(count: int, p: int) -> None:
+    """Refuse a t-sweep of count distinct nonzero values that GF(p) lacks."""
+    if count + 1 > p:
+        raise ModulusTooSmallError(
+            f"hitting set needs {count} distinct nonzero t values, "
+            f"modulus {p} is too small"
+        )
+
+
+class RoundMap(Frozen):
+    """One weight function per round, each with its own variable t_r:
+    x_v -> prod_r t_r^(w_r(v)).  A monomial weighs the tuple of its round
+    weights, compared lexicographically, so earlier rounds take precedence.
+
+    The image of a polynomial of individual degree <= delta has degree below
+    `sides(delta)[r]` in t_r, so `sweep` hits every nonzero image."""
+
+    __match_args__ = ("rounds",)
+
+    def __init__(self, rounds: tuple) -> None:
+        rs = tuple(rounds)
+        if not rs:
+            raise StructuralError("a round map needs at least one round")
+        if len({w.n for w in rs}) != 1:
+            raise StructuralError("rounds must weigh the same variables")
+        self.__dict__["rounds"] = rs
+
+    @property
+    def n(self) -> int:
+        return self.rounds[0].n
+
+    @property
+    def weights(self) -> tuple:
+        """Each round's weight vector."""
+        return tuple(w.weights for w in self.rounds)
+
+    @property
+    def max_weight(self) -> int:
+        return max(w.max_weight for w in self.rounds)
+
+    def monomial_weight(self, e: Monomial) -> tuple[int, ...]:
+        return tuple(w.monomial_weight(e) for w in self.rounds)
+
+    def sides(self, delta: int) -> tuple[int, ...]:
+        """Each round's `WeightFn.side`."""
+        return tuple(w.side(delta) for w in self.rounds)
+
+    def sweep(self, delta: int, p: int) -> "PointFamily":
+        """The grid of round tuples (t_1, ..., t_R), each t_r running over
+        round r's sweep of `sides(delta)[r]` values (`WeightFn.sweep`), as
+        the points (prod_r t_r^(w_r(v)) for each v): a product family of
+        prod(sides) points.  One round is its own sweep."""
+        sweeps = [w.sweep(side, p) for w, side in zip(self.rounds, self.sides(delta))]
+        return PointFamily.product(sweeps, p)
 
 
 class PointFamily:
@@ -100,6 +158,27 @@ class PointFamily:
     def concat(cls, families: Sequence) -> "PointFamily":
         """The families one after another."""
         return cls(sum(map(len, families)), partial(chain.from_iterable, families))
+
+    @classmethod
+    def product(cls, families: Sequence, p: int) -> "PointFamily":
+        """The coordinatewise products mod p of one point of each family, for
+        every choice, the last family's point changing fastest.  Each
+        iteration holds the families' points, not the product's; a single
+        family is itself."""
+        if len(families) == 1:
+            return families[0]
+
+        def rows() -> Iterator[tuple]:
+            *outer, inner = [tuple(f) for f in families]
+            columns = list(zip(*inner))
+            for choice in iter_product(*outer):
+                head = choice[0]
+                for row in choice[1:]:
+                    head = [x * y % p for x, y in zip(head, row)]
+                # the last family's points, scaled column by column
+                yield from zip(*[[x * y % p for y in col] for x, col in zip(head, columns)])
+
+        return cls(math.prod(map(len, families)), rows)
 
 
 # rows of a t-sweep built at a time
@@ -241,7 +320,7 @@ def separating_weights(n: int, delta: int, pair_set: PairSet) -> WeightFn:
     monomial weights differ inside every group of the set, for the
     counting argument's cutoff = prime_cutoff(n, |pairs|, delta).
 
-    A map whose weight range delta * sum(w) + 1 is narrower than the
+    A map whose weight range `WeightFn.side(delta)` is narrower than the
     widest group cannot separate it and is skipped untested.  Distinct
     naive weights mod p force distinct lifted weights, so the counting
     argument guarantees success within the cutoff, and running past it is
@@ -252,7 +331,7 @@ def separating_weights(n: int, delta: int, pair_set: PairSet) -> WeightFn:
     groups = [g for g in pair_set.groups if len(g) > 1]
     widest = max(map(len, groups), default=0)
     for _, wfn in distinct_reductions(n, delta, cutoff):
-        if delta * sum(wfn.weights) + 1 < widest:
+        if wfn.side(delta) < widest:
             continue
         if all(len({wfn.monomial_weight(m) for m in g}) == len(g) for g in groups):
             return wfn

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from operator import mul
-from typing import Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .algebra import (
     Field,
@@ -41,15 +41,28 @@ class PointSet(Frozen):
     built only while it is iterated (a file's lines are parsed then), so a
     set is never held whole unless a caller makes it a tuple.  Duplicates
     are permitted; the exact-size count formulas of the generators are part
-    of their contracts.
+    of their contracts.  `provenance` may be given as a function that builds
+    the record, called when it is first read: a set refused by its size is
+    then never described.
     """
 
     __match_args__ = ("n", "points", "provenance")
 
-    def __init__(self, n: int, points: Collection[tuple], provenance: dict | None = None) -> None:
-        self.__dict__.update(
-            n=n, points=points, provenance={} if provenance is None else provenance
-        )
+    def __init__(
+        self,
+        n: int,
+        points: Collection[tuple],
+        provenance: dict | Callable[[], dict] | None = None,
+    ) -> None:
+        self.__dict__.update(n=n, points=points)
+        if callable(provenance):
+            self.__dict__["_record"] = provenance
+        else:
+            self.__dict__["provenance"] = {} if provenance is None else provenance
+
+    @cached_property
+    def provenance(self) -> dict:
+        return self._record()
 
     def __len__(self) -> int:
         return len(self.points)

@@ -3,7 +3,8 @@
 pitkit never computes these on a production path: it builds hitting sets
 and zero tests that the definitions guarantee, and the tests check them
 here against the definitions themselves (basis isolation, support and
-block-support concentration, the naive Kronecker map, the shift
+block-support concentration, the naive Kronecker map, the paper's packing
+of round weights into one map, the shift
 x -> x + a, evaluation by whole power products).  A few conveniences the
 tests share sit at the end.
 """
@@ -38,7 +39,7 @@ from pitkit.errors import (
     PreconditionError,
     StructuralError,
 )
-from pitkit.kron import WeightFn
+from pitkit.kron import RoundMap, WeightFn
 from pitkit.roabp import Roabp
 
 # ---------------------------------------------------------------------------
@@ -149,6 +150,18 @@ def is_basis_isolating(wfn: WeightFn, poly: MatPoly) -> bool:
         for e in klass:
             span.add(mat_flatten(poly.coeff(e)))
     return True
+
+
+def combine_rounds(rmap: RoundMap, delta: int) -> WeightFn:
+    """The paper's single map for the rounds w_1..w_R of `rmap`:
+    x -> sum_r w_r(x) * B^(R-r), with B = 1 + n * delta * (largest round
+    weight), above any monomial's weight in one round."""
+    base = max(2, 1 + rmap.n * delta * rmap.max_weight)
+    count = len(rmap.rounds)
+    return WeightFn(tuple(
+        sum(w.weights[v] * base ** (count - 1 - r) for r, w in enumerate(rmap.rounds))
+        for v in range(rmap.n)
+    ))
 
 
 def naive_kronecker(n: int, delta: int) -> WeightFn:

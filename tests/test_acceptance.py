@@ -39,6 +39,7 @@ from reference import (
     all_blocks,
     block_support,
     choice,
+    combine_rounds,
     concentration_rank,
     is_basis_isolating,
     rank_over_field,
@@ -89,7 +90,9 @@ def test_criterion_2_basis_isolation_soundness():
             s=stream.randint(1, 3), delta=stream.randint(1, 2), mu=2,
         )
         inst = generate_instance(spec)
-        wfn, isolated = construct_isolating_weights(list(inst.layers))
+        rmap, isolated = construct_isolating_weights(list(inst.layers))
+        # the paper's single map, whose weights order monomials as the rounds do
+        wfn = combine_rounds(rmap, inst.delta)
         product, scalar = inst.expand()
         if not is_basis_isolating(wfn, product):
             continue

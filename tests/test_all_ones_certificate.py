@@ -334,6 +334,35 @@ def test_the_term_ceiling_refuses_ahead_of_the_certificate(monkeypatch, klass, s
         assert str(info.value) == message
 
 
+def test_the_term_bound_is_counted_once_and_checked_on_every_ask(monkeypatch):
+    # a layer's row product is counted on its first ask only; a ceiling
+    # lowered between asks still refuses, with the message a fresh layer gets
+    import math
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def prod(self, values):
+            products.append(1)
+            return math.prod(values)
+
+    products = []
+    monkeypatch.setattr(algebra, "math", CountingMath())
+    spec = InstanceSpec(klass="invertible-roabp", seed=0, n=4, d=2, w=2, s=3, delta=2, mu=1)
+    layer, fresh = (uncached(generate_instance(spec)).layers[1] for _ in range(2))
+    products.clear()
+    assert all(layer.invertible_at_ones() for _ in range(3))
+    assert len(products) == 1
+    monkeypatch.setattr(algebra, "DET_TERM_CEILING", 3)
+    message = "determinant of up to 9 terms exceeds the ceiling 3"
+    for asked in (layer, fresh):
+        with pytest.raises(CapabilityError) as info:
+            asked.invertible_at_ones()
+        assert str(info.value) == message
+    assert len(products) == 2
+
+
 def test_a_singular_layer_is_refused_ahead_of_the_modulus_check():
     # at p = 3 <= delta + 1 the grid does not fit, but a symbolically
     # singular layer is reported first; a layer singular only at ones is not

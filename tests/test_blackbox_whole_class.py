@@ -77,9 +77,12 @@ def declared_instance(n: int, d: int, w: int, s: int, delta: int, field: Field) 
 
 # (family, (n, d, w, s, delta), p, shortest full-rank prefix, set size)
 WHOLE_SPACE = [
-    ("roabp", (2, 2, 3, 3, 2), 10007, 30, 420),
-    ("roabp", (4, 2, 4, 4, 1), 10007, 167, 10229),
-    ("roabp", (2, 1, 1, 9, 2), 10007, 10, 18),
+    ("roabp", (2, 2, 3, 3, 2), 10007, 30, 196),
+    ("roabp", (4, 2, 4, 4, 1), 10007, 125, 2601),
+    ("roabp", (2, 1, 1, 9, 2), 10007, 10, 14),
+    ("roabp", (3, 3, 2, 2, 1), 10007, 219, 6859),
+    # the largest round side is 9, so GF(13) holds every sweep
+    ("roabp", (2, 2, 3, 3, 2), 13, 30, 196),
     ("width2", (2, 2, 2, 2, 1), 10007, 4, 6273),
     ("width2", (2, 1, 2, 4, 1), 2**31 - 1, 4, 2665),
 ]

@@ -1027,6 +1027,43 @@ def test_cli_hs_invertible_refuses_a_grid_past_the_point_ceiling(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n, modulus, count", [
+    (12, 10007, 288_239_060_641), (16, 2**31 - 1, 913_569_347_253_024),
+])
+def test_cli_blackbox_roabp_refuses_by_its_exact_count_before_enumerating(
+    tmp_path, n, modulus, count
+):
+    # the count is read from the per-round lists (310 + 310 maps at n = 12,
+    # 909 + 3,513 at n = 16, whose largest side, 65,536, needs p > 10007);
+    # listing the candidates would take far more than the child's CPU and
+    # memory caps
+    from test_blackbox_whole_class import declared_instance
+
+    circuit_path = write_instance(
+        tmp_path, "c.json", declared_instance(n, 2, 2, 2, 1, Field(modulus))
+    )
+    out = tmp_path / "pts.txt"
+    proc = run_cli("hs", "roabp", "--mode", "blackbox", "--input", circuit_path,
+                   "--out", str(out), timeout=60, preexec_fn=capped(3))
+    assert (proc.returncode, proc.stderr, proc.stdout) == (3, (
+        f"capability error: hitting set of {count} points exceeds the "
+        f"ceiling {io_cli.HS_POINT_CEILING}\n"
+    ), "")
+    assert not out.exists()
+
+
+def test_cli_blackbox_roabp_on_six_variables_fits_gf_10007(tmp_path, capsys):
+    from test_blackbox_whole_class import declared_instance
+
+    circuit_path = write_instance(
+        tmp_path, "c.json", declared_instance(6, 2, 2, 2, 1, Field(10007))
+    )
+    assert main(["hs", "roabp", "--mode", "blackbox", "--input", circuit_path]) == 0
+    head, provenance = capsys.readouterr().out.splitlines()
+    assert head == "generated 138384 points"
+    assert sum(json.loads(provenance)["per_assignment"]) == 138_384
+
+
 def dense_width2(n: int, degree: int = 1) -> Roabp:
     """Over GF(2^61 - 1), n width-2 layers {1, x_i} with seeded nonzero
     matrices, x_1 raised to `degree`: the product has 2^n monomials."""
@@ -1064,7 +1101,7 @@ def test_cli_hs_refuses_a_dense_roabp_before_any_sweep_work(tmp_path):
 
 
 @pytest.mark.parametrize("name, modulus, size", [
-    ("dense-20", None, 21), ("dense-64", None, 65), ("cross-24", 10007, 49),
+    ("dense-20", None, 21), ("dense-64", None, 65), ("cross-24", 10007, 48),
 ])
 def test_cli_hs_hits_dense_roabps_within_small_limits(tmp_path, name, modulus, size):
     # dense width-2 layers have 2^n product monomials and a round-combined

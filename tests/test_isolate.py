@@ -14,8 +14,6 @@ from pitkit.depth3 import circuit_to_roabp
 from pitkit.errors import PreconditionError
 from pitkit.isolate import (
     _embedded_factors,
-    _sweep_count,
-    combine_rounds,
     construct_isolating_weights,
     enumerate_candidate_weights,
     greedy_basis,
@@ -23,6 +21,7 @@ from pitkit.isolate import (
 )
 from pitkit.kron import (
     PairSet,
+    RoundMap,
     WeightFn,
     iter_primes,
     prime_cutoff,
@@ -37,7 +36,14 @@ from pitkit.verify import (
     generate_instance,
     verify_hitting_property,
 )
-from reference import is_basis_isolating, naive_kronecker, rank_over_field, span_contains
+from test_blackbox_whole_class import declared_instance
+from reference import (
+    combine_rounds,
+    is_basis_isolating,
+    naive_kronecker,
+    rank_over_field,
+    span_contains,
+)
 from test_roabp import image_by_expansion
 
 F7 = Field(7)
@@ -103,10 +109,10 @@ def test_construct_single_factor_single_round():
     factor = diag_factor(0, 1)
     wfn, isolated = construct_isolating_weights([factor])
     assert is_basis_isolating(wfn, factor)
-    # one factor runs one round, and one round combines to itself
+    # one factor runs one round, and one round packs to itself
     round0 = separating_weights(1, 1, PairSet(1, 1, [list(factor.terms)]))
-    assert combine_rounds([round0], 1, 1) == round0
-    assert wfn == round0
+    assert wfn == RoundMap((round0,))
+    assert combine_rounds(wfn, 1) == round0
     kept_monos = {m for m, _ in isolated}
     assert kept_monos == set(factor.terms)
 
@@ -167,13 +173,13 @@ def test_round_monotonicity_and_isolated_cap():
 
 
 def test_precedence_is_lexicographic():
-    rounds = [weights_mod_prime(3, 1, p) for p in (2, 5, 3)]
-    combined = combine_rounds(rounds, 3, 1)
+    # the paper's packed weight orders monomials as their round tuples do
+    rmap = RoundMap(weights_mod_prime(3, 1, p) for p in (2, 5, 3))
+    combined = combine_rounds(rmap, 1)
     rnd = random.Random(0)
     monos = [tuple(rnd.randint(0, 1) for _ in range(3)) for _ in range(30)]
     for a, b in itertools.combinations(monos, 2):
-        ta = tuple(w.monomial_weight(a) for w in rounds)
-        tb = tuple(w.monomial_weight(b) for w in rounds)
+        ta, tb = rmap.monomial_weight(a), rmap.monomial_weight(b)
         ca = combined.monomial_weight(a)
         cb = combined.monomial_weight(b)
         if ta < tb:
@@ -275,17 +281,19 @@ def test_distinct_weights_imply_isolation():
 def test_enumerate_single_round_for_d1():
     cands = list(enumerate_candidate_weights(n=2, d=1, s=2, w=1, delta=1))
     assert cands
-    for wfn in cands:
-        assert all(v >= 1 for v in wfn.weights)
+    for rmap in cands:
+        assert len(rmap.rounds) == 1
+        assert all(v >= 1 for v in rmap.rounds[0].weights)
 
 
 def test_enumerate_members_are_positive_weightfns():
     # n=2, delta=1 reduces to (1, 2) at every prime, a single member; n=3
     # also has (1, 2, 2) at p=2 and (1, 2, 1) at p=3
     count = 0
-    for wfn in enumerate_candidate_weights(n=3, d=2, s=2, w=1, delta=1):
-        assert isinstance(wfn, WeightFn)
-        assert all(v >= 1 for v in wfn.weights)
+    for rmap in enumerate_candidate_weights(n=3, d=2, s=2, w=1, delta=1):
+        assert isinstance(rmap, RoundMap) and len(rmap.rounds) == 2
+        assert all(isinstance(wfn, WeightFn) for wfn in rmap.rounds)
+        assert all(v >= 1 for wfn in rmap.rounds for v in wfn.weights)
         count += 1
         if count > 200:
             break
@@ -298,7 +306,7 @@ def test_enumerate_members_are_positive_weightfns():
 ])
 def test_enumeration_is_first_occurrence_over_all_primes(n, d, s, w, delta):
     # reference: every combination of primes up to each round's cutoff,
-    # duplicates dropped in order of first occurrence
+    # duplicate round tuples dropped in order of first occurrence
     round_count = 1 + (math.ceil(math.log2(d)) if d > 1 else 0)
     bounds = [d * s * s] + [d * w**8] * (round_count - 1)
     prime_lists = [
@@ -306,10 +314,10 @@ def test_enumeration_is_first_occurrence_over_all_primes(n, d, s, w, delta):
         for b in bounds
     ]
     reference = list(dict.fromkeys(
-        combine_rounds([weights_mod_prime(n, delta, p) for p in combo], n, delta).weights
+        tuple(weights_mod_prime(n, delta, p).weights for p in combo)
         for combo in itertools.product(*prime_lists)
     ))
-    got = [wfn.weights for wfn in enumerate_candidate_weights(n, d, s, w, delta)]
+    got = [rmap.weights for rmap in enumerate_candidate_weights(n, d, s, w, delta)]
     assert len(set(got)) == len(got)
     assert got == reference
 
@@ -399,6 +407,63 @@ def test_hitting_set_blackbox_tiny():
     assert len(points) == sum(points.provenance["per_assignment"])
     report = verify_hitting_property(inst, points)
     assert report.passed
+
+
+@pytest.mark.parametrize("params", [
+    (2, 2, 1, 1, 2), (3, 1, 2, 2, 1), (4, 2, 4, 4, 1), (3, 3, 2, 2, 1),
+])
+def test_blackbox_size_is_the_sum_of_its_candidates_grids(params):
+    # the count is read from the round lists; the provenance lists each
+    # candidate's grid, prod of its sides, in enumeration order
+    n, d, w, s, delta = params
+    r = declared_instance(*params, F)
+    points = roabp_hitting_set(r, "blackbox")
+    candidates = list(enumerate_candidate_weights(n, d, s, w, delta))
+    prov = points.provenance
+    assert prov["assignments"] == len(candidates)
+    assert prov["per_assignment"] == [math.prod(c.sides(delta)) for c in candidates]
+    assert len(points) == sum(prov["per_assignment"]) == sum(1 for _ in points)
+    assert len({len(c.rounds) for c in candidates}) == 1
+
+
+def test_blackbox_with_six_variables_fits_gf_10007():
+    # two rounds of twelve maps each, sides up to 64: the one packed weight
+    # per variable needed 2^31 - 1 for its 1,230,192 points
+    field = Field(10007)
+    points = roabp_hitting_set(declared_instance(6, 2, 2, 2, 1, field), "blackbox")
+    assert len(points) == 138_384
+    assert points.provenance["assignments"] == 144
+    assert max(points.provenance["per_assignment"]) == 64 * 64
+    for seed in range(6):
+        inst = generate_instance(InstanceSpec(
+            klass="roabp", seed=seed, modulus=10007, n=6, d=2, w=2, s=2, delta=1,
+        ))
+        report = verify_hitting_property(inst, points)
+        assert report.passed and not report.vacuous
+
+
+def test_blackbox_round_images_match_the_packed_images():
+    # under each candidate, f's image in one variable per round is nonzero
+    # exactly when its image under the paper's packed map is: the two have
+    # the same coefficients, at exponents that pack to each other
+    n, d, w, s, delta = 3, 3, 2, 2, 1
+    for seed in range(10):
+        r = generate_instance(InstanceSpec(
+            klass="roabp", seed=seed, modulus=10007, n=n, d=d, w=w, s=s, delta=delta,
+        ))
+        _, scalar = r.expand()
+        for rmap in enumerate_candidate_weights(n, d, s, w, delta):
+            packed = combine_rounds(rmap, delta)
+            base = max(2, 1 + n * delta * rmap.max_weight)
+            rounds: dict = {}
+            for e, c in scalar.terms.items():
+                key = rmap.monomial_weight(e)
+                rounds[key] = (rounds.get(key, 0) + c) % F.p
+            unpacked = {
+                sum(x * base ** (len(k) - 1 - i) for i, x in enumerate(k)): c
+                for k, c in rounds.items() if c
+            }
+            assert unpacked == packed.image(scalar.terms.items(), F.p)
 
 
 def test_polynomial_boundaries_embed_as_extra_factors():
@@ -525,25 +590,28 @@ def _route_instances(modulus):
 
 
 def _round_combined_count(r):
-    return _sweep_count(r, construct_isolating_weights(_embedded_factors(r))[0])
+    """The size of the paper's round grid for f."""
+    rmap, _ = construct_isolating_weights(_embedded_factors(r))
+    return math.prod(rmap.sides(r.delta))
 
 
 def _first_rung(r):
     """The route and count the ladder should take, found with the expansion
     oracle: the constant map when f is zero or its image is not; else the
-    first prime q <= (min(R, p) - 2) // (n * max(1, delta)), for R the
-    round-combined count, whose reduced map's image is nonzero; else the
-    round-combined map."""
+    first prime q whose reduced map's image is nonzero and whose sweep of
+    1 + delta * sum(w) points is shorter than L = min(G, p), for G the
+    round grid's size; else the round grid.  Each prime q's sweep has more
+    than q/2 points (`test_kron`), so no prime from 2L on qualifies."""
     constant = WeightFn.constant(r.n)
     if r.expand()[1].is_zero() or image_by_expansion(r, constant):
-        return {"assignment": "constant"}, _sweep_count(r, constant)
-    rounds = _round_combined_count(r)
-    top = (min(rounds, r.field.p) - 2) // (r.n * max(1, r.delta))
-    for q in itertools.takewhile(lambda q: q <= top, iter_primes()):
+        return {"assignment": "constant"}, constant.side(r.delta)
+    grid = _round_combined_count(r)
+    limit = min(grid, r.field.p)
+    for q in itertools.takewhile(lambda q: q < 2 * limit, iter_primes()):
         wfn = weights_mod_prime(r.n, r.delta, q)
-        if image_by_expansion(r, wfn):
-            return {"assignment": "kronecker", "prime": q}, _sweep_count(r, wfn)
-    return {"assignment": "round-combined"}, rounds
+        if wfn.side(r.delta) < limit and image_by_expansion(r, wfn):
+            return {"assignment": "kronecker", "prime": q}, wfn.side(r.delta)
+    return {"assignment": "round-combined"}, grid
 
 
 def _separator_count(r):
@@ -551,9 +619,9 @@ def _separator_count(r):
     expanded product of the embedded factors."""
     product = functools.reduce(operator.mul, _embedded_factors(r))
     if product.sparsity < 2:
-        return _sweep_count(r, WeightFn.constant(r.n))
+        return WeightFn.constant(r.n).side(r.delta)
     pair_set = PairSet(r.n, r.delta, [sorted(product.terms)])
-    return _sweep_count(r, separating_weights(r.n, r.delta, pair_set))
+    return separating_weights(r.n, r.delta, pair_set).side(r.delta)
 
 
 @pytest.mark.parametrize("modulus", [10007, P31, P61])
@@ -605,6 +673,25 @@ def two_full_layers(width: int) -> Roabp:
     return Roabp.with_constant_boundaries(
         field, 4, [(0, 1), (2, 3)], [layer(0, 1), layer(2, 3)], ends, ends
     )
+
+
+def test_a_kronecker_map_below_the_grid_floor_builds_no_round_map(monkeypatch):
+    # every round side is at least 1 + n * delta, so a hitting sweep shorter
+    # than (1 + n * delta)^R needs no round map; a longer one, or none at
+    # all, builds it once
+    from pitkit import isolate
+
+    field = Field(P61)
+    built = _count_calls(monkeypatch, isolate, "construct_isolating_weights")
+    for n in (8, 24):
+        assert roabp_hitting_set(cross_times_dense(n, field), "whitebox").provenance[
+            "assignment"] == "kronecker"
+    assert not built
+    for r in (difference(field), cross_times_dense(4, field, pair=((2,), (3,)))):
+        points = roabp_hitting_set(r, "whitebox")
+        assert points.provenance["assignment"] == "round-combined"
+        assert len(points) == math.prod(points.provenance["sides"])
+    assert len(built) == 2
 
 
 def test_no_product_past_the_expansion_ceiling(monkeypatch):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from pitkit.errors import ModulusTooSmallError, StructuralError
 from pitkit.kron import (
     PairSet,
+    RoundMap,
     WeightFn,
     distinct_reductions,
     iter_primes,
@@ -313,3 +314,70 @@ def test_sweep_family_len_builds_nothing(monkeypatch):
     rows = iter(sweep)
     with pytest.raises(AssertionError, match="built a point"):
         next(rows)
+
+
+# ---------------------------------------------------------------------------
+# round maps
+
+
+def test_every_reduction_sweeps_more_than_half_its_prime():
+    # the bound the whitebox Kronecker scan stops on: at delta >= 1 the map
+    # at prime q keeps the power (delta+1)^k just below q unreduced, a
+    # weight of at least q / (delta + 1)
+    for n, delta in itertools.product(range(1, 8), range(1, 4)):
+        for q, wfn in distinct_reductions(n, delta, 10**4):
+            assert wfn.side(delta) > q / 2, (n, delta, q)
+
+
+@pytest.mark.parametrize("p", [5, 10007, 2**61 - 1])
+def test_a_one_round_map_sweeps_as_its_weight_function(p):
+    # one round is today's t-sweep, so its sets are unchanged
+    for weights in [(1,), (3, 1, 4), (7, 2)]:
+        wfn = WeightFn(weights)
+        for delta in range(3):
+            side = wfn.side(delta)
+            if side + 1 > p:
+                with pytest.raises(ModulusTooSmallError):
+                    RoundMap((wfn,)).sweep(delta, p)
+                continue
+            grid = RoundMap((wfn,)).sweep(delta, p)
+            assert len(grid) == side == 1 + delta * sum(weights)
+            assert list(grid) == list(wfn.sweep(side, p))
+
+
+@pytest.mark.parametrize("p", [101, 10007, 2**61 - 1])
+def test_round_grid_rows_are_products_of_round_powers(p):
+    rounds = (WeightFn((1, 2, 2)), WeightFn((1, 3, 1)), WeightFn((2, 1, 1)))
+    rmap, delta = RoundMap(rounds), 2
+    sides = rmap.sides(delta)
+    assert sides == (11, 11, 9)
+    gens = [sweep_generator(side, p) for side in sides]
+    expected = [
+        tuple(
+            math.prod(pow(g, j * w.weights[v], p) for g, j, w in zip(gens, js, rounds)) % p
+            for v in range(3)
+        )
+        for js in itertools.product(*map(range, sides))
+    ]
+    grid = rmap.sweep(delta, p)
+    assert len(grid) == math.prod(sides) == len(expected)
+    assert list(grid) == expected
+    assert expected[0] == (1, 1, 1)
+    # the t-tuples are distinct nonzero per round, and a monomial's value
+    # is its round image's value: prod_r t_r^(its round weight)
+    assert rmap.monomial_weight((1, 2, 0)) == (5, 7, 4)
+    assert rmap.weights == ((1, 2, 2), (1, 3, 1), (2, 1, 1))
+
+
+def test_round_grid_checks_every_side_before_any_point():
+    rmap = RoundMap((WeightFn((1,)), WeightFn((5,))))
+    assert rmap.sides(1) == (2, 6) and len(rmap.sweep(1, 7)) == 12
+    with pytest.raises(ModulusTooSmallError, match="needs 11 distinct nonzero t values"):
+        rmap.sweep(2, 7)
+
+
+def test_round_map_refusals():
+    with pytest.raises(StructuralError):
+        RoundMap(())
+    with pytest.raises(StructuralError):
+        RoundMap((WeightFn((1,)), WeightFn((1, 2))))

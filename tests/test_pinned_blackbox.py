@@ -104,7 +104,7 @@ def with_rank_one_layer(inst, seed: int):
 
 @pytest.mark.parametrize("family, klass, params, size", [
     ("width2", "width2-roabp", (2, 2, 2, 1, 1, 1), 6273),
-    ("roabp", "roabp", (3, 2, 2, 2, 1, 1), 864),
+    ("roabp", "roabp", (3, 2, 2, 2, 1, 1), 361),
 ])
 def test_blackbox_sets_fit_gf_10007(family, klass, params, size, tmp_path, monkeypatch, capsys):
     # each file hits fitting instances: same n, d and w, no larger s, delta,

@@ -50,7 +50,7 @@ SUM_SML_REPORT = "96851e6c198081a4f31de57339e7a051090e89108f726a5b8042647d87b7f9
 # --modulus P`: the report and its summary line
 CAMPAIGN_REPORTS = {
     ("roabp", 10007): "0f0373ef2379bd912f20cf97b150d2e6495e8c0de401fd8b807371f7befd6738",
-    ("roabp", 5): "6470509514ebd71c2fd95e3bd71feb44af99d0da1a1e7c90612d4cfdba4d490c",
+    ("roabp", 5): "30a1638190d54e343ececa570d5f77ec91ff9cb9907bed3ecb0b2aab399bd9a6",
     ("invertible-roabp", 10007): "4920e70f4cb5cc87f2f97c7f14e125fd3e71571c67465dacdd64861fc40565a1",
     ("invertible-roabp", 5): "c603c9b3d329301151e21b05b3c424f72b9fadb97f5f3e3b71e34f689e36a893",
     ("width2-roabp", 10007): "baad87767183157c4100cde025478e85809b55af25a671c479b4176cd6380660",

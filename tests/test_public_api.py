@@ -19,7 +19,7 @@ from pitkit.concentrate import (
 )
 from pitkit.depth3 import Depth3Circuit, circuit_to_roabp
 from pitkit.isolate import construct_isolating_weights, greedy_basis, roabp_hitting_set
-from pitkit.kron import WeightFn
+from pitkit.kron import RoundMap, WeightFn
 from pitkit.verify import InstanceSpec, generate_instance, oracle_is_zero
 
 
@@ -40,6 +40,7 @@ def params(fn) -> list[str]:
     (Depth3Circuit.expand, ["self", "ceiling"]),
     (LagrangeCurve.sweep, ["self", "count"]),
     (Depth3Circuit.is_zero, ["self", "ceiling"]),
+    (RoundMap.sweep, ["self", "delta", "p"]),
 ])
 def test_parameter_names(fn, names):
     assert params(fn) == names
@@ -68,8 +69,8 @@ PUBLIC_NAMES = [
     "DetStream", "Field", "Gate", "InstanceSpec", "InternalInconsistencyError",
     "LagrangeCurve", "LinearForm", "MatPoly", "ModulusTooSmallError", "PairSet",
     "Partition", "PitError", "PointSet", "PreconditionError", "Roabp",
-    "ScalarPoly", "StructuralError", "SumSmlResult", "WeightFn",
-    "Width2Factorization", "circuit_to_roabp", "combine_rounds",
+    "RoundMap", "ScalarPoly", "StructuralError", "SumSmlResult", "WeightFn",
+    "Width2Factorization", "circuit_to_roabp",
     "compute_distance", "construct_isolating_weights",
     "decompose_base_sets", "det_poly", "enumerate_candidate_weights",
     "factorize_width2", "find_concentrating_shift", "friendly_neighborhoods",
