@@ -6,12 +6,16 @@ block-support concentration counts contributing layers instead of
 variables.  Products of invertible-constant-term layers concentrate at
 block-support w^2 (w^2+2 with boundary vectors), and a sparse shift makes
 every layer support-concentrated, giving hitting sets from low-support
-grids.  Width-2 instances with singular layers factor into invertible
-pieces, which a Lagrange curve through the invertible hitting set covers.
+grids.  Those sets are emitted only where they are smaller than the grid
+{g^0, ..., g^delta}^n, which hits every instance of individual degree
+<= delta; below n = l(w^2+2) they never are.  Width-2 instances with
+singular layers factor into invertible pieces, which a Lagrange curve
+through the invertible hitting set covers.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import operator
@@ -29,6 +33,7 @@ from .errors import (
 )
 from .kron import (
     PointFamily,
+    RoundMap,
     WeightFn,
     distinct_reductions,
     prime_cutoff,
@@ -92,6 +97,22 @@ def _shift_hits(r: Roabp, bound: int, offsets: Sequence[int]) -> bool:
     return bool(next(values)) or r.is_zero() or any(values)
 
 
+def _support_bound(w: int, s: int, mu: int | None) -> int:
+    """l(w^2+2), the support a concentrating shift brings every layer to."""
+    return support_parameter(w, max(1, s), mu) * (w * w + 2)
+
+
+def _refuse_singular_layers(r: Roabp) -> None:
+    """Refuse an instance with a symbolically singular layer, which is not
+    in the invertible-factor class."""
+    for i, layer in enumerate(r.layers):
+        if layer.is_singular():
+            raise PreconditionError(
+                f"layer {i} is symbolically singular; "
+                "use factorize_width2 for width-2 instances"
+            )
+
+
 def find_concentrating_shift(r: Roabp) -> tuple[WeightFn, int, int]:
     """A verified concentrating shift x_i -> x_i + t0^(a_i) for an
     invertible-factor instance, as (exponent map a, its prime, t0).
@@ -113,14 +134,9 @@ def find_concentrating_shift(r: Roabp) -> tuple[WeightFn, int, int]:
     invertible there (`MatPoly.invertible_at_ones`); the symbolic
     determinants are read only when it misses, and each map starts at 2.
     """
-    for i, layer in enumerate(r.layers):
-        if layer.is_singular():
-            raise PreconditionError(
-                f"layer {i} is symbolically singular; "
-                "use factorize_width2 for width-2 instances"
-            )
+    _refuse_singular_layers(r)
     w, s, p = r.width, max(1, r.layer_sparsity), r.field.p
-    bound = support_parameter(w, s, r.layer_support) * (w * w + 2)
+    bound = _support_bound(w, s, r.layer_support)
     # the grid's own checks, ahead of the search
     low_support_hitting_set(r.n, r.delta, bound, r.field)
     family = (r.n, r.d, w, r.delta, s, r.layer_support)
@@ -198,6 +214,35 @@ def low_support_hitting_set(n: int, delta: int, ell: int, field: Field) -> Point
     )
 
 
+def _provenance(
+    mode: str, n: int, d: int, w: int, delta: int, s: int, mu: int, extra: dict
+) -> dict:
+    """The declared parameters every invertible set records, then `extra`."""
+    return {
+        "generator": "invertible_hitting_set",
+        "mode": mode,
+        "n": n,
+        "d": d,
+        "w": w,
+        "delta": delta,
+        "s": s,
+        "mu": mu,
+        **extra,
+    }
+
+
+def _grid_set(
+    mode: str, n: int, d: int, w: int, delta: int, s: int, mu: int, field: Field
+) -> PointSet:
+    """The grid {g^0, ..., g^delta}^n (`RoundMap.identity`), which hits
+    every nonzero polynomial of individual degree <= delta, as every
+    invertible-factor instance with that delta is: one translate of one
+    grid, so t_sweep and maps are both 1."""
+    grid = RoundMap.identity(n).sweep(delta, field.p)
+    extra = {"route": "grid", "grid": grid.size, "t_sweep": 1, "maps": 1}
+    return PointSet(n, grid, _provenance(mode, n, d, w, delta, s, mu, extra))
+
+
 def _translated_grid(
     mode: str, n: int, d: int, w: int, delta: int, s: int, mu: int, field: Field,
     shifts, extra: dict,
@@ -215,41 +260,37 @@ def _translated_grid(
             _shifted_grid(n, delta, target, offsets, field.p) for offsets in shifts
         )
 
-    provenance = {
-        "generator": "invertible_hitting_set",
-        "mode": mode,
-        "n": n,
-        "d": d,
-        "w": w,
-        "delta": delta,
-        "s": s,
-        "mu": mu,
-        "ell": ell,
-        "support_bound": target,
-        "grid": len(grid),
-        **extra,
-    }
-    return PointSet(n, PointFamily(len(shifts) * len(grid), rows), provenance)
+    extra = {"ell": ell, "support_bound": target, "grid": grid.size, **extra}
+    provenance = _provenance(mode, n, d, w, delta, s, mu, extra)
+    return PointSet(n, PointFamily(len(shifts) * grid.size, rows), provenance)
+
+
+def _low_support_size(n: int, w: int, delta: int, s: int, mu: int, field: Field) -> int:
+    """The size of the low-support grid for the support bound l(w^2+2), the
+    least any set of its translates costs; its checks run here.  It is
+    (delta+1)^n, the grid's size, for every n below l(w^2+2)."""
+    return low_support_hitting_set(n, delta, _support_bound(w, s, mu), field).size
 
 
 def invertible_hitting_set(r: Roabp, mode: str = "whitebox") -> PointSet:
-    """Hitting set for an invertible-factor instance: the low-support grid
-    translated by concentrating shifts.
+    """Hitting set for an invertible-factor instance: the grid of
+    `RoundMap.identity` unless the paper's low-support grid translated by
+    concentrating shifts is strictly smaller.
 
-    Whitebox mode translates the grid by the one (map, t0) pair that
-    `find_concentrating_shift` accepts because this very set hits f (or f
-    is zero), so the size is exactly |grid| * 1 * 1.  Blackbox mode reads
-    only the declared parameters and enumerates the whole candidate family.
+    Whitebox mode refuses a symbolically singular layer first.  The
+    paper's set (`_paper_whitebox_set`) has exactly |low-support grid|
+    points, so the grid is emitted whenever it is no larger, and the shift
+    search runs only otherwise.  Blackbox mode reads only the declared
+    parameters (`invertible_hitting_set_params`).
     """
     if r.n < 1:
         raise StructuralError("a hitting set needs at least one variable")
     if mode == "whitebox":
-        wfn, prime, t0 = find_concentrating_shift(r)
-        return _translated_grid(
-            "whitebox", r.n, r.d, r.width, r.delta, r.layer_sparsity,
-            r.layer_support, r.field, [wfn.powers(t0, r.field.p)],
-            {"t_sweep": 1, "maps": 1, "shift_prime": prime, "t0": t0},
-        )
+        _refuse_singular_layers(r)
+        w, delta, s, mu = r.width, r.delta, r.layer_sparsity, r.layer_support
+        if (delta + 1) ** r.n <= _low_support_size(r.n, w, delta, s, mu, r.field):
+            return _grid_set("whitebox", r.n, r.d, w, delta, s, mu, r.field)
+        return _paper_whitebox_set(r)
     if mode == "blackbox":
         return invertible_hitting_set_params(
             r.n, r.d, r.width, r.delta,
@@ -258,17 +299,55 @@ def invertible_hitting_set(r: Roabp, mode: str = "whitebox") -> PointSet:
     raise StructuralError(f"unknown mode {mode!r}")
 
 
+def _paper_whitebox_set(r: Roabp) -> PointSet:
+    """The low-support grid translated by the one (map, t0) pair that
+    `find_concentrating_shift` accepts because this very set hits f (or f
+    is zero), so the size is exactly |grid| * 1 * 1."""
+    wfn, prime, t0 = find_concentrating_shift(r)
+    return _translated_grid(
+        "whitebox", r.n, r.d, r.width, r.delta, r.layer_sparsity,
+        r.layer_support, r.field, [wfn.powers(t0, r.field.p)],
+        {"t_sweep": 1, "maps": 1, "shift_prime": prime, "t0": t0},
+    )
+
+
 def invertible_hitting_set_params(
     n: int, d: int, w: int, delta: int, s: int, mu: int, field: Field
 ) -> PointSet:
     """Parameter-only hitting set for every invertible-factor instance with
-    the declared parameters.
+    the declared parameters: the grid of `RoundMap.identity`, unless the
+    paper's set (`_paper_params_set`) is strictly smaller and fits GF(p).
 
-    Enumerates every distinct shift map of the candidate family
-    (`_shift_maps`, sized for every layer determinant's s^w monomials plus
-    all low-support monomials), sweeps t0 far enough to clear every
-    determinant and rank minor, and translates the low-support grid by each
-    specialization.
+    That set has |low-support grid| * |t-sweep| * |maps| points, so its
+    maps are listed only when the grid is larger than the low-support
+    grid, and only while the count of the maps listed so far, a lower
+    bound (the t-sweep grows with the largest weight), stays below the
+    grid's.
+    """
+    grid_count = (delta + 1) ** n
+    low = _low_support_size(n, w, delta, s, mu, field)
+    if grid_count > low:
+        count, listed, max_a = grid_count, 0, 0
+        for _, wfn in _shift_maps(n, d, w, delta, s, mu):
+            listed, max_a = listed + 1, max(max_a, wfn.max_weight)
+            count = low * _t0_budget(d, w * delta * n, w, n, delta, max_a) * listed
+            if count >= grid_count:
+                break
+        if count < grid_count:
+            # a t-sweep that does not fit GF(p) leaves the grid
+            with contextlib.suppress(ModulusTooSmallError):
+                return _paper_params_set(n, d, w, delta, s, mu, field)
+    return _grid_set("blackbox", n, d, w, delta, s, mu, field)
+
+
+def _paper_params_set(
+    n: int, d: int, w: int, delta: int, s: int, mu: int, field: Field
+) -> PointSet:
+    """The paper's parameter-only set: every distinct shift map of the
+    candidate family (`_shift_maps`, sized for every layer determinant's
+    s^w monomials plus all low-support monomials), each swept over enough
+    t0 to clear every determinant and rank minor, translating the
+    low-support grid by each specialization.
     Size is exactly |grid| * |t-sweep| * |maps|.
     """
     maps = [wfn for _, wfn in _shift_maps(n, d, w, delta, s, mu)]

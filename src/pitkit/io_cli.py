@@ -635,9 +635,9 @@ def _load(args, kind: type, command: str):
 def _cmd_hs(args) -> int:
     instance = _load(args, Roabp, "hs")
     points = HITTING_SETS[args.family](instance, args.mode)
-    if len(points) > HS_POINT_CEILING:
+    if points.size > HS_POINT_CEILING:
         raise CapabilityError(
-            f"hitting set of {len(points)} points exceeds the ceiling {HS_POINT_CEILING}"
+            f"hitting set of {points.size} points exceeds the ceiling {HS_POINT_CEILING}"
         )
     if args.out:
         provenance = save_points(points, args.out)

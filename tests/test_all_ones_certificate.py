@@ -38,9 +38,11 @@ from pitkit.verify import InstanceSpec, _case_overrides, generate_instance
 from reference import det_at_ones, shift_search_reference, uncached, variable
 from test_isolate import _route_instances
 
+# the invertible class runs the paper's shift-search set, which the public
+# generator emits only where it is smaller than the grid
 GENERATORS = {
     "roabp": lambda r: roabp_hitting_set(r, "whitebox"),
-    "invertible-roabp": invertible_hitting_set,
+    "invertible-roabp": concentrate._paper_whitebox_set,
     "width2-roabp": width2_hitting_set,
 }
 
@@ -191,18 +193,19 @@ def test_layers_singular_only_at_ones_reach_the_symbolic_search(monkeypatch, w, 
     wfn, got_prime, got_t0 = find_concentrating_shift(r)
     assert (wfn.weights, got_prime, got_t0) == (weights, prime, t0)
     assert len(grids) == 2  # the search reads both layers' determinants
-    assert outcome(invertible_hitting_set, uncached(r)) == ("points", digest)
+    assert outcome(concentrate._paper_whitebox_set, uncached(r)) == ("points", digest)
 
 
 def test_width2_layers_singular_only_at_ones_are_not_split():
     r = split_and_singular_at_ones(10007)
     fact = factorize_width2(r)
     assert fact.split_layers == (0,) and len(fact.chain) == 2
+    # both pieces' invertible sets are the grid {g^0..g^2}^3: 27 anchors
     assert outcome(width2_hitting_set, uncached(r)) == (
-        "points", "fbe43bb7b5f4244c2b4030096e40a1108e68a1a1820b07cf22f8933da9f29be5"
+        "points", "9ecc2aecd07947019d9a5a93854420c2551b2bf2e4310eea5ce458a757e55174"
     )
     assert outcome(width2_hitting_set, split_and_singular_at_ones(7)) == (
-        "ModulusTooSmallError", "curve sweep needs 1701 distinct values, modulus 7 too small"
+        "ModulusTooSmallError", "curve sweep needs 1351 distinct values, modulus 7 too small"
     )
 
 

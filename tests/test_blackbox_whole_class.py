@@ -13,6 +13,12 @@ every monomial of its block, and min((delta+1)^left, (delta+1)^right) <= w
 at every cut, so the width covers the rank of every coefficient matrix
 across the cut.  README.md records the shortest full-rank prefix of each
 set next to its generator's size formula.
+
+The CLI emits the grid {g^0..g^delta}^n wherever the paper's set is not
+smaller, and that grid has full rank at exactly (delta+1)^n points.  The
+paper's sets, which the generators build only where they win, are checked
+here through their builders, at the sizes the CLI emitted before the grid
+floor.
 """
 
 import itertools
@@ -20,6 +26,7 @@ import math
 
 import pytest
 
+from pitkit import concentrate, isolate
 from pitkit.algebra import Field, MatPoly, RowSpan
 from pitkit.io_cli import load_points, main, save_instance
 from pitkit.isolate import roabp_hitting_set
@@ -75,8 +82,59 @@ def declared_instance(n: int, d: int, w: int, s: int, delta: int, field: Field) 
     return r
 
 
+def ids(value) -> str:
+    return str(value).replace(" ", "")
+
+
+# the sets `hs --mode blackbox` emits:
 # (family, (n, d, w, s, delta), p, shortest full-rank prefix, set size)
 WHOLE_SPACE = [
+    ("roabp", (2, 2, 3, 3, 2), 10007, 9, 9),
+    ("roabp", (4, 2, 4, 4, 1), 10007, 16, 16),
+    ("roabp", (2, 1, 1, 9, 2), 10007, 9, 9),
+    ("roabp", (3, 3, 2, 2, 1), 10007, 8, 8),
+    ("roabp", (2, 2, 3, 3, 2), 13, 9, 9),
+    ("invertible", (2, 2, 2, 2, 1), 10007, 4, 4),
+    # a curve through the grid's anchors, 1 + (d+2)^2 * delta * (delta+1)^n
+    # points; the paper's anchors gave (3, 3, 2, 2, 1) a curve of 271,001
+    ("width2", (2, 2, 2, 2, 1), 10007, 4, 65),
+    ("width2", (2, 1, 2, 4, 1), 2**31 - 1, 4, 37),
+    ("width2", (3, 3, 2, 2, 1), 10007, 8, 201),
+]
+
+
+@pytest.mark.parametrize("family, params, p, prefix, size", WHOLE_SPACE, ids=ids)
+def test_emitted_blackbox_set_hits_its_whole_class(
+    tmp_path, capsys, family, params, p, prefix, size
+):
+    assert whole_space(*params)
+    n, _, _, _, delta = params
+    field = Field(p)
+    circuit, points = tmp_path / "c.json", tmp_path / "pts.txt"
+    save_instance(declared_instance(*params, field), str(circuit))
+    argv = ["hs", family, "--mode", "blackbox", "--input", str(circuit), "--out", str(points)]
+    assert main(argv) == 0, capsys.readouterr().err
+    hs = load_points(str(points))
+    assert len(hs) == size
+    assert full_rank_prefix(hs, n, delta, field) == prefix
+    if family != "width2":
+        # the grid reaches full rank at its last point
+        assert prefix == size == (delta + 1) ** n
+
+
+def paper_set(family: str, r: Roabp):
+    """The paper's parameter-only set for the declared parameters of r: the
+    roabp candidate sweeps, or the width-2 curve through the paper's
+    invertible anchors."""
+    if family == "roabp":
+        return isolate._paper_blackbox_set(r)
+    s = max(1, r.layer_sparsity)
+    anchors = concentrate._paper_params_set(r.n, r.d, 2, r.delta, s, r.layer_support, r.field)
+    return concentrate._curve_sweep(anchors.points, r.n, r.d, r.delta, r.field, {"mode": "blackbox"})
+
+
+# the paper's sets, built directly: same columns as WHOLE_SPACE
+PAPER_WHOLE_SPACE = [
     ("roabp", (2, 2, 3, 3, 2), 10007, 30, 196),
     ("roabp", (4, 2, 4, 4, 1), 10007, 125, 2601),
     ("roabp", (2, 1, 1, 9, 2), 10007, 10, 14),
@@ -88,18 +146,12 @@ WHOLE_SPACE = [
 ]
 
 
-@pytest.mark.parametrize(
-    "family, params, p, prefix, size", WHOLE_SPACE, ids=lambda v: str(v).replace(" ", "")
-)
-def test_blackbox_set_hits_its_whole_class(tmp_path, capsys, family, params, p, prefix, size):
+@pytest.mark.parametrize("family, params, p, prefix, size", PAPER_WHOLE_SPACE, ids=ids)
+def test_blackbox_set_hits_its_whole_class(family, params, p, prefix, size):
     assert whole_space(*params)
     n, _, _, _, delta = params
     field = Field(p)
-    circuit, points = tmp_path / "c.json", tmp_path / "pts.txt"
-    save_instance(declared_instance(*params, field), str(circuit))
-    argv = ["hs", family, "--mode", "blackbox", "--input", str(circuit), "--out", str(points)]
-    assert main(argv) == 0, capsys.readouterr().err
-    hs = load_points(str(points))
+    hs = tuple(paper_set(family, declared_instance(*params, field)))
     assert len(hs) == size
     assert full_rank_prefix(hs, n, delta, field) == prefix
 
@@ -107,9 +159,9 @@ def test_blackbox_set_hits_its_whole_class(tmp_path, capsys, family, params, p, 
 def test_a_set_one_point_short_of_the_dimension_fails_the_check():
     n, delta, field = 2, 2, Field(10007)
     r = declared_instance(2, 2, 3, 3, 2, field)
-    points = list(roabp_hitting_set(r, "blackbox"))
-    assert full_rank_prefix(points, n, delta, field) is not None
-    assert full_rank_prefix(points[: (delta + 1) ** n - 1], n, delta, field) is None
+    for points in (list(roabp_hitting_set(r, "blackbox")), list(isolate._paper_blackbox_set(r))):
+        assert full_rank_prefix(points, n, delta, field) is not None
+        assert full_rank_prefix(points[: (delta + 1) ** n - 1], n, delta, field) is None
 
 
 @pytest.mark.parametrize("params, whole", [

@@ -483,16 +483,11 @@ def _grid_key(grid) -> tuple:
 
 def test_width2_hitting_set_expands_only_layers_singular_at_ones(monkeypatch):
     # det_poly runs once for each layer singular at the all-ones point (a
-    # split layer is one) and never twice for one layer.  A chain piece
-    # holding such a layer runs the symbolic shift search, which reads the
-    # determinant of each of its layers, once each.
-    def expected(r, fact):
-        cuts = [-1, *fact.split_layers, r.d]
-        pieces = [r.layers[a + 1:b] for a, b in zip(cuts, cuts[1:])]
+    # split layer is one) and never twice for one layer.  Every chain piece
+    # emits the grid, so no shift search reads a determinant.
+    def expected(r):
         return sorted(
-            [_grid_key(r.layers[i].entry_grid()) for i in fact.split_layers]
-            + [_grid_key(layer.entry_grid()) for piece in pieces
-               if not all(map(det_at_ones, piece)) for layer in piece]
+            _grid_key(layer.entry_grid()) for layer in r.layers if not det_at_ones(layer)
         )
 
     seed4 = generate_instance(InstanceSpec(
@@ -511,14 +506,14 @@ def test_width2_hitting_set_expands_only_layers_singular_at_ones(monkeypatch):
         algebra, "det_poly", lambda grid: grids.append(_grid_key(grid)) or det_poly(grid)
     )
     counts = []
-    for r, fact in zip(instances, facts):
+    for r in instances:
         grids.clear()
         width2_hitting_set(uncached(r))
-        assert sorted(grids) == expected(r, fact)
+        assert sorted(grids) == expected(r)
         counts.append(len(grids))
     # seed 4 expands its one split layer of 3; the hand-built instance its
-    # split layer and the piece after it, whose first layer is singular at ones
-    assert counts[:2] == [1, 3] and sum(counts) == 2 + sum(len(f.split_layers) for f in facts)
+    # split layer and the layer after it, singular at ones only
+    assert counts[:2] == [1, 2] and sum(counts) == 1 + sum(len(f.split_layers) for f in facts)
 
 
 def test_determinants_and_width2_factors_sum_no_polynomials(monkeypatch):
@@ -721,10 +716,10 @@ def test_invertible_params_sweep_each_distinct_map_once(monkeypatch):
                 for p in itertools.takewhile(lambda p: p <= cutoff, iter_primes())]
 
     for params in INVERTIBLE_PARAMS:
-        got = concentrate.invertible_hitting_set_params(*params, F)
+        got = concentrate._paper_params_set(*params, F)
         with monkeypatch.context() as m:
             m.setattr(concentrate, "distinct_reductions", every_prime)
-            full = concentrate.invertible_hitting_set_params(*params, F)
+            full = concentrate._paper_params_set(*params, F)
         size = full.provenance["grid"] * full.provenance["t_sweep"]
         full_points = tuple(full.points)
         blocks = [full_points[i:i + size] for i in range(0, len(full_points), size)]
@@ -740,17 +735,17 @@ INVERTIBLE_PARAMS = [(1, 1, 2, 1, 1, 1), (2, 1, 2, 1, 1, 1), (2, 2, 2, 1, 1, 1)]
 @pytest.mark.parametrize("params", INVERTIBLE_PARAMS)
 def test_invertible_params_offsets_are_per_t0_powers(monkeypatch, params):
     # reference: one pow per coordinate per t0 = g^j
-    from pitkit.concentrate import invertible_hitting_set_params
+    from pitkit.concentrate import _paper_params_set
     from pitkit.kron import iter_primes, sweep_generator
 
     def per_t0_pow(self, count, p):
         g = sweep_generator(count, p)
         return [tuple(pow(g, j * a, p) for a in self.weights) for j in range(count)]
 
-    got = invertible_hitting_set_params(*params, F)
+    got = _paper_params_set(*params, F)
     with monkeypatch.context() as m:
         m.setattr(WeightFn, "sweep", per_t0_pow)
-        ref = invertible_hitting_set_params(*params, F)
+        ref = _paper_params_set(*params, F)
     assert (tuple(got.points), got.provenance) == (tuple(ref.points), ref.provenance)
     t_sweep = got.provenance["t_sweep"]
     largest = max(itertools.takewhile(lambda p: p <= t_sweep, iter_primes()))
@@ -758,15 +753,73 @@ def test_invertible_params_offsets_are_per_t0_powers(monkeypatch, params):
         f"hitting set needs {t_sweep} distinct nonzero t values, "
         f"modulus {largest} is too small"
     )):
-        invertible_hitting_set_params(*params, Field(largest))
+        _paper_params_set(*params, Field(largest))
 
 
 def test_invertible_params_check_the_sweep_before_the_grid():
-    # delta = 2: the grid 1..3 does not fit GF(3) either
-    from pitkit.concentrate import invertible_hitting_set_params
+    # delta = 2: the grid 1..3 does not fit GF(3) either; the public set
+    # emits the grid there, so it reports the grid
+    from pitkit.concentrate import _paper_params_set, invertible_hitting_set_params
 
     with pytest.raises(ModulusTooSmallError, match="hitting set needs"):
+        _paper_params_set(1, 1, 2, 2, 1, 1, Field(3))
+    with pytest.raises(ModulusTooSmallError, match=r"grid 1\.\.3 does not fit in GF\(3\)"):
         invertible_hitting_set_params(1, 1, 2, 2, 1, 1, Field(3))
+
+
+def test_the_paper_shift_search_refuses_a_field_too_small_for_its_t0_budget():
+    # under every map of the family, every t0 up to p - 1 = 4 makes some
+    # layer singular, and each map's t0 budget was cut at p - 1; the public
+    # set is the grid of 3^4 points, which fits GF(5)
+    inst = generate_instance(InstanceSpec(
+        klass="invertible-roabp", seed=195, modulus=5,
+        n=4, d=2, w=2, s=2, delta=2, mu=1, invertible_constant=True,
+    ))
+    with pytest.raises(ModulusTooSmallError, match="no concentrating shift verified"):
+        concentrate._paper_whitebox_set(inst)
+    points = invertible_hitting_set(inst)
+    assert (len(points), points.provenance["route"]) == (81, "grid")
+    report = verify_hitting_property(inst, points)
+    assert report.passed and not report.vacuous
+
+
+def test_the_invertible_grid_floor_is_decided_before_the_shift_search(monkeypatch):
+    # below n = l(w^2+2) the low-support grid is {1..delta+1}^n, the size
+    # of the grid, so neither mode searches a shift or lists a map; from
+    # there on the whitebox set is the paper's wherever it is smaller
+    def refused(*args):
+        raise AssertionError("the paper's route ran")
+
+    spec = InstanceSpec(klass="invertible-roabp", seed=0, n=5, d=3, w=2, s=2, delta=1, mu=1)
+    inst = generate_instance(spec)
+    with monkeypatch.context() as patch:
+        patch.setattr(concentrate, "find_concentrating_shift", refused)
+        patch.setattr(concentrate, "_shift_maps", refused)
+        for mode in ("whitebox", "blackbox"):
+            points = invertible_hitting_set(inst, mode)
+            assert points.provenance == {
+                "generator": "invertible_hitting_set", "mode": mode, "n": 5, "d": 3,
+                "w": 2, "delta": 1, "s": inst.layer_sparsity if mode == "whitebox" else 2,
+                "mu": 1, "route": "grid", "grid": 32, "t_sweep": 1, "maps": 1,
+            }
+            assert len(points) == 32
+    # l = 3, so the low-support grid of n = 20 has C(20, 17) * 13^17
+    # points, below the grid's 13^20 at delta = 12: the shift is searched
+    wide = generate_instance(spec.replace(n=20, d=2, delta=12))
+    assert (wide.delta, wide.layer_sparsity, wide.layer_support) == (12, 2, 1)
+    points = invertible_hitting_set(wide)
+    assert points.size == math.comb(20, 17) * 13**17 < 13**20
+    assert points.provenance["grid"] == points.size and "route" not in points.provenance
+    assert (points.provenance["shift_prime"], points.provenance["t0"]) == (2, 1)
+    # in blackbox mode the first map's t-sweep already puts the paper's
+    # count past the grid's, so no other map is listed
+    listed = []
+    shift_maps = concentrate._shift_maps
+    monkeypatch.setattr(concentrate, "_shift_maps", lambda *family: (
+        listed.append(pair) or pair for pair in shift_maps(*family)
+    ))
+    points = invertible_hitting_set(wide, "blackbox")
+    assert (points.size, points.provenance["route"], len(listed)) == (13**20, "grid", 1)
 
 
 def test_width2_blackbox_mode_is_the_params_set():

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import pathlib
 import random
@@ -344,14 +345,15 @@ def test_cli_verify_forces_singular_layers_at_the_default_width(capsys):
 
 
 def test_cli_campaign_records_capability_limited_cases(capsys):
-    # seed 187 needs more t0 values than GF(5) has; seeds 186 and 188 still run
-    assert main(["verify", "--class", "invertible-roabp", "--modulus", "5",
-                 "--samples", "3", "--seed", "186"]) == 3
+    # seed 8 has delta = 2, and the grid's 3 values do not fit GF(3); seeds
+    # 7 and 9 still run
+    assert main(["verify", "--class", "invertible-roabp", "--modulus", "3",
+                 "--samples", "3", "--seed", "7"]) == 3
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "campaign class=invertible-roabp samples=3 passed=2/3"
-    assert lines[1].startswith("seed=186: pass ")
-    assert lines[2].startswith("seed=187: LIMIT no concentrating shift verified")
-    assert lines[3].startswith("seed=188: pass ")
+    assert lines[1].startswith("seed=7: pass ")
+    assert lines[2] == "seed=8: LIMIT grid 1..3 does not fit in GF(3)"
+    assert lines[3].startswith("seed=9: pass ")
     assert json.loads(lines[4]) == {
         "all_passed": False, "class": "invertible-roabp", "passed": 2, "samples": 3,
     }
@@ -1009,34 +1011,52 @@ def test_cli_hs_refuses_a_set_past_the_point_ceiling(tmp_path):
 
 
 def test_cli_hs_invertible_refuses_a_grid_past_the_point_ceiling(tmp_path):
-    # n = 20, s = 2, mu = 1: support bound 18, so the low-support grid has
-    # C(20, 17) * 2^17 points.  The shift search and the emitted set share
-    # it without listing it, so the refusal comes before any point is built
+    # n = 27, s = 2, mu = 1: support bound 18, so the low-support grid has
+    # C(27, 17) * 2^17 points, and the grid {g^0, g^1}^27, which is
+    # smaller, 2^27.  Both are counted without listing them, and the shift
+    # search does not run, so the refusal comes before any point is built
     inst = generate_instance(InstanceSpec(
         klass="invertible-roabp", seed=0, modulus=2**31 - 1,
-        n=20, d=3, w=2, s=2, delta=1, mu=1,
+        n=27, d=3, w=2, s=2, delta=1, mu=1,
     ))
-    circuit_path = write_instance(tmp_path, "inv20.json", inst)
+    circuit_path = write_instance(tmp_path, "inv27.json", inst)
     out = tmp_path / "pts.txt"
     proc = run_cli("hs", "invertible", "--input", circuit_path, "--out", str(out),
                    timeout=60, preexec_fn=capped(20))
     assert (proc.returncode, proc.stderr, proc.stdout) == (3, (
-        "capability error: hitting set of 149422080 points exceeds the "
+        "capability error: hitting set of 134217728 points exceeds the "
         f"ceiling {io_cli.HS_POINT_CEILING}\n"
     ), "")
     assert not out.exists()
 
 
+def test_cli_hs_refuses_a_set_past_sys_maxsize_by_its_exact_size(tmp_path, capsys):
+    # n = 20, delta = 12: the paper's translated low-support grid, of
+    # C(20, 17) * 13^17 ~ 9.9e21 points, is smaller than the grid's 13^20,
+    # and its size, past what len() can return, is read exactly
+    inst = generate_instance(InstanceSpec(
+        klass="invertible-roabp", seed=0, modulus=2**31 - 1,
+        n=20, d=2, w=2, s=2, delta=12, mu=1,
+    ))
+    assert inst.delta == 12
+    circuit_path = write_instance(tmp_path, "inv20.json", inst)
+    assert main(["hs", "invertible", "--input", circuit_path]) == 3
+    assert capsys.readouterr().err == (
+        f"capability error: hitting set of {math.comb(20, 17) * 13**17} points exceeds "
+        f"the ceiling {io_cli.HS_POINT_CEILING}\n"
+    )
+
+
 @pytest.mark.parametrize("n, modulus, count", [
-    (12, 10007, 288_239_060_641), (16, 2**31 - 1, 913_569_347_253_024),
+    (27, 10007, 2**27), (28, 2**31 - 1, 2**28),
 ])
 def test_cli_blackbox_roabp_refuses_by_its_exact_count_before_enumerating(
     tmp_path, n, modulus, count
 ):
-    # the count is read from the per-round lists (310 + 310 maps at n = 12,
-    # 909 + 3,513 at n = 16, whose largest side, 65,536, needs p > 10007);
-    # listing the candidates would take far more than the child's CPU and
-    # memory caps
+    # both the grid's 2^n and the paper's count pass the ceiling; the
+    # paper's is read from the per-round lists only until it passes the
+    # grid's, and listing the candidates, or the grid, would take far more
+    # than the child's CPU and memory caps
     from test_blackbox_whole_class import declared_instance
 
     circuit_path = write_instance(
@@ -1053,6 +1073,7 @@ def test_cli_blackbox_roabp_refuses_by_its_exact_count_before_enumerating(
 
 
 def test_cli_blackbox_roabp_on_six_variables_fits_gf_10007(tmp_path, capsys):
+    # the grid {g^0, g^1}^6: the paper's candidate sweeps have 138,384 points
     from test_blackbox_whole_class import declared_instance
 
     circuit_path = write_instance(
@@ -1060,8 +1081,28 @@ def test_cli_blackbox_roabp_on_six_variables_fits_gf_10007(tmp_path, capsys):
     )
     assert main(["hs", "roabp", "--mode", "blackbox", "--input", circuit_path]) == 0
     head, provenance = capsys.readouterr().out.splitlines()
-    assert head == "generated 138384 points"
-    assert sum(json.loads(provenance)["per_assignment"]) == 138_384
+    assert head == "generated 64 points"
+    assert json.loads(provenance) == {
+        "generator": "roabp_hitting_set", "mode": "blackbox", "n": 6, "d": 2, "w": 2,
+        "delta": 1, "s": 2, "route": "grid", "assignments": 1, "per_assignment": [64],
+    }
+
+
+@pytest.mark.parametrize("n, count", [(12, 4096), (16, 65536)])
+def test_cli_blackbox_roabp_emits_the_grid_below_the_ceiling(tmp_path, capsys, n, count):
+    # the paper's candidate sweeps have 2.9e11 points at n = 12 and 9.1e14
+    # at n = 16, past the ceiling; the grid fits it and GF(10007)
+    from test_blackbox_whole_class import declared_instance
+
+    circuit_path = write_instance(
+        tmp_path, "c.json", declared_instance(n, 2, 2, 2, 1, Field(10007))
+    )
+    out = tmp_path / "pts.txt"
+    assert main(["hs", "roabp", "--mode", "blackbox", "--input", circuit_path,
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"wrote {count} points to {out}"
+    points = load_points(str(out))
+    assert len(set(points.points)) == count == 2**n
 
 
 def dense_width2(n: int, degree: int = 1) -> Roabp:
@@ -1141,20 +1182,23 @@ def test_cli_test_decides_a_zero_roabp_past_the_expansion_ceiling(tmp_path, caps
 
 
 @pytest.mark.parametrize("modulus, stderr", [
-    (None, "capability error: curve sweep needs 1255625551 distinct values, "
+    (None, "capability error: curve sweep needs 239148451 distinct values, "
            "modulus 10007 too small\n"),
-    (2**61 - 1, "capability error: hitting set of 1255625551 points exceeds "
+    (2**61 - 1, "capability error: hitting set of 239148451 points exceeds "
                 f"the ceiling {io_cli.HS_POINT_CEILING}\n"),
 ])
 def test_cli_width2_blackbox_refuses_before_building_anchors(tmp_path, modulus, stderr):
-    # the default seed-1 width-2 file (n=4, d=3, delta=2, s=2, mu=1) has
-    # 25,112,511 blackbox anchors: building them takes far more memory and
-    # CPU than the limits below allow, so the refusal must come from len()
+    # (n, d, w, s, delta) = (14, 3, 2, 2, 2) has the 3^14 = 4,782,969 grid
+    # points as its blackbox anchors: building them takes far more memory
+    # and CPU than the limits below allow, so the refusal must come from
+    # len()
+    from test_blackbox_whole_class import declared_instance
+
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
         resource.setrlimit(resource.RLIMIT_CPU, (5, 5))
 
-    inst = generate_instance(InstanceSpec(klass="width2-roabp", seed=1))
+    inst = declared_instance(14, 3, 2, 2, 2, Field(10007))
     circuit_path = write_instance(tmp_path, "w2.json", inst)
     out = tmp_path / "pts.txt"
     argv = ["hs", "width2", "--mode", "blackbox", "--input", circuit_path, "--out", str(out)]
@@ -1190,10 +1234,11 @@ def test_cli_hs_checks_the_ceiling_before_opening_the_file(tmp_path, capsys, mon
 ])
 @pytest.mark.parametrize("mode", ["whitebox", "blackbox"])
 def test_cli_hs_too_small_a_field_leaves_no_file(tmp_path, capsys, family, klass, mode):
-    # the sets are built lazily, but their size checks still run before --out opens
-    inst = generate_instance(
-        InstanceSpec(klass=klass, seed=3, n=3, d=2, w=2, s=2, delta=1, mu=1)
-    )
+    # the sets are built lazily, but their size checks still run before
+    # --out opens; at delta = 2 not even the grid's 3 values fit GF(3)
+    inst = next(inst for seed in range(3, 20) if (inst := generate_instance(
+        InstanceSpec(klass=klass, seed=seed, n=3, d=2, w=2, s=2, delta=2, mu=1)
+    )).delta == 2)
     circuit_path = write_instance(tmp_path, "c.json", inst)
     out = tmp_path / "pts.txt"
     assert main(["hs", family, "--mode", mode, "--input", circuit_path,
@@ -1204,18 +1249,20 @@ def test_cli_hs_too_small_a_field_leaves_no_file(tmp_path, capsys, family, klass
 
 
 def test_cli_small_field_invertible_is_a_capability_error(tmp_path):
-    # under every map of the family, every t0 up to p - 1 = 4 makes some
-    # layer singular, and each map's t0 budget was cut at p - 1: exit 3,
-    # not a traceback
+    # at p = 3 the grid 1..3 of delta = 2 does not fit: exit 3, not a
+    # traceback.  (The paper's shift search refuses a field too small for
+    # its t0 budget; the CLI no longer reaches it at this size, see
+    # test_concentrate.)
     inst = generate_instance(InstanceSpec(
-        klass="invertible-roabp", seed=195, modulus=5,
+        klass="invertible-roabp", seed=195, modulus=3,
         n=4, d=2, w=2, s=2, delta=2, mu=1, invertible_constant=True,
     ))
+    assert inst.delta == 2
     circuit_path = write_instance(tmp_path, "inv.json", inst)
     proc = run_cli("hs", "invertible", "--input", circuit_path)
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert "capability error" in proc.stderr
+    assert proc.stderr == "capability error: grid 1..3 does not fit in GF(3)\n"
 
 
 NO_VARIABLES = {

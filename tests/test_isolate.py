@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from pitkit import isolate
 from pitkit.algebra import Field, MatPoly, RowSpan, mat_flatten
 from pitkit.depth3 import circuit_to_roabp
 from pitkit.errors import PreconditionError
@@ -413,11 +414,12 @@ def test_hitting_set_blackbox_tiny():
     (2, 2, 1, 1, 2), (3, 1, 2, 2, 1), (4, 2, 4, 4, 1), (3, 3, 2, 2, 1),
 ])
 def test_blackbox_size_is_the_sum_of_its_candidates_grids(params):
-    # the count is read from the round lists; the provenance lists each
-    # candidate's grid, prod of its sides, in enumeration order
+    # the paper's set: the count is read from the round lists; the
+    # provenance lists each candidate's grid, prod of its sides, in
+    # enumeration order
     n, d, w, s, delta = params
     r = declared_instance(*params, F)
-    points = roabp_hitting_set(r, "blackbox")
+    points = isolate._paper_blackbox_set(r)
     candidates = list(enumerate_candidate_weights(n, d, s, w, delta))
     prov = points.provenance
     assert prov["assignments"] == len(candidates)
@@ -427,10 +429,13 @@ def test_blackbox_size_is_the_sum_of_its_candidates_grids(params):
 
 
 def test_blackbox_with_six_variables_fits_gf_10007():
-    # two rounds of twelve maps each, sides up to 64: the one packed weight
-    # per variable needed 2^31 - 1 for its 1,230,192 points
+    # the paper's set: two rounds of twelve maps each, sides up to 64; the
+    # one packed weight per variable needed 2^31 - 1 for its 1,230,192
+    # points.  The public set is the grid of 2^6 points.
     field = Field(10007)
-    points = roabp_hitting_set(declared_instance(6, 2, 2, 2, 1, field), "blackbox")
+    r = declared_instance(6, 2, 2, 2, 1, field)
+    assert len(roabp_hitting_set(r, "blackbox")) == 64
+    points = isolate._paper_blackbox_set(r)
     assert len(points) == 138_384
     assert points.provenance["assignments"] == 144
     assert max(points.provenance["per_assignment"]) == 64 * 64
@@ -440,6 +445,49 @@ def test_blackbox_with_six_variables_fits_gf_10007():
         ))
         report = verify_hitting_property(inst, points)
         assert report.passed and not report.vacuous
+
+
+@pytest.mark.parametrize("params", [
+    (2, 2, 1, 1, 2), (3, 1, 2, 2, 1), (4, 2, 4, 4, 1), (3, 3, 2, 2, 1), (5, 1, 2, 1, 1),
+])
+def test_the_paper_count_is_compared_with_the_grid_exactly(params):
+    # `_paper_count_below` is the exact comparison of the paper's count
+    # with a bound, on either side of it; the emitted set is the smaller
+    # one, the grid on a tie
+    n, d, w, s, delta = params
+    r = declared_instance(*params, F)
+    count = isolate._paper_blackbox_set(r).size
+    for bound in (count - 1, count, count + 1):
+        assert isolate._paper_count_below(n, d, s, w, delta, bound) is (count < bound)
+    points = roabp_hitting_set(r, "blackbox")
+    grid = (delta + 1) ** n
+    if count < grid:
+        assert points.provenance == isolate._paper_blackbox_set(r).provenance
+    else:
+        assert points.provenance["route"] == "grid" and len(points) == grid
+
+
+def test_the_paper_count_reads_the_lists_only_while_it_can_beat_the_grid(monkeypatch):
+    # n = 12: each side is at least 13, so with two rounds nothing is read
+    # below 169; the paper's 288,239,060,641 points are passed after a few
+    # maps of round 0 and never read round 1
+    n, d, w, s, delta = 12, 2, 2, 2, 1
+    assert isolate._paper_blackbox_set(declared_instance(n, d, w, s, delta, F)).size == (
+        288_239_060_641)
+    read = []
+    reductions = isolate.distinct_reductions
+
+    def counted(*args):
+        for pair in reductions(*args):
+            read.append(args)
+            yield pair
+
+    monkeypatch.setattr(isolate, "distinct_reductions", counted)
+    assert not isolate._paper_count_below(n, d, s, w, delta, 169) and not read
+    assert not isolate._paper_count_below(n, d, s, w, delta, 2**n)
+    assert 0 < len(read) < 310 and len(set(read)) == 1
+    assert isolate._paper_count_below(n, d, s, w, delta, 288_239_060_642)
+    assert not isolate._paper_count_below(n, d, s, w, delta, 288_239_060_641)
 
 
 def test_blackbox_round_images_match_the_packed_images():
@@ -574,7 +622,8 @@ def cross_times_dense(n: int, field: Field, zero: bool = False, pair=((0, 2), (1
 
 def difference(field: Field) -> Roabp:
     """x1 - x2 in one width-1 layer: no Kronecker map fits below its
-    round-combined sweep of 5 points."""
+    round-combined sweep of 4 points, which ties the grid {g^0, g^1}^2, so
+    the grid is emitted."""
     layer = MatPoly(field, 2, 1, {(1, 0): ((1,),), (0, 1): ((field.p - 1,),)})
     return Roabp.with_constant_boundaries(field, 2, [(0, 1)], [layer], (1,), (1,))
 
@@ -599,19 +648,25 @@ def _first_rung(r):
     """The route and count the ladder should take, found with the expansion
     oracle: the constant map when f is zero or its image is not; else the
     first prime q whose reduced map's image is nonzero and whose sweep of
-    1 + delta * sum(w) points is shorter than L = min(G, p), for G the
-    round grid's size; else the round grid.  Each prime q's sweep has more
-    than q/2 points (`test_kron`), so no prime from 2L on qualifies."""
+    1 + delta * sum(w) points is shorter than L = min(G, (delta+1)^n, p),
+    for G the round grid's size; else the round grid when it is smaller
+    than the grid (delta+1)^n and fits GF(p), and the grid otherwise.  Each
+    prime q's sweep has more than q/2 points (`test_kron`), so no prime
+    from 2L on qualifies."""
     constant = WeightFn.constant(r.n)
     if r.expand()[1].is_zero() or image_by_expansion(r, constant):
         return {"assignment": "constant"}, constant.side(r.delta)
-    grid = _round_combined_count(r)
-    limit = min(grid, r.field.p)
+    rmap, _ = construct_isolating_weights(_embedded_factors(r))
+    sides = rmap.sides(r.delta)
+    grid = (r.delta + 1) ** r.n
+    limit = min(math.prod(sides), grid, r.field.p)
     for q in itertools.takewhile(lambda q: q < 2 * limit, iter_primes()):
         wfn = weights_mod_prime(r.n, r.delta, q)
         if wfn.side(r.delta) < limit and image_by_expansion(r, wfn):
             return {"assignment": "kronecker", "prime": q}, wfn.side(r.delta)
-    return {"assignment": "round-combined"}, grid
+    if math.prod(sides) < grid and max(sides) < r.field.p:
+        return {"assignment": "round-combined"}, math.prod(sides)
+    return {"assignment": "grid"}, grid
 
 
 def _separator_count(r):
@@ -627,18 +682,20 @@ def _separator_count(r):
 @pytest.mark.parametrize("modulus", [10007, P31, P61])
 def test_whitebox_emits_the_shorter_verified_sweep(modulus):
     # the set sweeps the first map on the ladder whose image is nonzero; it
-    # is never longer than the round-combined sweep or the all-monomial
-    # separator's, and it hits its instance
+    # is never longer than the round-combined sweep, the all-monomial
+    # separator's or the grid, and it hits its instance
     routes = set()
     for r in _route_instances(modulus):
         route, count = _first_rung(r)
         points = roabp_hitting_set(r, "whitebox")
         assert {k: points.provenance.get(k) for k in route} == route
-        assert len(points) == count <= min(_round_combined_count(r), _separator_count(r))
+        assert len(points) == count <= min(
+            _round_combined_count(r), _separator_count(r), (r.delta + 1) ** r.n
+        )
         report = verify_hitting_property(r, points)
         assert report.passed and report.vacuous == r.expand()[1].is_zero()
         routes.add(route["assignment"])
-    assert routes == {"constant", "kronecker", "round-combined"}
+    assert routes == {"constant", "kronecker", "round-combined", "grid"}
 
 
 def _count_calls(monkeypatch, owner, name) -> list:
@@ -678,7 +735,7 @@ def two_full_layers(width: int) -> Roabp:
 def test_a_kronecker_map_below_the_grid_floor_builds_no_round_map(monkeypatch):
     # every round side is at least 1 + n * delta, so a hitting sweep shorter
     # than (1 + n * delta)^R needs no round map; a longer one, or none at
-    # all, builds it once
+    # all, builds it once when that floor is below the grid's (delta+1)^n
     from pitkit import isolate
 
     field = Field(P61)
@@ -687,10 +744,12 @@ def test_a_kronecker_map_below_the_grid_floor_builds_no_round_map(monkeypatch):
         assert roabp_hitting_set(cross_times_dense(n, field), "whitebox").provenance[
             "assignment"] == "kronecker"
     assert not built
-    for r in (difference(field), cross_times_dense(4, field, pair=((2,), (3,)))):
-        points = roabp_hitting_set(r, "whitebox")
-        assert points.provenance["assignment"] == "round-combined"
-        assert len(points) == math.prod(points.provenance["sides"])
+    points = roabp_hitting_set(cross_times_dense(4, field, pair=((2,), (3,))), "whitebox")
+    assert points.provenance["assignment"] == "round-combined"
+    assert len(points) == math.prod(points.provenance["sides"]) == 7
+    # the round map's 4 points tie the grid's, and the grid is emitted
+    points = roabp_hitting_set(difference(field), "whitebox")
+    assert (points.provenance["assignment"], len(points)) == ("grid", 4)
     assert len(built) == 2
 
 
@@ -703,7 +762,8 @@ def test_no_product_past_the_expansion_ceiling(monkeypatch):
         (full, "constant"),
         (cross_times_dense(24, field, zero=True), "constant"),
         (cross_times_dense(24, field), "kronecker"),
-        (difference(field), "round-combined"),
+        (cross_times_dense(4, field, pair=((2,), (3,))), "round-combined"),
+        (difference(field), "grid"),
     ]
     products = _count_calls(monkeypatch, MatPoly, "__mul__")
     expansions = _count_calls(monkeypatch, Roabp, "expand")

@@ -205,8 +205,10 @@ def test_cutoff_matches_formula():
 
 
 def test_weightfn_positivity_enforced():
-    with pytest.raises(StructuralError):
-        WeightFn((1, 0, 2))
+    # weight 0 is admitted (RoundMap.identity weighs one variable a round)
+    with pytest.raises(StructuralError, match="weights must be nonnegative"):
+        WeightFn((1, -1, 2))
+    assert WeightFn((1, 0, 2)).monomial_weight((3, 5, 1)) == 5
 
 
 @st.composite
@@ -381,3 +383,25 @@ def test_round_map_refusals():
         RoundMap(())
     with pytest.raises(StructuralError):
         RoundMap((WeightFn((1,)), WeightFn((1, 2))))
+
+
+@pytest.mark.parametrize("n, delta, p", [(1, 3, 5), (3, 1, 7), (4, 2, 10007), (2, 4, 2**31 - 1)])
+def test_the_identity_map_sweeps_the_grid(n, delta, p):
+    # round v weighs x_v alone: the grid {g^0, ..., g^delta}^n, last
+    # variable fastest, with (delta+1)^n points
+    rmap = RoundMap.identity(n)
+    assert rmap.weights == tuple(tuple(int(u == v) for u in range(n)) for v in range(n))
+    assert rmap.sides(delta) == (delta + 1,) * n and rmap.max_weight == 1
+    g = sweep_generator(delta + 1, p)
+    values = [pow(g, j, p) for j in range(delta + 1)]
+    assert len(set(values)) == delta + 1
+    points = rmap.sweep(delta, p)
+    assert len(points) == (delta + 1) ** n
+    assert list(points) == list(itertools.product(values, repeat=n))
+
+
+def test_the_identity_map_needs_delta_plus_one_values():
+    assert len(RoundMap.identity(3).sweep(3, 5)) == 64
+    with pytest.raises(ModulusTooSmallError, match="needs 3 distinct nonzero t values, "
+                                                   "modulus 3 is too small"):
+        RoundMap.identity(3).sweep(2, 3)

@@ -3,7 +3,8 @@
 `pinned_blackbox.json` holds one sha256 per (family, parameter tuple,
 modulus) of the full output.  `pinned_blackbox_sets.json` holds the sha256
 of the sorted distinct points, so a change that only drops repeated points
-leaves it as it is.  Both come from the geometric t-sweep (t = g^j).
+leaves it as it is.  Every pinned roabp and invertible file is the grid
+{g^0..g^delta}^n, the paper's sets being no smaller at these tuples.
 Width-2 files are a curve through the invertible anchors, so their pinned
 set is the anchors, the first `anchor_count` points.  Blackbox sets read
 only the declared parameters (n, d, w, s, delta, mu), so any instance with
@@ -19,7 +20,9 @@ import pytest
 
 from pitkit.algebra import MatPoly
 from pitkit.io_cli import load_points, main, save_instance
+from pitkit.roabp import PointSet
 from pitkit.verify import InstanceSpec, generate_instance, verify_hitting_property
+from test_blackbox_whole_class import paper_set
 
 PINNED = pathlib.Path(__file__).with_name("pinned_blackbox.json")
 PINNED_SETS = pathlib.Path(__file__).with_name("pinned_blackbox_sets.json")
@@ -107,13 +110,20 @@ def with_rank_one_layer(inst, seed: int):
     ("roabp", "roabp", (3, 2, 2, 2, 1, 1), 361),
 ])
 def test_blackbox_sets_fit_gf_10007(family, klass, params, size, tmp_path, monkeypatch, capsys):
-    # each file hits fitting instances: same n, d and w, no larger s, delta,
-    # mu; half of the width-2 ones have a singular layer
+    # the paper's set of `size` points, and the emitted file that replaces
+    # it (the grid, or the curve through the grid's points), each hit
+    # fitting instances: same n, d and w, no larger s, delta, mu; half of
+    # the width-2 ones have a singular layer
+    n, d, w, s, delta, mu = params
+    emitted = (delta + 1) ** n
+    if family == "width2":
+        emitted = 1 + (d + 2) ** 2 * delta * emitted
     monkeypatch.chdir(tmp_path)
     code, out = run_hs(family, klass, params, 10007, tmp_path, capsys)
-    assert (code, out.splitlines()[0]) == (0, f"wrote {size} points to points.txt")
-    points = load_points(str(tmp_path / "points.txt"))
-    n, d, w, s, delta, mu = params
+    assert (code, out.splitlines()[0]) == (0, f"wrote {emitted} points to points.txt")
+    paper = tuple(paper_set(family, declared(klass, params, 10007)))
+    assert len(paper) == size
+    sets = [load_points(str(tmp_path / "points.txt")), PointSet(n, paper)]
     hit = 0
     for seed in range(200):
         inst = generate_instance(InstanceSpec(
@@ -124,8 +134,9 @@ def test_blackbox_sets_fit_gf_10007(family, klass, params, size, tmp_path, monke
                 and inst.delta <= delta and inst.layer_support <= mu):
             if family == "width2" and seed % 2 == 0:
                 inst = with_rank_one_layer(inst, seed)
-            report = verify_hitting_property(inst, points)
-            assert report.passed and not report.vacuous, seed
+            for points in sets:
+                report = verify_hitting_property(inst, points)
+                assert report.passed and not report.vacuous, seed
             hit += 1
             if hit == 20:
                 return

@@ -9,7 +9,7 @@ byte-identical.  `pinned_outputs_p61.json` pins the invertible-factor and
 width-2 sets of the first seeds at p = 2^61 - 1, where a residue outgrows
 one 64-bit word and the width-2 curve sweep reads multi-word slots.
 The 200-seed report of every campaign class is pinned at p = 10007 and at
-p = 5, where some cases reach a capability limit.
+p = 5, where every width-2 case reaches a capability limit.
 `pinned_decompose.json` pins the `decompose` payload (stdout, and the same
 bytes written by `--out`) of the circuits of `test_pinned_sum_sml.py`.
 
@@ -50,11 +50,11 @@ SUM_SML_REPORT = "96851e6c198081a4f31de57339e7a051090e89108f726a5b8042647d87b7f9
 # --modulus P`: the report and its summary line
 CAMPAIGN_REPORTS = {
     ("roabp", 10007): "0f0373ef2379bd912f20cf97b150d2e6495e8c0de401fd8b807371f7befd6738",
-    ("roabp", 5): "30a1638190d54e343ececa570d5f77ec91ff9cb9907bed3ecb0b2aab399bd9a6",
+    ("roabp", 5): "a0da38ce397766295860630253d981474977bc3236ccded45600de0158198885",
     ("invertible-roabp", 10007): "4920e70f4cb5cc87f2f97c7f14e125fd3e71571c67465dacdd64861fc40565a1",
-    ("invertible-roabp", 5): "c603c9b3d329301151e21b05b3c424f72b9fadb97f5f3e3b71e34f689e36a893",
+    ("invertible-roabp", 5): "a423c06c97dc3572888d037ebbda082bbd51875a5e2e3156d9b51968d6ea6013",
     ("width2-roabp", 10007): "baad87767183157c4100cde025478e85809b55af25a671c479b4176cd6380660",
-    ("width2-roabp", 5): "ab5ddac7da13124be9a3d07936e9572643d7779127f004f70e2b26c2b736d995",
+    ("width2-roabp", 5): "a3b1c481bdd3d7cfe9363da58e228e2fe96d277c8460a766197d3d8ffd256de7",
     ("depth3-distance", 10007): "c01442fa4dd05ab127751e4adb453d1b9f12259ff021ee562fb5b2b5a3428a36",
     ("depth3-distance", 5): "40579b0e66d4a675ad38d55057fbd6c0f23a056f4e9f2bbc8a261f3a0bc78099",
     ("sum-sml", 10007): "d41fb43cf9db6286d1c23e466a93ee99be344f1ed590297149bfd8ecf52084ea",
@@ -72,8 +72,8 @@ WIDE_INVERTIBLE_REPORTS = {
     5: "40ef340c4993f7a1694dff9efe17e7b81dae5c209db9adf88c6bb78ad7c0e561",
 }
 WIDE_INVERTIBLE_SETS = {
-    3: "4a8ceab957df08c1e0ff16910456a38da1e9ca3e16f9b5896ca41e499954c9cd",
-    4: "45180132eb63568fb5e68e58f5b16771acefb66b985543dd51947907e2b549dc",
+    3: "b58f5e4fb2d21a3375a64845dcaf7be871848bf280730c3065fa4431c4289a8d",
+    4: "ca2ef8d519d0e566614e60c734162003a118ad074408b8b8f9d54ab33ca5bbaf",
 }
 
 GENERATORS = {

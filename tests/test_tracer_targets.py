@@ -30,8 +30,10 @@ UNREACHED = {
     "algebra.RowSpan.add",
     "algebra.mat_mul",
     "concentrate.LagrangeCurve.eval_at",
+    "concentrate.find_concentrating_shift",
     "depth3.Depth3Circuit.eval_at",
     "isolate.construct_isolating_weights",
+    "isolate.enumerate_candidate_weights",
     "isolate.greedy_basis",
     "kron.PairSet",
     "kron.separating_weights",

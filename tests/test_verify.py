@@ -11,6 +11,7 @@ from pitkit.depth3 import Depth3Circuit, Gate, LinearForm
 from pitkit.errors import StructuralError
 from pitkit.roabp import EXPAND_CEILING, PointSet, Roabp
 from pitkit.verify import (
+    HITTING_SETS,
     DetStream,
     InstanceSpec,
     _campaign_case,
@@ -169,6 +170,29 @@ def test_campaigns_pass_across_classes():
     ]:
         result = run_campaign(klass, samples, seed=100)
         assert result.all_passed, result.render()
+
+
+@pytest.mark.parametrize("modulus", [10007, 5])
+@pytest.mark.parametrize("klass", ["roabp", "invertible-roabp"])
+def test_campaign_sets_never_exceed_the_grid(klass, modulus):
+    # the grid {g^0..g^delta}^n hits every case, so no case emits more than
+    # its (delta+1)^n points, and none reaches a capability limit where the
+    # grid's delta + 1 values fit GF(p), as they do at every delta of the
+    # campaign envelopes
+    generate = HITTING_SETS[klass.removesuffix("-roabp")]
+    largest = 0
+    for seed in range(200):
+        spec = InstanceSpec(
+            klass=klass, seed=seed, modulus=modulus, **_case_overrides(klass, seed, {})
+        )
+        r = generate_instance(spec)
+        assert r.delta + 1 < modulus
+        size = len(generate(r, "whitebox"))
+        assert size <= (r.delta + 1) ** r.n, seed
+        largest = max(largest, size)
+    assert largest > 1
+    result = run_campaign(klass, 200, seed=0, modulus=modulus)
+    assert (result.passed, result.limited) == (200, 0)
 
 
 def test_depth3_distance_case_searches_the_gate_order_once(monkeypatch):
