@@ -33,9 +33,9 @@ from .errors import (
 )
 from .kron import (
     PointFamily,
-    RoundMap,
     WeightFn,
     distinct_reductions,
+    grid_sweep,
     prime_cutoff,
 )
 from .roabp import PointSet, Roabp
@@ -234,13 +234,13 @@ def _provenance(
 def _grid_set(
     mode: str, n: int, d: int, w: int, delta: int, s: int, mu: int, field: Field
 ) -> PointSet:
-    """The grid {g^0, ..., g^delta}^n (`RoundMap.identity`), which hits
+    """The grid {g^0, ..., g^delta}^n (`kron.grid_sweep`), which hits
     every nonzero polynomial of individual degree <= delta, as every
     invertible-factor instance with that delta is: one translate of one
     grid, so t_sweep and maps are both 1."""
-    grid = RoundMap.identity(n).sweep(delta, field.p)
-    extra = {"route": "grid", "grid": grid.size, "t_sweep": 1, "maps": 1}
-    return PointSet(n, grid, _provenance(mode, n, d, w, delta, s, mu, extra))
+    points = grid_sweep(n, delta, field.p)
+    extra = {"route": "grid", "grid": points.size, "t_sweep": 1, "maps": 1}
+    return PointSet(n, points, _provenance(mode, n, d, w, delta, s, mu, extra))
 
 
 def _translated_grid(
@@ -273,8 +273,8 @@ def _low_support_size(n: int, w: int, delta: int, s: int, mu: int, field: Field)
 
 
 def invertible_hitting_set(r: Roabp, mode: str = "whitebox") -> PointSet:
-    """Hitting set for an invertible-factor instance: the grid of
-    `RoundMap.identity` unless the paper's low-support grid translated by
+    """Hitting set for an invertible-factor instance: the grid
+    (`kron.grid_sweep`) unless the paper's low-support grid translated by
     concentrating shifts is strictly smaller.
 
     Whitebox mode refuses a symbolically singular layer first.  The
@@ -315,42 +315,44 @@ def invertible_hitting_set_params(
     n: int, d: int, w: int, delta: int, s: int, mu: int, field: Field
 ) -> PointSet:
     """Parameter-only hitting set for every invertible-factor instance with
-    the declared parameters: the grid of `RoundMap.identity`, unless the
+    the declared parameters: the grid (`kron.grid_sweep`), unless the
     paper's set (`_paper_params_set`) is strictly smaller and fits GF(p).
 
     That set has |low-support grid| * |t-sweep| * |maps| points, so its
     maps are listed only when the grid is larger than the low-support
     grid, and only while the count of the maps listed so far, a lower
     bound (the t-sweep grows with the largest weight), stays below the
-    grid's.
+    grid's; a full list is the one the paper's set sweeps.
     """
     grid_count = (delta + 1) ** n
     low = _low_support_size(n, w, delta, s, mu, field)
     if grid_count > low:
-        count, listed, max_a = grid_count, 0, 0
+        count, maps, max_a = grid_count, [], 0
         for _, wfn in _shift_maps(n, d, w, delta, s, mu):
-            listed, max_a = listed + 1, max(max_a, wfn.max_weight)
-            count = low * _t0_budget(d, w * delta * n, w, n, delta, max_a) * listed
+            maps.append(wfn)
+            max_a = max(max_a, wfn.max_weight)
+            count = low * _t0_budget(d, w * delta * n, w, n, delta, max_a) * len(maps)
             if count >= grid_count:
                 break
         if count < grid_count:
             # a t-sweep that does not fit GF(p) leaves the grid
             with contextlib.suppress(ModulusTooSmallError):
-                return _paper_params_set(n, d, w, delta, s, mu, field)
+                return _paper_params_set(n, d, w, delta, s, mu, field, maps)
     return _grid_set("blackbox", n, d, w, delta, s, mu, field)
 
 
 def _paper_params_set(
-    n: int, d: int, w: int, delta: int, s: int, mu: int, field: Field
+    n: int, d: int, w: int, delta: int, s: int, mu: int, field: Field,
+    maps: Sequence[WeightFn],
 ) -> PointSet:
-    """The paper's parameter-only set: every distinct shift map of the
-    candidate family (`_shift_maps`, sized for every layer determinant's
-    s^w monomials plus all low-support monomials), each swept over enough
-    t0 to clear every determinant and rank minor, translating the
-    low-support grid by each specialization.
+    """The paper's parameter-only set: every map of `maps`, the distinct
+    shift maps of the candidate family (`_shift_maps`, sized for every
+    layer determinant's s^w monomials plus all low-support monomials) for
+    the declared parameters, each swept over enough t0 to clear every
+    determinant and rank minor, translating the low-support grid by each
+    specialization.
     Size is exactly |grid| * |t-sweep| * |maps|.
     """
-    maps = [wfn for _, wfn in _shift_maps(n, d, w, delta, s, mu)]
     max_a = max(m.max_weight for m in maps)
     t_sweep = _t0_budget(d, w * delta * n, w, n, delta, max_a)
     # swept before the grid is built, so a sweep too long for the field is

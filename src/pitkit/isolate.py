@@ -65,6 +65,7 @@ from .kron import (
     WeightFn,
     check_sweep,
     distinct_reductions,
+    grid_sweep,
     prime_cutoff,
     separating_weights,
 )
@@ -183,9 +184,12 @@ def _round_maps(n: int, d: int, s: int, w: int, delta: int) -> list[Iterator[Wei
     ]
 
 
-def _paper_count_below(n: int, d: int, s: int, w: int, delta: int, bound: int) -> bool:
-    """Whether the paper's blackbox set (`_paper_blackbox_set`) has fewer
-    than `bound` points.
+def _paper_sides_below(
+    n: int, d: int, s: int, w: int, delta: int, bound: int
+) -> list[list[int]] | None:
+    """The sides of every map of `_round_maps`, round by round, when the
+    paper's blackbox set (`_paper_blackbox_set`) has fewer than `bound`
+    points; None otherwise.
 
     Its count is prod_r sum(side) over round r's maps, and every side is at
     least 1 + n*delta.  So the maps are read one at a time, and only while
@@ -195,18 +199,20 @@ def _paper_count_below(n: int, d: int, s: int, w: int, delta: int, bound: int) -
     """
     floor = 1 + n * delta
     rounds = _round_maps(n, d, s, w, delta)
-    done = 1  # the product of the finished rounds' sums
+    done, sides = 1, []  # the product of the finished rounds' sums, their sides
     for i, maps in enumerate(rounds):
         rest = floor ** (len(rounds) - i - 1)
         if done * floor * rest >= bound:
-            return False
-        total = 0
+            return None
+        total, listed = 0, []
         for wfn in maps:
-            total += wfn.side(delta)
+            listed.append(wfn.side(delta))
+            total += listed[-1]
             if done * total * rest >= bound:
-                return False
+                return None
         done *= total
-    return True
+        sides.append(listed)
+    return sides
 
 
 def enumerate_candidate_weights(
@@ -247,9 +253,11 @@ def _embedded_factors(r: Roabp) -> list[MatPoly]:
     return [left, *factors, right]
 
 
-def _whitebox_map(r: Roabp) -> tuple[RoundMap, dict]:
-    """The first map on the ladder whose sweep is sure to hit f and is
-    smaller than the grid (`RoundMap.identity`), and its provenance route.
+def _whitebox_sweep(r: Roabp) -> tuple[PointFamily, int, dict]:
+    """The sweep of the first map on the ladder whose sweep is sure to hit
+    f and is smaller than the grid (`kron.grid_sweep`), the map's largest
+    weight, and its provenance route; the grid, of largest weight 1, where
+    no map is.
 
     A map's sweep (`RoundMap.sweep`) hits f exactly when f's image under
     the map is nonzero, so each rung is checked by its image
@@ -281,11 +289,15 @@ def _whitebox_map(r: Roabp) -> tuple[RoundMap, dict]:
        when its floor is below the grid.
     """
     p, delta = r.field.p, r.delta
+
+    def swept(rmap: RoundMap, **route) -> tuple[PointFamily, int, dict]:
+        return rmap.sweep(delta, p), rmap.max_weight, route
+
     constant = WeightFn.constant(r.n)
     if constant.side(delta) >= p:
-        return RoundMap.identity(r.n), {"assignment": "grid"}
+        return grid_sweep(r.n, delta, p), 1, {"assignment": "grid"}
     if r.evaluate((1,) * r.n) or r.weighted_substitute(constant) or r.is_zero():
-        return RoundMap((constant,)), {"assignment": "constant"}
+        return swept(RoundMap((constant,)), assignment="constant")
     grid_count = (delta + 1) ** r.n
     factors = _embedded_factors(r)
     floor = (1 + r.n * delta) ** (1 + math.ceil(math.log2(len(factors))))
@@ -298,14 +310,14 @@ def _whitebox_map(r: Roabp) -> tuple[RoundMap, dict]:
         if q >= 2 * limit:
             break
         if count < limit and r.weighted_substitute(wfn):
-            return RoundMap((wfn,)), {"assignment": "kronecker", "prime": q}
+            return swept(RoundMap((wfn,)), assignment="kronecker", prime=q)
     if paper is None and floor < grid_count:
         paper, _ = construct_isolating_weights(factors)
     if paper is not None:
         sides = paper.sides(delta)
         if math.prod(sides) < grid_count and max(sides) < p:
-            return paper, {"assignment": "round-combined", "sides": list(sides)}
-    return RoundMap.identity(r.n), {"assignment": "grid"}
+            return swept(paper, assignment="round-combined", sides=list(sides))
+    return grid_sweep(r.n, delta, p), 1, {"assignment": "grid"}
 
 
 def _provenance(r: Roabp, mode: str, **extra) -> dict:
@@ -321,19 +333,18 @@ def _provenance(r: Roabp, mode: str, **extra) -> dict:
     }
 
 
-def _paper_blackbox_set(r: Roabp) -> PointSet:
+def _paper_blackbox_set(r: Roabp, sides: list[list[int]]) -> PointSet:
     """The paper's parameter-only set: the sweep of every enumerated
-    candidate round map (`enumerate_candidate_weights`).
+    candidate round map (`enumerate_candidate_weights`), given the sides
+    of each round's maps for r's declared parameters (`_paper_sides_below`).
 
     Its size is the product over rounds of the sum of the round's sides,
-    read from the per-round lists, and every sweep's modulus check runs
-    here; the candidates are enumerated only as the set is iterated, and
-    its provenance, one `per_assignment` size per candidate, only when it
-    is read.
+    and every sweep's modulus check runs here; the candidates are
+    enumerated only as the set is iterated, and its provenance, one
+    `per_assignment` size per candidate, only when it is read.
     """
     p, delta, s = r.field.p, r.delta, max(1, r.layer_sparsity)
     family = (r.n, max(1, r.d), s, r.width, delta)
-    sides = [[wfn.side(delta) for wfn in maps] for maps in _round_maps(*family)]
     check_sweep(max(map(max, sides)), p)
     points = PointFamily(math.prod(map(sum, sides)), lambda: chain.from_iterable(
         rmap.sweep(delta, p) for rmap in enumerate_candidate_weights(*family)
@@ -353,10 +364,10 @@ def roabp_hitting_set(r: Roabp, mode: str = "whitebox") -> PointSet:
     Each round map swept adds its grid (`RoundMap.sweep`): 1 + delta *
     sum_v w(v) distinct nonzero t per round, so a one-round map adds a
     t-sweep (t^w(x_1), ..., t^w(x_n)).  No set has more points than the
-    grid {g^0, ..., g^delta}^n of `RoundMap.identity`, which hits every
+    grid {g^0, ..., g^delta}^n (`kron.grid_sweep`), which hits every
     nonzero polynomial of individual degree <= delta, as every ROABP with
     that delta is (its blocks are disjoint).
-    Whitebox mode sweeps the first map on the ladder of `_whitebox_map`
+    Whitebox mode sweeps the first map on the ladder of `_whitebox_sweep`
     (constant, prime-reduced Kronecker, the smaller of the paper's round
     map and the grid) whose image of f is nonzero, or the constant map for
     a zero f; nothing is expanded.
@@ -364,27 +375,25 @@ def roabp_hitting_set(r: Roabp, mode: str = "whitebox") -> PointSet:
     the paper's candidate sweeps (`_paper_blackbox_set`) only when their
     exact count is below the grid's (delta+1)^n and they fit GF(p), and
     the grid otherwise; the per-round lists are read only as far as that
-    count can still be below the grid's (`_paper_count_below`).
+    count can still be below the grid's (`_paper_sides_below`).
     """
     if r.n < 1:
         raise StructuralError("a hitting set needs at least one variable")
     p, delta = r.field.p, r.delta
     if mode == "whitebox":
-        rmap, route = _whitebox_map(r)
-        points = rmap.sweep(delta, p)
+        points, max_weight, route = _whitebox_sweep(r)
         return PointSet(r.n, points, _provenance(
-            r, mode, s=r.layer_sparsity, t_count=len(points), max_weight=rmap.max_weight,
-            **route,
+            r, mode, s=r.layer_sparsity, t_count=len(points), max_weight=max_weight, **route,
         ))
     if mode == "blackbox":
         s = max(1, r.layer_sparsity)
-        grid = RoundMap.identity(r.n).sweep(delta, p)
-        if _paper_count_below(r.n, max(1, r.d), s, r.width, delta, grid.size):
+        sides = _paper_sides_below(r.n, max(1, r.d), s, r.width, delta, (delta + 1) ** r.n)
+        if sides is not None:
             # a candidate sweep that does not fit GF(p) leaves the grid
             with contextlib.suppress(ModulusTooSmallError):
-                return _paper_blackbox_set(r)
-        return PointSet(r.n, grid, _provenance(
-            r, mode, s=s, route="grid", assignments=1,
-            per_assignment=[grid.size],
+                return _paper_blackbox_set(r, sides)
+        points = grid_sweep(r.n, delta, p)
+        return PointSet(r.n, points, _provenance(
+            r, mode, s=s, route="grid", assignments=1, per_assignment=[points.size],
         ))
     raise StructuralError(f"unknown mode {mode!r}")

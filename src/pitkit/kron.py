@@ -11,7 +11,7 @@ and sweeps the grid of its round values.
 from __future__ import annotations
 
 import math
-from functools import cache, partial
+from functools import partial
 from itertools import accumulate, chain, compress, repeat, takewhile
 from itertools import product as iter_product
 from operator import mul
@@ -24,15 +24,15 @@ CUTOFF_CONSTANT = 4  # the counting argument's c0; see prime_cutoff
 
 
 class WeightFn(Frozen):
-    """Nonnegative integer weight per variable; a monomial weighs the
+    """Positive integer weight per variable; a monomial weighs the
     exponent-weighted sum of its variables' weights."""
 
     __match_args__ = ("weights",)
 
     def __init__(self, weights: tuple) -> None:
         ws = tuple(int(w) for w in weights)
-        if any(w < 0 for w in ws):
-            raise StructuralError("weights must be nonnegative")
+        if any(w < 1 for w in ws):
+            raise StructuralError("weights must be positive")
         self.__dict__["weights"] = ws
 
     @classmethod
@@ -111,14 +111,6 @@ class RoundMap(Frozen):
             raise StructuralError("rounds must weigh the same variables")
         self.__dict__["rounds"] = rs
 
-    @classmethod
-    def identity(cls, n: int) -> "RoundMap":
-        """Round v weighs x_v alone, so `sweep(delta, p)` is the grid
-        {g^0, ..., g^delta}^n of (delta+1)^n points, which hits every nonzero
-        polynomial of individual degree <= delta (Combinatorial
-        Nullstellensatz)."""
-        return cls(map(WeightFn, _unit_vectors(n)))
-
     @property
     def n(self) -> int:
         return self.rounds[0].n
@@ -143,22 +135,23 @@ class RoundMap(Frozen):
         """The grid of round tuples (t_1, ..., t_R), each t_r running over
         round r's sweep of `sides(delta)[r]` values (`WeightFn.sweep`), as
         the points (prod_r t_r^(w_r(v)) for each v): a product family of
-        prod(sides) points.  One round is its own sweep, and the identity
-        map's grid on two or more variables is one `itertools.product` of
-        the coordinate values."""
+        prod(sides) points.  One round is its own sweep."""
         sweeps = [w.sweep(side, p) for w, side in zip(self.rounds, self.sides(delta))]
-        if len(sweeps) > 1 and self.weights == _unit_vectors(self.n):
-            column = sweeps[0]
-            return PointFamily(len(column) ** self.n, lambda: iter_product(
-                [t for t, *_ in column], repeat=self.n
-            ))
         return PointFamily.product(sweeps, p)
 
 
-@cache
-def _unit_vectors(n: int) -> tuple[tuple[int, ...], ...]:
-    """The weights of `RoundMap.identity(n)`: round v weighs x_v alone."""
-    return tuple(tuple(int(u == v) for u in range(n)) for v in range(n))
+def grid_sweep(n: int, delta: int, p: int) -> "PointFamily":
+    """The grid {g^0, ..., g^delta}^n of (delta+1)^n points, the last
+    variable changing fastest, for the delta+1 values g^j of a one-variable
+    sweep (`WeightFn.sweep`, whose modulus check runs here).  It hits every
+    nonzero polynomial of individual degree <= delta (Combinatorial
+    Nullstellensatz).  It is one `itertools.product` of those values, not a
+    round-map sweep: a product of n one-variable rounds multiplies out
+    every coordinate of every point."""
+    column = WeightFn((1,)).sweep(delta + 1, p)
+    return PointFamily((delta + 1) ** n, lambda: iter_product(
+        [t for (t,) in column], repeat=n
+    ))
 
 
 class PointFamily:

@@ -26,7 +26,9 @@ from pitkit.algebra import (
     mat_flatten,
     mono_support_size,
 )
+from pitkit import isolate
 from pitkit.concentrate import (
+    _paper_params_set,
     _shift_hits,
     _shift_maps,
     _t0_budget,
@@ -392,3 +394,18 @@ def choice(stream, seq: Sequence):
 def base_sets(decomposition) -> list[frozenset]:
     """The base sets of a `depth3.BaseSetDecomposition`, in order."""
     return [cert.base_set for cert in decomposition.certificates]
+
+
+def paper_blackbox_set(r: Roabp):
+    """The paper's blackbox roabp set for r's declared parameters, sized
+    from its per-round lists read in full."""
+    family = (r.n, max(1, r.d), max(1, r.layer_sparsity), r.width, r.delta)
+    sides = [[wfn.side(r.delta) for wfn in maps] for maps in isolate._round_maps(*family)]
+    return isolate._paper_blackbox_set(r, sides)
+
+
+def paper_params_set(n: int, d: int, w: int, delta: int, s: int, mu: int, field: Field):
+    """The paper's parameter-only invertible set, over every shift map of
+    the declared parameters' family."""
+    maps = [wfn for _, wfn in _shift_maps(n, d, w, delta, s, mu)]
+    return _paper_params_set(n, d, w, delta, s, mu, field, maps)

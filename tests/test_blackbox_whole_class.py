@@ -26,11 +26,12 @@ import math
 
 import pytest
 
-from pitkit import concentrate, isolate
+from pitkit import concentrate
 from pitkit.algebra import Field, MatPoly, RowSpan
 from pitkit.io_cli import load_points, main, save_instance
 from pitkit.isolate import roabp_hitting_set
 from pitkit.roabp import Roabp
+from reference import paper_blackbox_set, paper_params_set
 
 
 def whole_space(n: int, d: int, w: int, s: int, delta: int) -> bool:
@@ -127,9 +128,9 @@ def paper_set(family: str, r: Roabp):
     roabp candidate sweeps, or the width-2 curve through the paper's
     invertible anchors."""
     if family == "roabp":
-        return isolate._paper_blackbox_set(r)
+        return paper_blackbox_set(r)
     s = max(1, r.layer_sparsity)
-    anchors = concentrate._paper_params_set(r.n, r.d, 2, r.delta, s, r.layer_support, r.field)
+    anchors = paper_params_set(r.n, r.d, 2, r.delta, s, r.layer_support, r.field)
     return concentrate._curve_sweep(anchors.points, r.n, r.d, r.delta, r.field, {"mode": "blackbox"})
 
 
@@ -159,7 +160,7 @@ def test_blackbox_set_hits_its_whole_class(family, params, p, prefix, size):
 def test_a_set_one_point_short_of_the_dimension_fails_the_check():
     n, delta, field = 2, 2, Field(10007)
     r = declared_instance(2, 2, 3, 3, 2, field)
-    for points in (list(roabp_hitting_set(r, "blackbox")), list(isolate._paper_blackbox_set(r))):
+    for points in (list(roabp_hitting_set(r, "blackbox")), list(paper_blackbox_set(r))):
         assert full_rank_prefix(points, n, delta, field) is not None
         assert full_rank_prefix(points[: (delta + 1) ** n - 1], n, delta, field) is None
 

@@ -41,6 +41,7 @@ from reference import (
     concentration_rank,
     det_at_ones,
     det_cofactor,
+    paper_params_set,
     rank_over_field,
     shift_mat,
     shift_roabp,
@@ -716,10 +717,10 @@ def test_invertible_params_sweep_each_distinct_map_once(monkeypatch):
                 for p in itertools.takewhile(lambda p: p <= cutoff, iter_primes())]
 
     for params in INVERTIBLE_PARAMS:
-        got = concentrate._paper_params_set(*params, F)
+        got = paper_params_set(*params, F)
         with monkeypatch.context() as m:
             m.setattr(concentrate, "distinct_reductions", every_prime)
-            full = concentrate._paper_params_set(*params, F)
+            full = paper_params_set(*params, F)
         size = full.provenance["grid"] * full.provenance["t_sweep"]
         full_points = tuple(full.points)
         blocks = [full_points[i:i + size] for i in range(0, len(full_points), size)]
@@ -735,17 +736,16 @@ INVERTIBLE_PARAMS = [(1, 1, 2, 1, 1, 1), (2, 1, 2, 1, 1, 1), (2, 2, 2, 1, 1, 1)]
 @pytest.mark.parametrize("params", INVERTIBLE_PARAMS)
 def test_invertible_params_offsets_are_per_t0_powers(monkeypatch, params):
     # reference: one pow per coordinate per t0 = g^j
-    from pitkit.concentrate import _paper_params_set
     from pitkit.kron import iter_primes, sweep_generator
 
     def per_t0_pow(self, count, p):
         g = sweep_generator(count, p)
         return [tuple(pow(g, j * a, p) for a in self.weights) for j in range(count)]
 
-    got = _paper_params_set(*params, F)
+    got = paper_params_set(*params, F)
     with monkeypatch.context() as m:
         m.setattr(WeightFn, "sweep", per_t0_pow)
-        ref = _paper_params_set(*params, F)
+        ref = paper_params_set(*params, F)
     assert (tuple(got.points), got.provenance) == (tuple(ref.points), ref.provenance)
     t_sweep = got.provenance["t_sweep"]
     largest = max(itertools.takewhile(lambda p: p <= t_sweep, iter_primes()))
@@ -753,16 +753,16 @@ def test_invertible_params_offsets_are_per_t0_powers(monkeypatch, params):
         f"hitting set needs {t_sweep} distinct nonzero t values, "
         f"modulus {largest} is too small"
     )):
-        _paper_params_set(*params, Field(largest))
+        paper_params_set(*params, Field(largest))
 
 
 def test_invertible_params_check_the_sweep_before_the_grid():
     # delta = 2: the grid 1..3 does not fit GF(3) either; the public set
     # emits the grid there, so it reports the grid
-    from pitkit.concentrate import _paper_params_set, invertible_hitting_set_params
+    from pitkit.concentrate import invertible_hitting_set_params
 
     with pytest.raises(ModulusTooSmallError, match="hitting set needs"):
-        _paper_params_set(1, 1, 2, 2, 1, 1, Field(3))
+        paper_params_set(1, 1, 2, 2, 1, 1, Field(3))
     with pytest.raises(ModulusTooSmallError, match=r"grid 1\.\.3 does not fit in GF\(3\)"):
         invertible_hitting_set_params(1, 1, 2, 2, 1, 1, Field(3))
 

@@ -6,7 +6,7 @@ mode, the first n at which the route's count drops below the grid's, and
 that count, without building any set:
 
 - blackbox roabp: prod_r sum(side) over the per-round lists, exact
-  (`isolate._paper_count_below` compares it with the grid's);
+  (`isolate._paper_sides_below` compares it with the grid's);
 - whitebox roabp: the round-combined map has at least (1 + n*delta)^R
   points for R = 1 + ceil(log2 d) rounds, so it cannot win below the n
   given, and has at least that many points there;
@@ -66,7 +66,7 @@ def first_win(family: str, mode: str, p: dict) -> tuple[int, int]:
         grid = (p["delta"] + 1) ** n
         if family == "roabp" and mode == "blackbox":
             # the lists are read only as far as the count can beat the grid
-            if not isolate._paper_count_below(n, p["d"], p["s"], p["w"], p["delta"], grid):
+            if isolate._paper_sides_below(n, p["d"], p["s"], p["w"], p["delta"], grid) is None:
                 continue
         count = route_count(family, mode, n, p)
         if count < grid:

@@ -42,6 +42,7 @@ from reference import (
     combine_rounds,
     is_basis_isolating,
     naive_kronecker,
+    paper_blackbox_set,
     rank_over_field,
     span_contains,
 )
@@ -419,7 +420,7 @@ def test_blackbox_size_is_the_sum_of_its_candidates_grids(params):
     # enumeration order
     n, d, w, s, delta = params
     r = declared_instance(*params, F)
-    points = isolate._paper_blackbox_set(r)
+    points = paper_blackbox_set(r)
     candidates = list(enumerate_candidate_weights(n, d, s, w, delta))
     prov = points.provenance
     assert prov["assignments"] == len(candidates)
@@ -435,7 +436,7 @@ def test_blackbox_with_six_variables_fits_gf_10007():
     field = Field(10007)
     r = declared_instance(6, 2, 2, 2, 1, field)
     assert len(roabp_hitting_set(r, "blackbox")) == 64
-    points = isolate._paper_blackbox_set(r)
+    points = paper_blackbox_set(r)
     assert len(points) == 138_384
     assert points.provenance["assignments"] == 144
     assert max(points.provenance["per_assignment"]) == 64 * 64
@@ -451,18 +452,21 @@ def test_blackbox_with_six_variables_fits_gf_10007():
     (2, 2, 1, 1, 2), (3, 1, 2, 2, 1), (4, 2, 4, 4, 1), (3, 3, 2, 2, 1), (5, 1, 2, 1, 1),
 ])
 def test_the_paper_count_is_compared_with_the_grid_exactly(params):
-    # `_paper_count_below` is the exact comparison of the paper's count
-    # with a bound, on either side of it; the emitted set is the smaller
-    # one, the grid on a tie
+    # `_paper_sides_below` is the exact comparison of the paper's count
+    # with a bound, on either side of it, and lists the sides the paper's
+    # set is sized by; the emitted set is the smaller one, the grid on a tie
     n, d, w, s, delta = params
     r = declared_instance(*params, F)
-    count = isolate._paper_blackbox_set(r).size
+    count = paper_blackbox_set(r).size
     for bound in (count - 1, count, count + 1):
-        assert isolate._paper_count_below(n, d, s, w, delta, bound) is (count < bound)
+        sides = isolate._paper_sides_below(n, d, s, w, delta, bound)
+        assert (sides is not None) is (count < bound)
+        if sides is not None:
+            assert isolate._paper_blackbox_set(r, sides).size == count
     points = roabp_hitting_set(r, "blackbox")
     grid = (delta + 1) ** n
     if count < grid:
-        assert points.provenance == isolate._paper_blackbox_set(r).provenance
+        assert points.provenance == paper_blackbox_set(r).provenance
     else:
         assert points.provenance["route"] == "grid" and len(points) == grid
 
@@ -472,7 +476,7 @@ def test_the_paper_count_reads_the_lists_only_while_it_can_beat_the_grid(monkeyp
     # below 169; the paper's 288,239,060,641 points are passed after a few
     # maps of round 0 and never read round 1
     n, d, w, s, delta = 12, 2, 2, 2, 1
-    assert isolate._paper_blackbox_set(declared_instance(n, d, w, s, delta, F)).size == (
+    assert paper_blackbox_set(declared_instance(n, d, w, s, delta, F)).size == (
         288_239_060_641)
     read = []
     reductions = isolate.distinct_reductions
@@ -483,11 +487,11 @@ def test_the_paper_count_reads_the_lists_only_while_it_can_beat_the_grid(monkeyp
             yield pair
 
     monkeypatch.setattr(isolate, "distinct_reductions", counted)
-    assert not isolate._paper_count_below(n, d, s, w, delta, 169) and not read
-    assert not isolate._paper_count_below(n, d, s, w, delta, 2**n)
+    assert isolate._paper_sides_below(n, d, s, w, delta, 169) is None and not read
+    assert isolate._paper_sides_below(n, d, s, w, delta, 2**n) is None
     assert 0 < len(read) < 310 and len(set(read)) == 1
-    assert isolate._paper_count_below(n, d, s, w, delta, 288_239_060_642)
-    assert not isolate._paper_count_below(n, d, s, w, delta, 288_239_060_641)
+    assert isolate._paper_sides_below(n, d, s, w, delta, 288_239_060_642) is not None
+    assert isolate._paper_sides_below(n, d, s, w, delta, 288_239_060_641) is None
 
 
 def test_blackbox_round_images_match_the_packed_images():

@@ -211,7 +211,7 @@ def test_trusted_instances_equal_the_validating_constructors(cls):
 def test_replace_runs_the_validating_constructor():
     assert WeightFn((1, 2)).replace(weights=[3, 4]).weights == (3, 4)
     with pytest.raises(StructuralError):
-        WeightFn((1, 2)).replace(weights=(-1,))
+        WeightFn((1, 2)).replace(weights=(0,))
     with pytest.raises(StructuralError):
         InstanceSpec("roabp", 0).replace(n=0)
     with pytest.raises(TypeError):
